@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import log1pexp, sigm
-from .estimators import DIVERGENCE_LIMIT, DivergenceError
+from .core import sigm
+from .estimators import sgd
 
 # validation-selected defaults: 250 hidden units / lr 0.001 for the MLP,
 # lr 2.0 for logistic regression
@@ -117,19 +117,15 @@ def mlp_train(X, targets, mask, cfg: SgdConfig, p0: MlpParams) -> MlpParams:
     X = np.asarray(X, dtype=float)
     targets = np.asarray(targets, dtype=float)
     mask = np.ones_like(targets) if mask is None else np.asarray(mask, dtype=float)
-    rng = np.random.default_rng(cfg.seed)
-    p = p0.copy()
-    for epoch in range(cfg.epochs):
-        for i in rng.permutation(X.shape[0]):
-            dW1, db1, dW2, db2 = _mlp_grads(X[i], targets[i], mask[i], p)
-            p.W1 -= cfg.lr * dW1
-            p.b1 -= cfg.lr * db1
-            p.W2 -= cfg.lr * dW2
-            p.b2 -= cfg.lr * db2
-        for a in (p.W1, p.b1, p.W2, p.b2):
-            if not np.all(np.isfinite(a)) or np.max(np.abs(a), initial=0.0) > DIVERGENCE_LIMIT:
-                raise DivergenceError(f"parameters diverged at epoch {epoch}")
-    return p
+
+    def step(p, i, rng):
+        dW1, db1, dW2, db2 = _mlp_grads(X[i], targets[i], mask[i], p)
+        p.W1 -= cfg.lr * dW1
+        p.b1 -= cfg.lr * db1
+        p.W2 -= cfg.lr * dW2
+        p.b2 -= cfg.lr * db2
+
+    return sgd(p0, X.shape[0], step, cfg.epochs, cfg.seed)
 
 
 def logreg_train(X, targets, mask, cfg: SgdConfig,
@@ -138,15 +134,12 @@ def logreg_train(X, targets, mask, cfg: SgdConfig,
     X = np.asarray(X, dtype=float)
     targets = np.asarray(targets, dtype=float)
     mask = np.ones_like(targets) if mask is None else np.asarray(mask, dtype=float)
-    p = p0.copy() if p0 is not None else LogRegParams.zeros(X.shape[1], targets.shape[1])
-    rng = np.random.default_rng(cfg.seed)
-    for epoch in range(cfg.epochs):
-        for i in rng.permutation(X.shape[0]):
-            o = sigm(p.b + X[i] @ p.W)
-            dpre = (o - targets[i]) * mask[i]
-            p.W -= cfg.lr * np.outer(X[i], dpre)
-            p.b -= cfg.lr * dpre
-        for a in (p.W, p.b):
-            if not np.all(np.isfinite(a)) or np.max(np.abs(a), initial=0.0) > DIVERGENCE_LIMIT:
-                raise DivergenceError(f"parameters diverged at epoch {epoch}")
-    return p
+    if p0 is None:
+        p0 = LogRegParams.zeros(X.shape[1], targets.shape[1])
+
+    def step(p, i, rng):
+        dpre = (sigm(p.b + X[i] @ p.W) - targets[i]) * mask[i]
+        p.W -= cfg.lr * np.outer(X[i], dpre)
+        p.b -= cfg.lr * dpre
+
+    return sgd(p0, X.shape[0], step, cfg.epochs, cfg.seed)

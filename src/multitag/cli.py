@@ -20,16 +20,16 @@ from .baselines import (LOGREG_DEFAULT_LR, MLP_DEFAULT_HIDDEN, MLP_DEFAULT_LR,
                         logreg_train, mlp_predict, mlp_train)
 from .core import DrbmParams, LabeledExample
 from .estimators import (ESTIMATORS, GaussianRbmParams, TrainConfig,
-                         sgd_train, sgd_train_generative)
+                         pl_gradient, sgd_train, sgd_train_generative)
 from .evaluation import (AucReport, score_matrix_auc, significance_counts,
                          write_auc_report, write_summary)
 from .inference import lbp_marginals, predict_scores
 from .modelio import load_model, save_model
-from .oracle import (ENUM_BITS, CapacityError, exact_cond_prob, exact_grad,
-                     exact_marginals, finite_diff, log_pl_reference)
-from .core import sigm
-from .estimators import pl_gradient
-from .smoother import SmootherParams, TagEvent, smooth_tags, train_smoother
+from .oracle import (ENUM_BITS, CapacityError, all_bit_vectors,
+                     exact_cond_prob, exact_grad, exact_marginals, finite_diff,
+                     log_pl_reference)
+from .smoother import (SmootherParams, TagEvent, events_by_clip, smooth_tags,
+                       train_smoother)
 
 STATE_CHARS = {dt.POSITIVE: "P", dt.NEGATIVE: "N", dt.UNKNOWN: "U"}
 CHAR_STATES = {v: k for k, v in STATE_CHARS.items()}
@@ -107,7 +107,8 @@ def cmd_ingest(args):
               file=sys.stderr)
     items = sorted(feat_items)
     matrix = dt.binarize(records, vocab, args.min_positive, items=items)
-    order = [features.items.index(i) for i in items]
+    row = {item: r for r, item in enumerate(features.items)}
+    order = [row[i] for i in items]
     table = dt.normalize_features(
         dt.FeatureTable(items, features.X[order]))
     os.makedirs(args.out, exist_ok=True)
@@ -213,14 +214,13 @@ def cmd_smooth(args):
     events, sizes, cid, tid = _events_from_triples(triples, vocab, items_map)
     if sizes != model.aux_sizes:
         raise SystemExit("error: triples vocabularies do not match the model")
-    clip_track = {}
-    for e in events:
-        clip_track[e.clip] = e.track
+    by_clip = events_by_clip(events)
     clip_name = {i: name for name, i in cid.items()}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("item\t" + "\t".join(vocab) + "\n")
         for clip in sorted(clip_name):
-            probs = smooth_tags(clip, clip_track[clip], model, events)
+            clip_events = by_clip[clip]
+            probs = smooth_tags(clip, clip_events[0].track, model, clip_events)
             fh.write(clip_name[clip] + "\t"
                      + "\t".join(repr(float(v)) for v in probs) + "\n")
     return 0
@@ -332,7 +332,6 @@ def cmd_oracle_check(args):
     ok = True
     for _ in range(args.trials):
         ex, p = instance(C=5)
-        from .oracle import all_bit_vectors
         total = sum(exact_cond_prob(y, ex.x, p) for y in all_bit_vectors(p.C))
         ok &= abs(total - 1.0) < 1e-10
     _check("conditional distribution normalizes", ok, failures)

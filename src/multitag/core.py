@@ -1,5 +1,6 @@
 """Energy function, free energy, and exact conditionals of the
-label/hidden bilinear model, plus shared numeric primitives.
+label/hidden bilinear model, the CD chain and mean-field loop that every
+model kind runs through, plus shared numeric primitives.
 
 Parameter layout: U couples hidden units to labels (n x C), W couples
 hidden units to features (n x D), c are hidden biases (n,), d are label
@@ -170,6 +171,40 @@ def p_label_given(h, p: DrbmParams) -> np.ndarray:
     """p(y_j=1 | h) = sigm(d + U'h), componentwise; h isolates y from x."""
     h = _check_vec(h, p.n, "h")
     return sigm(p.d + p.U.T @ h)
+
+
+def cd_chain(hid_bias, vis_bias, U, y0, K: int, rng):
+    """K block-Gibbs steps h ~ p(h|y), y ~ p(y|h) from y0 in the
+    bipartite model with hidden input hid_bias + Uy and visible input
+    vis_bias + U'h; uniforms are pre-drawn as a (K, n) then a (K, C)
+    block.  Returns (h0, hK, yK), hK the hidden activation at sample yK.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    Ut = np.ascontiguousarray(U.T)
+    rh = rng.random((K, U.shape[0]))
+    ry = rng.random((K, U.shape[1]))
+    y = y0
+    for k in range(K):
+        h = (rh[k] < sigm(hid_bias + U @ y)).astype(float)
+        y = (ry[k] < sigm(vis_bias + Ut @ h)).astype(float)
+    return sigm(hid_bias + U @ y0), sigm(hid_bias + U @ y), y
+
+
+def mean_field(hid_bias, vis_bias, U, y, K: int, tol: float) -> np.ndarray:
+    """Mean-field label probabilities of the same bipartite model:
+    iterates h = sigm(hid_bias + Uy), y = sigm(vis_bias + U'h) from the
+    given y for K steps or until the largest change in y drops below
+    ``tol`` (tol=0 always runs K steps)."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    for _ in range(K):
+        h = sigm(hid_bias + U @ y)
+        y_new = sigm(vis_bias + U.T @ h)
+        if tol > 0 and np.max(np.abs(y_new - y), initial=0.0) < tol:
+            return y_new
+        y = y_new
+    return y
 
 
 def sample_bernoulli(probs, rng) -> np.ndarray:

@@ -6,7 +6,7 @@ construction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,8 +160,9 @@ def read_triples(path, delimiter="\t"):
 
 
 def read_features(path, delimiter="\t", header=False) -> FeatureTable:
-    """Features file: item id, then D floats per line."""
-    items, rows = [], []
+    """Features file: item id, then D floats per line; item ids must be
+    unique."""
+    items, rows, seen = [], [], set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if header and lineno == 1:
@@ -170,6 +171,9 @@ def read_features(path, delimiter="\t", header=False) -> FeatureTable:
             if not line:
                 continue
             parts = line.split(delimiter)
+            if parts[0] in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
+            seen.add(parts[0])
             items.append(parts[0])
             try:
                 rows.append([float(v) for v in parts[1:]])

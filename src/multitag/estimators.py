@@ -12,12 +12,13 @@ theta <- theta - lr * (dE_pos - dE_neg) is the same thing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DrbmParams, Gradient, LabeledExample, cond_free_energy,
-                   log1pexp, p_hidden_given, sample_bernoulli, sigm)
+from .core import (DrbmParams, Gradient, LabeledExample, cd_chain,
+                   cond_free_energy, log1pexp, mean_field, p_hidden_given,
+                   sample_bernoulli, sigm)
 from .inference import lbp_marginals, mf_predict
 
 ESTIMATORS = ("cd", "mfcd", "lbp", "pl")
@@ -64,36 +65,19 @@ def cd_gradient(example: LabeledExample, p: DrbmParams, K: int, rng) -> Gradient
     """CD-K update: Gibbs chain over (h, y) started at the training
     label, features held fixed; final statistics use the deterministic
     hidden activation."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
     x, y0 = example.x, example.y
-    act = p.c + p.W @ x
-    h0 = sigm(act + p.U @ y0)
-    U, Ut, d = p.U, np.ascontiguousarray(p.U.T), p.d
-    rh = rng.random((K, p.n))
-    ry = rng.random((K, p.C))
-    y = y0
-    for k in range(K):
-        h = (rh[k] < sigm(act + U @ y)).astype(float)
-        y = (ry[k] < sigm(d + Ut @ h)).astype(float)
-    hK = sigm(act + U @ y)
-    return _phase_difference(h0, y0, hK, y, x)
+    h0, hK, yK = cd_chain(p.c + p.W @ x, p.d, p.U, y0, K, rng)
+    return _phase_difference(h0, y0, hK, yK, x)
 
 
 def mfcd_gradient(example: LabeledExample, p: DrbmParams, K: int) -> Gradient:
     """Deterministic CD variant: samples replaced by conditional
     expectations, initialized at the training label."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
     x, y0 = example.x, example.y
     act = p.c + p.W @ x
-    h0 = sigm(act + p.U @ y0)
-    h = h0
-    y = y0
-    for _ in range(K):
-        y = sigm(p.d + p.U.T @ h)
-        h = sigm(act + p.U @ y)
-    return _phase_difference(h0, y0, h, y, x)
+    yK = mean_field(act, p.d, p.U, y0, K, tol=0.0)
+    return _phase_difference(sigm(act + p.U @ y0), y0, sigm(act + p.U @ yK),
+                             yK, x)
 
 
 def lbp_gradient(example: LabeledExample, p: DrbmParams, K: int,
@@ -227,10 +211,37 @@ def _estimate(example, p, cfg: TrainConfig, rng):
     return grad, log_pl
 
 
-def _check_divergence(arrays, epoch):
-    for a in arrays:
-        if not np.all(np.isfinite(a)) or np.max(np.abs(a), initial=0.0) > DIVERGENCE_LIMIT:
+def check_divergence(p, epoch):
+    """Raise DivergenceError unless every entry of every array field of
+    the parameter object p is finite and at most DIVERGENCE_LIMIT in
+    magnitude (NaN fails the comparison)."""
+    for a in vars(p).values():
+        if isinstance(a, np.ndarray) and not np.all(np.abs(a) <= DIVERGENCE_LIMIT):
             raise DivergenceError(f"parameters diverged at epoch {epoch}")
+
+
+def sgd(p0, n_examples: int, step, epochs: int, seed: int, log_file=None):
+    """Per-example stochastic training of a copy of p0, for every model kind.
+
+    Each epoch calls step(p, i, rng) for the examples in a permutation
+    drawn from default_rng(seed); step updates p in place and returns the
+    example's objective value or None.  Each epoch ends with a divergence
+    check and, given a log file, an ``epoch N [objective X ]time Ts`` line.
+    """
+    if n_examples == 0:
+        raise ValueError("empty dataset")
+    rng = np.random.default_rng(seed)
+    p = p0.copy()
+    for epoch in range(epochs):
+        t0 = time.time()
+        values = [step(p, i, rng) for i in rng.permutation(n_examples)]
+        check_divergence(p, epoch)
+        if log_file is not None:
+            objective = ("" if values[0] is None
+                         else f"objective {np.mean(values):.6f} ")
+            log_file.write(f"epoch {epoch} {objective}"
+                           f"time {time.time() - t0:.3f}s\n")
+    return p
 
 
 def sgd_train(dataset, p0: DrbmParams, cfg: TrainConfig,
@@ -242,57 +253,36 @@ def sgd_train(dataset, p0: DrbmParams, cfg: TrainConfig,
     stream for cd).
     """
     dataset = list(dataset)
-    if not dataset:
-        raise ValueError("empty dataset")
-    rng = np.random.default_rng(cfg.seed)
-    p = p0.copy()
-    for epoch in range(cfg.epochs):
-        t0 = time.time()
-        order = rng.permutation(len(dataset))
-        proxies = []
-        for i in order:
-            ex = dataset[i]
-            grad, proxy = _estimate(ex, p, cfg, rng)
-            if proxy is None:
-                # reconstruction-phase energy gap as the objective proxy
-                y_hat = np.round(mf_predict(ex.x, p, cfg.k))
-                proxy = (cond_free_energy(y_hat, ex.x, p)
-                         - cond_free_energy(ex.y, ex.x, p))
-            proxies.append(proxy)
-            p.U += cfg.lr * grad.dU
-            p.W += cfg.lr * grad.dW
-            p.c += cfg.lr * grad.dc
-            p.d += cfg.lr * grad.dd
-        _check_divergence((p.U, p.W, p.c, p.d), epoch)
-        if log_file is not None:
-            log_file.write(f"epoch {epoch} objective {np.mean(proxies):.6f} "
-                           f"time {time.time() - t0:.3f}s\n")
-    return p
+
+    def step(p, i, rng):
+        ex = dataset[i]
+        grad, proxy = _estimate(ex, p, cfg, rng)
+        if proxy is None:
+            # reconstruction-phase energy gap as the objective proxy
+            y_hat = np.round(mf_predict(ex.x, p, cfg.k))
+            proxy = (cond_free_energy(y_hat, ex.x, p)
+                     - cond_free_energy(ex.y, ex.x, p))
+        p.U += cfg.lr * grad.dU
+        p.W += cfg.lr * grad.dW
+        p.c += cfg.lr * grad.dc
+        p.d += cfg.lr * grad.dd
+        return proxy
+
+    return sgd(p0, len(dataset), step, cfg.epochs, cfg.seed, log_file)
 
 
 def sgd_train_generative(dataset, p0: GaussianRbmParams, cfg: TrainConfig,
                          log_file=None) -> GaussianRbmParams:
     """Same driver for the joint Gaussian-input model (CD only)."""
     dataset = list(dataset)
-    if not dataset:
-        raise ValueError("empty dataset")
-    rng = np.random.default_rng(cfg.seed)
-    p = p0.copy()
-    for epoch in range(cfg.epochs):
-        t0 = time.time()
-        order = rng.permutation(len(dataset))
-        gaps = []
-        for i in order:
-            ex = dataset[i]
-            grad = generative_cd_gradient(ex, p, cfg.k, rng)
-            gaps.append(float(np.linalg.norm(grad.dbx)))
-            p.U += cfg.lr * grad.dU
-            p.W += cfg.lr * grad.dW
-            p.c += cfg.lr * grad.dc
-            p.d += cfg.lr * grad.dd
-            p.bx += cfg.lr * grad.dbx
-        _check_divergence((p.U, p.W, p.c, p.d, p.bx), epoch)
-        if log_file is not None:
-            log_file.write(f"epoch {epoch} objective {np.mean(gaps):.6f} "
-                           f"time {time.time() - t0:.3f}s\n")
-    return p
+
+    def step(p, i, rng):
+        grad = generative_cd_gradient(dataset[i], p, cfg.k, rng)
+        p.U += cfg.lr * grad.dU
+        p.W += cfg.lr * grad.dW
+        p.c += cfg.lr * grad.dc
+        p.d += cfg.lr * grad.dd
+        p.bx += cfg.lr * grad.dbx
+        return float(np.linalg.norm(grad.dbx))
+
+    return sgd(p0, len(dataset), step, cfg.epochs, cfg.seed, log_file)

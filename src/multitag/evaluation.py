@@ -6,7 +6,7 @@ folds only, and paired significance testing between models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

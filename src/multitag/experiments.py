@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import LogRegParams, SgdConfig, logreg_predict, logreg_train
+from .baselines import SgdConfig, logreg_predict, logreg_train
 from .core import DrbmParams, LabeledExample
 from .data import NEGATIVE, POSITIVE, FeatureTable, normalize_features
 from .estimators import TrainConfig, sgd_train
 from .evaluation import auc
 from .inference import predict_scores
-from .smoother import SmootherParams, smooth_tags, train_smoother
+from .smoother import (SmootherParams, events_by_clip, smooth_tags,
+                       train_smoother)
 from .synthetic import (make_cooccurrence_corpus, make_dependency_corpus,
                         make_tag_corpus)
 
@@ -110,7 +111,7 @@ def smoothing_experiment(seeds=(0, 1, 2, 3, 4), n_clips=300, n_train=200,
         C = events[0].y.shape[0]
         train_clips = list(range(n_train))
         test_clips = list(range(n_train, n_clips))
-        train_events = [e for e in events if e.clip in set(train_clips)]
+        train_events = [e for e in events if e.clip < n_train]
 
         rng = np.random.default_rng(seed)
         # every clip is its own track here, so the identity blocks are
@@ -122,7 +123,8 @@ def smoothing_experiment(seeds=(0, 1, 2, 3, 4), n_clips=300, n_train=200,
                           epochs=smoother_epochs, seed=seed, l1=l1)
         sm = train_smoother(train_events, p0, cfg)
 
-        smoothed = np.stack([smooth_tags(c, c, sm, train_events)
+        by_clip = events_by_clip(train_events)
+        smoothed = np.stack([smooth_tags(c, c, sm, by_clip.get(c, []))
                              for c in train_clips])
         raw = _observed_matrix(train_events, train_clips, C)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DrbmParams, _check_vec, log1pexp, sigm
+from .core import DrbmParams, _check_vec, log1pexp, mean_field, sigm
 from .oracle import Marginals
 
 
@@ -81,18 +81,8 @@ def mf_predict(x, p: DrbmParams, K: int, tol: float = 1e-8) -> np.ndarray:
     Iterates h = sigm(c + Wx + Uy), y = sigm(d + U'h) for K steps or
     until the largest change drops below ``tol``.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
     x = _check_vec(x, p.D, "x")
-    act = p.c + p.W @ x
-    y = np.zeros(p.C)
-    for _ in range(K):
-        h = sigm(act + p.U @ y)
-        y_new = sigm(p.d + p.U.T @ h)
-        if np.max(np.abs(y_new - y), initial=0.0) < tol:
-            return y_new
-        y = y_new
-    return y
+    return mean_field(p.c + p.W @ x, p.d, p.U, np.zeros(p.C), K, tol)
 
 
 def predict_scores(x, p: DrbmParams, method: str, K: int = 10,

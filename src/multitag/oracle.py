@@ -59,8 +59,8 @@ def exact_cond_prob(y, x, p: DrbmParams) -> float:
 
 
 def exact_marginals(x, p: DrbmParams) -> Marginals:
-    if p.n > ENUM_BITS:
-        raise CapacityError(f"n={p.n} exceeds the {ENUM_BITS}-bit bound")
+    """Enumerates the 2^C label vectors (bounded by all_bit_vectors) and
+    sums the hidden units analytically, so n is not bounded."""
     Y = all_bit_vectors(p.C)
     F = _free_energies(x, p, Y)
     logw = -F - np.max(-F)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import sigm
-from .estimators import DIVERGENCE_LIMIT, DivergenceError, TrainConfig
+from .core import cd_chain, mean_field
+from .estimators import TrainConfig, sgd
 
 
 @dataclass
@@ -95,6 +95,14 @@ def build_aux(user, track, clip, aux_sizes) -> np.ndarray:
     return a
 
 
+def events_by_clip(events) -> dict:
+    """clip id -> that clip's events, in their original order."""
+    by_clip = {}
+    for e in events:
+        by_clip.setdefault(e.clip, []).append(e)
+    return by_clip
+
+
 def other_users_avg(events, excluded_user) -> np.ndarray:
     """Componentwise mean tag vector over a clip's events, excluding one
     user; zero vector when nobody else tagged the clip."""
@@ -112,22 +120,10 @@ def smoother_cd_gradient(event: TagEvent, u, a, p: SmootherParams, K: int,
     """Conditional CD-K with hidden input c + Wu + Uy and visible input
     d + Va + U'h; the l1 subgradient shrinks only the conditioning
     weights V and W."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
     u = np.asarray(u, dtype=float)
     a = np.asarray(a, dtype=float)
     y0 = np.asarray(event.y, dtype=float)
-    hid_bias = p.c + p.W @ u
-    vis_bias = p.d + p.V @ a
-    h0 = sigm(hid_bias + p.U @ y0)
-    # same pre-drawn random block layout as the discriminative CD chain
-    rh = rng.random((K, p.n))
-    ry = rng.random((K, p.C))
-    y = y0
-    for k in range(K):
-        h = (rh[k] < sigm(hid_bias + p.U @ y)).astype(float)
-        y = (ry[k] < sigm(vis_bias + p.U.T @ h)).astype(float)
-    hK = sigm(hid_bias + p.U @ y)
+    h0, hK, y = cd_chain(p.c + p.W @ u, p.d + p.V @ a, p.U, y0, K, rng)
     dV = np.outer(y0 - y, a)
     dW = np.outer(h0 - hK, u)
     if l1 > 0:
@@ -153,53 +149,34 @@ def train_smoother(events, p0: SmootherParams, cfg: TrainConfig,
     """Per-event stochastic CD training of the smoother; the l1 penalty
     on V and W uses subgradient steps clipped through zero."""
     events = list(events)
-    if not events:
-        raise ValueError("no tag events")
-    by_clip = {}
-    for e in events:
-        by_clip.setdefault(e.clip, []).append(e)
-    rng = np.random.default_rng(cfg.seed)
-    p = p0.copy()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(events))
-        for i in order:
-            e = events[i]
-            u = other_users_avg(by_clip[e.clip], e.user)
-            a = build_aux(e.user, e.track, e.clip, p.aux_sizes)
-            g = smoother_cd_gradient(e, u, a, p, cfg.k, rng, cfg.l1)
-            p.U += cfg.lr * g.dU
-            p.c += cfg.lr * g.dc
-            p.d += cfg.lr * g.dd
-            p.W = _clip_step(p.W, p.W + cfg.lr * g.dW)
-            p.V = _clip_step(p.V, p.V + cfg.lr * g.dV)
-        for arr in (p.U, p.W, p.V, p.c, p.d):
-            if not np.all(np.isfinite(arr)) or np.max(np.abs(arr), initial=0.0) > DIVERGENCE_LIMIT:
-                raise DivergenceError(f"parameters diverged at epoch {epoch}")
-        if log_file is not None:
-            log_file.write(f"epoch {epoch} done\n")
-    return p
+    by_clip = events_by_clip(events)
+
+    def step(p, i, rng):
+        e = events[i]
+        u = other_users_avg(by_clip[e.clip], e.user)
+        a = build_aux(e.user, e.track, e.clip, p.aux_sizes)
+        g = smoother_cd_gradient(e, u, a, p, cfg.k, rng, cfg.l1)
+        p.U += cfg.lr * g.dU
+        p.c += cfg.lr * g.dc
+        p.d += cfg.lr * g.dd
+        p.W = _clip_step(p.W, p.W + cfg.lr * g.dW)
+        p.V = _clip_step(p.V, p.V + cfg.lr * g.dV)
+
+    return sgd(p0, len(events), step, cfg.epochs, cfg.seed, log_file)
 
 
 def smooth_tags(clip, track, p: SmootherParams, events, tol: float = 1e-8,
                 max_iter: int = 500) -> np.ndarray:
     """Predicted tag probabilities for a new (unknown) user on a known
     clip: u averages all users of the clip, the user identity block is
-    zeroed, and mean-field runs from y* = u to convergence."""
+    zeroed, and mean-field runs from y* = u to convergence.  Pass the
+    clip's own events (events_by_clip) to avoid scanning all of them."""
     clip_events = [e for e in events if e.clip == clip]
     if not clip_events:
         raise KeyError(f"unknown clip {clip!r}")
     u = np.mean(np.asarray([e.y for e in clip_events], dtype=float), axis=0)
     a = build_aux(None, track, clip, p.aux_sizes)
-    hid_bias = p.c + p.W @ u
-    vis_bias = p.d + p.V @ a
-    y = u.copy()
-    for _ in range(max_iter):
-        h = sigm(hid_bias + p.U @ y)
-        y_new = sigm(vis_bias + p.U.T @ h)
-        if np.max(np.abs(y_new - y), initial=0.0) < tol:
-            return y_new
-        y = y_new
-    return y
+    return mean_field(p.c + p.W @ u, p.d + p.V @ a, p.U, u, max_iter, tol)
 
 
 def smoothed_dataset(matrix, smoothed_rows: dict) -> np.ndarray:

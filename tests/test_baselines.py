@@ -144,3 +144,14 @@ class TestMlpTrain:
         with pytest.raises(DivergenceError):
             mlp_train(X * 1e5, targets, None,
                       SgdConfig(lr=1e6, epochs=5, seed=0), p0)
+
+
+@pytest.mark.parametrize("kind", ["logreg", "mlp"])
+def test_empty_dataset_rejected(rng, kind):
+    X, targets = np.zeros((0, 2)), np.zeros((0, 2))
+    cfg = SgdConfig(lr=0.1, epochs=1, seed=0)
+    with pytest.raises(ValueError, match="empty"):
+        if kind == "logreg":
+            logreg_train(X, targets, None, cfg)
+        else:
+            mlp_train(X, targets, None, cfg, MlpParams.random_init(2, 3, 2, rng))

@@ -50,6 +50,17 @@ class TestIngest:
                     "--out", tmp_path / "out"]) == 0
         assert "ghost-item" in capsys.readouterr().err
 
+    def test_rejects_duplicate_feature_ids(self, corpus_dir, tmp_path,
+                                           capsys):
+        features = corpus_dir / "features.tsv"
+        lines = features.read_text().splitlines()
+        features.write_text("\n".join(lines + [lines[0]]) + "\n")
+        assert run(["ingest", "--triples", corpus_dir / "triples.tsv",
+                    "--features", features, "--vocab-size", 3,
+                    "--min-positive", 1, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert f"features.tsv:{len(lines) + 1}: duplicate item id" in err
+
 
 @pytest.fixture
 def ingested(corpus_dir, tmp_path):
@@ -169,6 +180,9 @@ class TestSmoothPipeline:
         assert run(["train", "--kind", "smoother", "--triples", triples,
                     "--vocab-size", 2, "--epochs", 2, "--hidden", 2,
                     "--model", model]) == 0
+        log = (tmp_path / "s.model.log").read_text().splitlines()
+        assert [line.split(" time ")[0] for line in log] == ["epoch 0",
+                                                            "epoch 1"]
         out = tmp_path / "smoothed.tsv"
         assert run(["smooth", "--model", model, "--triples", triples,
                     "--out", out]) == 0

@@ -238,6 +238,14 @@ class TestSgdTrainGenerative:
         p = sgd_train_generative(data, p0, cfg)
         np.testing.assert_allclose(p.bx, mean, atol=0.1)
 
+    def test_divergence_guard(self, rng):
+        data = [LabeledExample(rng.normal(size=2), np.ones(1))
+                for _ in range(2)]
+        p0 = GaussianRbmParams.random_init(2, 1, 2, rng)
+        cfg = TrainConfig(estimator="cd", k=1, lr=1e9, epochs=5, seed=0)
+        with pytest.raises(DivergenceError):
+            sgd_train_generative(data, p0, cfg)
+
 
 def test_train_config_validation():
     with pytest.raises(ValueError):

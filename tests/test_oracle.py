@@ -74,9 +74,11 @@ class TestMarginals:
         np.testing.assert_allclose(m.pair_marg, np.outer(m.h_marg, m.y_marg),
                                    atol=1e-12)
 
-    def test_marginalization_identity(self, rng):
-        # summing the pairwise table against enumerated y recovers singletons
-        ex, p = random_instance(rng, C=4, n=3)
+    @pytest.mark.parametrize("n", [3, 25])
+    def test_marginalization_identity(self, rng, n):
+        # summing the pairwise table against enumerated y recovers
+        # singletons; n is unbounded since hidden units are summed analytically
+        ex, p = random_instance(rng, C=4, n=n)
         m = exact_marginals(ex.x, p)
         Y = all_bit_vectors(p.C)
         F = np.array([exact_cond_prob(y, ex.x, p) for y in Y])
