@@ -33,6 +33,9 @@ from .smoother import (SmootherParams, TagEvent, events_by_clip, smooth_tags,
 
 STATE_CHARS = {dt.POSITIVE: "P", dt.NEGATIVE: "N", dt.UNKNOWN: "U"}
 CHAR_STATES = {v: k for k, v in STATE_CHARS.items()}
+# train options whose built-in default depends on the model kind
+KIND_DEFAULTS = {"mlp": {"hidden": MLP_DEFAULT_HIDDEN, "lr": MLP_DEFAULT_LR},
+                 "logreg": {"lr": LOGREG_DEFAULT_LR}}
 
 
 def _read_config(path):
@@ -50,8 +53,10 @@ def _read_config(path):
 
 
 def _merge(args, defaults):
-    """Fill unset options from config file, MULTITAG_SEED, then defaults."""
+    """Fill unset options from config file, MULTITAG_SEED, then defaults;
+    args.unset names the options that took the built-in default."""
     config = _read_config(args.config) if getattr(args, "config", None) else {}
+    args.unset = set()
     for key, default in defaults.items():
         if getattr(args, key, None) is not None:
             continue
@@ -65,6 +70,7 @@ def _merge(args, defaults):
             setattr(args, key, int(os.environ["MULTITAG_SEED"]))
         else:
             setattr(args, key, default)
+            args.unset.add(key)
     return args
 
 
@@ -81,10 +87,17 @@ def _read_matrix(path) -> dt.ThreeStateTagMatrix:
         header = fh.readline().rstrip("\n").split("\t")
         vocab = header[1:]
         items, rows = [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             parts = line.rstrip("\n").split("\t")
+            if len(parts) - 1 != len(vocab):
+                raise ValueError(f"{path}:{lineno}: expected {len(vocab)} "
+                                 f"cells, got {len(parts) - 1}")
+            try:
+                rows.append([CHAR_STATES[c] for c in parts[1:]])
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: unknown cell "
+                                 f"{exc.args[0]!r}") from exc
             items.append(parts[0])
-            rows.append([CHAR_STATES[c] for c in parts[1:]])
     return dt.ThreeStateTagMatrix(items, vocab, np.asarray(rows, dtype=np.int8))
 
 
@@ -161,6 +174,9 @@ def cmd_train(args):
     X = features.X
     Y = (matrix.cells == dt.POSITIVE).astype(float)
     mask = (matrix.cells != dt.UNKNOWN).astype(float)
+    for key, value in KIND_DEFAULTS.get(args.kind, {}).items():
+        if key in args.unset:
+            setattr(args, key, value)
     rng = np.random.default_rng(args.seed)
     log_path = args.model + ".log"
     cfg = TrainConfig(estimator=args.estimator, k=args.k, lr=args.lr,

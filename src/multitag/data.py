@@ -36,9 +36,6 @@ class ThreeStateTagMatrix:
     def C(self):
         return len(self.vocab)
 
-    def row(self, item) -> np.ndarray:
-        return self.cells[self.items.index(item)]
-
 
 @dataclass
 class FeatureTable:
@@ -163,6 +160,7 @@ def read_features(path, delimiter="\t", header=False) -> FeatureTable:
     """Features file: item id, then D floats per line; item ids must be
     unique."""
     items, rows, seen = [], [], set()
+    width = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if header and lineno == 1:
@@ -175,13 +173,18 @@ def read_features(path, delimiter="\t", header=False) -> FeatureTable:
                 raise ValueError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
             seen.add(parts[0])
             items.append(parts[0])
+            if width is None:
+                width = len(parts) - 1
+            elif len(parts) - 1 != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} features, "
+                                 f"got {len(parts) - 1}")
             try:
                 rows.append([float(v) for v in parts[1:]])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad float") from exc
     X = np.asarray(rows, dtype=float)
     if X.ndim != 2:
-        raise ValueError(f"{path}: inconsistent feature dimensions")
+        raise ValueError(f"{path}: no feature rows")
     return FeatureTable(items, X)
 
 

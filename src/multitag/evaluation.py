@@ -57,9 +57,12 @@ def auc(scores, labels):
     """Mann-Whitney AUC: fraction of (positive, negative) pairs ranked
     correctly, ties counted half.  Unknown labels are excluded; returns
     None when either class is empty (undefined, excluded from means).
+    Raises ValueError on a NaN or infinite score, which has no rank.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("auc: scores must be finite")
     keep = labels != UNKNOWN
     scores, labels = scores[keep], labels[keep]
     pos = labels == POSITIVE

@@ -81,17 +81,25 @@ class SmootherGradient:
     dd: np.ndarray
 
 
-def build_aux(user, track, clip, aux_sizes) -> np.ndarray:
-    """One-hot blocks for user, track, clip; None leaves a block all
-    zero (unknown-user prediction)."""
-    a = np.zeros(sum(aux_sizes))
+def aux_columns(user, track, clip, aux_sizes) -> list:
+    """Columns of V that the one-hot user, track and clip blocks select;
+    None leaves its block out (unknown-user prediction)."""
+    cols = []
     offset = 0
     for idx, size in zip((user, track, clip), aux_sizes):
         if idx is not None:
             if not (0 <= idx < size):
                 raise IndexError(f"id {idx} out of range for block of size {size}")
-            a[offset + idx] = 1.0
+            cols.append(offset + idx)
         offset += size
+    return cols
+
+
+def build_aux(user, track, clip, aux_sizes) -> np.ndarray:
+    """The dense conditioning vector a: one-hot blocks for user, track,
+    clip, so V @ a is V[:, aux_columns(...)].sum(axis=1)."""
+    a = np.zeros(sum(aux_sizes))
+    a[aux_columns(user, track, clip, aux_sizes)] = 1.0
     return a
 
 
@@ -115,19 +123,21 @@ def other_users_avg(events, excluded_user) -> np.ndarray:
     return np.mean(np.asarray(vecs, dtype=float), axis=0)
 
 
-def smoother_cd_gradient(event: TagEvent, u, a, p: SmootherParams, K: int,
+def smoother_cd_gradient(event: TagEvent, u, cols, p: SmootherParams, K: int,
                          rng, l1: float = 0.0) -> SmootherGradient:
     """Conditional CD-K with hidden input c + Wu + Uy and visible input
-    d + Va + U'h; the l1 subgradient shrinks only the conditioning
-    weights V and W."""
+    d + Va + U'h, a one-hot on the columns ``cols`` of V; dV is the
+    C x len(cols) block of those columns (every other column of the
+    dense gradient is zero but for the l1 term).  The l1 subgradient
+    shrinks only the conditioning weights V and W."""
     u = np.asarray(u, dtype=float)
-    a = np.asarray(a, dtype=float)
     y0 = np.asarray(event.y, dtype=float)
-    h0, hK, y = cd_chain(p.c + p.W @ u, p.d + p.V @ a, p.U, y0, K, rng)
-    dV = np.outer(y0 - y, a)
+    V = p.V[:, cols]
+    h0, hK, y = cd_chain(p.c + p.W @ u, p.d + V.sum(axis=1), p.U, y0, K, rng)
+    dV = np.outer(y0 - y, np.ones(len(cols)))
     dW = np.outer(h0 - hK, u)
     if l1 > 0:
-        dV = dV - l1 * np.sign(p.V)
+        dV = dV - l1 * np.sign(V)
         dW = dW - l1 * np.sign(p.W)
     return SmootherGradient(
         dU=np.outer(h0, y0) - np.outer(hK, y),
@@ -144,23 +154,63 @@ def _clip_step(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     return np.where(flipped, 0.0, new)
 
 
+def _shrink(v: np.ndarray, amount) -> np.ndarray:
+    """Soft threshold sign(v) * max(|v| - amount, 0): in exact arithmetic,
+    the clipped l1 steps of total size ``amount`` that a weight with no
+    data gradient takes.  NaN stays NaN for the divergence check."""
+    return np.where(np.abs(v) <= amount, 0.0, v - np.sign(v) * amount)
+
+
+def _event_inputs(events, p: SmootherParams):
+    """Each event's other-users average (events x C) and its three
+    columns of V (events x 3)."""
+    by_clip = events_by_clip(events)
+    avgs = np.empty((len(events), p.C))
+    cols = np.empty((len(events), 3), dtype=np.intp)
+    for i, e in enumerate(events):
+        avgs[i] = other_users_avg(by_clip[e.clip], e.user)
+        cols[i] = aux_columns(e.user, e.track, e.clip, p.aux_sizes)
+    return avgs, cols
+
+
 def train_smoother(events, p0: SmootherParams, cfg: TrainConfig,
                    log_file=None) -> SmootherParams:
     """Per-event stochastic CD training of the smoother; the l1 penalty
-    on V and W uses subgradient steps clipped through zero."""
+    on V and W uses subgradient steps clipped through zero.
+
+    An event's conditioning vector is one-hot on three columns of V, and
+    every other column only shrinks under l1.  That shrinkage is applied
+    lazily: each column remembers how many events it is up to date with
+    and catches up in one soft threshold just before an event reads it,
+    and every column catches up at the end of each epoch.
+    """
     events = list(events)
-    by_clip = events_by_clip(events)
+    avgs, cols = _event_inputs(events, p0)
+    per_step = cfg.lr * cfg.l1
+    t = 0  # events seen so far
+    done = np.zeros(p0.A, dtype=np.int64)  # t when each column caught up
+
+    def catch_up(V, c):
+        V[:, c] = _shrink(V[:, c], (t - done[c]) * per_step)
+        done[c] = t
 
     def step(p, i, rng):
-        e = events[i]
-        u = other_users_avg(by_clip[e.clip], e.user)
-        a = build_aux(e.user, e.track, e.clip, p.aux_sizes)
-        g = smoother_cd_gradient(e, u, a, p, cfg.k, rng, cfg.l1)
+        nonlocal t
+        c = cols[i]
+        catch_up(p.V, c)
+        g = smoother_cd_gradient(events[i], avgs[i], c, p, cfg.k, rng, cfg.l1)
         p.U += cfg.lr * g.dU
         p.c += cfg.lr * g.dc
         p.d += cfg.lr * g.dd
         p.W = _clip_step(p.W, p.W + cfg.lr * g.dW)
-        p.V = _clip_step(p.V, p.V + cfg.lr * g.dV)
+        V = p.V[:, c]
+        p.V[:, c] = _clip_step(V, V + cfg.lr * g.dV)
+        t += 1
+        done[c] = t
+        if t % len(events) == 0:
+            # last event of the epoch: the divergence check and the
+            # caller see the true V
+            catch_up(p.V, slice(None))
 
     return sgd(p0, len(events), step, cfg.epochs, cfg.seed, log_file)
 
@@ -175,8 +225,9 @@ def smooth_tags(clip, track, p: SmootherParams, events, tol: float = 1e-8,
     if not clip_events:
         raise KeyError(f"unknown clip {clip!r}")
     u = np.mean(np.asarray([e.y for e in clip_events], dtype=float), axis=0)
-    a = build_aux(None, track, clip, p.aux_sizes)
-    return mean_field(p.c + p.W @ u, p.d + p.V @ a, p.U, u, max_iter, tol)
+    cols = aux_columns(None, track, clip, p.aux_sizes)
+    return mean_field(p.c + p.W @ u, p.d + p.V[:, cols].sum(axis=1), p.U, u,
+                      max_iter, tol)
 
 
 def smoothed_dataset(matrix, smoothed_rows: dict) -> np.ndarray:

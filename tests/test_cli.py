@@ -98,6 +98,18 @@ class TestTrain:
             run(["train", "--data", ingested, "--estimator", "gibbs",
                  "--model", tmp_path / "m.model"])
 
+    def test_logreg_uses_its_validated_lr_by_default(self, ingested,
+                                                     tmp_path):
+        models = {}
+        for name, flags in (("default", []), ("2.0", ["--lr", 2.0]),
+                            ("0.1", ["--lr", 0.1])):
+            model = tmp_path / f"logreg-{name}.model"
+            assert run(["train", "--data", ingested, "--kind", "logreg",
+                        "--epochs", 2, *flags, "--model", model]) == 0
+            models[name] = model.read_bytes()
+        assert models["default"] == models["2.0"]
+        assert models["default"] != models["0.1"]
+
     def test_baseline_kinds(self, ingested, tmp_path):
         for kind in ("mlp", "logreg", "grbm"):
             model = tmp_path / f"{kind}.model"
@@ -105,6 +117,22 @@ class TestTrain:
                         "--epochs", 1, "--hidden", 3, "--lr", 0.1,
                         "--model", model]) == 0
             assert model.exists()
+
+
+class TestMatrixFile:
+    @pytest.mark.parametrize("row, message", [
+        ("extra\tP\tN\tU\tP\n", "expected 3 cells, got 4"),
+        ("short\tP\tN\n", "expected 3 cells, got 2"),
+        ("odd\tP\tX\tN\n", "unknown cell 'X'"),
+    ], ids=["too-many-cells", "too-few-cells", "unknown-cell"])
+    def test_bad_row_reports_line(self, ingested, tmp_path, capsys, row,
+                                  message):
+        matrix = ingested / "matrix.tsv"
+        lines = matrix.read_text().splitlines(keepends=True)
+        matrix.write_text("".join(lines[:2] + [row] + lines[2:]))
+        assert run(["train", "--data", ingested, "--estimator", "pl",
+                    "--epochs", 1, "--model", tmp_path / "m.model"]) == 1
+        assert f"matrix.tsv:3: {message}" in capsys.readouterr().err
 
 
 class TestPrecedence:

@@ -166,6 +166,13 @@ class TestReaders:
         with pytest.raises(ValueError, match="2"):
             read_features(path)
 
+    def test_features_ragged_row_reports_line(self, tmp_path):
+        path = tmp_path / "features.tsv"
+        path.write_text("a\t1.0\t2.0\nb\t3.0\t4.0\nc\t5.0\n")
+        with pytest.raises(ValueError,
+                           match=r"features.tsv:3: expected 2 features, got 1"):
+            read_features(path)
+
     def test_items_mapping(self, tmp_path):
         path = tmp_path / "items.tsv"
         path.write_text("clip1\ttrackA\nclip2\ttrackB\n")

@@ -51,6 +51,13 @@ class TestAuc:
         with_unknown = auc([0.9, 0.2, 0.6], [POSITIVE, NEGATIVE, UNKNOWN])
         assert with_unknown == auc([0.9, 0.2], [POSITIVE, NEGATIVE]) == 1.0
 
+    @pytest.mark.parametrize("scores", [[0.9, np.nan, 0.1, 0.4],
+                                        [np.nan, np.nan, 0.1, 0.4],
+                                        [0.9, 0.8, np.inf, 0.4]])
+    def test_non_finite_scores_rejected(self, scores):
+        with pytest.raises(ValueError, match="finite"):
+            auc(scores, [POSITIVE, NEGATIVE, POSITIVE, NEGATIVE])
+
     def test_degenerate_returns_none(self):
         assert auc([0.1, 0.9], [POSITIVE, POSITIVE]) is None
         assert auc([0.1, 0.9], [NEGATIVE, NEGATIVE]) is None

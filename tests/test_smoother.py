@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from multitag.core import DrbmParams, LabeledExample, sigm
-from multitag.estimators import DivergenceError, TrainConfig, cd_gradient
-from multitag.smoother import (SmootherParams, TagEvent, _clip_step, build_aux,
+from multitag import synthetic
+from multitag.core import DrbmParams, LabeledExample, cd_chain, mean_field, sigm
+from multitag.estimators import (DIVERGENCE_LIMIT, DivergenceError,
+                                 TrainConfig, cd_gradient, sgd)
+from multitag.smoother import (SmootherParams, TagEvent, _clip_step,
+                               aux_columns, build_aux, events_by_clip,
                                other_users_avg, smooth_tags,
                                smoothed_dataset, smoother_cd_gradient,
                                train_smoother)
@@ -32,6 +35,17 @@ class TestBuildAux:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             build_aux(2, 0, 0, (2, 2, 2))
+
+    @pytest.mark.parametrize("ids", [(2, 0, 0), (0, -1, 0), (0, 0, 2)])
+    def test_columns_out_of_range_like_build_aux(self, ids):
+        with pytest.raises(IndexError):
+            build_aux(*ids, (2, 2, 2))
+        with pytest.raises(IndexError):
+            aux_columns(*ids, (2, 2, 2))
+
+    def test_columns_are_the_one_hot_entries(self):
+        assert aux_columns(1, 0, 2, (2, 3, 4)) == [1, 2, 7]
+        assert aux_columns(None, 1, 0, (2, 2, 2)) == [3, 4]
 
 
 class TestOtherUsersAvg:
@@ -63,7 +77,7 @@ class TestSmootherCdGradient:
         ev = TagEvent(0, 0, 0, y)
         ex = LabeledExample(np.zeros(D), y)
         for K in (1, 3):
-            gs = smoother_cd_gradient(ev, np.zeros(C), np.zeros(3), sp, K,
+            gs = smoother_cd_gradient(ev, np.zeros(C), [0, 1, 2], sp, K,
                                       np.random.default_rng(17))
             gd = cd_gradient(ex, base, K, np.random.default_rng(17))
             np.testing.assert_array_equal(gs.dU, gd.dU)
@@ -71,14 +85,17 @@ class TestSmootherCdGradient:
             np.testing.assert_array_equal(gs.dd, gd.dd)
 
     def test_conditioning_gradients_are_outer_products(self, rng):
-        # dW and dV are the bias statistics crossed with the inputs
+        # dW and dV are the bias statistics crossed with the inputs; dV
+        # holds the one-hot columns of the dense outer product
         p = small_smoother(rng)
         u = rng.random(p.C)
         a = build_aux(1, 0, 1, p.aux_sizes)
+        cols = aux_columns(1, 0, 1, p.aux_sizes)
         g = smoother_cd_gradient(TagEvent(1, 0, 1, np.array([1.0, 0.0, 1.0])),
-                                 u, a, p, 1, np.random.default_rng(3))
+                                 u, cols, p, 1, np.random.default_rng(3))
         np.testing.assert_allclose(g.dW, np.outer(g.dc, u), atol=1e-12)
-        np.testing.assert_allclose(g.dV, np.outer(g.dd, a), atol=1e-12)
+        np.testing.assert_allclose(g.dV, np.outer(g.dd, a)[:, cols],
+                                   atol=1e-12)
 
     def test_decoupled_visible_bias_expectation(self):
         # with U = 0 the resampled tags are unbiased draws from
@@ -89,12 +106,13 @@ class TestSmootherCdGradient:
                            rng.normal(scale=0.5, size=(C, 3)), np.zeros(2),
                            rng.normal(scale=0.5, size=C), (1, 1, 1))
         a = build_aux(0, 0, 0, p.aux_sizes)
+        cols = aux_columns(0, 0, 0, p.aux_sizes)
         y = np.array([1.0, 0.0, 1.0])
         ev = TagEvent(0, 0, 0, y)
         runs = 30_000
         acc = np.zeros(C)
         for _ in range(runs):
-            acc += smoother_cd_gradient(ev, np.zeros(C), a, p, 1, rng).dd
+            acc += smoother_cd_gradient(ev, np.zeros(C), cols, p, 1, rng).dd
         probs = sigm(p.d + p.V @ a)
         se = np.sqrt(probs * (1 - probs) / runs)
         assert np.all(np.abs(acc / runs - (y - probs)) < 3 * se)
@@ -102,15 +120,16 @@ class TestSmootherCdGradient:
     def test_l1_shrinks_only_conditioning_weights(self, rng):
         p = small_smoother(rng)
         u = rng.random(p.C)
-        a = build_aux(0, 1, 0, p.aux_sizes)
+        cols = aux_columns(0, 1, 0, p.aux_sizes)
         ev = TagEvent(0, 1, 0, np.array([0.0, 1.0, 0.0]))
-        g0 = smoother_cd_gradient(ev, u, a, p, 1, np.random.default_rng(8))
-        g1 = smoother_cd_gradient(ev, u, a, p, 1, np.random.default_rng(8),
+        g0 = smoother_cd_gradient(ev, u, cols, p, 1, np.random.default_rng(8))
+        g1 = smoother_cd_gradient(ev, u, cols, p, 1, np.random.default_rng(8),
                                   l1=0.1)
         np.testing.assert_array_equal(g0.dU, g1.dU)
         np.testing.assert_allclose(g1.dW, g0.dW - 0.1 * np.sign(p.W),
                                    atol=1e-12)
-        np.testing.assert_allclose(g1.dV, g0.dV - 0.1 * np.sign(p.V),
+        np.testing.assert_allclose(g1.dV,
+                                   g0.dV - 0.1 * np.sign(p.V[:, cols]),
                                    atol=1e-12)
 
 
@@ -132,6 +151,86 @@ def toy_events():
             TagEvent(1, 0, 0, np.array([1.0, 1.0])),
             TagEvent(0, 1, 1, np.array([0.0, 1.0])),
             TagEvent(1, 1, 1, np.array([0.0, 0.0]))]
+
+
+def dense_reference_train(events, p0, cfg):
+    """The dense trainer that train_smoother replaced: every event builds
+    the C x A conditioning gradient from the dense aux vector and takes
+    the clipped l1 step on all of V."""
+    events = list(events)
+    by_clip = events_by_clip(events)
+
+    def step(p, i, rng):
+        e = events[i]
+        u = other_users_avg(by_clip[e.clip], e.user)
+        a = build_aux(e.user, e.track, e.clip, p.aux_sizes)
+        h0, hK, y = cd_chain(p.c + p.W @ u, p.d + p.V @ a, p.U, e.y, cfg.k,
+                             rng)
+        dV = np.outer(e.y - y, a)
+        dW = np.outer(h0 - hK, u)
+        if cfg.l1 > 0:
+            dV = dV - cfg.l1 * np.sign(p.V)
+            dW = dW - cfg.l1 * np.sign(p.W)
+        p.U += cfg.lr * (np.outer(h0, e.y) - np.outer(hK, y))
+        p.c += cfg.lr * (h0 - hK)
+        p.d += cfg.lr * (e.y - y)
+        p.W = _clip_step(p.W, p.W + cfg.lr * dW)
+        p.V = _clip_step(p.V, p.V + cfg.lr * dV)
+
+    return sgd(p0, len(events), step, cfg.epochs, cfg.seed)
+
+
+def sparse_corpus(seed, clips=30, spare=(2, 3, 10)):
+    """Events on `clips` clips (one track each, three of six users per
+    clip) under identity blocks with `spare` extra users, tracks and
+    clips that no event names, so their columns of V are never touched;
+    V starts uniform in (-0.3, 0.3), so l1 takes epochs to zero them."""
+    _, _, events = synthetic.make_cooccurrence_corpus(clips, seed)
+    sizes = (6 + spare[0], clips + spare[1], clips + spare[2])
+    p0 = SmootherParams.random_init(4, 3, sizes, np.random.default_rng(seed),
+                                    scale=0.3)
+    return events, p0
+
+
+PARAM_ARRAYS = ("U", "W", "V", "c", "d")
+
+
+class TestLazyL1MatchesDenseTrainer:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_identical_without_penalty(self, k):
+        events, p0 = sparse_corpus(5)
+        cfg = TrainConfig(estimator="cd", k=k, lr=0.1, epochs=3, seed=2)
+        got = train_smoother(events, p0, cfg)
+        want = dense_reference_train(events, p0, cfg)
+        for name in PARAM_ARRAYS:
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+
+    def test_close_with_penalty(self):
+        events, p0 = sparse_corpus(7)
+        cfg = TrainConfig(estimator="cd", k=1, lr=0.1, epochs=6, seed=4,
+                          l1=0.03)
+        got = train_smoother(events, p0, cfg)
+        want = dense_reference_train(events, p0, cfg)
+        for name in PARAM_ARRAYS:
+            np.testing.assert_allclose(getattr(got, name),
+                                       getattr(want, name), rtol=0,
+                                       atol=1e-12)
+        # most of V is parked at exactly zero, the untouched columns too
+        assert np.mean(want.V == 0.0) > 0.5
+        assert np.all(want.V[:, -10:] == 0.0)
+        assert np.sum(got.V == 0.0) == np.sum(want.V == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, 2 * DIVERGENCE_LIMIT])
+    def test_divergence_guard_sees_untouched_columns(self, bad):
+        # the only blow-up sits in a clip column that no event touches,
+        # so only the end-of-epoch catch-up brings it into view
+        events, p0 = sparse_corpus(3)
+        p0.V[1, -1] = bad
+        cfg = TrainConfig(estimator="cd", k=1, lr=0.01, epochs=1, seed=0,
+                          l1=0.001)
+        with pytest.raises(DivergenceError):
+            train_smoother(events, p0, cfg)
 
 
 class TestTrainSmoother:
@@ -176,6 +275,17 @@ class TestSmoothTags:
         out = smooth_tags(0, 0, p, events)
         a = build_aux(None, 0, 0, p.aux_sizes)
         np.testing.assert_allclose(out, sigm(p.d + p.V @ a), atol=1e-8)
+
+    def test_matches_dense_aux_product(self, rng):
+        p = small_smoother(rng, C=2, scale=1.0)
+        events = toy_events()
+        for clip in (0, 1):
+            clip_events = [e for e in events if e.clip == clip]
+            u = np.mean([e.y for e in clip_events], axis=0)
+            a = build_aux(None, clip, clip, p.aux_sizes)
+            want = mean_field(p.c + p.W @ u, p.d + p.V @ a, p.U, u, 500, 1e-8)
+            np.testing.assert_allclose(smooth_tags(clip, clip, p, events),
+                                       want, rtol=0, atol=1e-12)
 
     def test_output_in_unit_interval(self, rng):
         p = small_smoother(rng, C=2, scale=1.0)
