@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -20,16 +21,15 @@ from .baselines import (LOGREG_DEFAULT_LR, MLP_DEFAULT_HIDDEN, MLP_DEFAULT_LR,
                         logreg_train, mlp_predict, mlp_train)
 from .core import DrbmParams, LabeledExample
 from .estimators import (ESTIMATORS, GaussianRbmParams, TrainConfig,
-                         pl_gradient, sgd_train, sgd_train_generative)
+                         sgd_train, sgd_train_generative)
 from .evaluation import (AucReport, score_matrix_auc, significance_counts,
                          write_auc_report, write_summary)
-from .inference import lbp_marginals, predict_scores
+from .inference import predict_scores
 from .modelio import load_model, save_model
-from .oracle import (ENUM_BITS, CapacityError, all_bit_vectors,
-                     exact_cond_prob, exact_grad, exact_marginals, finite_diff,
-                     log_pl_reference)
 from .smoother import (SmootherParams, TagEvent, events_by_clip, smooth_tags,
                        train_smoother)
+from .verify import (check_capacity, check_exact_gradient, check_independence,
+                     check_lbp_tree, check_normalization, check_pl_gradient)
 
 STATE_CHARS = {dt.POSITIVE: "P", dt.NEGATIVE: "N", dt.UNKNOWN: "U"}
 CHAR_STATES = {v: k for k, v in STATE_CHARS.items()}
@@ -168,6 +168,12 @@ def _events_from_triples(triples, vocab, items_map):
 def cmd_train(args):
     if args.estimator not in ESTIMATORS:
         raise SystemExit(f"error: unknown estimator {args.estimator!r}")
+    if args.estimator != "cd" and args.kind != "drbm":
+        raise ValueError(f"--estimator {args.estimator} needs --kind drbm")
+    if args.l1 != 0.0 and args.kind != "smoother":
+        raise ValueError("--l1 needs --kind smoother")
+    if args.beta != 0.0 and (args.kind, args.estimator) != ("drbm", "lbp"):
+        raise ValueError("--beta needs --kind drbm --estimator lbp")
     if args.kind == "smoother":
         return _train_smoother_cmd(args)
     matrix, features = _load_ingested(args.data)
@@ -291,80 +297,28 @@ def cmd_eval(args):
     return 0
 
 
-def _check(name, ok, failures):
-    print(("PASS " if ok else "FAIL ") + name)
-    if not ok:
-        failures.append(name)
-
-
 def cmd_oracle_check(args):
     rng = np.random.default_rng(args.seed)
-    failures = []
-
-    def instance(C=4, n=3, D=5, scale=0.5):
-        p = DrbmParams(rng.normal(scale=scale, size=(n, C)),
-                       rng.normal(scale=scale, size=(n, D)),
-                       rng.normal(scale=scale, size=n),
-                       rng.normal(scale=scale, size=C))
-        ex = LabeledExample(rng.normal(size=D),
-                            (rng.random(C) < 0.5).astype(float))
-        return ex, p
-
-    ok = True
-    for _ in range(args.trials):
-        ex, p = instance()
-        g = exact_grad(ex, p)
-        fd = finite_diff(lambda q: float(np.log(exact_cond_prob(ex.y, ex.x, q))), p)
-        ok &= np.allclose(g.flat(), fd.flat(), rtol=1e-6, atol=1e-8)
-    _check("exact gradient vs finite differences", ok, failures)
-
-    ok = True
-    for _ in range(args.trials):
-        ex, p = instance()
-        g, _ = pl_gradient(ex, p)
-        fd = finite_diff(lambda q: log_pl_reference(ex, q), p)
-        ok &= np.allclose(g.flat(), fd.flat(), rtol=1e-6, atol=1e-8)
-    _check("pseudo-likelihood gradient vs finite differences", ok, failures)
-
-    ok = True
-    for _ in range(args.trials):
-        ex, p = instance(C=8, n=1)
-        m = lbp_marginals(ex.x, p, K=25, beta=0.0,
-                          printed_pair_normalizer=args.printed_normalizer)
-        e = exact_marginals(ex.x, p)
-        ok &= (np.allclose(m.y_marg, e.y_marg, atol=1e-8)
-               and np.allclose(m.h_marg, e.h_marg, atol=1e-8)
-               and np.allclose(m.pair_marg, e.pair_marg, atol=1e-8))
-    _check("belief propagation exact on single-hidden-unit models", ok,
-           failures)
-
-    ex, p = instance()
-    p.U[:] = 0.0
-    m = lbp_marginals(ex.x, p, K=10, beta=0.0,
-                      printed_pair_normalizer=args.printed_normalizer)
-    ok = np.allclose(m.pair_marg, np.outer(m.h_marg, m.y_marg), atol=1e-10)
-    _check("independence identity at zero coupling", ok, failures)
-
-    ok = True
-    for _ in range(args.trials):
-        ex, p = instance(C=5)
-        total = sum(exact_cond_prob(y, ex.x, p) for y in all_bit_vectors(p.C))
-        ok &= abs(total - 1.0) < 1e-10
-    _check("conditional distribution normalizes", ok, failures)
-
-    try:
-        big = DrbmParams(np.zeros((2, ENUM_BITS + 1)), np.zeros((2, 1)),
-                         np.zeros(2), np.zeros(ENUM_BITS + 1))
-        exact_marginals(np.zeros(1), big)
-        ok = False
-    except CapacityError:
-        ok = True
-    _check("capacity bound enforced", ok, failures)
-
+    printed = args.printed_normalizer
+    checks = (
+        ("exact gradient vs finite differences", check_exact_gradient),
+        ("pseudo-likelihood gradient vs finite differences",
+         check_pl_gradient),
+        ("belief propagation exact on single-hidden-unit models",
+         partial(check_lbp_tree, printed_pair_normalizer=printed)),
+        ("independence identity at zero coupling",
+         partial(check_independence, printed_pair_normalizer=printed)),
+        ("conditional distribution normalizes", check_normalization),
+        ("capacity bound enforced", check_capacity),
+    )
+    failures = 0
+    for name, check in checks:
+        ok = check(rng, args.trials)
+        print(("PASS " if ok else "FAIL ") + name)
+        failures += not ok
     if failures:
-        print(f"{len(failures)} check(s) failed", file=sys.stderr)
-        return 1
-    return 0
+        print(f"{failures} check(s) failed", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def build_parser():
@@ -384,7 +338,7 @@ def build_parser():
         return sp
 
     add("ingest", cmd_ingest, triples="triples.tsv", features="features.tsv",
-        items=None, vocab_size=10, min_positive=2, out="ingested")
+        vocab_size=10, min_positive=2, out="ingested")
     add("train", cmd_train, data="ingested", kind="drbm", estimator="cd",
         k=1, beta=0.0, lr=0.01, epochs=10, hidden=10, seed=0, l1=0.0,
         vocab_size=10, triples=None, items=None, model="model.txt")

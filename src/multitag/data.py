@@ -138,66 +138,58 @@ def make_folds(n_items: int, seed: int, n_folds: int = 5) -> FoldSplit:
     return FoldSplit(folds, seed)
 
 
-def read_triples(path, delimiter="\t"):
-    """Triples file: user, item, tag per line."""
-    triples = []
+def _tab_rows(path):
+    """(line number, tab-separated fields) for each nonempty line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(delimiter)
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-            try:
-                triples.append(TagTriple(*parts))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if line:
+                yield lineno, line.split("\t")
+
+
+def read_triples(path):
+    """Triples file: user, item, tag per line."""
+    triples = []
+    for lineno, parts in _tab_rows(path):
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
+        try:
+            triples.append(TagTriple(*parts))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return triples
 
 
-def read_features(path, delimiter="\t", header=False) -> FeatureTable:
+def read_features(path) -> FeatureTable:
     """Features file: item id, then D floats per line; item ids must be
     unique."""
     items, rows, seen = [], [], set()
     width = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if header and lineno == 1:
-                continue
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(delimiter)
-            if parts[0] in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
-            seen.add(parts[0])
-            items.append(parts[0])
-            if width is None:
-                width = len(parts) - 1
-            elif len(parts) - 1 != width:
-                raise ValueError(f"{path}:{lineno}: expected {width} features, "
-                                 f"got {len(parts) - 1}")
-            try:
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad float") from exc
+    for lineno, parts in _tab_rows(path):
+        if parts[0] in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
+        seen.add(parts[0])
+        items.append(parts[0])
+        if width is None:
+            width = len(parts) - 1
+        elif len(parts) - 1 != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} features, "
+                             f"got {len(parts) - 1}")
+        try:
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad float") from exc
     X = np.asarray(rows, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"{path}: no feature rows")
     return FeatureTable(items, X)
 
 
-def read_items(path, delimiter="\t") -> dict:
+def read_items(path) -> dict:
     """Optional items file: item id -> track id."""
     mapping = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(delimiter)
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected item and track columns")
-            mapping[parts[0]] = parts[1]
+    for lineno, parts in _tab_rows(path):
+        if len(parts) < 2:
+            raise ValueError(f"{path}:{lineno}: expected item and track columns")
+        mapping[parts[0]] = parts[1]
     return mapping

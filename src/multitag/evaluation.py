@@ -229,22 +229,21 @@ def cv_run(X: np.ndarray, cells: np.ndarray, tags, split: FoldSplit,
     return AucReport(list(tags), values), hyper, val_means
 
 
-def write_auc_report(path, model_name: str, report: AucReport,
-                     delimiter="\t"):
+def write_auc_report(path, model_name: str, report: AucReport):
     """One row per (model, tag, fold, AUC)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(("model", "tag", "fold", "auc")) + "\n")
+        fh.write("model\ttag\tfold\tauc\n")
         for j, tag in enumerate(report.tags):
             for f in range(report.n_folds):
                 v = report.values[j, f]
                 cell = "NA" if np.isnan(v) else repr(float(v))
-                fh.write(delimiter.join((model_name, tag, str(f), cell)) + "\n")
+                fh.write("\t".join((model_name, tag, str(f), cell)) + "\n")
 
 
-def write_summary(path, rows, delimiter="\t"):
+def write_summary(path, rows):
     """Summary rows: (model, dataset, smoothed flag, grand mean AUC)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(("model", "dataset", "smoothed", "grand_mean_auc")) + "\n")
+        fh.write("model\tdataset\tsmoothed\tgrand_mean_auc\n")
         for model, dataset, smoothed, mean in rows:
-            fh.write(delimiter.join((model, dataset, "+" if smoothed else "-",
-                                     repr(float(mean)))) + "\n")
+            fh.write("\t".join((model, dataset, "+" if smoothed else "-",
+                                 repr(float(mean)))) + "\n")

@@ -64,10 +64,10 @@ def make_cooccurrence_corpus(n_clips, seed, D=3, drop=0.5, users_per_clip=3,
     return X, Y_true, events
 
 
-def write_corpus_files(outdir, X, Y, tags, min_users=1, delimiter="\t"):
+def write_corpus_files(outdir, X, Y, tags):
     """Write triples/features/items files for a (X, Y) corpus so the
-    ingestion pipeline can consume it.  Each positive cell becomes
-    ``min_users`` distinct (user, item, tag) triples."""
+    ingestion pipeline can consume it.  Each positive cell becomes one
+    (user0, item, tag) triple."""
     os.makedirs(outdir, exist_ok=True)
     items = [f"item{i:04d}" for i in range(X.shape[0])]
     triples_path = os.path.join(outdir, "triples.tsv")
@@ -75,15 +75,14 @@ def write_corpus_files(outdir, X, Y, tags, min_users=1, delimiter="\t"):
         for i, item in enumerate(items):
             for j, tag in enumerate(tags):
                 if Y[i, j]:
-                    for u in range(min_users):
-                        fh.write(delimiter.join((f"user{u}", item, tag)) + "\n")
+                    fh.write(f"user0\t{item}\t{tag}\n")
     features_path = os.path.join(outdir, "features.tsv")
     with open(features_path, "w", encoding="utf-8") as fh:
         for i, item in enumerate(items):
-            row = delimiter.join(repr(float(v)) for v in X[i])
-            fh.write(item + delimiter + row + "\n")
+            row = "\t".join(repr(float(v)) for v in X[i])
+            fh.write(item + "\t" + row + "\n")
     items_path = os.path.join(outdir, "items.tsv")
     with open(items_path, "w", encoding="utf-8") as fh:
         for item in items:
-            fh.write(item + delimiter + "track_" + item + "\n")
+            fh.write(item + "\ttrack_" + item + "\n")
     return triples_path, features_path, items_path

@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from multitag.core import DrbmParams, LabeledExample
-
-
-def random_instance(rng, C=4, n=3, D=5, scale=0.5):
-    """A random small model and labeled example."""
-    p = DrbmParams(rng.normal(scale=scale, size=(n, C)),
-                   rng.normal(scale=scale, size=(n, D)),
-                   rng.normal(scale=scale, size=n),
-                   rng.normal(scale=scale, size=C))
-    ex = LabeledExample(rng.normal(size=D), (rng.random(C) < 0.5).astype(float))
-    return ex, p
+from multitag.verify import random_instance  # noqa: F401  (tests import it from here)
 
 
 @pytest.fixture

@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 
 from multitag.cli import main as cli_main
-from multitag.core import DrbmParams, LabeledExample
 from multitag.data import NEGATIVE, POSITIVE, UNKNOWN, binarize
-from multitag.estimators import cd_gradient, pl_gradient
+from multitag.estimators import cd_gradient
 from multitag.evaluation import auc
 from multitag.experiments import (damping_experiment,
                                   label_dependency_experiment,
                                   smoothing_experiment)
-from multitag.inference import lbp_marginals
-from multitag.oracle import (exact_cond_prob, exact_grad, exact_marginals,
-                             finite_diff, log_pl_reference)
+from multitag.oracle import exact_grad
 from multitag.synthetic import make_tag_corpus, write_corpus_files
+from multitag.verify import (check_exact_gradient, check_independence,
+                             check_lbp_tree, check_pl_gradient)
 from conftest import random_instance
 
 
@@ -32,28 +31,14 @@ def report(name, ok, elapsed, budget):
 
 def test_criterion_01_exact_gradient_vs_finite_differences():
     t0 = time.time()
-    rng = np.random.default_rng(101)
-    ok = True
-    for _ in range(20):
-        ex, p = random_instance(rng)
-        g = exact_grad(ex, p)
-        fd = finite_diff(
-            lambda q: math.log(exact_cond_prob(ex.y, ex.x, q)), p)
-        ok &= bool(np.allclose(g.flat(), fd.flat(), rtol=1e-6, atol=1e-8))
+    ok = check_exact_gradient(np.random.default_rng(101), 20)
     report("criterion 1: exact gradient matches finite differences",
            ok, time.time() - t0, 5.0)
 
 
 def test_criterion_02_pl_gradient_vs_finite_differences():
     t0 = time.time()
-    rng = np.random.default_rng(102)
-    ok = True
-    for _ in range(20):
-        ex, p = random_instance(rng)
-        g, log_pl = pl_gradient(ex, p)
-        fd = finite_diff(lambda q: log_pl_reference(ex, q), p)
-        ok &= bool(np.allclose(g.flat(), fd.flat(), rtol=1e-6, atol=1e-8))
-        ok &= abs(log_pl - log_pl_reference(ex, p)) < 1e-10
+    ok = check_pl_gradient(np.random.default_rng(102), 20)
     report("criterion 2: pseudo-likelihood gradient matches finite "
            "differences", ok, time.time() - t0, 5.0)
 
@@ -81,37 +66,17 @@ def test_criterion_03_cd_mean_within_three_se_of_exact():
 
 def test_criterion_04_lbp_tree_exactness_and_negative_control():
     t0 = time.time()
-    rng = np.random.default_rng(104)
-    ok = True
-    control_failed_somewhere = False
-    for _ in range(50):
-        C = int(rng.integers(2, 13))
-        ex, p = random_instance(rng, C=C, n=1, D=3)
-        m = lbp_marginals(ex.x, p, K=25, beta=0.0)
-        e = exact_marginals(ex.x, p)
-        ok &= bool(np.allclose(m.y_marg, e.y_marg, atol=1e-8)
-                   and np.allclose(m.h_marg, e.h_marg, atol=1e-8)
-                   and np.allclose(m.pair_marg, e.pair_marg, atol=1e-8))
-        bad = lbp_marginals(ex.x, p, K=25, beta=0.0,
-                            printed_pair_normalizer=True)
-        if not np.allclose(bad.pair_marg, e.pair_marg, atol=1e-8):
-            control_failed_somewhere = True
-    ok &= control_failed_somewhere
+    ok = check_lbp_tree(np.random.default_rng(104), 50)
+    # the same 50 instances must catch the printed normalizer
+    ok &= not check_lbp_tree(np.random.default_rng(104), 50,
+                             printed_pair_normalizer=True)
     report("criterion 4: belief propagation tree-exact, printed normalizer "
            "caught", ok, time.time() - t0, 10.0)
 
 
 def test_criterion_05_independence_identity_at_zero_coupling():
     t0 = time.time()
-    rng = np.random.default_rng(105)
-    ok = True
-    for _ in range(20):
-        _, p = random_instance(rng)
-        p.U[:] = 0.0
-        x = rng.normal(size=p.D)
-        m = lbp_marginals(x, p, K=10, beta=0.0)
-        ok &= bool(np.allclose(m.pair_marg, np.outer(m.h_marg, m.y_marg),
-                               atol=1e-10))
+    ok = check_independence(np.random.default_rng(105), 20)
     report("criterion 5: zero coupling factorizes pairwise marginals",
            ok, time.time() - t0, 10.0)
 

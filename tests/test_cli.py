@@ -98,6 +98,18 @@ class TestTrain:
             run(["train", "--data", ingested, "--estimator", "gibbs",
                  "--model", tmp_path / "m.model"])
 
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "smoother", "--estimator", "pl"],
+        ["--kind", "drbm", "--l1", 0.01],
+        ["--kind", "drbm", "--estimator", "cd", "--beta", 0.5],
+    ], ids=["smoother-estimator", "drbm-l1", "cd-beta"])
+    def test_rejects_options_the_kind_ignores(self, corpus_dir, ingested,
+                                              tmp_path, capsys, flags):
+        assert run(["train", "--data", ingested, "--triples",
+                    corpus_dir / "triples.tsv", "--vocab-size", 3,
+                    "--epochs", 1, *flags, "--model", tmp_path / "m"]) == 1
+        assert "error: --" in capsys.readouterr().err
+
     def test_logreg_uses_its_validated_lr_by_default(self, ingested,
                                                      tmp_path):
         models = {}

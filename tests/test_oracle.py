@@ -6,8 +6,9 @@ import pytest
 from multitag.core import DrbmParams, LabeledExample, sigm
 from multitag.oracle import (CapacityError, all_bit_vectors, exact_cond_prob,
                              exact_grad, exact_log_partition, exact_marginals,
-                             finite_diff, joint_log_partition, joint_marginals,
+                             joint_log_partition, joint_marginals,
                              log_pl_reference)
+from multitag.verify import check_exact_gradient, check_normalization
 from conftest import random_instance
 
 
@@ -57,10 +58,7 @@ class TestCondProb:
         assert p11 * p00 > p10 * p01
 
     def test_normalization(self, rng):
-        for _ in range(5):
-            ex, p = random_instance(rng, C=5)
-            total = sum(exact_cond_prob(y, ex.x, p) for y in all_bit_vectors(5))
-            assert total == pytest.approx(1.0, abs=1e-10)
+        assert check_normalization(rng, 5)
 
 
 class TestMarginals:
@@ -115,12 +113,7 @@ class TestExactGrad:
         np.testing.assert_allclose(g.dd, ex.y - sigm(p.d), atol=1e-12)
 
     def test_matches_finite_differences(self, rng):
-        for _ in range(5):
-            ex, p = random_instance(rng)
-            g = exact_grad(ex, p)
-            fd = finite_diff(
-                lambda q: math.log(exact_cond_prob(ex.y, ex.x, q)), p)
-            np.testing.assert_allclose(g.flat(), fd.flat(), rtol=1e-6, atol=1e-8)
+        assert check_exact_gradient(rng, 5)
 
     def test_vanishes_at_optimum(self, rng):
         # run exact gradient ascent on a one-example dataset to a critical
