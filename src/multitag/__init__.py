@@ -9,7 +9,7 @@ from .core import (DrbmParams, Gradient, LabeledExample, cond_free_energy,
 from .estimators import (DivergenceError, GaussianRbmParams, TrainConfig,
                          cd_gradient, generative_cd_gradient, lbp_gradient,
                          mfcd_gradient, pl_gradient, sgd_train)
-from .inference import lbp_marginals, mf_predict, predict_scores
+from .inference import lbp_marginals, lbp_scores, mf_predict, predict_scores
 from .oracle import (CapacityError, Marginals, exact_cond_prob, exact_grad,
                      exact_log_partition, exact_marginals)
 
@@ -20,5 +20,5 @@ __all__ = [
     "sample_bernoulli", "exact_log_partition", "exact_cond_prob",
     "exact_marginals", "exact_grad", "cd_gradient", "mfcd_gradient",
     "lbp_gradient", "pl_gradient", "generative_cd_gradient", "sgd_train",
-    "lbp_marginals", "mf_predict", "predict_scores",
+    "lbp_marginals", "lbp_scores", "mf_predict", "predict_scores",
 ]

@@ -3,7 +3,8 @@ evaluate, and run the oracle verification suite.
 
 Option precedence is flags > config file > MULTITAG_SEED (for the seed)
 > built-in defaults.  The config file is flat ``key=value`` text with
-keys named like the long flags (dashes or underscores).
+keys named like the long flags (dashes or underscores); a key that is no
+option of any command is an error.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from .baselines import (LOGREG_DEFAULT_LR, MLP_DEFAULT_HIDDEN, MLP_DEFAULT_LR,
                         LogRegParams, MlpParams, SgdConfig, logreg_predict,
                         logreg_train, mlp_predict, mlp_train)
 from .core import DrbmParams, LabeledExample
-from .estimators import (ESTIMATORS, GaussianRbmParams, TrainConfig,
-                         sgd_train, sgd_train_generative)
+from .estimators import (ESTIMATORS, DivergenceError, GaussianRbmParams,
+                         TrainConfig, sgd_train, sgd_train_generative)
 from .evaluation import (AucReport, score_matrix_auc, significance_counts,
                          write_auc_report, write_summary)
-from .inference import predict_scores
+from .inference import NumericError, lbp_scores
 from .modelio import load_model, save_model
 from .smoother import (SmootherParams, TagEvent, events_by_clip, smooth_tags,
                        train_smoother)
@@ -38,7 +39,9 @@ KIND_DEFAULTS = {"mlp": {"hidden": MLP_DEFAULT_HIDDEN, "lr": MLP_DEFAULT_LR},
                  "logreg": {"lr": LOGREG_DEFAULT_LR}}
 
 
-def _read_config(path):
+def _read_config(path, known):
+    """The key=value pairs of a config file; a key that is not in
+    ``known`` (an option of some command) is an error."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -48,14 +51,18 @@ def _read_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key not in known:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = val.strip()
     return values
 
 
 def _merge(args, defaults):
     """Fill unset options from config file, MULTITAG_SEED, then defaults;
     args.unset names the options that took the built-in default."""
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
+    config = (_read_config(args.config, args.config_keys)
+              if getattr(args, "config", None) else {})
     args.unset = set()
     for key, default in defaults.items():
         if getattr(args, key, None) is not None:
@@ -250,10 +257,9 @@ def cmd_smooth(args):
 
 def _model_scores(model, X):
     if isinstance(model, DrbmParams):
-        return np.stack([predict_scores(x, model, "lbp", K=10) for x in X])
+        return lbp_scores(X, model, K=10)
     if isinstance(model, GaussianRbmParams):
-        view = model.drbm_view()
-        return np.stack([predict_scores(x, view, "lbp", K=10) for x in X])
+        return lbp_scores(X, model.drbm_view(), K=10)
     if isinstance(model, MlpParams):
         return np.stack([mlp_predict(x, model) for x in X])
     if isinstance(model, LogRegParams):
@@ -326,16 +332,23 @@ def build_parser():
                                      description="multi-label autotagging "
                                                  "models and evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
+    config_keys = set()  # every option of every command, filled by add()
 
-    def add(name, fn, **options):
+    def add(name, fn, switches=None, **options):
+        """A command whose options take values (default None until
+        _merge) and store_true switches (name -> help, default False)."""
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
         for flag, default in options.items():
             sp.add_argument("--" + flag.replace("_", "-"), dest=flag,
                             default=None,
                             type=type(default) if default is not None else str)
-        sp.set_defaults(fn=fn, defaults=options)
-        return sp
+        for flag, help_text in (switches or {}).items():
+            sp.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                            action="store_true", default=None, help=help_text)
+            options[flag] = False
+        config_keys.update(options)
+        sp.set_defaults(fn=fn, defaults=options, config_keys=config_keys)
 
     add("ingest", cmd_ingest, triples="triples.tsv", features="features.tsv",
         vocab_size=10, min_positive=2, out="ingested")
@@ -346,11 +359,10 @@ def build_parser():
         items=None, out="smoothed.tsv")
     add("eval", cmd_eval, data="ingested", model="model.txt", model_b=None,
         seed=0, out="reports")
-    sp = add("oracle-check", cmd_oracle_check, seed=0, trials=5)
-    sp.add_argument("--printed-normalizer", dest="printed_normalizer",
-                    action="store_true", default=False,
-                    help="use the uncorrected 3-term pairwise normalizer "
-                         "(negative control; fails the tree check)")
+    add("oracle-check", cmd_oracle_check, seed=0, trials=5, switches={
+        "printed_normalizer": "use the uncorrected 3-term pairwise "
+                              "normalizer (negative control; fails the "
+                              "tree check)"})
     return parser
 
 
@@ -360,7 +372,8 @@ def main(argv=None):
     try:
         _merge(args, args.defaults)
         return args.fn(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, DivergenceError,
+            NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,7 @@ def sigm(z):
 def log1pexp(z):
     """log(1 + e^z) without overflow: z + log1p(e^-z) for z > 0."""
     z = np.asarray(z, dtype=float)
-    out = np.where(z > 0, z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    out = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     if out.ndim == 0:
         return float(out)
     return out

@@ -13,7 +13,7 @@ from .core import DrbmParams, LabeledExample
 from .data import NEGATIVE, POSITIVE, FeatureTable, normalize_features
 from .estimators import TrainConfig, sgd_train
 from .evaluation import auc
-from .inference import predict_scores
+from .inference import lbp_scores
 from .smoother import (SmootherParams, events_by_clip, smooth_tags,
                        train_smoother)
 from .synthetic import (make_cooccurrence_corpus, make_dependency_corpus,
@@ -39,10 +39,6 @@ def train_drbm(X, Y, cfg: TrainConfig, n_hidden: int) -> DrbmParams:
     return sgd_train(dataset, p0, cfg)
 
 
-def drbm_scores(X, p: DrbmParams, method="lbp", K=10, beta=0.0):
-    return np.stack([predict_scores(x, p, method, K=K, beta=beta) for x in X])
-
-
 def damping_experiment(seed=0, n_items=500, C=8, D=10, betas=(0.0, 0.5, 0.9),
                        n_hidden=10, epochs=5, lr=0.01, k=30, n_test=150):
     """Train with belief-propagation gradients at several damping
@@ -56,7 +52,7 @@ def damping_experiment(seed=0, n_items=500, C=8, D=10, betas=(0.0, 0.5, 0.9),
         cfg = TrainConfig(estimator="lbp", k=k, lr=lr, beta=beta,
                           epochs=epochs, seed=seed)
         p = train_drbm(Xtr, Ytr, cfg, n_hidden)
-        scores = drbm_scores(Xte, p, method="lbp", K=50, beta=beta)
+        scores = lbp_scores(Xte, p, K=50, beta=beta)
         results[beta] = _grand_mean_auc(scores, Yte)
     return results
 
@@ -76,7 +72,7 @@ def label_dependency_experiment(seeds=(0, 1, 2, 3, 4), n_train=60, n_test=300,
         cfg = TrainConfig(estimator="cd", k=1, lr=drbm_lr, epochs=epochs,
                           seed=seed)
         p = train_drbm(Xtr, Ytr, cfg, n_hidden)
-        drbm = drbm_scores(Xte, p, method="lbp", K=10)
+        drbm = lbp_scores(Xte, p, K=10)
 
         lr_model = logreg_train(Xtr, Ytr, None,
                                 SgdConfig(lr=logreg_lr, epochs=epochs, seed=seed))

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DrbmParams, _check_vec, log1pexp, mean_field, sigm
+from .core import (DrbmParams, ShapeError, _check_vec, log1pexp, mean_field,
+                   sigm)
 from .oracle import Marginals
 
 
@@ -21,43 +22,69 @@ class NumericError(RuntimeError):
 def _coupling_log(U: np.ndarray, arg: np.ndarray) -> np.ndarray:
     """log(1 + (e^U - 1) * sigm(arg)), stable for large |U| and |arg|.
 
-    Equals logaddexp(log(1 - s), U + log(s)) with s = sigm(arg).
+    Uses 1 + (e^U - 1) sigm(a) = (1 + e^{U+a}) / (1 + e^a), which needs
+    only vectorised ufuncs (no logaddexp).
     """
-    return np.logaddexp(-log1pexp(arg), U - log1pexp(-arg))
+    return log1pexp(U + arg) - log1pexp(arg)
 
 
-def lbp_marginals(x, p: DrbmParams, K: int, beta: float,
-                  tol: float = 0.0,
-                  printed_pair_normalizer: bool = False) -> Marginals:
-    """K damped sweeps of belief propagation; returns singleton and
-    pairwise marginals given the feature vector.
+def lbp_sweeps(hid_bias, vis_bias, U, K: int, beta: float,
+               tol: float = 0.0):
+    """K damped sweeps of belief propagation on b rows of the bipartite
+    model with hidden input hid_bias + Uy and visible input
+    vis_bias + U'h; hid_bias is a (b, n) block.
 
     Each sweep updates all label-bound messages, then all hidden-bound
-    messages (parallel within each type).  The pairwise normalizer
-    includes the (0,0) configuration's unit term; pass
-    ``printed_pair_normalizer=True`` to drop it (debug negative control,
-    breaks the independence identity when U=0).
+    messages (parallel within each type).  Stops early once the largest
+    message change over all rows drops below ``tol`` (tol=0 runs all K
+    sweeps).  Returns the (b, n, C) messages (down, up): toward labels
+    and toward hidden units.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if not (0.0 <= beta < 1.0):
         raise ValueError("beta must lie in [0, 1)")
-    x = _check_vec(x, p.D, "x")
-    c_data = p.c + p.W @ x
-    down = np.zeros((p.n, p.C))  # toward labels
-    up = np.zeros((p.n, p.C))    # toward hidden units
+    b, n = hid_bias.shape
+    ones_n, ones_C = np.ones(n), np.ones(U.shape[1])
+    down = np.zeros((b, n, U.shape[1]))
+    up = np.zeros_like(down)
     for sweep in range(K):
-        arg_down = c_data[:, None] + up.sum(axis=1, keepdims=True) - up
-        new_down = beta * down + (1 - beta) * _coupling_log(p.U, arg_down)
-        arg_up = p.d[None, :] + new_down.sum(axis=0, keepdims=True) - new_down
-        new_up = beta * up + (1 - beta) * _coupling_log(p.U, arg_up)
+        # message sums over labels and over hidden units as matrix-vector
+        # products, which beat ufunc reductions over these short axes
+        arg_down = (hid_bias + up @ ones_C)[:, :, None] - up
+        new_down = _coupling_log(U, arg_down)
+        if beta:
+            new_down = beta * down + (1 - beta) * new_down
+        arg_up = (vis_bias + ones_n @ new_down)[:, None, :] - new_down
+        new_up = _coupling_log(U, arg_up)
+        if beta:
+            new_up = beta * up + (1 - beta) * new_up
         if not (np.all(np.isfinite(new_down)) and np.all(np.isfinite(new_up))):
             raise NumericError(f"non-finite message at sweep {sweep}")
-        delta = max(np.max(np.abs(new_down - down), initial=0.0),
-                    np.max(np.abs(new_up - up), initial=0.0))
+        converged = tol > 0 and max(
+            np.max(np.abs(new_down - down), initial=0.0),
+            np.max(np.abs(new_up - up), initial=0.0)) < tol
         down, up = new_down, new_up
-        if tol > 0 and delta < tol:
+        if converged:
             break
+    return down, up
+
+
+def lbp_marginals(x, p: DrbmParams, K: int, beta: float,
+                  tol: float = 0.0,
+                  printed_pair_normalizer: bool = False) -> Marginals:
+    """K damped sweeps of belief propagation (``lbp_sweeps`` on one
+    row); returns singleton and pairwise marginals given the feature
+    vector.
+
+    The pairwise normalizer includes the (0,0) configuration's unit
+    term; pass ``printed_pair_normalizer=True`` to drop it (debug
+    negative control, breaks the independence identity when U=0).
+    """
+    x = _check_vec(x, p.D, "x")
+    c_data = p.c + p.W @ x
+    down, up = lbp_sweeps(c_data[None, :], p.d, p.U, K, beta, tol)
+    down, up = down[0], up[0]
 
     y_marg = sigm(p.d + down.sum(axis=0))
     h_marg = sigm(c_data + up.sum(axis=1))
@@ -73,6 +100,25 @@ def lbp_marginals(x, p: DrbmParams, K: int, beta: float,
     lse = m + np.log(np.sum(np.exp(stacked - m), axis=0))
     pair = np.exp(num11 - lse)
     return Marginals(y_marg, h_marg, pair)
+
+
+def lbp_scores(X, p: DrbmParams, K: int, beta: float = 0.0) -> np.ndarray:
+    """Belief-propagation label marginals p(y_j=1|x) for every row of the
+    (B, D) feature matrix X, as a (B, C) array.
+
+    Rows go through ``lbp_sweeps`` in chunks of 2^15 // (n*C) rows (at
+    least one), so each (rows, n, C) message block holds about 2^15
+    doubles; larger blocks gain nothing and spill out of cache.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != p.D:
+        raise ShapeError(f"X must be B x {p.D}, got shape {X.shape}")
+    rows = max(1, 2**15 // (p.n * p.C))
+    out = np.empty((X.shape[0], p.C))
+    for s in range(0, X.shape[0], rows):
+        down, _ = lbp_sweeps(p.c + X[s:s + rows] @ p.W.T, p.d, p.U, K, beta)
+        out[s:s + rows] = sigm(p.d + down.sum(axis=1))
+    return out
 
 
 def mf_predict(x, p: DrbmParams, K: int, tol: float = 1e-8) -> np.ndarray:

@@ -55,9 +55,10 @@ def check_lbp_tree(rng, trials, printed_pair_normalizer=False) -> bool:
         m = lbp_marginals(ex.x, p, K=25, beta=0.0,
                           printed_pair_normalizer=printed_pair_normalizer)
         e = exact_marginals(ex.x, p)
-        ok &= bool(np.allclose(m.y_marg, e.y_marg, atol=1e-8)
-                   and np.allclose(m.h_marg, e.h_marg, atol=1e-8)
-                   and np.allclose(m.pair_marg, e.pair_marg, atol=1e-8))
+        ok &= bool(np.allclose(m.y_marg, e.y_marg, rtol=0, atol=1e-8)
+                   and np.allclose(m.h_marg, e.h_marg, rtol=0, atol=1e-8)
+                   and np.allclose(m.pair_marg, e.pair_marg, rtol=0,
+                                   atol=1e-8))
     return ok
 
 

@@ -122,6 +122,13 @@ class TestTrain:
         assert models["default"] == models["2.0"]
         assert models["default"] != models["0.1"]
 
+    def test_divergence_is_an_error_line(self, ingested, tmp_path, capsys):
+        assert run(["train", "--data", ingested, "--estimator", "pl",
+                    "--epochs", 1, "--lr", 1e9,
+                    "--model", tmp_path / "m.model"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: parameters diverged at epoch 0\n"
+
     def test_baseline_kinds(self, ingested, tmp_path):
         for kind in ("mlp", "logreg", "grbm"):
             model = tmp_path / f"{kind}.model"
@@ -179,7 +186,45 @@ class TestPrecedence:
         assert "error" in capsys.readouterr().err
 
 
+    def test_unknown_config_key_is_rejected(self, ingested, tmp_path,
+                                            capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text("# one epoch\nepoch=1\n")
+        model = tmp_path / "m.model"
+        assert run(["train", "--data", ingested, "--estimator", "pl",
+                    "--config", config, "--model", model]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config}:2: unknown key 'epoch'\n"
+        assert not model.exists()
+
+    def test_one_config_serves_train_and_eval(self, ingested, tmp_path):
+        # each command reads its own keys and skips the other's
+        config = tmp_path / "run.cfg"
+        model = tmp_path / "m.model"
+        out = tmp_path / "reports"
+        config.write_text(f"data={ingested}\nseed=3\nestimator=pl\n"
+                          f"epochs=1\nhidden=3\nmodel={model}\nout={out}\n")
+        assert run(["train", "--config", config]) == 0
+        assert run(["eval", "--config", config]) == 0
+        assert (out / "summary.tsv").exists()
+
+
 class TestEval:
+    def test_non_finite_messages_are_an_error_line(self, ingested, tmp_path,
+                                                   capsys):
+        model = tmp_path / "m.model"
+        run(["train", "--data", ingested, "--estimator", "pl", "--epochs", 1,
+             "--hidden", 3, "--model", model])
+        features = ingested / "features.tsv"
+        lines = features.read_text().splitlines()
+        item = lines[0].split("\t")[0]
+        lines[0] = "\t".join([item] + ["nan"] * 4)
+        features.write_text("\n".join(lines) + "\n")
+        assert run(["eval", "--data", ingested, "--model", model,
+                    "--out", tmp_path / "reports"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: non-finite message at sweep 0\n"
+
     def test_single_model_reports(self, ingested, tmp_path):
         model = tmp_path / "m.model"
         run(["train", "--data", ingested, "--estimator", "pl", "--epochs", 3,

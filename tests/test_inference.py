@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from multitag.core import DrbmParams, sigm
-from multitag.inference import (NumericError, lbp_marginals, mf_predict,
-                                predict_scores)
+from multitag.core import DrbmParams, log1pexp, sigm
+from multitag.inference import (NumericError, _coupling_log, lbp_marginals,
+                                lbp_scores, mf_predict, predict_scores)
 from multitag.oracle import exact_marginals
 from conftest import random_instance
 
@@ -64,6 +64,79 @@ class TestLbpMarginals:
             lbp_marginals(ex.x, p, K=0, beta=0.0)
         with pytest.raises(ValueError):
             lbp_marginals(ex.x, p, K=5, beta=1.0)
+
+
+class TestLbpScores:
+    @pytest.mark.parametrize("C, n", [(8, 16), (50, 100)],
+                             ids=["small", "wide"])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_matches_row_marginals_across_chunk_edges(self, rng, C, n, beta):
+        _, p = random_instance(rng, C=C, n=n, D=6)
+        chunk = 2**15 // (n * C)
+        X = rng.normal(size=(3 * chunk + 5, p.D))
+        rows = np.stack([lbp_marginals(x, p, 10, beta).y_marg for x in X])
+        for B in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            np.testing.assert_allclose(lbp_scores(X[:B], p, 10, beta),
+                                       rows[:B], rtol=0, atol=1e-12)
+
+    def test_empty_batch_and_shape_check(self, rng):
+        _, p = random_instance(rng)
+        assert lbp_scores(np.zeros((0, p.D)), p, 5).shape == (0, p.C)
+        with pytest.raises(ValueError):
+            lbp_scores(np.zeros((2, p.D + 1)), p, 5)
+
+    @pytest.mark.parametrize("w", [(2.0, 0.0), (1.0, -1.0)],
+                             ids=["inf", "inf-minus-inf"])
+    def test_overflowing_messages_raise(self, rng, w):
+        # one row's hidden input overflows to inf (or inf - inf = NaN),
+        # which makes that row's messages non-finite in the first sweep
+        _, p = random_instance(rng)
+        X = rng.normal(size=(7, p.D))
+        p.W[0, :2] = w
+        X[4] = 0.0
+        X[4, :2] = (1e308, -1e308)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="sweep 0"):
+            lbp_scores(X, p, 10)
+
+
+def _where_log1pexp(z):
+    """log1pexp as first written, with np.where (reference)."""
+    z = np.asarray(z, dtype=float)
+    return np.where(z > 0, z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def _logaddexp_coupling(U, arg):
+    """The coupling as first written, through np.logaddexp (reference)."""
+    return np.logaddexp(-_where_log1pexp(arg), U - _where_log1pexp(-arg))
+
+
+class TestNumericPrimitives:
+    def test_log1pexp_bitwise_equals_where_form(self, rng):
+        z = np.concatenate([rng.normal(scale=30.0, size=5000),
+                            rng.normal(size=5000),
+                            [0.0, -0.0, np.inf, -np.inf, np.nan, 709.0,
+                             -745.0, 1e300, -1e300]])
+        got, want = log1pexp(z), _where_log1pexp(z)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        numbers = ~np.isnan(want)
+        assert np.array_equal(got[numbers].view(np.uint64),
+                              want[numbers].view(np.uint64))
+        assert np.isnan(want).sum() == 1
+
+    def test_coupling_within_4_ulp_of_logaddexp_form(self, rng):
+        def magnitudes(size):
+            signs = rng.choice([-1.0, 1.0], size=size)
+            return signs * 10.0 ** rng.uniform(-6, 6, size=size)
+
+        grid = np.array([0.0, 1e-300, 1.0, 30.0, 709.0, 1e6])
+        grid = np.concatenate([grid, -grid])
+        U = np.concatenate([magnitudes(20000), np.repeat(grid, grid.size)])
+        a = np.concatenate([magnitudes(20000), np.tile(grid, grid.size)])
+        got = _coupling_log(U, a)
+        want = _logaddexp_coupling(U, a)
+        scale = np.maximum(1.0, np.maximum(np.abs(U), np.abs(a)))
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
 
 
 class TestMfPredict:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from multitag.core import DrbmParams, LabeledExample, sigm
-from multitag.oracle import (CapacityError, all_bit_vectors, exact_cond_prob,
-                             exact_grad, exact_log_partition, exact_marginals,
-                             joint_log_partition, joint_marginals,
-                             log_pl_reference)
+from multitag import verify
+from multitag.oracle import (CapacityError, Marginals, all_bit_vectors,
+                             exact_cond_prob, exact_grad, exact_log_partition,
+                             exact_marginals, joint_log_partition,
+                             joint_marginals, log_pl_reference)
 from multitag.verify import check_exact_gradient, check_normalization
 from conftest import random_instance
 
@@ -136,3 +137,18 @@ def test_log_pl_reference_single_label_is_loglik(rng):
     ex, p = random_instance(rng, C=1)
     assert log_pl_reference(ex, p) == pytest.approx(
         math.log(exact_cond_prob(ex.y, ex.x, p)), abs=1e-10)
+
+
+class TestLbpTreeCheck:
+    def test_catches_a_1e6_singleton_error(self, monkeypatch):
+        """Criterion 4's instances with every label marginal off by 1e-6:
+        a relative tolerance of 1e-5 would let this pass."""
+        lbp = verify.lbp_marginals
+
+        def shifted(*args, **kwargs):
+            m = lbp(*args, **kwargs)
+            return Marginals(m.y_marg + 1e-6, m.h_marg, m.pair_marg)
+
+        assert verify.check_lbp_tree(np.random.default_rng(104), 50)
+        monkeypatch.setattr(verify, "lbp_marginals", shifted)
+        assert not verify.check_lbp_tree(np.random.default_rng(104), 50)
