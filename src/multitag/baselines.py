@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import sigm
-from .estimators import sgd
+from .estimators import PROBE_ROWS, sgd
 
 # validation-selected defaults: 250 hidden units / lr 0.001 for the MLP,
 # lr 2.0 for logistic regression
@@ -103,6 +103,14 @@ def cross_entropy(probs, targets, mask=None) -> float:
     return float(np.sum(terms))
 
 
+def _probe_cross_entropy(X, targets, mask, predict):
+    """The per-epoch objective of a baseline: mean masked cross-entropy
+    of predict(p, X) over the first PROBE_ROWS rows, as (name, value)."""
+    X, targets, mask = X[:PROBE_ROWS], targets[:PROBE_ROWS], mask[:PROBE_ROWS]
+    return lambda p: ("cross_entropy",
+                      cross_entropy(predict(p, X), targets, mask) / len(X))
+
+
 def _mlp_grads(x, t, mask, p: MlpParams):
     h = sigm(p.b1 + x @ p.W1)
     o = sigm(p.b2 + h @ p.W2)
@@ -112,7 +120,8 @@ def _mlp_grads(x, t, mask, p: MlpParams):
     return (np.outer(x, dpre_h), dpre_h, np.outer(h, dpre_o), dpre_o)
 
 
-def mlp_train(X, targets, mask, cfg: SgdConfig, p0: MlpParams) -> MlpParams:
+def mlp_train(X, targets, mask, cfg: SgdConfig, p0: MlpParams,
+              log_file=None, record_file=None) -> MlpParams:
     """Seeded per-example SGD on cross-entropy; targets in [0, 1]."""
     X = np.asarray(X, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -125,11 +134,16 @@ def mlp_train(X, targets, mask, cfg: SgdConfig, p0: MlpParams) -> MlpParams:
         p.W2 -= cfg.lr * dW2
         p.b2 -= cfg.lr * db2
 
-    return sgd(p0, X.shape[0], step, cfg.epochs, cfg.seed)
+    objective = _probe_cross_entropy(
+        X, targets, mask,
+        lambda p, X: sigm(p.b2 + sigm(p.b1 + X @ p.W1) @ p.W2))
+    return sgd(p0, X.shape[0], step, cfg.epochs, cfg.seed, log_file,
+               record_file, objective, "mlp")
 
 
 def logreg_train(X, targets, mask, cfg: SgdConfig,
-                 p0: LogRegParams | None = None) -> LogRegParams:
+                 p0: LogRegParams | None = None, log_file=None,
+                 record_file=None) -> LogRegParams:
     """Per-tag independent sigmoid regression by per-example SGD."""
     X = np.asarray(X, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -142,4 +156,7 @@ def logreg_train(X, targets, mask, cfg: SgdConfig,
         p.W -= cfg.lr * np.outer(X[i], dpre)
         p.b -= cfg.lr * dpre
 
-    return sgd(p0, X.shape[0], step, cfg.epochs, cfg.seed)
+    objective = _probe_cross_entropy(X, targets, mask,
+                                     lambda p, X: sigm(p.b + X @ p.W))
+    return sgd(p0, X.shape[0], step, cfg.epochs, cfg.seed, log_file,
+               record_file, objective, "logreg")

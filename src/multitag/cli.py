@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -172,6 +173,14 @@ def _events_from_triples(triples, vocab, items_map):
     return events, sizes, cid, tid
 
 
+@contextmanager
+def _training_logs(model_path):
+    """The per-epoch text log and JSONL record file beside a model."""
+    with open(model_path + ".log", "w", encoding="utf-8") as log, \
+            open(model_path + ".jsonl", "w", encoding="utf-8") as records:
+        yield log, records
+
+
 def cmd_train(args):
     if args.estimator not in ESTIMATORS:
         raise SystemExit(f"error: unknown estimator {args.estimator!r}")
@@ -191,27 +200,26 @@ def cmd_train(args):
         if key in args.unset:
             setattr(args, key, value)
     rng = np.random.default_rng(args.seed)
-    log_path = args.model + ".log"
     cfg = TrainConfig(estimator=args.estimator, k=args.k, lr=args.lr,
                       beta=args.beta, epochs=args.epochs, seed=args.seed,
                       l1=args.l1)
-    with open(log_path, "w", encoding="utf-8") as log:
+    with _training_logs(args.model) as logs:
         if args.kind == "drbm":
             p0 = DrbmParams.random_init(args.hidden, Y.shape[1], X.shape[1], rng)
             dataset = [LabeledExample(X[i], Y[i]) for i in range(X.shape[0])]
-            model = sgd_train(dataset, p0, cfg, log_file=log)
+            model = sgd_train(dataset, p0, cfg, *logs)
         elif args.kind == "grbm":
             p0 = GaussianRbmParams.random_init(args.hidden, Y.shape[1],
                                                X.shape[1], rng)
             dataset = [LabeledExample(X[i], Y[i]) for i in range(X.shape[0])]
-            model = sgd_train_generative(dataset, p0, cfg, log_file=log)
+            model = sgd_train_generative(dataset, p0, cfg, *logs)
         elif args.kind == "mlp":
             p0 = MlpParams.random_init(X.shape[1], args.hidden, Y.shape[1], rng)
             model = mlp_train(X, Y, mask, SgdConfig(args.lr, args.epochs,
-                                                    args.seed), p0)
+                                                    args.seed), p0, *logs)
         elif args.kind == "logreg":
             model = logreg_train(X, Y, mask, SgdConfig(args.lr, args.epochs,
-                                                       args.seed))
+                                                       args.seed), None, *logs)
         else:
             raise SystemExit(f"error: unknown model kind {args.kind!r}")
     save_model(args.model, model, matrix.vocab)
@@ -228,8 +236,8 @@ def _train_smoother_cmd(args):
     p0 = SmootherParams.random_init(args.hidden, len(vocab), sizes, rng)
     cfg = TrainConfig(estimator="cd", k=args.k, lr=args.lr,
                       epochs=args.epochs, seed=args.seed, l1=args.l1)
-    with open(args.model + ".log", "w", encoding="utf-8") as log:
-        model = train_smoother(events, p0, cfg, log_file=log)
+    with _training_logs(args.model) as logs:
+        model = train_smoother(events, p0, cfg, *logs)
     save_model(args.model, model, vocab)
     return 0
 

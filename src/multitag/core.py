@@ -114,24 +114,12 @@ class Gradient:
     dc: np.ndarray
     dd: np.ndarray
 
-    def scaled(self, a: float) -> "Gradient":
-        return Gradient(a * self.dU, a * self.dW, a * self.dc, a * self.dd)
-
-    def __add__(self, other: "Gradient") -> "Gradient":
-        return Gradient(self.dU + other.dU, self.dW + other.dW,
-                        self.dc + other.dc, self.dd + other.dd)
-
     def max_abs(self) -> float:
         return max(np.max(np.abs(a), initial=0.0)
                    for a in (self.dU, self.dW, self.dc, self.dd))
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.dU.ravel(), self.dW.ravel(), self.dc, self.dd])
-
-    @classmethod
-    def zeros_like(cls, p: DrbmParams) -> "Gradient":
-        return cls(np.zeros_like(p.U), np.zeros_like(p.W),
-                   np.zeros_like(p.c), np.zeros_like(p.d))
 
 
 def _check_vec(v, length, name):

@@ -161,15 +161,16 @@ def read_triples(path):
 
 
 def read_features(path) -> FeatureTable:
-    """Features file: item id, then D floats per line; item ids must be
-    unique."""
-    items, rows, seen = [], [], set()
+    """Features file: item id, then D finite floats per line; item ids
+    must be unique."""
+    items, rows, linenos, seen = [], [], [], set()
     width = None
     for lineno, parts in _tab_rows(path):
         if parts[0] in seen:
             raise ValueError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
         seen.add(parts[0])
         items.append(parts[0])
+        linenos.append(lineno)
         if width is None:
             width = len(parts) - 1
         elif len(parts) - 1 != width:
@@ -182,6 +183,10 @@ def read_features(path) -> FeatureTable:
     X = np.asarray(rows, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"{path}: no feature rows")
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}:{linenos[np.argmax(bad)]}: non-finite "
+                         f"feature value")
     return FeatureTable(items, X)
 
 

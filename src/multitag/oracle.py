@@ -58,6 +58,19 @@ def exact_cond_prob(y, x, p: DrbmParams) -> float:
     return float(np.exp(-cond_free_energy(y, x, p) - exact_log_partition(x, p)))
 
 
+def exact_log_cond_probs(X, Y, p: DrbmParams) -> np.ndarray:
+    """log p(y_b|x_b) for every row of the (b, D) features X and (b, C)
+    labels Y, enumerating the 2^C label vectors for all rows at once
+    through a (b, 2^C, n) block of hidden inputs."""
+    A = all_bit_vectors(p.C)
+    act = p.c + X @ p.W.T                                          # b x n
+    F_all = -(A @ p.d) - np.sum(log1pexp(act[:, None, :] + A @ p.U.T), axis=2)
+    m = np.max(-F_all, axis=1)
+    log_Z = m + np.log(np.sum(np.exp(-F_all - m[:, None]), axis=1))
+    F = -(Y @ p.d) - np.sum(log1pexp(act + Y @ p.U.T), axis=1)
+    return -F - log_Z
+
+
 def exact_marginals(x, p: DrbmParams) -> Marginals:
     """Enumerates the 2^C label vectors (bounded by all_bit_vectors) and
     sums the hidden units analytically, so n is not bounded."""

@@ -174,7 +174,7 @@ def _event_inputs(events, p: SmootherParams):
 
 
 def train_smoother(events, p0: SmootherParams, cfg: TrainConfig,
-                   log_file=None) -> SmootherParams:
+                   log_file=None, record_file=None) -> SmootherParams:
     """Per-event stochastic CD training of the smoother; the l1 penalty
     on V and W uses subgradient steps clipped through zero.
 
@@ -212,7 +212,8 @@ def train_smoother(events, p0: SmootherParams, cfg: TrainConfig,
             # caller see the true V
             catch_up(p.V, slice(None))
 
-    return sgd(p0, len(events), step, cfg.epochs, cfg.seed, log_file)
+    return sgd(p0, len(events), step, cfg.epochs, cfg.seed, log_file,
+               record_file, kind="smoother", estimator="cd")
 
 
 def smooth_tags(clip, track, p: SmootherParams, events, tol: float = 1e-8,

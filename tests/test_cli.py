@@ -1,9 +1,11 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
 from multitag.cli import main
+from multitag.modelio import load_model, save_model
 from multitag.synthetic import make_tag_corpus, write_corpus_files
 
 
@@ -61,6 +63,23 @@ class TestIngest:
         err = capsys.readouterr().err
         assert f"features.tsv:{len(lines) + 1}: duplicate item id" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_features(self, corpus_dir, tmp_path, capsys,
+                                         value):
+        # normalization would turn one nan cell into a zero feature column
+        features = corpus_dir / "features.tsv"
+        lines = features.read_text().splitlines()
+        cells = lines[2].split("\t")
+        lines[2] = "\t".join(cells[:2] + [value] + cells[3:])
+        features.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(["ingest", "--triples", corpus_dir / "triples.tsv",
+                    "--features", features, "--vocab-size", 3,
+                    "--min-positive", 1, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {features}:3: non-finite feature value\n")
+        assert not out.exists()
+
 
 @pytest.fixture
 def ingested(corpus_dir, tmp_path):
@@ -82,6 +101,31 @@ class TestTrain:
         assert model.exists()
         log = (tmp_path / f"{estimator}.model.log").read_text()
         assert log.startswith("epoch 0 objective ")
+
+    @pytest.mark.parametrize("kind, estimator, objective", [
+        ("drbm", "cd", "log_likelihood"), ("drbm", "mfcd", "log_likelihood"),
+        ("drbm", "lbp", "log_likelihood"), ("drbm", "pl", "log_likelihood"),
+        ("grbm", "cd", "log_likelihood"), ("mlp", None, "cross_entropy"),
+        ("logreg", None, "cross_entropy")])
+    def test_one_record_per_epoch(self, ingested, tmp_path, kind, estimator,
+                                  objective):
+        model = tmp_path / "m.model"
+        flags = ["--estimator", estimator] if kind == "drbm" else []
+        assert run(["train", "--data", ingested, "--kind", kind, *flags,
+                    "--epochs", 2, "--hidden", 3, "--lr", 0.1,
+                    "--model", model]) == 0
+        records = [json.loads(line) for line in
+                   (tmp_path / "m.model.jsonl").read_text().splitlines()]
+        assert [(r["kind"], r["estimator"], r["epoch"], r["objective"])
+                for r in records] == [(kind, estimator, 0, objective),
+                                      (kind, estimator, 1, objective)]
+        assert all(r["seconds"] >= 0 for r in records)
+        # the .log line shows the same value
+        log = (tmp_path / "m.model.log").read_text().splitlines()
+        assert [line.split()[:3] for line in log] == [
+            ["epoch", "0", "objective"], ["epoch", "1", "objective"]]
+        assert [float(line.split()[3]) for line in log] == pytest.approx(
+            [r["value"] for r in records], abs=1e-6)
 
     def test_pl_training_bit_identical_across_runs(self, ingested, tmp_path):
         models = []
@@ -212,6 +256,21 @@ class TestPrecedence:
 class TestEval:
     def test_non_finite_messages_are_an_error_line(self, ingested, tmp_path,
                                                    capsys):
+        # finite couplings of 1e308 overflow the message sums to inf
+        model = tmp_path / "m.model"
+        run(["train", "--data", ingested, "--estimator", "pl", "--epochs", 1,
+             "--hidden", 3, "--model", model])
+        params, vocab = load_model(model)
+        params.U[:] = 1e308
+        save_model(model, params, vocab)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["eval", "--data", ingested, "--model", model,
+                        "--out", tmp_path / "reports"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: non-finite message at sweep 0\n"
+
+    def test_non_finite_feature_is_an_error_line(self, ingested, tmp_path,
+                                                 capsys):
         model = tmp_path / "m.model"
         run(["train", "--data", ingested, "--estimator", "pl", "--epochs", 1,
              "--hidden", 3, "--model", model])
@@ -223,7 +282,7 @@ class TestEval:
         assert run(["eval", "--data", ingested, "--model", model,
                     "--out", tmp_path / "reports"]) == 1
         err = capsys.readouterr().err
-        assert err == "error: non-finite message at sweep 0\n"
+        assert err == f"error: {features}:1: non-finite feature value\n"
 
     def test_single_model_reports(self, ingested, tmp_path):
         model = tmp_path / "m.model"
@@ -268,6 +327,11 @@ class TestSmoothPipeline:
         log = (tmp_path / "s.model.log").read_text().splitlines()
         assert [line.split(" time ")[0] for line in log] == ["epoch 0",
                                                             "epoch 1"]
+        records = [json.loads(line) for line in
+                   (tmp_path / "s.model.jsonl").read_text().splitlines()]
+        assert [(r["kind"], r["epoch"], r["objective"], r["value"])
+                for r in records] == [("smoother", 0, None, None),
+                                      ("smoother", 1, None, None)]
         out = tmp_path / "smoothed.tsv"
         assert run(["smooth", "--model", model, "--triples", triples,
                     "--out", out]) == 0

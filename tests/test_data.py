@@ -173,6 +173,16 @@ class TestReaders:
                            match=r"features.tsv:3: expected 2 features, got 1"):
             read_features(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_features_non_finite_reports_line(self, tmp_path, value):
+        # the blank line 2 is skipped but still counted
+        path = tmp_path / "features.tsv"
+        path.write_text(f"a\t1.0\t2.0\n\nb\t3.0\t4.0\nc\t5.0\t{value}\n"
+                        f"d\tnan\t0.0\n")
+        with pytest.raises(ValueError,
+                           match=r"features.tsv:4: non-finite feature value"):
+            read_features(path)
+
     def test_items_mapping(self, tmp_path):
         path = tmp_path / "items.tsv"
         path.write_text("clip1\ttrackA\nclip2\ttrackB\n")

@@ -1,15 +1,18 @@
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 from multitag.core import DrbmParams, LabeledExample, sigm
-from multitag.estimators import (DivergenceError, GaussianRbmParams,
-                                 TrainConfig, cd_gradient,
-                                 generative_cd_gradient, lbp_gradient,
-                                 mfcd_gradient, pl_gradient, sgd_train,
-                                 sgd_train_generative)
-from multitag.oracle import exact_grad, log_pl_reference
+from multitag.estimators import (ESTIMATORS, EXACT_OBJECTIVE_CELLS,
+                                 PROBE_ROWS, DivergenceError,
+                                 GaussianRbmParams, TrainConfig, cd_gradient,
+                                 cond_objective, generative_cd_gradient,
+                                 lbp_gradient, log_pl_rows, mfcd_gradient,
+                                 pl_gradient, sgd_train, sgd_train_generative)
+from multitag.oracle import exact_cond_prob, exact_grad, log_pl_reference
 from multitag.verify import check_pl_gradient
 from conftest import random_instance
 
@@ -240,6 +243,79 @@ class TestSgdTrainGenerative:
         cfg = TrainConfig(estimator="cd", k=1, lr=1e9, epochs=5, seed=0)
         with pytest.raises(DivergenceError):
             sgd_train_generative(data, p0, cfg)
+
+
+def assert_same_bytes(a, b):
+    """Every array field of two parameter objects is bit for bit equal."""
+    for name, value in vars(a).items():
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == getattr(b, name).tobytes(), name
+
+
+class TestEpochObjective:
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_logging_leaves_parameters_unchanged(self, rng, estimator):
+        data = [random_instance(rng)[0] for _ in range(6)]
+        _, p0 = random_instance(rng)
+        cfg = TrainConfig(estimator=estimator, k=2, lr=0.1, epochs=3, seed=4)
+        log, records = io.StringIO(), io.StringIO()
+        assert_same_bytes(sgd_train(data, p0, cfg),
+                          sgd_train(data, p0, cfg, log, records))
+        lines = log.getvalue().splitlines()
+        assert [line.split(" objective ")[0] for line in lines] == [
+            "epoch 0", "epoch 1", "epoch 2"]
+        assert [json.loads(r)["estimator"]
+                for r in records.getvalue().splitlines()] == [estimator] * 3
+
+    def test_generative_logging_leaves_parameters_unchanged(self, rng):
+        data = [LabeledExample(rng.normal(size=3),
+                               (rng.random(2) < 0.5).astype(float))
+                for _ in range(6)]
+        p0 = GaussianRbmParams.random_init(3, 2, 3, rng, scale=0.3)
+        cfg = TrainConfig(estimator="cd", k=2, lr=0.05, epochs=3, seed=4)
+        log, records = io.StringIO(), io.StringIO()
+        logged = sgd_train_generative(data, p0, cfg, log, records)
+        assert_same_bytes(sgd_train_generative(data, p0, cfg), logged)
+        record = json.loads(records.getvalue().splitlines()[-1])
+        # the objective is that of the label conditional p(y|x)
+        assert record["kind"] == "grbm"
+        assert record["objective"] == "log_likelihood"
+        assert record["value"] == pytest.approx(np.mean(
+            [math.log(exact_cond_prob(ex.y, ex.x, logged.drbm_view()))
+             for ex in data]), abs=1e-12)
+
+    def test_exact_path_matches_oracle_on_the_probe(self, rng):
+        # more examples than the probe holds: only the first PROBE_ROWS count
+        data = [random_instance(rng, C=3, n=2, D=2)[0]
+                for _ in range(PROBE_ROWS + 9)]
+        _, p = random_instance(rng, C=3, n=2, D=2)
+        name, value = cond_objective(data)(p)
+        assert name == "log_likelihood"
+        expected = np.mean([math.log(exact_cond_prob(ex.y, ex.x, p))
+                            for ex in data[:PROBE_ROWS]])
+        assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_batched_log_pl_matches_reference_row_by_row(self, rng):
+        data = [random_instance(rng, C=6, n=4, D=3, scale=1.0)[0]
+                for _ in range(9)]
+        _, p = random_instance(rng, C=6, n=4, D=3, scale=1.0)
+        rows = log_pl_rows(np.array([ex.x for ex in data]),
+                           np.array([ex.y for ex in data]), p)
+        np.testing.assert_allclose(
+            rows, [log_pl_reference(ex, p) for ex in data], rtol=0,
+            atol=1e-12)
+
+    def test_cut_over_to_pseudo_likelihood(self, rng):
+        C, n = 12, 16
+        rows = EXACT_OBJECTIVE_CELLS // (2 ** C * n)   # 16 rows fit exactly
+        data = [random_instance(rng, C=C, n=n, D=2)[0]
+                for _ in range(rows + 1)]
+        _, p = random_instance(rng, C=C, n=n, D=2)
+        assert cond_objective(data[:rows])(p)[0] == "log_likelihood"
+        name, value = cond_objective(data)(p)
+        assert name == "log_pseudo_likelihood"
+        assert value == pytest.approx(
+            np.mean([log_pl_reference(ex, p) for ex in data]), abs=1e-12)
 
 
 def test_train_config_validation():

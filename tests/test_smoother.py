@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -242,6 +245,23 @@ class TestTrainSmoother:
         np.testing.assert_array_equal(a.U, b.U)
         np.testing.assert_array_equal(a.V, b.V)
         assert not np.array_equal(a.U, p0.U)
+
+    def test_logging_leaves_parameters_unchanged(self, rng):
+        p0 = SmootherParams.random_init(2, 2, (2, 2, 2), rng)
+        cfg = TrainConfig(estimator="cd", k=1, lr=0.05, epochs=3, seed=3,
+                          l1=0.01)
+        log, records = io.StringIO(), io.StringIO()
+        logged = train_smoother(toy_events(), p0, cfg, log, records)
+        plain = train_smoother(toy_events(), p0, cfg)
+        for name in PARAM_ARRAYS:
+            assert getattr(plain, name).tobytes() == \
+                getattr(logged, name).tobytes()
+        assert [line.split(" time ")[0] for line in
+                log.getvalue().splitlines()] == ["epoch 0", "epoch 1",
+                                                 "epoch 2"]
+        record = json.loads(records.getvalue().splitlines()[0])
+        assert (record["kind"], record["objective"], record["value"]) == (
+            "smoother", None, None)
 
     def test_l1_shrinks_conditioning_weights(self, rng):
         p0 = SmootherParams.random_init(2, 2, (2, 2, 2), rng, scale=0.001)
