@@ -28,8 +28,7 @@ from .evaluation import (AucReport, score_matrix_auc, significance_counts,
                          write_auc_report, write_summary)
 from .inference import NumericError, lbp_scores
 from .modelio import load_model, save_model
-from .smoother import (SmootherParams, TagEvent, events_by_clip, smooth_tags,
-                       train_smoother)
+from .smoother import SmootherParams, TagEvent, smooth_tags, train_smoother
 from .verify import (check_capacity, check_exact_gradient, check_independence,
                      check_lbp_tree, check_normalization, check_pl_gradient)
 
@@ -123,9 +122,10 @@ def cmd_ingest(args):
     feat_items = set(features.items)
     tagged = {item for item, _ in records}
     missing = sorted(tagged - feat_items)
-    for item in missing:
-        print(f"warning: no features for tagged item {item}, excluded",
-              file=sys.stderr)
+    if missing:
+        more = ", ..." if len(missing) > 5 else ""
+        print(f"warning: {len(missing)} tagged item(s) have no features and "
+              f"are excluded: {', '.join(missing[:5])}{more}", file=sys.stderr)
     items = sorted(feat_items)
     matrix = dt.binarize(records, vocab, args.min_positive, items=items)
     row = {item: r for r, item in enumerate(features.items)}
@@ -251,15 +251,17 @@ def cmd_smooth(args):
     events, sizes, cid, tid = _events_from_triples(triples, vocab, items_map)
     if sizes != model.aux_sizes:
         raise SystemExit("error: triples vocabularies do not match the model")
-    by_clip = events_by_clip(events)
+    track = {}  # clip id -> the track of its first event
+    for e in events:
+        track.setdefault(e.clip, e.track)
+    clips = sorted(track)
+    probs = smooth_tags(clips, [track[c] for c in clips], model, events)
     clip_name = {i: name for name, i in cid.items()}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("item\t" + "\t".join(vocab) + "\n")
-        for clip in sorted(clip_name):
-            clip_events = by_clip[clip]
-            probs = smooth_tags(clip, clip_events[0].track, model, clip_events)
+        for clip, row in zip(clips, probs.tolist()):
             fh.write(clip_name[clip] + "\t"
-                     + "\t".join(repr(float(v)) for v in probs) + "\n")
+                     + "\t".join(map(repr, row)) + "\n")
     return 0
 
 

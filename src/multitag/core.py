@@ -155,44 +155,88 @@ def p_hidden_given(y, x, p: DrbmParams) -> np.ndarray:
     return sigm(hidden_input(y, x, p))
 
 
-def p_label_given(h, p: DrbmParams) -> np.ndarray:
-    """p(y_j=1 | h) = sigm(d + U'h), componentwise; h isolates y from x."""
-    h = _check_vec(h, p.n, "h")
-    return sigm(p.d + p.U.T @ h)
-
-
 def cd_chain(hid_bias, vis_bias, U, y0, K: int, rng):
-    """K block-Gibbs steps h ~ p(h|y), y ~ p(y|h) from y0 in the
+    """b chains of K block-Gibbs steps h ~ p(h|y), y ~ p(y|h) in the
     bipartite model with hidden input hid_bias + Uy and visible input
-    vis_bias + U'h; uniforms are pre-drawn as a (K, n) then a (K, C)
-    block.  Returns (h0, hK, yK), hK the hidden activation at sample yK.
+    vis_bias + U'h.  hid_bias is a (b, n) block, y0 the (b, C) starting
+    labels, vis_bias a (C,) or (b, C) block.
+
+    The uniforms are drawn in one call, rng.random((b, K*(n+C))); row
+    i's slice is split into its (K, n) then its (K, C) block, and the
+    products are stacked matrix-vector products, one per row.  So one
+    call equals b serial calls with b=1 bit for bit and leaves rng in
+    the same state.  Returns (h0, hK, yK) as (b, n), (b, n), (b, C)
+    blocks, hK the hidden activation at the sample yK.
+
+    A unit is on when u < sigm(z) = (1 + tanh(z/2)) / 2, tested as
+    2u < 1 + tanh(z/2) on halved inputs.  Halving and doubling are exact
+    in binary floating point (short of subnormal numbers), so this gives
+    the bits of the plain formula with fewer operations per step.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    Ut = np.ascontiguousarray(U.T)
-    rh = rng.random((K, U.shape[0]))
-    ry = rng.random((K, U.shape[1]))
-    y = y0
+    n, C = U.shape
+    b = y0.shape[0]
+    # the doubled (b, K*(n+C)) uniforms with a unit axis: like every
+    # block below, a stack of column vectors, so that U @ y is one gemv
+    # per row
+    rh = 2.0 * rng.random((b, K * (n + C), 1))
+    ry = rh[:, K * n:]
+    U2 = 0.5 * U
+    U2t = np.ascontiguousarray(U2.T)
+    hid2 = 0.5 * hid_bias[:, :, None]
+    vis2 = 0.5 * vis_bias[..., None]
+    y = y0[:, :, None]
+    s = 1.0 + np.tanh(hid2 + U2 @ y)  # 2 p(h=1|y)
+    h0 = 0.5 * s
     for k in range(K):
-        h = (rh[k] < sigm(hid_bias + U @ y)).astype(float)
-        y = (ry[k] < sigm(vis_bias + Ut @ h)).astype(float)
-    return sigm(hid_bias + U @ y0), sigm(hid_bias + U @ y), y
+        h = (rh[:, k * n:(k + 1) * n] < s).astype(float)
+        v = 1.0 + np.tanh(vis2 + U2t @ h)  # 2 p(y=1|h)
+        y = (ry[:, k * C:(k + 1) * C] < v).astype(float)
+        s = 1.0 + np.tanh(hid2 + U2 @ y)
+    return h0[:, :, 0], (0.5 * s)[:, :, 0], y[:, :, 0]
 
 
 def mean_field(hid_bias, vis_bias, U, y, K: int, tol: float) -> np.ndarray:
-    """Mean-field label probabilities of the same bipartite model:
-    iterates h = sigm(hid_bias + Uy), y = sigm(vis_bias + U'h) from the
-    given y for K steps or until the largest change in y drops below
-    ``tol`` (tol=0 always runs K steps)."""
+    """Mean-field label probabilities of the same bipartite model for b
+    rows: iterates h = sigm(hid_bias + Uy), y = sigm(vis_bias + U'h) from
+    the (b, C) block y for K steps; hid_bias is (b, n), vis_bias (C,) or
+    (b, C).  A row whose largest change drops below ``tol`` keeps its
+    new value and leaves the active set, so every row ends where a b=1
+    call ends (tol=0 always runs K steps).  Returns the (b, C) block.
+
+    As in ``cd_chain``, the loop works on exactly scaled quantities with
+    the bits of the plain formula: it carries 2h = 1 + tanh(z/2) and 2y,
+    and U/4 in place of U.
+    """
     if K < 1:
         raise ValueError("K must be >= 1")
+    U4 = 0.25 * U
+    hid2 = 0.5 * hid_bias[:, :, None]
+    vis2 = 0.5 * vis_bias[..., None]
+    s = 2.0 * y[:, :, None]  # 2y
+    rows = np.arange(len(s))  # the rows still iterating
+    frozen = []  # (rows, 2y) of the rows that converged
     for _ in range(K):
-        h = sigm(hid_bias + U @ y)
-        y_new = sigm(vis_bias + U.T @ h)
-        if tol > 0 and np.max(np.abs(y_new - y), initial=0.0) < tol:
-            return y_new
-        y = y_new
-    return y
+        s_new = 1.0 + np.tanh(vis2 + U4.T @ (1.0 + np.tanh(hid2 + U4 @ s)))
+        if tol > 0:
+            done = (np.abs(s_new - s) < 2 * tol).all(axis=1)[:, 0]
+            if done.any():
+                frozen.append((rows[done], s_new[done]))
+                keep = ~done
+                rows, hid2, s_new = rows[keep], hid2[keep], s_new[keep]
+                if vis2.ndim == 3:
+                    vis2 = vis2[keep]
+        s = s_new
+        if not rows.size:
+            break
+    if frozen:
+        out = np.empty((len(hid_bias),) + s.shape[1:])
+        out[rows] = s
+        for r, v in frozen:
+            out[r] = v
+        s = out
+    return 0.5 * s[:, :, 0]
 
 
 def sample_bernoulli(probs, rng) -> np.ndarray:

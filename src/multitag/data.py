@@ -41,7 +41,6 @@ class ThreeStateTagMatrix:
 class FeatureTable:
     items: list
     X: np.ndarray          # items x D
-    normalized: bool = False
 
     @property
     def D(self):
@@ -125,7 +124,7 @@ def normalize_features(table: FeatureTable) -> FeatureTable:
     Z = np.where(std > 0, (table.X - mean) / np.where(std > 0, std, 1.0), 0.0)
     norms = np.linalg.norm(Z, axis=1)
     Z = np.where(norms[:, None] > 0, Z / np.where(norms[:, None] > 0, norms[:, None], 1.0), 0.0)
-    return FeatureTable(list(table.items), Z, normalized=True)
+    return FeatureTable(list(table.items), Z)
 
 
 def make_folds(n_items: int, seed: int, n_folds: int = 5) -> FoldSplit:

@@ -72,8 +72,8 @@ def cd_gradient(example: LabeledExample, p: DrbmParams, K: int, rng) -> Gradient
     label, features held fixed; final statistics use the deterministic
     hidden activation."""
     x, y0 = example.x, example.y
-    h0, hK, yK = cd_chain(p.c + p.W @ x, p.d, p.U, y0, K, rng)
-    return _phase_difference(h0, y0, hK, yK, x)
+    h0, hK, yK = cd_chain((p.c + p.W @ x)[None], p.d, p.U, y0[None], K, rng)
+    return _phase_difference(h0[0], y0, hK[0], yK[0], x)
 
 
 def mfcd_gradient(example: LabeledExample, p: DrbmParams, K: int) -> Gradient:
@@ -81,7 +81,7 @@ def mfcd_gradient(example: LabeledExample, p: DrbmParams, K: int) -> Gradient:
     expectations, initialized at the training label."""
     x, y0 = example.x, example.y
     act = p.c + p.W @ x
-    yK = mean_field(act, p.d, p.U, y0, K, tol=0.0)
+    yK = mean_field(act[None], p.d, p.U, y0[None], K, tol=0.0)[0]
     return _phase_difference(sigm(act + p.U @ y0), y0, sigm(act + p.U @ yK),
                              yK, x)
 
@@ -254,12 +254,17 @@ def _estimate(example, p, cfg: TrainConfig, rng) -> Gradient:
     return pl_gradient(example, p)[0]
 
 
+def _arrays(p) -> list:
+    """The array fields of a parameter object, in field order."""
+    return [a for a in vars(p).values() if isinstance(a, np.ndarray)]
+
+
 def check_divergence(p, epoch):
     """Raise DivergenceError unless every entry of every array field of
     the parameter object p is finite and at most DIVERGENCE_LIMIT in
     magnitude (NaN fails the comparison)."""
-    for a in vars(p).values():
-        if isinstance(a, np.ndarray) and not np.all(np.abs(a) <= DIVERGENCE_LIMIT):
+    for a in _arrays(p):
+        if not np.all(np.abs(a) <= DIVERGENCE_LIMIT):
             raise DivergenceError(f"parameters diverged at epoch {epoch}")
 
 
@@ -273,14 +278,18 @@ def sgd(p0, n_examples: int, step, epochs: int, seed: int, log_file=None,
     then evaluates objective(p) -> (name, value), if there is an
     objective, and writes an ``epoch N [objective X ]time Ts`` line to
     the log file and a JSON record (kind, estimator, epoch, objective,
-    value, seconds) to the record file; the time covers the training
-    pass alone.
+    value, seconds, max_abs_param, update_norm) to the record file; the
+    time covers the training pass alone, max_abs_param is the largest
+    |entry| over all parameter arrays and update_norm the L2 norm of the
+    epoch's change to all of them.
     """
     if n_examples == 0:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(seed)
     p = p0.copy()
     for epoch in range(epochs):
+        if record_file is not None:
+            before = [a.copy() for a in _arrays(p)]
         t0 = time.perf_counter()
         for i in rng.permutation(n_examples):
             step(p, i, rng)
@@ -293,10 +302,15 @@ def sgd(p0, n_examples: int, step, epochs: int, seed: int, log_file=None,
             shown = "" if name is None else f"objective {value:.6f} "
             log_file.write(f"epoch {epoch} {shown}time {seconds:.3f}s\n")
         if record_file is not None:
+            after = _arrays(p)
+            sq = sum(np.sum((a - b) ** 2) for a, b in zip(after, before))
             record_file.write(json.dumps({
                 "kind": kind, "estimator": estimator, "epoch": epoch,
                 "objective": name, "value": value,
-                "seconds": round(seconds, 6)}) + "\n")
+                "seconds": round(seconds, 6),
+                "max_abs_param": max(float(np.max(np.abs(a), initial=0.0))
+                                     for a in after),
+                "update_norm": float(np.sqrt(sq))}) + "\n")
     return p
 
 

@@ -14,8 +14,7 @@ from .data import NEGATIVE, POSITIVE, FeatureTable, normalize_features
 from .estimators import TrainConfig, sgd_train
 from .evaluation import auc
 from .inference import lbp_scores
-from .smoother import (SmootherParams, events_by_clip, smooth_tags,
-                       train_smoother)
+from .smoother import SmootherParams, smooth_tags, train_smoother
 from .synthetic import (make_cooccurrence_corpus, make_dependency_corpus,
                         make_tag_corpus)
 
@@ -119,9 +118,7 @@ def smoothing_experiment(seeds=(0, 1, 2, 3, 4), n_clips=300, n_train=200,
                           epochs=smoother_epochs, seed=seed, l1=l1)
         sm = train_smoother(train_events, p0, cfg)
 
-        by_clip = events_by_clip(train_events)
-        smoothed = np.stack([smooth_tags(c, c, sm, by_clip.get(c, []))
-                             for c in train_clips])
+        smoothed = smooth_tags(train_clips, train_clips, sm, train_events)
         raw = _observed_matrix(train_events, train_clips, C)
 
         Xtr, Xte = X[train_clips], X[test_clips]

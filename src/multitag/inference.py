@@ -128,14 +128,5 @@ def mf_predict(x, p: DrbmParams, K: int, tol: float = 1e-8) -> np.ndarray:
     until the largest change drops below ``tol``.
     """
     x = _check_vec(x, p.D, "x")
-    return mean_field(p.c + p.W @ x, p.d, p.U, np.zeros(p.C), K, tol)
-
-
-def predict_scores(x, p: DrbmParams, method: str, K: int = 10,
-                   beta: float = 0.0) -> np.ndarray:
-    """Per-tag ranking scores p(y_j=1|x); method is 'lbp' or 'mf'."""
-    if method == "lbp":
-        return lbp_marginals(x, p, K, beta).y_marg
-    if method == "mf":
-        return mf_predict(x, p, K)
-    raise ValueError(f"unknown inference method {method!r}")
+    return mean_field((p.c + p.W @ x)[None], p.d, p.U, np.zeros((1, p.C)), K,
+                      tol)[0]

@@ -133,7 +133,9 @@ def smoother_cd_gradient(event: TagEvent, u, cols, p: SmootherParams, K: int,
     u = np.asarray(u, dtype=float)
     y0 = np.asarray(event.y, dtype=float)
     V = p.V[:, cols]
-    h0, hK, y = cd_chain(p.c + p.W @ u, p.d + V.sum(axis=1), p.U, y0, K, rng)
+    h0, hK, y = cd_chain((p.c + p.W @ u)[None], p.d + V.sum(axis=1), p.U,
+                         y0[None], K, rng)
+    h0, hK, y = h0[0], hK[0], y[0]
     dV = np.outer(y0 - y, np.ones(len(cols)))
     dW = np.outer(h0 - hK, u)
     if l1 > 0:
@@ -216,19 +218,35 @@ def train_smoother(events, p0: SmootherParams, cfg: TrainConfig,
                record_file, kind="smoother", estimator="cd")
 
 
-def smooth_tags(clip, track, p: SmootherParams, events, tol: float = 1e-8,
+def smooth_tags(clips, tracks, p: SmootherParams, events, tol: float = 1e-8,
                 max_iter: int = 500) -> np.ndarray:
-    """Predicted tag probabilities for a new (unknown) user on a known
-    clip: u averages all users of the clip, the user identity block is
-    zeroed, and mean-field runs from y* = u to convergence.  Pass the
-    clip's own events (events_by_clip) to avoid scanning all of them."""
-    clip_events = [e for e in events if e.clip == clip]
-    if not clip_events:
-        raise KeyError(f"unknown clip {clip!r}")
-    u = np.mean(np.asarray([e.y for e in clip_events], dtype=float), axis=0)
-    cols = aux_columns(None, track, clip, p.aux_sizes)
-    return mean_field(p.c + p.W @ u, p.d + p.V[:, cols].sum(axis=1), p.U, u,
-                      max_iter, tol)
+    """Predicted tag probabilities for a new (unknown) user on known
+    clips, as a (len(clips), C) block with one row per (clip, track)
+    pair: u averages all users of the clip, the user identity block is
+    left out, and mean-field runs from y* = u to convergence, every clip
+    in one batched ``mean_field`` call.  ``events`` may hold other
+    clips' events too; each clip's average sums its events in their
+    order, as ``np.mean`` over that clip's rows would.
+    """
+    n_users, n_tracks, n_clips = p.aux_sizes
+    clips = np.asarray(clips, dtype=np.intp)
+    tracks = np.asarray(tracks, dtype=np.intp)
+    event_clips = np.array([e.clip for e in events], dtype=np.intp)
+    known = np.isin(clips, event_clips)
+    if not np.all(known):
+        raise KeyError(f"unknown clip {int(clips[~known][0])}")
+    for ids, size in ((tracks, n_tracks), (clips, n_clips)):
+        bad = ids[(ids < 0) | (ids >= size)]
+        if bad.size:
+            raise IndexError(f"id {bad[0]} out of range for block of "
+                             f"size {size}")
+    sums = np.zeros((n_clips, p.C))
+    np.add.at(sums, event_clips, np.array([e.y for e in events], dtype=float))
+    counts = np.bincount(event_clips, minlength=n_clips)[clips]
+    u = sums[clips] / counts[:, None]
+    cols = np.stack([n_users + tracks, n_users + n_tracks + clips], axis=1)
+    return mean_field(p.c + (p.W @ u[:, :, None])[:, :, 0],
+                      p.d + p.V.T[cols].sum(axis=1), p.U, u, max_iter, tol)
 
 
 def smoothed_dataset(matrix, smoothed_rows: dict) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from multitag.cli import main as cli_main
+from multitag.core import cd_chain
 from multitag.data import NEGATIVE, POSITIVE, UNKNOWN, binarize
 from multitag.estimators import cd_gradient
 from multitag.evaluation import auc
@@ -43,18 +44,43 @@ def test_criterion_02_pl_gradient_vs_finite_differences():
            "differences", ok, time.time() - t0, 5.0)
 
 
+def cd_gradient_rows(ex, p, b, K, rng):
+    """``cd_gradient(ex, p, K, rng).flat()`` for b runs at once, one
+    row each: one cd_chain call draws the stream of b serial calls and
+    equals them bit for bit, and the rows are built with the same
+    elementwise operations as _phase_difference."""
+    h0, hK, yK = cd_chain(np.broadcast_to(p.c + p.W @ ex.x, (b, p.n)), p.d,
+                          p.U, np.broadcast_to(ex.y, (b, p.C)), K, rng)
+    dU = h0[:, :, None] * ex.y - hK[:, :, None] * yK[:, None, :]
+    dW = (h0 - hK)[:, :, None] * ex.x
+    return np.concatenate([dU.reshape(b, -1), dW.reshape(b, -1), h0 - hK,
+                           ex.y - yK], axis=1)
+
+
+def test_cd_gradient_rows_equal_serial_cd_gradient():
+    ex, p = random_instance(np.random.default_rng(7), scale=0.3)
+    batched, serial = np.random.default_rng(5), np.random.default_rng(5)
+    rows = cd_gradient_rows(ex, p, 64, 50, batched)
+    for row in rows:
+        assert row.tobytes() == cd_gradient(ex, p, 50, serial).flat().tobytes()
+    assert batched.random() == serial.random()
+
+
 def test_criterion_03_cd_mean_within_three_se_of_exact():
     t0 = time.time()
     ex, p = random_instance(np.random.default_rng(7), scale=0.3)
     exact = exact_grad(ex, p).flat()
     rng = np.random.default_rng(123)
-    runs = 100_000
+    runs, K = 100_000, 50
+    # chunks of about 2^15 uniforms, as lbp_scores sizes its blocks
+    rows = max(1, 2**15 // (K * (p.n + p.C)))
     total = np.zeros_like(exact)
     total_sq = np.zeros_like(exact)
-    for _ in range(runs):
-        g = cd_gradient(ex, p, K=50, rng=rng).flat()
-        total += g
-        total_sq += g * g
+    for start in range(0, runs, rows):
+        # summed run by run, in the order of the serial loop
+        for g in cd_gradient_rows(ex, p, min(rows, runs - start), K, rng):
+            total += g
+            total_sq += g * g
     mean = total / runs
     var = np.maximum(total_sq / runs - mean * mean, 0.0)
     se = np.sqrt(var / runs)

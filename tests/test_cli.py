@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from multitag.cli import main
+from multitag.core import sigm
 from multitag.modelio import load_model, save_model
 from multitag.synthetic import make_tag_corpus, write_corpus_files
 
@@ -51,6 +52,19 @@ class TestIngest:
                     "--vocab-size", 3, "--min-positive", 1,
                     "--out", tmp_path / "out"]) == 0
         assert "ghost-item" in capsys.readouterr().err
+
+    def test_one_warning_line_for_many_missing_items(self, corpus_dir,
+                                                     tmp_path, capsys):
+        with open(corpus_dir / "triples.tsv", "a", encoding="utf-8") as fh:
+            for i in (6, 0, 5, 3, 1, 4, 2):
+                fh.write(f"u0\tghost-{i}\ttag0\n")
+        assert run(["ingest", "--triples", corpus_dir / "triples.tsv",
+                    "--features", corpus_dir / "features.tsv",
+                    "--vocab-size", 3, "--min-positive", 1,
+                    "--out", tmp_path / "out"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 7 tagged item(s) have no features and are excluded: "
+            "ghost-0, ghost-1, ghost-2, ghost-3, ghost-4, ...\n")
 
     def test_rejects_duplicate_feature_ids(self, corpus_dir, tmp_path,
                                            capsys):
@@ -120,6 +134,23 @@ class TestTrain:
                 for r in records] == [(kind, estimator, 0, objective),
                                       (kind, estimator, 1, objective)]
         assert all(r["seconds"] >= 0 for r in records)
+        # the largest |parameter| after the last epoch, and the norm of
+        # the second epoch's update, against a model trained one epoch
+        last, _ = load_model(model)
+        one = tmp_path / "one.model"
+        assert run(["train", "--data", ingested, "--kind", kind, *flags,
+                    "--epochs", 1, "--hidden", 3, "--lr", 0.1,
+                    "--model", one]) == 0
+        first, _ = load_model(one)
+        arrays = [(a, b) for a, b in zip(vars(last).values(),
+                                         vars(first).values())
+                  if isinstance(a, np.ndarray)]
+        assert records[1]["max_abs_param"] == max(np.max(np.abs(a))
+                                                  for a, _ in arrays)
+        assert records[1]["update_norm"] == pytest.approx(np.sqrt(sum(
+            np.sum((a - b) ** 2) for a, b in arrays)), rel=1e-12)
+        assert 0 < records[0]["max_abs_param"] < 1e6
+        assert records[0]["update_norm"] > 0
         # the .log line shows the same value
         log = (tmp_path / "m.model.log").read_text().splitlines()
         assert [line.split()[:3] for line in log] == [
@@ -332,6 +363,8 @@ class TestSmoothPipeline:
         assert [(r["kind"], r["epoch"], r["objective"], r["value"])
                 for r in records] == [("smoother", 0, None, None),
                                       ("smoother", 1, None, None)]
+        assert all(r["max_abs_param"] > 0 and r["update_norm"] > 0
+                   for r in records)
         out = tmp_path / "smoothed.tsv"
         assert run(["smooth", "--model", model, "--triples", triples,
                     "--out", out]) == 0
@@ -340,6 +373,51 @@ class TestSmoothPipeline:
         values = np.array([[float(v) for v in line.split("\t")[1:]]
                            for line in lines[1:]])
         assert np.all((values >= 0) & (values <= 1))
+
+    def test_smooth_matches_per_clip_reference(self, tmp_path):
+        # clips with 1 to 4 users, two clips per track; the reference
+        # smooths one clip at a time from the triples, with 1-d products
+        # and the row mean-field loop, and writes the same text
+        rng = np.random.default_rng(9)
+        triples, items = tmp_path / "triples.tsv", tmp_path / "items.tsv"
+        tagged = {}  # (user, clip) -> tags
+        for c in range(24):
+            for u in rng.choice(6, rng.integers(1, 5), replace=False):
+                tags = rng.choice(3, rng.integers(1, 3), replace=False)
+                tagged[(f"u{u}", f"clip{c:02d}")] = {f"tag{j}" for j in tags}
+        triples.write_text("".join(f"{u}\t{c}\t{t}\n"
+                                   for (u, c), ts in tagged.items()
+                                   for t in sorted(ts)))
+        clip_names = sorted({c for _, c in tagged})
+        items.write_text("".join(f"{c}\ttrack{i // 2:02d}\n"
+                                 for i, c in enumerate(clip_names)))
+        model = tmp_path / "s.model"
+        assert run(["train", "--kind", "smoother", "--triples", triples,
+                    "--items", items, "--vocab-size", 3, "--epochs", 3,
+                    "--hidden", 3, "--lr", 0.3, "--model", model]) == 0
+        out = tmp_path / "smoothed.tsv"
+        assert run(["smooth", "--model", model, "--triples", triples,
+                    "--items", items, "--out", out]) == 0
+
+        p, vocab = load_model(model)
+        n_users = len({u for u, _ in tagged})
+        n_tracks = (len(clip_names) + 1) // 2
+        lines = ["item\t" + "\t".join(vocab)]
+        for i, clip in enumerate(clip_names):
+            rows = [[float(t in ts) for t in vocab]
+                    for (_, c), ts in sorted(tagged.items()) if c == clip]
+            u = np.mean(np.asarray(rows), axis=0)
+            vis = p.d + p.V[:, [n_users + i // 2, n_users + n_tracks + i]].sum(
+                axis=1)
+            y = u
+            for _ in range(500):
+                y_new = sigm(vis + p.U.T @ sigm(p.c + p.W @ u + p.U @ y))
+                done = np.max(np.abs(y_new - y)) < 1e-8
+                y = y_new
+                if done:
+                    break
+            lines.append(clip + "\t" + "\t".join(repr(float(v)) for v in y))
+        assert out.read_text() == "\n".join(lines) + "\n"
 
 
 class TestOracleCheck:

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multitag.core import (DrbmParams, LabeledExample, ShapeError,
-                           cond_free_energy, energy, log1pexp,
-                           p_hidden_given, p_label_given, sample_bernoulli,
-                           sigm)
+from multitag.core import (DrbmParams, LabeledExample, ShapeError, cd_chain,
+                           cond_free_energy, energy, log1pexp, mean_field,
+                           p_hidden_given, sample_bernoulli, sigm)
 from conftest import random_instance
 
 
@@ -112,6 +111,12 @@ class TestCondFreeEnergy:
             assert cond_free_energy(ex.y, ex.x, p) == pytest.approx(brute, abs=1e-10)
 
 
+def pinned_hidden(h):
+    """A hidden input that makes sigm(input + Uy) exactly h for 0/1 h
+    and |Uy| < 100: tanh saturates to +-1 in float64."""
+    return np.where(np.asarray(h) > 0, 200.0, -200.0)
+
+
 class TestConditionals:
     def test_hidden_decoupled_reductions(self, rng):
         _, p = random_instance(rng)
@@ -120,12 +125,6 @@ class TestConditionals:
         np.testing.assert_allclose(p_hidden_given(np.ones(p.C), x, p0), sigm(p.c))
         pw = DrbmParams(p.U, np.zeros_like(p.W), p.c, p.d)
         np.testing.assert_allclose(p_hidden_given(np.zeros(p.C), x, pw), sigm(p.c))
-
-    def test_label_decoupled_reductions(self, rng):
-        _, p = random_instance(rng)
-        p0 = DrbmParams(np.zeros_like(p.U), p.W, p.c, p.d)
-        np.testing.assert_allclose(p_label_given(np.ones(p.n), p0), sigm(p.d))
-        np.testing.assert_allclose(p_label_given(np.zeros(p.n), p), sigm(p.d))
 
     def test_hidden_matches_joint_enumeration(self, rng):
         ex, p = random_instance(rng, C=3, n=3, D=2)
@@ -137,6 +136,16 @@ class TestConditionals:
             marg = sum(w for h, w in weights.items() if h[k] == 1) / z
             assert p_hidden_given(ex.y, ex.x, p)[k] == pytest.approx(marg, abs=1e-10)
 
+    # p(y_j=1 | h) = sigm(d + U'h) is mean-field's visible half-step: with
+    # the hidden units pinned to 0/1 values, one step returns it
+    def test_label_decoupled_reductions(self, rng):
+        _, p = random_instance(rng)
+        U0 = np.zeros_like(p.U)
+        for h, U in ((np.ones(p.n), U0), (np.zeros(p.n), p.U)):
+            y = mean_field(pinned_hidden(h)[None], p.d, U, np.zeros((1, p.C)),
+                           1, 0.0)
+            np.testing.assert_allclose(y[0], sigm(p.d))
+
     def test_label_matches_enumeration(self, rng):
         _, p = random_instance(rng, C=3, n=3, D=2)
         h = np.array([1.0, 0.0, 1.0])
@@ -145,9 +154,106 @@ class TestConditionals:
         weights = {y: math.exp(-energy(np.array(y, dtype=float), h, x, p))
                    for y in product((0, 1), repeat=p.C)}
         z = sum(weights.values())
+        y = mean_field(pinned_hidden(h)[None], p.d, p.U, np.zeros((1, p.C)),
+                       1, 0.0)[0]
         for j in range(p.C):
-            marg = sum(w for y, w in weights.items() if y[j] == 1) / z
-            assert p_label_given(h, p)[j] == pytest.approx(marg, abs=1e-10)
+            marg = sum(w for yy, w in weights.items() if yy[j] == 1) / z
+            assert y[j] == pytest.approx(marg, abs=1e-10)
+
+
+def row_cd_chain(hid_bias, vis_bias, U, y0, K, rng):
+    """One chain as the row kernel ran it: a (K, n) then a (K, C) block
+    of uniforms, 1-d matrix-vector products."""
+    Ut = np.ascontiguousarray(U.T)
+    rh = rng.random((K, U.shape[0]))
+    ry = rng.random((K, U.shape[1]))
+    y = y0
+    for k in range(K):
+        h = (rh[k] < sigm(hid_bias + U @ y)).astype(float)
+        y = (ry[k] < sigm(vis_bias + Ut @ h)).astype(float)
+    return sigm(hid_bias + U @ y0), sigm(hid_bias + U @ y), y
+
+
+def row_mean_field(hid_bias, vis_bias, U, y, K, tol):
+    """One row of mean-field as the row kernel ran it, and the number of
+    steps it took."""
+    for k in range(1, K + 1):
+        h = sigm(hid_bias + U @ y)
+        y_new = sigm(vis_bias + U.T @ h)
+        if tol > 0 and np.max(np.abs(y_new - y), initial=0.0) < tol:
+            return y_new, k
+        y = y_new
+    return y, K
+
+
+class TestCdChain:
+    @pytest.mark.parametrize("n, C, K, per_row_vis", [(4, 3, 50, False),
+                                                      (10, 3, 1, True)])
+    def test_batch_equals_serial_row_chains(self, n, C, K, per_row_vis):
+        rng = np.random.default_rng(31)
+        b = 40
+        U = rng.normal(scale=0.8, size=(n, C))
+        hid = rng.normal(size=(b, n))
+        vis = rng.normal(size=(b, C) if per_row_vis else C)
+        y0 = (rng.random((b, C)) < 0.5).astype(float)
+        batched, serial = np.random.default_rng(8), np.random.default_rng(8)
+        got = cd_chain(hid, vis, U, y0, K, batched)
+        for i in range(b):
+            want = row_cd_chain(hid[i], vis[i] if per_row_vis else vis, U,
+                                y0[i], K, serial)
+            for g, w in zip(got, want):
+                assert g[i].tobytes() == w.tobytes()
+        assert batched.random() == serial.random()
+
+    def test_returns_blocks(self):
+        h0, hK, yK = cd_chain(np.zeros((5, 2)), np.zeros(3), np.zeros((2, 3)),
+                              np.ones((5, 3)), 2, np.random.default_rng(0))
+        assert (h0.shape, hK.shape, yK.shape) == ((5, 2), (5, 2), (5, 3))
+        assert set(np.unique(yK)) <= {0.0, 1.0}
+
+    def test_rejects_bad_k(self):
+        with pytest.raises(ValueError):
+            cd_chain(np.zeros((1, 2)), np.zeros(3), np.zeros((2, 3)),
+                     np.ones((1, 3)), 0, np.random.default_rng(0))
+
+
+class TestMeanField:
+    @pytest.mark.parametrize("tol", [1e-8, 0.0])
+    @pytest.mark.parametrize("per_row_vis", [False, True])
+    def test_batch_equals_row_calls(self, tol, per_row_vis):
+        rng = np.random.default_rng(12)
+        b, n, C = 30, 6, 4
+        # coupling scales that differ by row make rows converge at
+        # different iterations
+        U = rng.normal(size=(n, C))
+        hid = rng.normal(size=(b, n)) * rng.uniform(0.1, 3.0, (b, 1))
+        vis = rng.normal(size=(b, C) if per_row_vis else C)
+        y0 = rng.random((b, C))
+        got = mean_field(hid, vis, U, y0, 200, tol)
+        steps = set()
+        for i in range(b):
+            want, k = row_mean_field(hid[i], vis[i] if per_row_vis else vis,
+                                     U, y0[i], 200, tol)
+            assert got[i].tobytes() == want.tobytes()
+            steps.add(k)
+        # rows stop at different steps, or all run the K steps
+        assert len(steps) > 5 if tol else steps == {200}
+
+    def test_rows_converging_at_the_same_step(self):
+        rng = np.random.default_rng(2)
+        U = rng.normal(size=(3, 2))
+        hid, y0 = rng.normal(size=3), rng.random(2)
+        got = mean_field(np.tile(hid, (4, 1)), np.zeros(2), U,
+                         np.tile(y0, (4, 1)), 200, 1e-8)
+        want, k = row_mean_field(hid, np.zeros(2), U, y0, 200, 1e-8)
+        assert k < 200
+        for row in got:
+            assert row.tobytes() == want.tobytes()
+
+    def test_rejects_bad_k(self):
+        with pytest.raises(ValueError):
+            mean_field(np.zeros((1, 2)), np.zeros(3), np.zeros((2, 3)),
+                       np.zeros((1, 3)), 0, 0.0)
 
 
 class TestSampleBernoulli:

@@ -92,7 +92,6 @@ class TestNormalizeFeatures:
         out = normalize_features(t)
         np.testing.assert_allclose(np.linalg.norm(out.X, axis=1), 1.0,
                                    atol=1e-12)
-        assert out.normalized
 
     def test_constant_dimension_zeroed(self):
         X = np.array([[1.0, 5.0], [2.0, 5.0], [4.0, 5.0]])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from multitag.core import DrbmParams, LabeledExample, sigm
+from multitag.core import DrbmParams, LabeledExample, cd_chain, sigm
 from multitag.estimators import (ESTIMATORS, EXACT_OBJECTIVE_CELLS,
                                  PROBE_ROWS, DivergenceError,
                                  GaussianRbmParams, TrainConfig, cd_gradient,
@@ -20,16 +20,19 @@ from conftest import random_instance
 class TestCdGradient:
     def test_decoupled_label_bias_expectation(self):
         # with U = W = 0 and c = 0, the chain's label resample is an
-        # unbiased draw from sigm(d), so E[dd] = y - sigm(d)
+        # unbiased draw from sigm(d), so E[dd] = y - sigm(d).  The runs go
+        # through one batched chain with cd_gradient's inputs; it draws
+        # the stream of the serial calls, and dd = y - yK holds integers,
+        # so its sum is exact in any order
         rng = np.random.default_rng(5)
         C, n, D = 3, 2, 2
         p = DrbmParams(np.zeros((n, C)), np.zeros((n, D)), np.zeros(n),
                        np.array([0.4, -0.8, 0.1]))
         ex = LabeledExample(np.zeros(D), np.array([1.0, 0.0, 1.0]))
         runs = 100_000
-        acc = np.zeros(C)
-        for _ in range(runs):
-            acc += cd_gradient(ex, p, K=1, rng=rng).dd
+        _, _, yK = cd_chain(np.broadcast_to(p.c + p.W @ ex.x, (runs, n)), p.d,
+                            p.U, np.broadcast_to(ex.y, (runs, C)), 1, rng)
+        acc = np.sum(ex.y - yK, axis=0)
         mean = acc / runs
         target = ex.y - sigm(p.d)
         se = np.sqrt(sigm(p.d) * (1 - sigm(p.d)) / runs)

@@ -3,12 +3,18 @@ import pytest
 
 from multitag.core import DrbmParams, log1pexp, sigm
 from multitag.inference import (NumericError, _coupling_log, lbp_marginals,
-                                lbp_scores, mf_predict, predict_scores)
+                                lbp_scores, mf_predict)
 from multitag.oracle import exact_marginals
 from conftest import random_instance
 
 
 class TestLbpMarginals:
+    def test_y_marg_exact_on_tree(self, rng):
+        ex, p = random_instance(rng, C=6, n=1)
+        scores = lbp_marginals(ex.x, p, 25, 0.0).y_marg
+        np.testing.assert_allclose(scores, exact_marginals(ex.x, p).y_marg,
+                                   atol=1e-8)
+
     def test_no_coupling_reduces_to_biases(self, rng):
         _, p = random_instance(rng)
         p.U[:] = 0.0
@@ -140,6 +146,15 @@ class TestNumericPrimitives:
 
 
 class TestMfPredict:
+    def test_decoupled_model_matches_lbp_marginals(self, rng):
+        _, p = random_instance(rng)
+        p.U[:] = 0.0
+        x = rng.normal(size=p.D)
+        np.testing.assert_allclose(lbp_marginals(x, p, 5, 0.0).y_marg,
+                                   sigm(p.d), atol=1e-12)
+        np.testing.assert_allclose(mf_predict(x, p, K=5), sigm(p.d),
+                                   atol=1e-12)
+
     def test_no_coupling(self, rng):
         _, p = random_instance(rng)
         p.U[:] = 0.0
@@ -166,25 +181,3 @@ class TestMfPredict:
         gap = float(np.max(np.abs(y - e.y_marg)))
         print(f"mean-field vs exact singleton gap on a tree: {gap:.3e}")
         assert np.all((y >= 0) & (y <= 1))
-
-
-class TestPredictScores:
-    def test_dispatch_on_decoupled_model(self, rng):
-        _, p = random_instance(rng)
-        p.U[:] = 0.0
-        x = rng.normal(size=p.D)
-        np.testing.assert_allclose(predict_scores(x, p, "lbp", K=5), sigm(p.d),
-                                   atol=1e-12)
-        np.testing.assert_allclose(predict_scores(x, p, "mf", K=5), sigm(p.d),
-                                   atol=1e-12)
-
-    def test_lbp_scores_exact_on_tree(self, rng):
-        ex, p = random_instance(rng, C=6, n=1)
-        scores = predict_scores(ex.x, p, "lbp", K=25)
-        np.testing.assert_allclose(scores, exact_marginals(ex.x, p).y_marg,
-                                   atol=1e-8)
-
-    def test_unknown_method(self, rng):
-        ex, p = random_instance(rng)
-        with pytest.raises(ValueError):
-            predict_scores(ex.x, p, "gibbs")

@@ -102,7 +102,10 @@ class TestSmootherCdGradient:
 
     def test_decoupled_visible_bias_expectation(self):
         # with U = 0 the resampled tags are unbiased draws from
-        # sigm(d + Va), giving E[dd] = y - sigm(d + Va)
+        # sigm(d + Va), giving E[dd] = y - sigm(d + Va).  The runs go
+        # through one batched chain with smoother_cd_gradient's inputs; it
+        # draws the stream of the serial calls, and dd = y - yK holds
+        # integers, so its sum is exact in any order
         rng = np.random.default_rng(21)
         C = 3
         p = SmootherParams(np.zeros((2, C)), np.zeros((2, C)),
@@ -111,11 +114,11 @@ class TestSmootherCdGradient:
         a = build_aux(0, 0, 0, p.aux_sizes)
         cols = aux_columns(0, 0, 0, p.aux_sizes)
         y = np.array([1.0, 0.0, 1.0])
-        ev = TagEvent(0, 0, 0, y)
         runs = 30_000
-        acc = np.zeros(C)
-        for _ in range(runs):
-            acc += smoother_cd_gradient(ev, np.zeros(C), cols, p, 1, rng).dd
+        hid = np.broadcast_to(p.c + p.W @ np.zeros(C), (runs, p.n))
+        _, _, yK = cd_chain(hid, p.d + p.V[:, cols].sum(axis=1), p.U,
+                            np.broadcast_to(y, (runs, C)), 1, rng)
+        acc = np.sum(y - yK, axis=0)
         probs = sigm(p.d + p.V @ a)
         se = np.sqrt(probs * (1 - probs) / runs)
         assert np.all(np.abs(acc / runs - (y - probs)) < 3 * se)
@@ -167,8 +170,9 @@ def dense_reference_train(events, p0, cfg):
         e = events[i]
         u = other_users_avg(by_clip[e.clip], e.user)
         a = build_aux(e.user, e.track, e.clip, p.aux_sizes)
-        h0, hK, y = cd_chain(p.c + p.W @ u, p.d + p.V @ a, p.U, e.y, cfg.k,
-                             rng)
+        h0, hK, y = (s[0] for s in cd_chain((p.c + p.W @ u)[None],
+                                            p.d + p.V @ a, p.U, e.y[None],
+                                            cfg.k, rng))
         dV = np.outer(e.y - y, a)
         dW = np.outer(h0 - hK, u)
         if cfg.l1 > 0:
@@ -286,36 +290,75 @@ class TestTrainSmoother:
             train_smoother([], p0, TrainConfig())
 
 
+def row_smooth(clip, track, p, events, tol=1e-8, max_iter=500):
+    """One clip as the per-clip smoother computed it: np.mean over the
+    clip's events, 1-d products, and the row mean-field loop."""
+    u = np.mean(np.asarray([e.y for e in events if e.clip == clip]), axis=0)
+    cols = aux_columns(None, track, clip, p.aux_sizes)
+    hid, vis = p.c + p.W @ u, p.d + p.V[:, cols].sum(axis=1)
+    y = u
+    for _ in range(max_iter):
+        y_new = sigm(vis + p.U.T @ sigm(hid + p.U @ y))
+        if np.max(np.abs(y_new - y), initial=0.0) < tol:
+            return y_new
+        y = y_new
+    return y
+
+
 class TestSmoothTags:
     def test_decoupled_model_returns_identity_bias_probs(self, rng):
         p = small_smoother(rng, C=2)
         p.U[:] = 0.0
         p.W[:] = 0.0
         events = toy_events()
-        out = smooth_tags(0, 0, p, events)
+        out = smooth_tags([0], [0], p, events)
         a = build_aux(None, 0, 0, p.aux_sizes)
-        np.testing.assert_allclose(out, sigm(p.d + p.V @ a), atol=1e-8)
+        np.testing.assert_allclose(out, sigm(p.d + p.V @ a)[None], atol=1e-8)
 
     def test_matches_dense_aux_product(self, rng):
         p = small_smoother(rng, C=2, scale=1.0)
         events = toy_events()
+        got = smooth_tags([0, 1], [0, 1], p, events)
         for clip in (0, 1):
             clip_events = [e for e in events if e.clip == clip]
             u = np.mean([e.y for e in clip_events], axis=0)
             a = build_aux(None, clip, clip, p.aux_sizes)
-            want = mean_field(p.c + p.W @ u, p.d + p.V @ a, p.U, u, 500, 1e-8)
-            np.testing.assert_allclose(smooth_tags(clip, clip, p, events),
-                                       want, rtol=0, atol=1e-12)
+            want = mean_field((p.c + p.W @ u)[None], p.d + p.V @ a, p.U,
+                              u[None], 500, 1e-8)[0]
+            np.testing.assert_allclose(got[clip], want, rtol=0, atol=1e-12)
+
+    def test_batch_equals_per_clip_reference(self):
+        # clips with 1 to 4 users, soft tag vectors so that the averages
+        # depend on summation order, shuffled events, rows that converge
+        # at different steps
+        rng = np.random.default_rng(4)
+        n_clips, C = 40, 3
+        events = [TagEvent(int(u), int(c) % 5, int(c), rng.random(C))
+                  for c in range(n_clips)
+                  for u in rng.choice(6, rng.integers(1, 5), replace=False)]
+        events = [events[i] for i in rng.permutation(len(events))]
+        p = SmootherParams.random_init(4, C, (6, 5, n_clips), rng, scale=1.5)
+        clips = rng.permutation(n_clips)
+        got = smooth_tags(clips, clips % 5, p, events)
+        assert got.shape == (n_clips, C)
+        for row, clip in zip(got, clips):
+            want = row_smooth(clip, clip % 5, p, events)
+            assert row.tobytes() == want.tobytes()
 
     def test_output_in_unit_interval(self, rng):
         p = small_smoother(rng, C=2, scale=1.0)
-        out = smooth_tags(1, 1, p, toy_events())
+        out = smooth_tags([1], [1], p, toy_events())
         assert np.all((out >= 0) & (out <= 1))
 
     def test_unknown_clip(self, rng):
         p = small_smoother(rng, C=2)
         with pytest.raises(KeyError):
-            smooth_tags(99, 0, p, toy_events())
+            smooth_tags([0, 99], [0, 0], p, toy_events())
+
+    def test_track_out_of_range(self, rng):
+        p = small_smoother(rng, C=2)
+        with pytest.raises(IndexError):
+            smooth_tags([0], [2], p, toy_events())
 
 
 class TestSmoothedDataset:
