@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import sigm
-from .estimators import PROBE_ROWS, sgd
+from .estimators import PROBE_ROWS, TrainConfig, sgd
 
 # validation-selected defaults: 250 hidden units / lr 0.001 for the MLP,
 # lr 2.0 for logistic regression
@@ -69,27 +69,26 @@ class LogRegParams:
         return cls(np.zeros((D, C)), np.zeros(C))
 
 
-@dataclass
-class SgdConfig:
-    lr: float = 0.01
-    epochs: int = 10
-    seed: int = 0
+def _rows(x, D) -> np.ndarray:
+    """A (D,) row or (B, D) block as a stack of (1, D) rows: a product
+    with it runs one vector-matrix product per row, so row i of a block
+    gets the bits of the single-row call (a gemm need not)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != D:
+        raise ValueError(f"x must have length {D}, or be a block of such rows")
+    return x[..., None, :]
 
 
 def mlp_predict(x, p: MlpParams) -> np.ndarray:
-    """Sigmoid hidden layer, independent sigmoid output per tag."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.D,):
-        raise ValueError(f"x must have length {p.D}")
-    h = sigm(p.b1 + x @ p.W1)
-    return sigm(p.b2 + h @ p.W2)
+    """Sigmoid hidden layer, independent sigmoid output per tag, for a
+    (D,) row or a (B, D) block."""
+    h = sigm(p.b1 + _rows(x, p.D) @ p.W1)
+    return sigm(p.b2 + h @ p.W2)[..., 0, :]
 
 
 def logreg_predict(x, p: LogRegParams) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.D,):
-        raise ValueError(f"x must have length {p.D}")
-    return sigm(p.b + x @ p.W)
+    """Independent sigmoid per tag, for a (D,) row or a (B, D) block."""
+    return sigm(p.b + _rows(x, p.D) @ p.W)[..., 0, :]
 
 
 def cross_entropy(probs, targets, mask=None) -> float:
@@ -105,10 +104,10 @@ def cross_entropy(probs, targets, mask=None) -> float:
 
 def _probe_cross_entropy(X, targets, mask, predict):
     """The per-epoch objective of a baseline: mean masked cross-entropy
-    of predict(p, X) over the first PROBE_ROWS rows, as (name, value)."""
+    of predict(X, p) over the first PROBE_ROWS rows, as (name, value)."""
     X, targets, mask = X[:PROBE_ROWS], targets[:PROBE_ROWS], mask[:PROBE_ROWS]
     return lambda p: ("cross_entropy",
-                      cross_entropy(predict(p, X), targets, mask) / len(X))
+                      cross_entropy(predict(X, p), targets, mask) / len(X))
 
 
 def _mlp_grads(x, t, mask, p: MlpParams):
@@ -120,7 +119,7 @@ def _mlp_grads(x, t, mask, p: MlpParams):
     return (np.outer(x, dpre_h), dpre_h, np.outer(h, dpre_o), dpre_o)
 
 
-def mlp_train(X, targets, mask, cfg: SgdConfig, p0: MlpParams,
+def mlp_train(X, targets, mask, cfg: TrainConfig, p0: MlpParams,
               log_file=None, record_file=None) -> MlpParams:
     """Seeded per-example SGD on cross-entropy; targets in [0, 1]."""
     X = np.asarray(X, dtype=float)
@@ -134,14 +133,12 @@ def mlp_train(X, targets, mask, cfg: SgdConfig, p0: MlpParams,
         p.W2 -= cfg.lr * dW2
         p.b2 -= cfg.lr * db2
 
-    objective = _probe_cross_entropy(
-        X, targets, mask,
-        lambda p, X: sigm(p.b2 + sigm(p.b1 + X @ p.W1) @ p.W2))
     return sgd(p0, X.shape[0], step, cfg.epochs, cfg.seed, log_file,
-               record_file, objective, "mlp")
+               record_file, _probe_cross_entropy(X, targets, mask, mlp_predict),
+               "mlp")
 
 
-def logreg_train(X, targets, mask, cfg: SgdConfig,
+def logreg_train(X, targets, mask, cfg: TrainConfig,
                  p0: LogRegParams | None = None, log_file=None,
                  record_file=None) -> LogRegParams:
     """Per-tag independent sigmoid regression by per-example SGD."""
@@ -156,7 +153,7 @@ def logreg_train(X, targets, mask, cfg: SgdConfig,
         p.W -= cfg.lr * np.outer(X[i], dpre)
         p.b -= cfg.lr * dpre
 
-    objective = _probe_cross_entropy(X, targets, mask,
-                                     lambda p, X: sigm(p.b + X @ p.W))
     return sgd(p0, X.shape[0], step, cfg.epochs, cfg.seed, log_file,
-               record_file, objective, "logreg")
+               record_file,
+               _probe_cross_entropy(X, targets, mask, logreg_predict),
+               "logreg")

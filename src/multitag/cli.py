@@ -19,8 +19,8 @@ import numpy as np
 
 from . import data as dt
 from .baselines import (LOGREG_DEFAULT_LR, MLP_DEFAULT_HIDDEN, MLP_DEFAULT_LR,
-                        LogRegParams, MlpParams, SgdConfig, logreg_predict,
-                        logreg_train, mlp_predict, mlp_train)
+                        LogRegParams, MlpParams, logreg_predict, logreg_train,
+                        mlp_predict, mlp_train)
 from .core import DrbmParams, LabeledExample
 from .estimators import (ESTIMATORS, DivergenceError, GaussianRbmParams,
                          TrainConfig, sgd_train, sgd_train_generative)
@@ -215,11 +215,9 @@ def cmd_train(args):
             model = sgd_train_generative(dataset, p0, cfg, *logs)
         elif args.kind == "mlp":
             p0 = MlpParams.random_init(X.shape[1], args.hidden, Y.shape[1], rng)
-            model = mlp_train(X, Y, mask, SgdConfig(args.lr, args.epochs,
-                                                    args.seed), p0, *logs)
+            model = mlp_train(X, Y, mask, cfg, p0, *logs)
         elif args.kind == "logreg":
-            model = logreg_train(X, Y, mask, SgdConfig(args.lr, args.epochs,
-                                                       args.seed), None, *logs)
+            model = logreg_train(X, Y, mask, cfg, None, *logs)
         else:
             raise SystemExit(f"error: unknown model kind {args.kind!r}")
     save_model(args.model, model, matrix.vocab)
@@ -266,14 +264,12 @@ def cmd_smooth(args):
 
 
 def _model_scores(model, X):
-    if isinstance(model, DrbmParams):
+    if isinstance(model, DrbmParams):  # the Gaussian RBM's too
         return lbp_scores(X, model, K=10)
-    if isinstance(model, GaussianRbmParams):
-        return lbp_scores(X, model.drbm_view(), K=10)
     if isinstance(model, MlpParams):
-        return np.stack([mlp_predict(x, model) for x in X])
+        return mlp_predict(X, model)
     if isinstance(model, LogRegParams):
-        return np.stack([logreg_predict(x, model) for x in X])
+        return logreg_predict(X, model)
     raise SystemExit(f"error: cannot score model type {type(model).__name__}")
 
 

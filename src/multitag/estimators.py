@@ -166,57 +166,25 @@ def cond_objective(dataset):
 
 
 @dataclass
-class GaussianRbmParams:
-    """Joint model over (y, x, h) with unit-variance Gaussian features."""
-    U: np.ndarray   # n x C
-    W: np.ndarray   # n x D
-    c: np.ndarray   # n
-    d: np.ndarray   # C
+class GaussianRbmParams(DrbmParams):
+    """Joint model over (y, x, h) with unit-variance Gaussian features;
+    its label conditional p(y, h | x) is the DrbmParams it extends."""
     bx: np.ndarray  # D, feature biases
 
     def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=float)
-        self.W = np.asarray(self.W, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        self.d = np.asarray(self.d, dtype=float)
         self.bx = np.asarray(self.bx, dtype=float)
-        if self.bx.shape != (self.W.shape[1],):
+        super().__post_init__()
+        if self.bx.shape != (self.D,):
             raise ValueError("bx must have length D")
-
-    @property
-    def n(self):
-        return self.U.shape[0]
-
-    @property
-    def C(self):
-        return self.U.shape[1]
-
-    @property
-    def D(self):
-        return self.W.shape[1]
-
-    def copy(self) -> "GaussianRbmParams":
-        return GaussianRbmParams(self.U.copy(), self.W.copy(), self.c.copy(),
-                                 self.d.copy(), self.bx.copy())
-
-    def drbm_view(self) -> DrbmParams:
-        """The conditional p(y, h | x) of this joint model, for test-time
-        label inference."""
-        return DrbmParams(self.U.copy(), self.W.copy(), self.c.copy(), self.d.copy())
 
     @classmethod
     def random_init(cls, n, C, D, rng, scale=0.01):
-        return cls(rng.uniform(-scale, scale, (n, C)),
-                   rng.uniform(-scale, scale, (n, D)),
-                   np.zeros(n), np.zeros(C), np.zeros(D))
+        p = DrbmParams.random_init(n, C, D, rng, scale)
+        return cls(p.U, p.W, p.c, p.d, np.zeros(D))
 
 
 @dataclass
-class GaussianGradient:
-    dU: np.ndarray
-    dW: np.ndarray
-    dc: np.ndarray
-    dd: np.ndarray
+class GaussianGradient(Gradient):
     dbx: np.ndarray
 
 
@@ -340,7 +308,6 @@ def sgd_train_generative(dataset, p0: GaussianRbmParams, cfg: TrainConfig,
     """Same `sgd` training for the joint Gaussian-input model (CD only);
     the logged objective is that of its label conditional."""
     dataset = list(dataset)
-    cond = cond_objective(dataset)
 
     def step(p, i, rng):
         grad = generative_cd_gradient(dataset[i], p, cfg.k, rng)
@@ -351,4 +318,4 @@ def sgd_train_generative(dataset, p0: GaussianRbmParams, cfg: TrainConfig,
         p.bx += cfg.lr * grad.dbx
 
     return sgd(p0, len(dataset), step, cfg.epochs, cfg.seed, log_file,
-               record_file, lambda p: cond(p.drbm_view()), "grbm", "cd")
+               record_file, cond_objective(dataset), "grbm", "cd")

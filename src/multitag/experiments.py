@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import SgdConfig, logreg_predict, logreg_train
+from .baselines import logreg_predict, logreg_train
 from .core import DrbmParams, LabeledExample
 from .data import NEGATIVE, POSITIVE, FeatureTable, normalize_features
 from .estimators import TrainConfig, sgd_train
@@ -74,8 +74,9 @@ def label_dependency_experiment(seeds=(0, 1, 2, 3, 4), n_train=60, n_test=300,
         drbm = lbp_scores(Xte, p, K=10)
 
         lr_model = logreg_train(Xtr, Ytr, None,
-                                SgdConfig(lr=logreg_lr, epochs=epochs, seed=seed))
-        lr_scores = np.stack([logreg_predict(x, lr_model) for x in Xte])
+                                TrainConfig(lr=logreg_lr, epochs=epochs,
+                                            seed=seed))
+        lr_scores = logreg_predict(Xte, lr_model)
 
         labels = np.where(Yte[:, 1] > 0, POSITIVE, NEGATIVE)
         results.append((auc(drbm[:, 1], labels), auc(lr_scores[:, 1], labels)))
@@ -124,11 +125,9 @@ def smoothing_experiment(seeds=(0, 1, 2, 3, 4), n_clips=300, n_train=200,
         Xtr, Xte = X[train_clips], X[test_clips]
         Y_obs_test = _observed_matrix(events, test_clips, C)
 
-        sc = SgdConfig(lr=logreg_lr, epochs=logreg_epochs, seed=seed)
-        m_smooth = logreg_train(Xtr, smoothed, None, sc)
-        m_raw = logreg_train(Xtr, raw, None, sc)
-        s_smooth = np.stack([logreg_predict(x, m_smooth) for x in Xte])
-        s_raw = np.stack([logreg_predict(x, m_raw) for x in Xte])
+        sc = TrainConfig(lr=logreg_lr, epochs=logreg_epochs, seed=seed)
+        s_smooth = logreg_predict(Xte, logreg_train(Xtr, smoothed, None, sc))
+        s_raw = logreg_predict(Xte, logreg_train(Xtr, raw, None, sc))
         results.append((_grand_mean_auc(s_smooth, Y_obs_test),
                         _grand_mean_auc(s_raw, Y_obs_test)))
     return results

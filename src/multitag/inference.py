@@ -14,6 +14,9 @@ from .core import (DrbmParams, ShapeError, _check_vec, log1pexp, mean_field,
                    sigm)
 from .oracle import Marginals
 
+# mf_predict stops when no label probability moves by MF_TOL
+MF_TOL = 1e-8
+
 
 class NumericError(RuntimeError):
     """Non-finite message encountered during propagation."""
@@ -121,12 +124,12 @@ def lbp_scores(X, p: DrbmParams, K: int, beta: float = 0.0) -> np.ndarray:
     return out
 
 
-def mf_predict(x, p: DrbmParams, K: int, tol: float = 1e-8) -> np.ndarray:
+def mf_predict(x, p: DrbmParams, K: int) -> np.ndarray:
     """Mean-field label probabilities from the all-zero start.
 
     Iterates h = sigm(c + Wx + Uy), y = sigm(d + U'h) for K steps or
-    until the largest change drops below ``tol``.
+    until the largest change drops below MF_TOL.
     """
     x = _check_vec(x, p.D, "x")
     return mean_field((p.c + p.W @ x)[None], p.d, p.U, np.zeros((1, p.C)), K,
-                      tol)[0]
+                      MF_TOL)[0]

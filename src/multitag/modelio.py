@@ -42,13 +42,13 @@ def _emit(fh, kind, dims, arrays, vocab):
 def save_model(path, model, vocab):
     """Write any supported parameter object with its tag vocabulary."""
     with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(model, DrbmParams):
-            _emit(fh, "drbm", {"n": model.n, "C": model.C, "D": model.D},
-                  {"U": model.U, "W": model.W, "c": model.c, "d": model.d}, vocab)
-        elif isinstance(model, GaussianRbmParams):
+        if isinstance(model, GaussianRbmParams):  # before its DrbmParams base
             _emit(fh, "grbm", {"n": model.n, "C": model.C, "D": model.D},
                   {"U": model.U, "W": model.W, "c": model.c, "d": model.d,
                    "bx": model.bx}, vocab)
+        elif isinstance(model, DrbmParams):
+            _emit(fh, "drbm", {"n": model.n, "C": model.C, "D": model.D},
+                  {"U": model.U, "W": model.W, "c": model.c, "d": model.d}, vocab)
         elif isinstance(model, SmootherParams):
             users, tracks, clips = model.aux_sizes
             _emit(fh, "smoother",
@@ -98,6 +98,8 @@ def _parse(path):
             a = np.asarray(data, dtype=float)
             if a.shape != (rows, cols):
                 raise ModelFormatError(f"{path}: array {name} shape mismatch")
+            if not np.all(np.isfinite(a)):
+                raise ModelFormatError(f"{path}: array {name}: non-finite entry")
             arrays[name] = a
         else:
             raise ModelFormatError(f"{path}: unrecognized line {line!r}")

@@ -11,8 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cd_chain, mean_field
-from .estimators import TrainConfig, sgd
+from .core import Gradient, cd_chain, mean_field
+from .estimators import TrainConfig, _phase_difference, sgd
+
+# smooth_tags runs mean field until no tag probability moves by
+# SMOOTH_TOL, for at most SMOOTH_MAX_ITER steps
+SMOOTH_TOL = 1e-8
+SMOOTH_MAX_ITER = 500
 
 
 @dataclass
@@ -73,12 +78,8 @@ class TagEvent:
 
 
 @dataclass
-class SmootherGradient:
-    dU: np.ndarray
-    dW: np.ndarray
-    dV: np.ndarray
-    dc: np.ndarray
-    dd: np.ndarray
+class SmootherGradient(Gradient):
+    dV: np.ndarray  # C x len(cols), the columns of V an event selects
 
 
 def aux_columns(user, track, clip, aux_sizes) -> list:
@@ -135,19 +136,12 @@ def smoother_cd_gradient(event: TagEvent, u, cols, p: SmootherParams, K: int,
     V = p.V[:, cols]
     h0, hK, y = cd_chain((p.c + p.W @ u)[None], p.d + V.sum(axis=1), p.U,
                          y0[None], K, rng)
-    h0, hK, y = h0[0], hK[0], y[0]
-    dV = np.outer(y0 - y, np.ones(len(cols)))
-    dW = np.outer(h0 - hK, u)
+    g = _phase_difference(h0[0], y0, hK[0], y[0], u)
+    dV = np.outer(g.dd, np.ones(len(cols)))
     if l1 > 0:
         dV = dV - l1 * np.sign(V)
-        dW = dW - l1 * np.sign(p.W)
-    return SmootherGradient(
-        dU=np.outer(h0, y0) - np.outer(hK, y),
-        dW=dW,
-        dV=dV,
-        dc=h0 - hK,
-        dd=y0 - y,
-    )
+        g.dW = g.dW - l1 * np.sign(p.W)
+    return SmootherGradient(g.dU, g.dW, g.dc, g.dd, dV)
 
 
 def _clip_step(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -218,13 +212,13 @@ def train_smoother(events, p0: SmootherParams, cfg: TrainConfig,
                record_file, kind="smoother", estimator="cd")
 
 
-def smooth_tags(clips, tracks, p: SmootherParams, events, tol: float = 1e-8,
-                max_iter: int = 500) -> np.ndarray:
+def smooth_tags(clips, tracks, p: SmootherParams, events) -> np.ndarray:
     """Predicted tag probabilities for a new (unknown) user on known
     clips, as a (len(clips), C) block with one row per (clip, track)
     pair: u averages all users of the clip, the user identity block is
-    left out, and mean-field runs from y* = u to convergence, every clip
-    in one batched ``mean_field`` call.  ``events`` may hold other
+    left out, and mean-field runs from y* = u to convergence (SMOOTH_TOL,
+    at most SMOOTH_MAX_ITER steps), every clip in one batched
+    ``mean_field`` call.  ``events`` may hold other
     clips' events too; each clip's average sums its events in their
     order, as ``np.mean`` over that clip's rows would.
     """
@@ -246,7 +240,8 @@ def smooth_tags(clips, tracks, p: SmootherParams, events, tol: float = 1e-8,
     u = sums[clips] / counts[:, None]
     cols = np.stack([n_users + tracks, n_users + n_tracks + clips], axis=1)
     return mean_field(p.c + (p.W @ u[:, :, None])[:, :, 0],
-                      p.d + p.V.T[cols].sum(axis=1), p.U, u, max_iter, tol)
+                      p.d + p.V.T[cols].sum(axis=1), p.U, u, SMOOTH_MAX_ITER,
+                      SMOOTH_TOL)
 
 
 def smoothed_dataset(matrix, smoothed_rows: dict) -> np.ndarray:

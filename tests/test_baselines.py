@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from multitag.baselines import (LogRegParams, MlpParams, SgdConfig,
-                                cross_entropy, logreg_predict, logreg_train,
-                                mlp_predict, mlp_train)
+from multitag.baselines import (LogRegParams, MlpParams, cross_entropy,
+                                logreg_predict, logreg_train, mlp_predict,
+                                mlp_train)
 from multitag.core import sigm
-from multitag.estimators import DivergenceError
+from multitag.estimators import DivergenceError, TrainConfig
 from multitag.oracle import finite_diff
 
 
@@ -40,6 +40,24 @@ class TestPredict:
         with pytest.raises(ValueError):
             mlp_predict(np.ones(4), MlpParams.random_init(3, 2, 2, rng))
 
+    @pytest.mark.parametrize("B, D", [(1, 3), (7, 5), (32, 250), (300, 8)])
+    def test_block_rows_equal_row_calls(self, rng, B, D):
+        X = rng.normal(size=(B, D))
+        mlp = MlpParams(rng.normal(size=(D, 6)), rng.normal(size=6),
+                        rng.normal(size=(6, 4)), rng.normal(size=4))
+        logreg = LogRegParams(rng.normal(size=(D, 4)), rng.normal(size=4))
+        for predict, p in ((mlp_predict, mlp), (logreg_predict, logreg)):
+            block = predict(X, p)
+            assert block.shape == (B, 4)
+            for i in range(B):
+                np.testing.assert_array_equal(block[i], predict(X[i], p))
+
+    def test_block_shape_checks(self, rng):
+        with pytest.raises(ValueError):
+            logreg_predict(np.ones((2, 4)), LogRegParams.zeros(3, 2))
+        with pytest.raises(ValueError):
+            mlp_predict(np.ones((2, 2, 3)), MlpParams.random_init(3, 2, 2, rng))
+
 
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
@@ -59,7 +77,7 @@ class TestCrossEntropy:
 class TestLogRegTrain:
     def test_fits_separable_problem(self, rng):
         X, targets = separable_data(rng)
-        p = logreg_train(X, targets, None, SgdConfig(lr=0.5, epochs=100, seed=0))
+        p = logreg_train(X, targets, None, TrainConfig(lr=0.5, epochs=100, seed=0))
         preds = np.stack([logreg_predict(x, p) for x in X])
         assert np.mean((preds > 0.5) == (targets > 0.5)) > 0.95
 
@@ -67,7 +85,7 @@ class TestLogRegTrain:
         X, targets = separable_data(rng)
         mask = np.ones_like(targets)
         mask[:, 1] = 0.0
-        p = logreg_train(X, targets, mask, SgdConfig(lr=0.5, epochs=20, seed=0))
+        p = logreg_train(X, targets, mask, TrainConfig(lr=0.5, epochs=20, seed=0))
         np.testing.assert_array_equal(p.W[:, 1], 0.0)
         np.testing.assert_array_equal(p.b[1], 0.0)
 
@@ -75,18 +93,18 @@ class TestLogRegTrain:
         # constant soft target: the fitted bias reproduces it
         X = np.zeros((50, 2))
         targets = np.full((50, 1), 0.3)
-        p = logreg_train(X, targets, None, SgdConfig(lr=0.5, epochs=200, seed=0))
+        p = logreg_train(X, targets, None, TrainConfig(lr=0.5, epochs=200, seed=0))
         assert sigm(p.b[0]) == pytest.approx(0.3, abs=1e-3)
 
     def test_divergence_guard(self, rng):
         X, targets = separable_data(rng)
         with pytest.raises(DivergenceError):
             logreg_train(X * 1e4, targets, None,
-                         SgdConfig(lr=1e6, epochs=5, seed=0))
+                         TrainConfig(lr=1e6, epochs=5, seed=0))
 
     def test_deterministic(self, rng):
         X, targets = separable_data(rng)
-        cfg = SgdConfig(lr=0.2, epochs=5, seed=3)
+        cfg = TrainConfig(lr=0.2, epochs=5, seed=3)
         a = logreg_train(X, targets, None, cfg)
         b = logreg_train(X, targets, None, cfg)
         np.testing.assert_array_equal(a.W, b.W)
@@ -98,7 +116,7 @@ class TestMlpTrain:
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         targets = np.array([[0.0], [1.0], [1.0], [0.0]])
         p0 = MlpParams.random_init(2, 8, 1, rng, scale=0.5)
-        p = mlp_train(X, targets, None, SgdConfig(lr=0.5, epochs=2000, seed=0), p0)
+        p = mlp_train(X, targets, None, TrainConfig(lr=0.5, epochs=2000, seed=0), p0)
         preds = np.array([mlp_predict(x, p)[0] for x in X])
         assert np.all((preds > 0.5) == (targets[:, 0] > 0.5))
 
@@ -132,7 +150,7 @@ class TestMlpTrain:
     def test_deterministic(self, rng):
         X, targets = separable_data(rng)
         p0 = MlpParams.random_init(2, 4, 2, rng)
-        cfg = SgdConfig(lr=0.1, epochs=3, seed=1)
+        cfg = TrainConfig(lr=0.1, epochs=3, seed=1)
         a = mlp_train(X, targets, None, cfg, p0)
         b = mlp_train(X, targets, None, cfg, p0)
         np.testing.assert_array_equal(a.W1, b.W1)
@@ -143,13 +161,13 @@ class TestMlpTrain:
         p0 = MlpParams.random_init(2, 4, 2, rng)
         with pytest.raises(DivergenceError):
             mlp_train(X * 1e5, targets, None,
-                      SgdConfig(lr=1e6, epochs=5, seed=0), p0)
+                      TrainConfig(lr=1e6, epochs=5, seed=0), p0)
 
 
 @pytest.mark.parametrize("kind", ["logreg", "mlp"])
 def test_empty_dataset_rejected(rng, kind):
     X, targets = np.zeros((0, 2)), np.zeros((0, 2))
-    cfg = SgdConfig(lr=0.1, epochs=1, seed=0)
+    cfg = TrainConfig(lr=0.1, epochs=1, seed=0)
     with pytest.raises(ValueError, match="empty"):
         if kind == "logreg":
             logreg_train(X, targets, None, cfg)

@@ -315,6 +315,35 @@ class TestEval:
         err = capsys.readouterr().err
         assert err == f"error: {features}:1: non-finite feature value\n"
 
+    def test_non_finite_model_entry_is_an_error_line(self, ingested,
+                                                      tmp_path, capsys):
+        # a nan feature bias: the Gaussian RBM's label conditional never
+        # reads bx, so only the model file check catches it
+        model = tmp_path / "grbm.model"
+        assert run(["train", "--data", ingested, "--kind", "grbm",
+                    "--epochs", 1, "--hidden", 3, "--model", model]) == 0
+        lines = model.read_text().splitlines()
+        row = lines.index("array bx 1 4") + 1
+        lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+        model.write_text("\n".join(lines) + "\n")
+        assert run(["eval", "--data", ingested, "--model", model,
+                    "--out", tmp_path / "reports"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {model}: array bx: non-finite entry\n"
+        assert not (tmp_path / "reports" / "auc_a.tsv").exists()
+
+    def test_smoother_model_cannot_be_scored(self, ingested, tmp_path,
+                                             corpus_dir):
+        model = tmp_path / "s.model"
+        assert run(["train", "--kind", "smoother", "--triples",
+                    corpus_dir / "triples.tsv", "--vocab-size", 3,
+                    "--epochs", 1, "--hidden", 2, "--model", model]) == 0
+        # a SystemExit with a message: the process prints it, exit status 1
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", "--data", ingested, "--model", model,
+                 "--out", tmp_path / "reports"])
+        assert exc.value.code == "error: cannot score model type SmootherParams"
+
     def test_single_model_reports(self, ingested, tmp_path):
         model = tmp_path / "m.model"
         run(["train", "--data", ingested, "--estimator", "pl", "--epochs", 3,
@@ -373,6 +402,25 @@ class TestSmoothPipeline:
         values = np.array([[float(v) for v in line.split("\t")[1:]]
                            for line in lines[1:]])
         assert np.all((values >= 0) & (values <= 1))
+
+    def test_non_finite_model_entry_is_an_error_line(self, corpus_dir,
+                                                      tmp_path, capsys):
+        # one nan in a clip column of V would otherwise smooth that clip
+        # to a row of nan with exit status 0
+        triples = corpus_dir / "triples.tsv"
+        model = tmp_path / "s.model"
+        assert run(["train", "--kind", "smoother", "--triples", triples,
+                    "--vocab-size", 3, "--epochs", 1, "--hidden", 2,
+                    "--model", model]) == 0
+        p, vocab = load_model(model)
+        p.V[0, -1] = np.nan
+        save_model(model, p, vocab)
+        out = tmp_path / "smoothed.tsv"
+        assert run(["smooth", "--model", model, "--triples", triples,
+                    "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {model}: array V: non-finite entry\n"
+        assert not out.exists()
 
     def test_smooth_matches_per_clip_reference(self, tmp_path):
         # clips with 1 to 4 users, two clips per track; the reference

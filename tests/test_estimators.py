@@ -44,7 +44,7 @@ class TestCdGradient:
         p.d[:] = 50.0
         ex = LabeledExample(np.zeros(p.D), np.ones(p.C))
         g = cd_gradient(ex, p, K=3, rng=rng)
-        assert g.max_abs() < 1e-12
+        assert np.abs(g.flat()).max() < 1e-12
 
     def test_reproducible_given_rng_state(self, rng):
         ex, p = random_instance(rng)
@@ -154,12 +154,37 @@ class TestGenerativeCd:
         for a in (g.dU, g.dW, g.dc, g.dd, g.dbx):
             assert np.max(np.abs(a)) < 1e-12
 
-    def test_drbm_view_shares_values_not_storage(self, rng):
+
+
+class TestGaussianRbmParams:
+    def test_is_a_drbm_drawn_from_the_same_stream(self):
+        p = GaussianRbmParams.random_init(3, 2, 4, np.random.default_rng(6))
+        q = DrbmParams.random_init(3, 2, 4, np.random.default_rng(6))
+        assert isinstance(p, DrbmParams)
+        for name in ("U", "W", "c", "d"):
+            np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+        np.testing.assert_array_equal(p.bx, np.zeros(4))
+
+    @pytest.mark.parametrize("name", ["U", "W", "c", "d", "bx"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entry_in_any_field(self, rng, name, value):
+        arrays = vars(GaussianRbmParams.random_init(3, 2, 4, rng))
+        arrays[name].flat[-1] = value
+        with pytest.raises(ValueError, match="non-finite parameter entry"):
+            GaussianRbmParams(**arrays)
+
+    def test_rejects_wrong_length_bx(self, rng):
         p = GaussianRbmParams.random_init(3, 2, 4, rng)
-        v = p.drbm_view()
-        np.testing.assert_array_equal(v.U, p.U)
-        v.U[0, 0] = 99.0
-        assert p.U[0, 0] != 99.0
+        with pytest.raises(ValueError, match="bx must have length D"):
+            GaussianRbmParams(p.U, p.W, p.c, p.d, np.zeros(5))
+
+    def test_copy_keeps_the_type_not_the_storage(self, rng):
+        p = GaussianRbmParams.random_init(3, 2, 4, rng)
+        q = p.copy()
+        assert type(q) is GaussianRbmParams
+        np.testing.assert_array_equal(q.bx, p.bx)
+        q.bx[0] = 99.0
+        assert p.bx[0] != 99.0
 
 
 class TestSgdTrain:
@@ -284,7 +309,7 @@ class TestEpochObjective:
         assert record["kind"] == "grbm"
         assert record["objective"] == "log_likelihood"
         assert record["value"] == pytest.approx(np.mean(
-            [math.log(exact_cond_prob(ex.y, ex.x, logged.drbm_view()))
+            [math.log(exact_cond_prob(ex.y, ex.x, logged))
              for ex in data]), abs=1e-12)
 
     def test_exact_path_matches_oracle_on_the_probe(self, rng):

@@ -38,10 +38,12 @@ class TestRoundTrip:
                               awkward(rng, 2), awkward(rng, 3), awkward(rng, 4))
         path = tmp_path / "m.model"
         save_model(path, p, ["a", "b", "c"])
+        # a GaussianRbmParams is a DrbmParams too, but keeps its own kind
+        assert path.read_text().splitlines()[1] == "kind grbm"
         q, _ = load_model(path)
-        assert isinstance(q, GaussianRbmParams)
-        np.testing.assert_array_equal(p.bx, q.bx)
-        np.testing.assert_array_equal(p.U, q.U)
+        assert type(q) is GaussianRbmParams
+        for name in ("U", "W", "c", "d", "bx"):
+            np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
 
     def test_smoother_bit_exact(self, rng, tmp_path):
         p = SmootherParams(awkward(rng, (2, 3)), awkward(rng, (2, 3)),
@@ -100,6 +102,16 @@ class TestErrors:
         path.write_text(f"{FORMAT_HEADER}\nkind logreg\ndim D 2\ndim C 1\n"
                         "vocab 1\nt0\narray W 2 1\n0.5\n0.25\n")
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_entry(self, tmp_path, value):
+        path = tmp_path / "bad.model"
+        path.write_text(f"{FORMAT_HEADER}\nkind logreg\ndim D 2\ndim C 1\n"
+                        f"vocab 1\nt0\narray W 2 1\n0.5\n{value}\n"
+                        "array b 1 1\n0.0\n")
+        with pytest.raises(ModelFormatError,
+                           match=f"^{path}: array W: non-finite entry$"):
             load_model(path)
 
     def test_garbage_line(self, tmp_path):
