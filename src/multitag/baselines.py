@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import sigm
+from .core import Params, sigm
 from .estimators import PROBE_ROWS, TrainConfig, sgd
 
 # validation-selected defaults: 250 hidden units / lr 0.001 for the MLP,
@@ -21,26 +21,13 @@ LOGREG_DEFAULT_LR = 2.0
 
 
 @dataclass
-class MlpParams:
-    W1: np.ndarray  # D x H
-    b1: np.ndarray  # H
-    W2: np.ndarray  # H x C
-    b2: np.ndarray  # C
-
-    @property
-    def D(self):
-        return self.W1.shape[0]
-
-    @property
-    def H(self):
-        return self.W1.shape[1]
-
-    @property
-    def C(self):
-        return self.W2.shape[1]
-
-    def copy(self):
-        return MlpParams(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
+class MlpParams(Params):
+    KIND = "mlp"
+    SHAPES = {"W1": ("D", "H"), "b1": ("H",), "W2": ("H", "C"), "b2": ("C",)}
+    W1: np.ndarray
+    b1: np.ndarray
+    W2: np.ndarray
+    b2: np.ndarray
 
     @classmethod
     def random_init(cls, D, H, C, rng, scale=0.01):
@@ -49,20 +36,11 @@ class MlpParams:
 
 
 @dataclass
-class LogRegParams:
-    W: np.ndarray  # D x C
-    b: np.ndarray  # C
-
-    @property
-    def D(self):
-        return self.W.shape[0]
-
-    @property
-    def C(self):
-        return self.W.shape[1]
-
-    def copy(self):
-        return LogRegParams(self.W.copy(), self.b.copy())
+class LogRegParams(Params):
+    KIND = "logreg"
+    SHAPES = {"W": ("D", "C"), "b": ("C",)}
+    W: np.ndarray
+    b: np.ndarray
 
     @classmethod
     def zeros(cls, D, C):
@@ -134,8 +112,7 @@ def mlp_train(X, targets, mask, cfg: TrainConfig, p0: MlpParams,
         p.b2 -= cfg.lr * db2
 
     return sgd(p0, X.shape[0], step, cfg.epochs, cfg.seed, log_file,
-               record_file, _probe_cross_entropy(X, targets, mask, mlp_predict),
-               "mlp")
+               record_file, _probe_cross_entropy(X, targets, mask, mlp_predict))
 
 
 def logreg_train(X, targets, mask, cfg: TrainConfig,
@@ -155,5 +132,4 @@ def logreg_train(X, targets, mask, cfg: TrainConfig,
 
     return sgd(p0, X.shape[0], step, cfg.epochs, cfg.seed, log_file,
                record_file,
-               _probe_cross_entropy(X, targets, mask, logreg_predict),
-               "logreg")
+               _probe_cross_entropy(X, targets, mask, logreg_predict))

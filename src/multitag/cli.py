@@ -27,7 +27,7 @@ from .estimators import (ESTIMATORS, DivergenceError, GaussianRbmParams,
 from .evaluation import (AucReport, score_matrix_auc, significance_counts,
                          write_auc_report, write_summary)
 from .inference import NumericError, lbp_scores
-from .modelio import load_model, save_model
+from .modelio import KINDS, load_model, save_model
 from .smoother import SmootherParams, TagEvent, smooth_tags, train_smoother
 from .verify import (check_capacity, check_exact_gradient, check_independence,
                      check_lbp_tree, check_normalization, check_pl_gradient)
@@ -182,6 +182,8 @@ def _training_logs(model_path):
 
 
 def cmd_train(args):
+    if args.kind not in KINDS:
+        raise SystemExit(f"error: unknown model kind {args.kind!r}")
     if args.estimator not in ESTIMATORS:
         raise SystemExit(f"error: unknown estimator {args.estimator!r}")
     if args.estimator != "cd" and args.kind != "drbm":
@@ -216,10 +218,8 @@ def cmd_train(args):
         elif args.kind == "mlp":
             p0 = MlpParams.random_init(X.shape[1], args.hidden, Y.shape[1], rng)
             model = mlp_train(X, Y, mask, cfg, p0, *logs)
-        elif args.kind == "logreg":
-            model = logreg_train(X, Y, mask, cfg, None, *logs)
         else:
-            raise SystemExit(f"error: unknown model kind {args.kind!r}")
+            model = logreg_train(X, Y, mask, cfg, None, *logs)
     save_model(args.model, model, matrix.vocab)
     return 0
 

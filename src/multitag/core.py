@@ -9,7 +9,7 @@ biases (C,).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,45 +40,74 @@ def log1pexp(z):
     return out
 
 
-@dataclass
-class DrbmParams:
-    """The bipartite label/hidden model; a model kind with more arrays
-    (the Gaussian RBM's feature bias) subclasses it with their fields."""
-    U: np.ndarray  # n x C
-    W: np.ndarray  # n x D
-    c: np.ndarray  # n
-    d: np.ndarray  # C
+class Params:
+    """Base of every parameter class, a dataclass that declares its model
+    KIND and, in SHAPES, each array field with the names of its
+    dimensions, in field order.  From these: the constructor checks every
+    shape against ``dims`` and every entry for finiteness, a property per
+    dimension (p.n, p.C, ...) reads its size, and ``arrays`` and ``copy``
+    serve every kind.
+    """
+    KIND = None
+    SHAPES = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name, axes in cls.SHAPES.items():
+            for axis, dim in enumerate(axes):
+                if not hasattr(cls, dim):
+                    setattr(cls, dim, property(
+                        lambda self, name=name, axis=axis:
+                        getattr(self, name).shape[axis]))
 
     def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=float)
-        self.W = np.asarray(self.W, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        self.d = np.asarray(self.d, dtype=float)
-        n, C = self.U.shape
-        if self.W.ndim != 2 or self.W.shape[0] != n:
-            raise ShapeError("W must be n x D with n matching U")
-        if self.c.shape != (n,):
-            raise ShapeError("c must have length n")
-        if self.d.shape != (C,):
-            raise ShapeError("d must have length C")
-        for f in fields(self):
-            if not np.all(np.isfinite(getattr(self, f.name))):
+        for name in self.SHAPES:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        sizes = self.dims
+        for name, axes in self.SHAPES.items():
+            shape = getattr(self, name).shape
+            if shape != tuple(sizes.get(d) for d in axes):
+                want = "have length" if len(axes) == 1 else "be"
+                known = ", ".join(f"{d}={sizes.get(d)}" for d in axes)
+                raise ShapeError(f"{name} must {want} {' x '.join(axes)}, "
+                                 f"got shape {shape} with {known}")
+        for a in self.arrays().values():
+            if not np.all(np.isfinite(a)):
                 raise ValueError("non-finite parameter entry")
 
     @property
-    def n(self) -> int:
-        return self.U.shape[0]
+    def dims(self) -> dict:
+        """Dimension name -> size, in the order SHAPES first names them."""
+        sizes = {}
+        for name, axes in self.SHAPES.items():
+            for dim, size in zip(axes, getattr(self, name).shape):
+                sizes.setdefault(dim, size)
+        return sizes
 
-    @property
-    def C(self) -> int:
-        return self.U.shape[1]
+    def arrays(self) -> dict:
+        """Field name -> array, in SHAPES order."""
+        return {name: getattr(self, name) for name in self.SHAPES}
 
-    @property
-    def D(self) -> int:
-        return self.W.shape[1]
+    def copy(self):
+        """The same parameters in new storage.  Not checked again: a
+        trainer's copy of parameters gone non-finite must reach its
+        divergence check."""
+        new = object.__new__(type(self))
+        new.__dict__ = {**vars(self),
+                        **{k: a.copy() for k, a in self.arrays().items()}}
+        return new
 
-    def copy(self) -> "DrbmParams":
-        return type(self)(*(getattr(self, f.name).copy() for f in fields(self)))
+
+@dataclass
+class DrbmParams(Params):
+    """The bipartite label/hidden model; a model kind with more arrays
+    (the Gaussian RBM's feature bias) subclasses it with their fields."""
+    KIND = "drbm"
+    SHAPES = {"U": ("n", "C"), "W": ("n", "D"), "c": ("n",), "d": ("C",)}
+    U: np.ndarray
+    W: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
 
     @classmethod
     def zeros(cls, n: int, C: int, D: int) -> "DrbmParams":

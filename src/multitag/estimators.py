@@ -168,14 +168,11 @@ def cond_objective(dataset):
 @dataclass
 class GaussianRbmParams(DrbmParams):
     """Joint model over (y, x, h) with unit-variance Gaussian features;
-    its label conditional p(y, h | x) is the DrbmParams it extends."""
-    bx: np.ndarray  # D, feature biases
-
-    def __post_init__(self):
-        self.bx = np.asarray(self.bx, dtype=float)
-        super().__post_init__()
-        if self.bx.shape != (self.D,):
-            raise ValueError("bx must have length D")
+    its label conditional p(y, h | x) is the DrbmParams it extends, and
+    bx are its feature biases."""
+    KIND = "grbm"
+    SHAPES = {**DrbmParams.SHAPES, "bx": ("D",)}
+    bx: np.ndarray
 
     @classmethod
     def random_init(cls, n, C, D, rng, scale=0.01):
@@ -222,22 +219,17 @@ def _estimate(example, p, cfg: TrainConfig, rng) -> Gradient:
     return pl_gradient(example, p)[0]
 
 
-def _arrays(p) -> list:
-    """The array fields of a parameter object, in field order."""
-    return [a for a in vars(p).values() if isinstance(a, np.ndarray)]
-
-
 def check_divergence(p, epoch):
     """Raise DivergenceError unless every entry of every array field of
     the parameter object p is finite and at most DIVERGENCE_LIMIT in
     magnitude (NaN fails the comparison)."""
-    for a in _arrays(p):
+    for a in p.arrays().values():
         if not np.all(np.abs(a) <= DIVERGENCE_LIMIT):
             raise DivergenceError(f"parameters diverged at epoch {epoch}")
 
 
 def sgd(p0, n_examples: int, step, epochs: int, seed: int, log_file=None,
-        record_file=None, objective=None, kind=None, estimator=None):
+        record_file=None, objective=None, estimator=None):
     """Per-example stochastic training of a copy of p0, for every model kind.
 
     Each epoch calls step(p, i, rng) for the examples in a permutation
@@ -245,7 +237,7 @@ def sgd(p0, n_examples: int, step, epochs: int, seed: int, log_file=None,
     ends with a divergence check.  Given a log file or a record file, it
     then evaluates objective(p) -> (name, value), if there is an
     objective, and writes an ``epoch N [objective X ]time Ts`` line to
-    the log file and a JSON record (kind, estimator, epoch, objective,
+    the log file and a JSON record (kind p.KIND, estimator, epoch, objective,
     value, seconds, max_abs_param, update_norm) to the record file; the
     time covers the training pass alone, max_abs_param is the largest
     |entry| over all parameter arrays and update_norm the L2 norm of the
@@ -257,7 +249,7 @@ def sgd(p0, n_examples: int, step, epochs: int, seed: int, log_file=None,
     p = p0.copy()
     for epoch in range(epochs):
         if record_file is not None:
-            before = [a.copy() for a in _arrays(p)]
+            before = [a.copy() for a in p.arrays().values()]
         t0 = time.perf_counter()
         for i in rng.permutation(n_examples):
             step(p, i, rng)
@@ -270,10 +262,10 @@ def sgd(p0, n_examples: int, step, epochs: int, seed: int, log_file=None,
             shown = "" if name is None else f"objective {value:.6f} "
             log_file.write(f"epoch {epoch} {shown}time {seconds:.3f}s\n")
         if record_file is not None:
-            after = _arrays(p)
+            after = p.arrays().values()
             sq = sum(np.sum((a - b) ** 2) for a, b in zip(after, before))
             record_file.write(json.dumps({
-                "kind": kind, "estimator": estimator, "epoch": epoch,
+                "kind": p.KIND, "estimator": estimator, "epoch": epoch,
                 "objective": name, "value": value,
                 "seconds": round(seconds, 6),
                 "max_abs_param": max(float(np.max(np.abs(a), initial=0.0))
@@ -300,7 +292,7 @@ def sgd_train(dataset, p0: DrbmParams, cfg: TrainConfig, log_file=None,
         p.d += cfg.lr * grad.dd
 
     return sgd(p0, len(dataset), step, cfg.epochs, cfg.seed, log_file,
-               record_file, cond_objective(dataset), "drbm", cfg.estimator)
+               record_file, cond_objective(dataset), cfg.estimator)
 
 
 def sgd_train_generative(dataset, p0: GaussianRbmParams, cfg: TrainConfig,
@@ -318,4 +310,4 @@ def sgd_train_generative(dataset, p0: GaussianRbmParams, cfg: TrainConfig,
         p.bx += cfg.lr * grad.dbx
 
     return sgd(p0, len(dataset), step, cfg.epochs, cfg.seed, log_file,
-               record_file, cond_objective(dataset), "grbm", "cd")
+               record_file, cond_objective(dataset), "cd")

@@ -14,6 +14,14 @@ from .estimators import GaussianRbmParams
 from .smoother import SmootherParams
 
 FORMAT_HEADER = "multitag-model 1"
+# kind name -> parameter class; a class writes its dims and arrays as
+# its SHAPES declare them
+KINDS = {cls.KIND: cls for cls in (DrbmParams, GaussianRbmParams,
+                                   SmootherParams, MlpParams, LogRegParams)}
+# the dim lines of a smoother's aux_sizes
+AUX_DIMS = ("users", "tracks", "clips")
+# keyword -> the number of words on its line
+ARITY = {"kind": 2, "dim": 3, "vocab": 2, "array": 4}
 
 
 class ModelFormatError(ValueError):
@@ -27,44 +35,27 @@ def _write_array(fh, name, a):
         fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def _emit(fh, kind, dims, arrays, vocab):
-    fh.write(FORMAT_HEADER + "\n")
-    fh.write(f"kind {kind}\n")
-    for k, v in dims.items():
-        fh.write(f"dim {k} {v}\n")
-    fh.write(f"vocab {len(vocab)}\n")
-    for tag in vocab:
-        fh.write(tag + "\n")
-    for name, a in arrays.items():
-        _write_array(fh, name, a)
+def _file_dims(model) -> dict:
+    """The dim lines of a model: its dims, and a smoother's aux_sizes."""
+    aux = dict(zip(AUX_DIMS, getattr(model, "aux_sizes", ())))
+    return {**model.dims, **aux}
 
 
 def save_model(path, model, vocab):
-    """Write any supported parameter object with its tag vocabulary."""
+    """Write any KINDS parameter object with its tag vocabulary: its
+    dims, then its arrays in declared order."""
+    if KINDS.get(getattr(model, "KIND", None)) is not type(model):
+        raise TypeError(f"unsupported model type {type(model).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(model, GaussianRbmParams):  # before its DrbmParams base
-            _emit(fh, "grbm", {"n": model.n, "C": model.C, "D": model.D},
-                  {"U": model.U, "W": model.W, "c": model.c, "d": model.d,
-                   "bx": model.bx}, vocab)
-        elif isinstance(model, DrbmParams):
-            _emit(fh, "drbm", {"n": model.n, "C": model.C, "D": model.D},
-                  {"U": model.U, "W": model.W, "c": model.c, "d": model.d}, vocab)
-        elif isinstance(model, SmootherParams):
-            users, tracks, clips = model.aux_sizes
-            _emit(fh, "smoother",
-                  {"n": model.n, "C": model.C, "A": model.A,
-                   "users": users, "tracks": tracks, "clips": clips},
-                  {"U": model.U, "W": model.W, "V": model.V,
-                   "c": model.c, "d": model.d}, vocab)
-        elif isinstance(model, MlpParams):
-            _emit(fh, "mlp", {"D": model.D, "H": model.H, "C": model.C},
-                  {"W1": model.W1, "b1": model.b1, "W2": model.W2,
-                   "b2": model.b2}, vocab)
-        elif isinstance(model, LogRegParams):
-            _emit(fh, "logreg", {"D": model.D, "C": model.C},
-                  {"W": model.W, "b": model.b}, vocab)
-        else:
-            raise TypeError(f"unsupported model type {type(model).__name__}")
+        fh.write(FORMAT_HEADER + "\n")
+        fh.write(f"kind {model.KIND}\n")
+        for k, v in _file_dims(model).items():
+            fh.write(f"dim {k} {v}\n")
+        fh.write(f"vocab {len(vocab)}\n")
+        for tag in vocab:
+            fh.write(tag + "\n")
+        for name, a in model.arrays().items():
+            _write_array(fh, name, a)
 
 
 def _parse(path):
@@ -83,6 +74,8 @@ def _parse(path):
         if not line.strip():
             continue
         parts = line.split()
+        if ARITY.get(parts[0]) != len(parts):
+            raise ModelFormatError(f"{path}: unrecognized line {line!r}")
         if parts[0] == "kind":
             kind = parts[1]
         elif parts[0] == "dim":
@@ -93,6 +86,8 @@ def _parse(path):
             i += count
         elif parts[0] == "array":
             name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+            if i + rows > len(lines):
+                raise ModelFormatError(f"{path}: array {name} truncated")
             data = [[float(v) for v in lines[i + r].split()] for r in range(rows)]
             i += rows
             a = np.asarray(data, dtype=float)
@@ -101,31 +96,34 @@ def _parse(path):
             if not np.all(np.isfinite(a)):
                 raise ModelFormatError(f"{path}: array {name}: non-finite entry")
             arrays[name] = a
-        else:
-            raise ModelFormatError(f"{path}: unrecognized line {line!r}")
     if kind is None:
         raise ModelFormatError(f"{path}: no model kind")
     return kind, dims, arrays, vocab
 
 
 def load_model(path):
-    """Read a model file; returns (parameter object, vocabulary)."""
+    """Read a model file; returns (parameter object, vocabulary).  Its
+    dim lines and vocabulary length must agree with its arrays."""
     kind, dims, arrays, vocab = _parse(path)
-    vec = lambda name: arrays[name].ravel()
+    cls = KINDS.get(kind)
+    if cls is None:
+        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+    odd = sorted(cls.SHAPES.keys() ^ arrays.keys())
+    if odd:
+        what = "missing" if odd[0] in cls.SHAPES else "unexpected"
+        raise ModelFormatError(f"{path}: {what} array {odd[0]!r}")
+    fields = {name: arrays[name].ravel() if len(axes) == 1 else arrays[name]
+              for name, axes in cls.SHAPES.items()}
+    if cls is SmootherParams:
+        fields["aux_sizes"] = [dims.get(k, 0) for k in AUX_DIMS]
     try:
-        if kind == "drbm":
-            return DrbmParams(arrays["U"], arrays["W"], vec("c"), vec("d")), vocab
-        if kind == "grbm":
-            return GaussianRbmParams(arrays["U"], arrays["W"], vec("c"),
-                                     vec("d"), vec("bx")), vocab
-        if kind == "smoother":
-            sizes = (dims["users"], dims["tracks"], dims["clips"])
-            return SmootherParams(arrays["U"], arrays["W"], arrays["V"],
-                                  vec("c"), vec("d"), sizes), vocab
-        if kind == "mlp":
-            return MlpParams(arrays["W1"], vec("b1"), arrays["W2"], vec("b2")), vocab
-        if kind == "logreg":
-            return LogRegParams(arrays["W"], vec("b")), vocab
-    except KeyError as exc:
-        raise ModelFormatError(f"{path}: missing array {exc}") from exc
-    raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+        model = cls(**fields)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
+    if dims != _file_dims(model):
+        raise ModelFormatError(f"{path}: dim lines {dims} do not match the "
+                               f"arrays' {_file_dims(model)}")
+    if len(vocab) != model.C:
+        raise ModelFormatError(f"{path}: {len(vocab)} vocabulary entries "
+                               f"for C={model.C} tags")
+    return model, vocab

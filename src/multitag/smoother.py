@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Gradient, cd_chain, mean_field
+from .core import Gradient, Params, ShapeError, cd_chain, mean_field
 from .estimators import TrainConfig, _phase_difference, sgd
 
 # smooth_tags runs mean field until no tag probability moves by
@@ -21,44 +21,26 @@ SMOOTH_MAX_ITER = 500
 
 
 @dataclass
-class SmootherParams:
-    U: np.ndarray  # n x C, hidden <-> tags
-    W: np.ndarray  # n x C, hidden conditioned on other-users' averages
-    V: np.ndarray  # C x A, tags conditioned on the one-hot identity block
-    c: np.ndarray  # n
-    d: np.ndarray  # C
-    aux_sizes: tuple  # (#users, #tracks, #clips), summing to A
+class SmootherParams(Params):
+    """U couples hidden units to tags, W conditions them on other users'
+    average tags, V conditions the tags on the one-hot identity block,
+    whose (#users, #tracks, #clips) aux_sizes sum to A."""
+    KIND = "smoother"
+    SHAPES = {"U": ("n", "C"), "W": ("n", "C"), "V": ("C", "A"), "c": ("n",),
+              "d": ("C",)}
+    U: np.ndarray
+    W: np.ndarray
+    V: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    aux_sizes: tuple
 
     def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=float)
-        self.W = np.asarray(self.W, dtype=float)
-        self.V = np.asarray(self.V, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        self.d = np.asarray(self.d, dtype=float)
+        super().__post_init__()
         self.aux_sizes = tuple(int(s) for s in self.aux_sizes)
-        n, C = self.U.shape
-        if self.W.shape != (n, C):
-            raise ValueError("W must match U's shape")
-        if self.V.shape[0] != C or self.V.shape[1] != sum(self.aux_sizes):
-            raise ValueError("V must be C x sum(aux_sizes)")
-        if self.c.shape != (n,) or self.d.shape != (C,):
-            raise ValueError("bias length mismatch")
-
-    @property
-    def n(self):
-        return self.U.shape[0]
-
-    @property
-    def C(self):
-        return self.U.shape[1]
-
-    @property
-    def A(self):
-        return self.V.shape[1]
-
-    def copy(self) -> "SmootherParams":
-        return SmootherParams(self.U.copy(), self.W.copy(), self.V.copy(),
-                              self.c.copy(), self.d.copy(), self.aux_sizes)
+        if len(self.aux_sizes) != 3 or sum(self.aux_sizes) != self.A:
+            raise ShapeError("aux_sizes must be three block sizes summing "
+                             f"to A={self.A}, got {self.aux_sizes}")
 
     @classmethod
     def random_init(cls, n, C, aux_sizes, rng, scale=0.01):
@@ -209,7 +191,7 @@ def train_smoother(events, p0: SmootherParams, cfg: TrainConfig,
             catch_up(p.V, slice(None))
 
     return sgd(p0, len(events), step, cfg.epochs, cfg.seed, log_file,
-               record_file, kind="smoother", estimator="cd")
+               record_file, estimator="cd")
 
 
 def smooth_tags(clips, tracks, p: SmootherParams, events) -> np.ndarray:

@@ -4,7 +4,7 @@ import pytest
 from multitag.baselines import (LogRegParams, MlpParams, cross_entropy,
                                 logreg_predict, logreg_train, mlp_predict,
                                 mlp_train)
-from multitag.core import sigm
+from multitag.core import ShapeError, sigm
 from multitag.estimators import DivergenceError, TrainConfig
 from multitag.oracle import finite_diff
 
@@ -14,6 +14,29 @@ def separable_data(rng, n=40):
     targets = np.stack([(X[:, 0] > 0).astype(float),
                         (X[:, 1] > 0).astype(float)], axis=1)
     return X, targets
+
+
+class TestParams:
+    def test_mlp_checks_every_shape_against_the_others(self, rng):
+        p = MlpParams.random_init(4, 3, 2, rng)
+        assert list(p.dims.items()) == [("D", 4), ("H", 3), ("C", 2)]
+        with pytest.raises(ShapeError, match="b1 must have length H"):
+            MlpParams(p.W1, np.zeros(1), p.W2, p.b2)
+        with pytest.raises(ShapeError, match="W2 must be H x C"):
+            MlpParams(p.W1, p.b1, np.zeros((2, 2)), p.b2)
+
+    def test_logreg_checks_shapes_and_finiteness(self):
+        with pytest.raises(ShapeError, match="b must have length C"):
+            LogRegParams(np.zeros((3, 2)), np.zeros(1))
+        with pytest.raises(ValueError, match="non-finite parameter entry"):
+            LogRegParams(np.zeros((3, 2)), [0.0, np.inf])
+
+    def test_copy_keeps_the_type_not_the_storage(self, rng):
+        p = MlpParams.random_init(4, 3, 2, rng)
+        q = p.copy()
+        assert type(q) is MlpParams
+        q.b2[0] = 1.0
+        assert p.b2[0] == 0.0
 
 
 class TestPredict:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from multitag.baselines import LogRegParams
 from multitag.cli import main
 from multitag.core import sigm
 from multitag.modelio import load_model, save_model
@@ -204,6 +205,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: parameters diverged at epoch 0\n"
 
+    def test_unknown_kind_is_rejected_before_any_file(self, ingested,
+                                                      tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--data", ingested, "--kind", "foo",
+                 "--model", tmp_path / "foo.model"])
+        assert exc.value.code == "error: unknown model kind 'foo'"
+        assert list(tmp_path.glob("foo.model*")) == []
+
     def test_baseline_kinds(self, ingested, tmp_path):
         for kind in ("mlp", "logreg", "grbm"):
             model = tmp_path / f"{kind}.model"
@@ -330,6 +339,41 @@ class TestEval:
                     "--out", tmp_path / "reports"]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {model}: array bx: non-finite entry\n"
+        assert not (tmp_path / "reports" / "auc_a.tsv").exists()
+
+    @pytest.mark.parametrize("defect, message", [
+        ("short-b", "b must have length C, got shape (1,) with C=3"),
+        ("short-b1", "b1 must have length H, got shape (1,) with H=3"),
+        ("vocab-count", "3 vocabulary entries for C=2 tags"),
+        ("dim", "dim lines"),
+    ], ids=["short-b", "short-b1", "vocab-count", "dim"])
+    def test_model_file_disagreeing_with_its_arrays(self, ingested, tmp_path,
+                                                    capsys, defect, message):
+        # short vectors were broadcast and scored, and a vocabulary longer
+        # than the arrays' C ended in an IndexError
+        kind = "mlp" if defect == "short-b1" else "logreg"
+        model = tmp_path / "m.model"
+        assert run(["train", "--data", ingested, "--kind", kind,
+                    "--epochs", 1, "--hidden", 3, "--model", model]) == 0
+        params, vocab = load_model(model)
+        if defect == "vocab-count":
+            save_model(model, LogRegParams(params.W[:, :2], params.b[:2]),
+                       vocab)
+        else:
+            lines = model.read_text().splitlines()
+            if defect == "dim":
+                lines[lines.index("dim D 4")] = "dim D 5"
+            else:
+                name = defect[len("short-"):]
+                row = next(i for i, line in enumerate(lines)
+                           if line.startswith(f"array {name} "))
+                lines[row:row + 2] = [f"array {name} 1 1", "0.0"]
+            model.write_text("\n".join(lines) + "\n")
+        assert run(["eval", "--data", ingested, "--model", model,
+                    "--out", tmp_path / "reports"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
+        assert message in err
         assert not (tmp_path / "reports" / "auc_a.tsv").exists()
 
     def test_smoother_model_cannot_be_scored(self, ingested, tmp_path,

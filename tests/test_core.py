@@ -286,6 +286,27 @@ def test_params_validate_shapes():
         DrbmParams(np.full((2, 3), np.nan), np.zeros((2, 1)), np.zeros(2), np.zeros(3))
 
 
+def test_params_dims_follow_the_declared_shapes():
+    p = DrbmParams.zeros(3, 2, 4)
+    assert list(p.dims.items()) == [("n", 3), ("C", 2), ("D", 4)]
+    assert (p.n, p.C, p.D) == (3, 2, 4)
+    assert list(p.arrays()) == ["U", "W", "c", "d"]
+    with pytest.raises(ShapeError, match=r"^c must have length n, got shape "
+                                         r"\(2,\) with n=3$"):
+        DrbmParams(p.U, p.W, np.zeros(2), p.d)
+
+
+def test_params_copy_is_not_checked_again():
+    # a trainer copies its start point; an entry planted non-finite in it
+    # must reach the divergence check, not fail the copy
+    p = DrbmParams.zeros(2, 2, 1)
+    p.U[0, 0] = np.nan
+    q = p.copy()
+    assert type(q) is DrbmParams and np.isnan(q.U[0, 0])
+    q.W[0, 0] = 1.0
+    assert p.W[0, 0] == 0.0
+
+
 def test_labeled_example_validates():
     with pytest.raises(ValueError):
         LabeledExample(np.zeros(2), np.array([0.0, 0.5]))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multitag.baselines import LogRegParams, MlpParams
 from multitag.core import DrbmParams
 from multitag.estimators import GaussianRbmParams
-from multitag.modelio import (FORMAT_HEADER, ModelFormatError, load_model,
-                              save_model)
+from multitag.modelio import (FORMAT_HEADER, KINDS, ModelFormatError,
+                              load_model, save_model)
 from multitag.smoother import SmootherParams
 
 
@@ -75,6 +77,46 @@ class TestRoundTrip:
         np.testing.assert_array_equal(p.W, q.W)
         np.testing.assert_array_equal(p.b, q.b)
 
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(KINDS)),
+           sizes=st.lists(st.integers(1, 4), min_size=7, max_size=7),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_save_load_save_is_identity(self, tmp_path_factory, kind, sizes,
+                                        seed):
+        # every kind at random shapes: the second save writes the bytes
+        # of the first, and load gives back the type and every array
+        cls = KINDS[kind]
+        size = dict(zip(("n", "C", "D", "H", "users", "tracks", "clips"),
+                        sizes))
+        extra = {}
+        if cls is SmootherParams:
+            extra["aux_sizes"] = (size["users"], size["tracks"], size["clips"])
+            size["A"] = sum(extra["aux_sizes"])
+        rng = np.random.default_rng(seed)
+        p = cls(**{name: awkward(rng, tuple(size[d] for d in axes))
+                   for name, axes in cls.SHAPES.items()}, **extra)
+        vocab = [f"tag{j}" for j in range(size["C"])]
+        root = tmp_path_factory.mktemp("round-trip")
+        first, second = root / "first.model", root / "second.model"
+        save_model(first, p, vocab)
+        q, vocab_q = load_model(first)
+        save_model(second, q, vocab_q)
+        assert second.read_bytes() == first.read_bytes()
+        assert type(q) is cls and vocab_q == vocab
+        assert q.arrays().keys() == p.arrays().keys()
+        for name, a in p.arrays().items():
+            np.testing.assert_array_equal(getattr(q, name), a)
+        assert getattr(q, "aux_sizes", None) == extra.get("aux_sizes")
+
+    def test_dim_lines_follow_the_declared_shapes(self, rng, tmp_path):
+        p = SmootherParams.random_init(2, 3, (1, 2, 4), rng)
+        path = tmp_path / "m.model"
+        save_model(path, p, ["a", "b", "c"])
+        assert [line for line in path.read_text().splitlines()
+                if line.startswith("dim ")] == [
+            "dim n 2", "dim C 3", "dim A 7", "dim users 1", "dim tracks 2",
+            "dim clips 4"]
+
     def test_save_is_deterministic(self, rng, tmp_path):
         p = DrbmParams(awkward(rng, (2, 2)), awkward(rng, (2, 3)),
                        awkward(rng, 2), awkward(rng, 2))
@@ -123,3 +165,42 @@ class TestErrors:
     def test_unsupported_object(self, tmp_path):
         with pytest.raises(TypeError):
             save_model(tmp_path / "m.model", object(), [])
+
+    @pytest.mark.parametrize("old, new, message", [
+        # a vector one entry long was broadcast to its C or H entries
+        ("array b 1 2\n0.5 -0.5\n", "array b 1 1\n0.5\n",
+         "b must have length C, got shape (1,) with C=2"),
+        ("vocab 2\nt0\nt1\n", "vocab 1\nt0\n",
+         "1 vocabulary entries for C=2 tags"),
+        ("dim D 3\n", "dim D 4\n", "dim lines"),
+        ("dim C 2\n", "", "dim lines"),
+        ("array b 1 2\n0.5 -0.5\n", "array b 1 2\n0.5 -0.5\narray V 1 1\n0.0\n",
+         "unexpected array 'V'"),
+        ("array b 1 2\n0.5 -0.5\n", "array b 2 2\n0.5 -0.5\n",
+         "array b truncated"),
+        ("kind logreg\n", "kind\n", "unrecognized line 'kind'"),
+    ], ids=["short-b", "vocab-count", "dim-value", "dim-missing",
+            "extra-array", "truncated", "short-line"])
+    def test_file_disagreeing_with_its_arrays(self, tmp_path, old, new,
+                                              message):
+        path = tmp_path / "bad.model"
+        save_model(path, LogRegParams(np.zeros((3, 2)), [0.5, -0.5]),
+                   ["t0", "t1"])
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert message in str(exc.value)
+
+    def test_short_mlp_hidden_bias(self, rng, tmp_path):
+        path = tmp_path / "bad.model"
+        save_model(path, MlpParams.random_init(2, 3, 2, rng), ["t0", "t1"])
+        text = path.read_text()
+        assert "array b1 1 3\n0.0 0.0 0.0\n" in text
+        path.write_text(text.replace("array b1 1 3\n0.0 0.0 0.0\n",
+                                     "array b1 1 1\n0.0\n"))
+        with pytest.raises(ModelFormatError,
+                           match="b1 must have length H, got shape"):
+            load_model(path)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from multitag import synthetic
-from multitag.core import DrbmParams, LabeledExample, cd_chain, mean_field, sigm
+from multitag.core import (DrbmParams, LabeledExample, ShapeError, cd_chain,
+                           mean_field, sigm)
 from multitag.estimators import (DIVERGENCE_LIMIT, DivergenceError,
                                  TrainConfig, cd_gradient, sgd)
 from multitag.smoother import (SmootherParams, TagEvent, _clip_step,
@@ -22,6 +23,17 @@ def small_smoother(rng, n=2, C=3, aux_sizes=(2, 2, 2), scale=0.3):
                           rng.normal(scale=scale, size=(C, A)),
                           rng.normal(scale=scale, size=n),
                           rng.normal(scale=scale, size=C), aux_sizes)
+
+
+class TestSmootherParams:
+    def test_checks_shapes_and_aux_sizes(self, rng):
+        p = small_smoother(rng)
+        assert list(p.dims.items()) == [("n", 2), ("C", 3), ("A", 6)]
+        with pytest.raises(ShapeError, match="W must be n x C"):
+            SmootherParams(p.U, p.W.T, p.V, p.c, p.d, p.aux_sizes)
+        with pytest.raises(ShapeError, match="aux_sizes must be three block "
+                                             "sizes summing to A=6"):
+            SmootherParams(p.U, p.W, p.V, p.c, p.d, (2, 2, 3))
 
 
 class TestBuildAux:
