@@ -98,7 +98,7 @@ def _mlp_grads(x, t, mask, p: MlpParams):
 
 
 def mlp_train(X, targets, mask, cfg: TrainConfig, p0: MlpParams,
-              log_file=None, record_file=None) -> MlpParams:
+              record_file=None) -> MlpParams:
     """Seeded per-example SGD on cross-entropy; targets in [0, 1]."""
     X = np.asarray(X, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -111,12 +111,12 @@ def mlp_train(X, targets, mask, cfg: TrainConfig, p0: MlpParams,
         p.W2 -= cfg.lr * dW2
         p.b2 -= cfg.lr * db2
 
-    return sgd(p0, X.shape[0], step, cfg.epochs, cfg.seed, log_file,
-               record_file, _probe_cross_entropy(X, targets, mask, mlp_predict))
+    return sgd(p0, X.shape[0], step, cfg, record_file,
+               _probe_cross_entropy(X, targets, mask, mlp_predict))
 
 
 def logreg_train(X, targets, mask, cfg: TrainConfig,
-                 p0: LogRegParams | None = None, log_file=None,
+                 p0: LogRegParams | None = None,
                  record_file=None) -> LogRegParams:
     """Per-tag independent sigmoid regression by per-example SGD."""
     X = np.asarray(X, dtype=float)
@@ -130,6 +130,5 @@ def logreg_train(X, targets, mask, cfg: TrainConfig,
         p.W -= cfg.lr * np.outer(X[i], dpre)
         p.b -= cfg.lr * dpre
 
-    return sgd(p0, X.shape[0], step, cfg.epochs, cfg.seed, log_file,
-               record_file,
+    return sgd(p0, X.shape[0], step, cfg, record_file,
                _probe_cross_entropy(X, targets, mask, logreg_predict))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -173,14 +172,6 @@ def _events_from_triples(triples, vocab, items_map):
     return events, sizes, cid, tid
 
 
-@contextmanager
-def _training_logs(model_path):
-    """The per-epoch text log and JSONL record file beside a model."""
-    with open(model_path + ".log", "w", encoding="utf-8") as log, \
-            open(model_path + ".jsonl", "w", encoding="utf-8") as records:
-        yield log, records
-
-
 def cmd_train(args):
     if args.kind not in KINDS:
         raise SystemExit(f"error: unknown model kind {args.kind!r}")
@@ -192,12 +183,20 @@ def cmd_train(args):
         raise ValueError("--l1 needs --kind smoother")
     if args.beta != 0.0 and (args.kind, args.estimator) != ("drbm", "lbp"):
         raise ValueError("--beta needs --kind drbm --estimator lbp")
+    if args.k != args.defaults["k"] and args.kind in ("mlp", "logreg"):
+        raise ValueError(f"--k is not read by --kind {args.kind}")
+    if args.hidden != args.defaults["hidden"] and args.kind == "logreg":
+        raise ValueError("--hidden is not read by --kind logreg")
     if args.kind == "smoother":
-        return _train_smoother_cmd(args)
-    matrix, features = _load_ingested(args.data)
-    X = features.X
-    Y = (matrix.cells == dt.POSITIVE).astype(float)
-    mask = (matrix.cells != dt.UNKNOWN).astype(float)
+        triples = dt.read_triples(args.triples)
+        items_map = dt.read_items(args.items) if args.items else {}
+        vocab = dt.select_vocab(dt.condense(triples), args.vocab_size)
+        events, sizes, _, _ = _events_from_triples(triples, vocab, items_map)
+    else:
+        matrix, features = _load_ingested(args.data)
+        vocab, X = matrix.vocab, features.X
+        Y = (matrix.cells == dt.POSITIVE).astype(float)
+        mask = (matrix.cells != dt.UNKNOWN).astype(float)
     for key, value in KIND_DEFAULTS.get(args.kind, {}).items():
         if key in args.unset:
             setattr(args, key, value)
@@ -205,37 +204,22 @@ def cmd_train(args):
     cfg = TrainConfig(estimator=args.estimator, k=args.k, lr=args.lr,
                       beta=args.beta, epochs=args.epochs, seed=args.seed,
                       l1=args.l1)
-    with _training_logs(args.model) as logs:
-        if args.kind == "drbm":
-            p0 = DrbmParams.random_init(args.hidden, Y.shape[1], X.shape[1], rng)
+    with open(args.model + ".jsonl", "w", encoding="utf-8") as records:
+        if args.kind == "smoother":
+            p0 = SmootherParams.random_init(args.hidden, len(vocab), sizes,
+                                            rng)
+            model = train_smoother(events, p0, cfg, records)
+        elif args.kind in ("drbm", "grbm"):
+            cls, train = ((DrbmParams, sgd_train) if args.kind == "drbm"
+                          else (GaussianRbmParams, sgd_train_generative))
+            p0 = cls.random_init(args.hidden, Y.shape[1], X.shape[1], rng)
             dataset = [LabeledExample(X[i], Y[i]) for i in range(X.shape[0])]
-            model = sgd_train(dataset, p0, cfg, *logs)
-        elif args.kind == "grbm":
-            p0 = GaussianRbmParams.random_init(args.hidden, Y.shape[1],
-                                               X.shape[1], rng)
-            dataset = [LabeledExample(X[i], Y[i]) for i in range(X.shape[0])]
-            model = sgd_train_generative(dataset, p0, cfg, *logs)
+            model = train(dataset, p0, cfg, records)
         elif args.kind == "mlp":
             p0 = MlpParams.random_init(X.shape[1], args.hidden, Y.shape[1], rng)
-            model = mlp_train(X, Y, mask, cfg, p0, *logs)
+            model = mlp_train(X, Y, mask, cfg, p0, records)
         else:
-            model = logreg_train(X, Y, mask, cfg, None, *logs)
-    save_model(args.model, model, matrix.vocab)
-    return 0
-
-
-def _train_smoother_cmd(args):
-    triples = dt.read_triples(args.triples)
-    items_map = dt.read_items(args.items) if args.items else {}
-    records = dt.condense(triples)
-    vocab = dt.select_vocab(records, args.vocab_size)
-    events, sizes, _, _ = _events_from_triples(triples, vocab, items_map)
-    rng = np.random.default_rng(args.seed)
-    p0 = SmootherParams.random_init(args.hidden, len(vocab), sizes, rng)
-    cfg = TrainConfig(estimator="cd", k=args.k, lr=args.lr,
-                      epochs=args.epochs, seed=args.seed, l1=args.l1)
-    with _training_logs(args.model) as logs:
-        model = train_smoother(events, p0, cfg, *logs)
+            model = logreg_train(X, Y, mask, cfg, None, records)
     save_model(args.model, model, vocab)
     return 0
 
@@ -284,28 +268,31 @@ def _fold_report(scores, matrix, split) -> AucReport:
 def cmd_eval(args):
     matrix, features = _load_ingested(args.data)
     split = dt.make_folds(len(matrix.items), args.seed)
+    models = []
+    for name, path, mismatch in (
+            ("a", args.model, "model vocabulary does not match the data"),
+            ("b", args.model_b, "comparison models use different folds or "
+                                "vocabularies")):
+        if path:
+            model, vocab = load_model(path)
+            if vocab != matrix.vocab:
+                raise SystemExit(f"error: {mismatch}")
+            models.append((name, model))
+    reports = {name: _fold_report(_model_scores(model, features.X), matrix,
+                                  split) for name, model in models}
     os.makedirs(args.out, exist_ok=True)
-    model_a, vocab_a = load_model(args.model)
-    if vocab_a != matrix.vocab:
-        raise SystemExit("error: model vocabulary does not match the data")
-    report_a = _fold_report(_model_scores(model_a, features.X), matrix, split)
-    write_auc_report(os.path.join(args.out, "auc_a.tsv"), "a", report_a)
-    summary = [("a", args.data, False, report_a.grand_mean())]
-    if args.model_b:
-        model_b, vocab_b = load_model(args.model_b)
-        if vocab_b != matrix.vocab:
-            raise SystemExit("error: comparison models use different folds "
-                             "or vocabularies")
-        report_b = _fold_report(_model_scores(model_b, features.X), matrix,
-                                split)
-        write_auc_report(os.path.join(args.out, "auc_b.tsv"), "b", report_b)
-        summary.append(("b", args.data, False, report_b.grand_mean()))
-        sig = significance_counts(report_a, report_b)
+    for name, report in reports.items():
+        write_auc_report(os.path.join(args.out, f"auc_{name}.tsv"), name,
+                         report)
+    write_summary(os.path.join(args.out, "summary.tsv"),
+                  [(name, args.data, False, report.grand_mean())
+                   for name, report in reports.items()])
+    if "b" in reports:
+        sig = significance_counts(reports["a"], reports["b"])
         with open(os.path.join(args.out, "significance.tsv"), "w",
                   encoding="utf-8") as fh:
             fh.write("a_better\t{}\nb_better\t{}\n".format(sig.a_better,
                                                            sig.b_better))
-    write_summary(os.path.join(args.out, "summary.tsv"), summary)
     return 0
 
 

@@ -228,26 +228,24 @@ def check_divergence(p, epoch):
             raise DivergenceError(f"parameters diverged at epoch {epoch}")
 
 
-def sgd(p0, n_examples: int, step, epochs: int, seed: int, log_file=None,
-        record_file=None, objective=None, estimator=None):
+def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,
+        objective=None, estimator=None):
     """Per-example stochastic training of a copy of p0, for every model kind.
 
-    Each epoch calls step(p, i, rng) for the examples in a permutation
-    drawn from default_rng(seed); step updates p in place.  Each epoch
-    ends with a divergence check.  Given a log file or a record file, it
-    then evaluates objective(p) -> (name, value), if there is an
-    objective, and writes an ``epoch N [objective X ]time Ts`` line to
-    the log file and a JSON record (kind p.KIND, estimator, epoch, objective,
-    value, seconds, max_abs_param, update_norm) to the record file; the
-    time covers the training pass alone, max_abs_param is the largest
-    |entry| over all parameter arrays and update_norm the L2 norm of the
-    epoch's change to all of them.
+    Each of cfg.epochs epochs calls step(p, i, rng) for the examples in a
+    permutation drawn from default_rng(cfg.seed); step updates p in place.
+    Each epoch ends with a divergence check.  Given a record file, it then
+    evaluates objective(p) -> (name, value), if there is an objective, and
+    writes a JSON record (kind p.KIND, estimator, epoch, objective, value,
+    seconds, max_abs_param, update_norm); seconds covers the training
+    pass alone, max_abs_param is the largest |entry| over all parameter
+    arrays and update_norm the L2 norm of the epoch's change to all of them.
     """
     if n_examples == 0:
         raise ValueError("empty dataset")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     p = p0.copy()
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs):
         if record_file is not None:
             before = [a.copy() for a in p.arrays().values()]
         t0 = time.perf_counter()
@@ -255,32 +253,27 @@ def sgd(p0, n_examples: int, step, epochs: int, seed: int, log_file=None,
             step(p, i, rng)
         seconds = time.perf_counter() - t0
         check_divergence(p, epoch)
-        if log_file is None and record_file is None:
+        if record_file is None:
             continue
         name, value = objective(p) if objective else (None, None)
-        if log_file is not None:
-            shown = "" if name is None else f"objective {value:.6f} "
-            log_file.write(f"epoch {epoch} {shown}time {seconds:.3f}s\n")
-        if record_file is not None:
-            after = p.arrays().values()
-            sq = sum(np.sum((a - b) ** 2) for a, b in zip(after, before))
-            record_file.write(json.dumps({
-                "kind": p.KIND, "estimator": estimator, "epoch": epoch,
-                "objective": name, "value": value,
-                "seconds": round(seconds, 6),
-                "max_abs_param": max(float(np.max(np.abs(a), initial=0.0))
-                                     for a in after),
-                "update_norm": float(np.sqrt(sq))}) + "\n")
+        after = p.arrays().values()
+        sq = sum(np.sum((a - b) ** 2) for a, b in zip(after, before))
+        record_file.write(json.dumps({
+            "kind": p.KIND, "estimator": estimator, "epoch": epoch,
+            "objective": name, "value": value, "seconds": round(seconds, 6),
+            "max_abs_param": max(float(np.max(np.abs(a), initial=0.0))
+                                 for a in after),
+            "update_norm": float(np.sqrt(sq))}) + "\n")
     return p
 
 
-def sgd_train(dataset, p0: DrbmParams, cfg: TrainConfig, log_file=None,
+def sgd_train(dataset, p0: DrbmParams, cfg: TrainConfig,
               record_file=None) -> DrbmParams:
     """Per-example stochastic ascent on the chosen surrogate objective.
 
     Visits the examples in a seeded shuffled order each epoch;
     deterministic given cfg.seed (exactly for pl/mfcd, given the rng
-    stream for cd).  The logged objective is ``cond_objective``'s.
+    stream for cd).  The recorded objective is ``cond_objective``'s.
     """
     dataset = list(dataset)
 
@@ -291,14 +284,14 @@ def sgd_train(dataset, p0: DrbmParams, cfg: TrainConfig, log_file=None,
         p.c += cfg.lr * grad.dc
         p.d += cfg.lr * grad.dd
 
-    return sgd(p0, len(dataset), step, cfg.epochs, cfg.seed, log_file,
-               record_file, cond_objective(dataset), cfg.estimator)
+    return sgd(p0, len(dataset), step, cfg, record_file,
+               cond_objective(dataset), cfg.estimator)
 
 
 def sgd_train_generative(dataset, p0: GaussianRbmParams, cfg: TrainConfig,
-                         log_file=None, record_file=None) -> GaussianRbmParams:
+                         record_file=None) -> GaussianRbmParams:
     """Same `sgd` training for the joint Gaussian-input model (CD only);
-    the logged objective is that of its label conditional."""
+    the recorded objective is that of its label conditional."""
     dataset = list(dataset)
 
     def step(p, i, rng):
@@ -309,5 +302,5 @@ def sgd_train_generative(dataset, p0: GaussianRbmParams, cfg: TrainConfig,
         p.d += cfg.lr * grad.dd
         p.bx += cfg.lr * grad.dbx
 
-    return sgd(p0, len(dataset), step, cfg.epochs, cfg.seed, log_file,
-               record_file, cond_objective(dataset), "cd")
+    return sgd(p0, len(dataset), step, cfg, record_file,
+               cond_objective(dataset), "cd")

@@ -75,62 +75,22 @@ def auc(scores, labels):
     return u / (n_pos * n_neg)
 
 
-def _betacf(a, b, x, max_iter=300, eps=1e-14):
-    """Continued fraction for the regularized incomplete beta."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            break
-    return h
-
-
-def betainc_reg(a, b, x):
-    """Regularized incomplete beta I_x(a, b), accurate to ~1e-14."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def t_sf_two_sided(t: float, df: int) -> float:
-    """Two-sided tail probability of Student's t."""
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    t = abs(float(t))
-    return betainc_reg(df / 2.0, 0.5, df / (df + t * t))
+    """Two-sided tail probability of Student's t at an integer df: one
+    minus the finite series for P(|T| < |t|) of Abramowitz & Stegun
+    26.7.3 (odd df) and 26.7.4 (even df), in theta = atan(|t| / sqrt(df))."""
+    if df < 1 or df != int(df):
+        raise ValueError("df must be an integer >= 1")
+    df = int(df)
+    theta = math.atan(abs(float(t)) / math.sqrt(df))
+    s, c = math.sin(theta), math.cos(theta)
+    term = total = 1.0
+    for j in range(2 + df % 2, df - 1, 2):
+        term *= (j - 1) / j * c * c
+        total += term
+    if df % 2 == 0:
+        return 1.0 - s * total
+    return 1.0 - 2.0 / math.pi * (theta + (s * c * total if df > 1 else 0.0))
 
 
 def paired_ttest(a, b) -> float:

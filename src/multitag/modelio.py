@@ -46,6 +46,9 @@ def save_model(path, model, vocab):
     dims, then its arrays in declared order."""
     if KINDS.get(getattr(model, "KIND", None)) is not type(model):
         raise TypeError(f"unsupported model type {type(model).__name__}")
+    if len(vocab) != model.C:
+        raise ValueError(f"{len(vocab)} vocabulary entries for C={model.C} "
+                         "tags")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(FORMAT_HEADER + "\n")
         fh.write(f"kind {model.KIND}\n")
@@ -56,6 +59,17 @@ def save_model(path, model, vocab):
             fh.write(tag + "\n")
         for name, a in model.arrays().items():
             _write_array(fh, name, a)
+
+
+def _counts(path, words, line):
+    """The non-negative integers of a dim, vocab or array line."""
+    try:
+        counts = [int(w) for w in words]
+    except ValueError:
+        counts = [-1]
+    if min(counts) < 0:
+        raise ModelFormatError(f"{path}: bad count in {line!r}")
+    return counts
 
 
 def _parse(path):
@@ -79,20 +93,26 @@ def _parse(path):
         if parts[0] == "kind":
             kind = parts[1]
         elif parts[0] == "dim":
-            dims[parts[1]] = int(parts[2])
+            dims[parts[1]] = _counts(path, parts[2:], line)[0]
         elif parts[0] == "vocab":
-            count = int(parts[1])
+            count = _counts(path, parts[1:], line)[0]
             vocab = lines[i:i + count]
             i += count
         elif parts[0] == "array":
-            name, rows, cols = parts[1], int(parts[2]), int(parts[3])
+            name = parts[1]
+            rows, cols = _counts(path, parts[2:], line)
             if i + rows > len(lines):
                 raise ModelFormatError(f"{path}: array {name} truncated")
-            data = [[float(v) for v in lines[i + r].split()] for r in range(rows)]
+            try:
+                data = [[float(v) for v in lines[i + r].split()]
+                        for r in range(rows)]
+            except ValueError:
+                raise ModelFormatError(f"{path}: array {name}: non-numeric "
+                                       "entry") from None
             i += rows
-            a = np.asarray(data, dtype=float)
-            if a.shape != (rows, cols):
+            if any(len(row) != cols for row in data):
                 raise ModelFormatError(f"{path}: array {name} shape mismatch")
+            a = np.asarray(data, dtype=float).reshape(rows, cols)
             if not np.all(np.isfinite(a)):
                 raise ModelFormatError(f"{path}: array {name}: non-finite entry")
             arrays[name] = a

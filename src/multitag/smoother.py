@@ -152,7 +152,7 @@ def _event_inputs(events, p: SmootherParams):
 
 
 def train_smoother(events, p0: SmootherParams, cfg: TrainConfig,
-                   log_file=None, record_file=None) -> SmootherParams:
+                   record_file=None) -> SmootherParams:
     """Per-event stochastic CD training of the smoother; the l1 penalty
     on V and W uses subgradient steps clipped through zero.
 
@@ -190,8 +190,7 @@ def train_smoother(events, p0: SmootherParams, cfg: TrainConfig,
             # caller see the true V
             catch_up(p.V, slice(None))
 
-    return sgd(p0, len(events), step, cfg.epochs, cfg.seed, log_file,
-               record_file, estimator="cd")
+    return sgd(p0, len(events), step, cfg, record_file, estimator="cd")
 
 
 def smooth_tags(clips, tracks, p: SmootherParams, events) -> np.ndarray:

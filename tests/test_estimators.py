@@ -239,11 +239,12 @@ class TestSgdTrain:
         data = [random_instance(rng)[0] for _ in range(2)]
         _, p0 = random_instance(rng)
         cfg = TrainConfig(estimator="mfcd", lr=0.01, epochs=2, seed=0)
-        log = tmp_path / "train.log"
+        log = tmp_path / "train.jsonl"
         with open(log, "w") as fh:
-            sgd_train(data, p0, cfg, log_file=fh)
-        lines = log.read_text().splitlines()
-        assert len(lines) == 2 and lines[0].startswith("epoch 0")
+            sgd_train(data, p0, cfg, record_file=fh)
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [r["epoch"] for r in records] == [0, 1]
+        assert all(math.isfinite(r["value"]) for r in records)
 
     def test_empty_dataset_rejected(self, rng):
         _, p0 = random_instance(rng)
@@ -286,14 +287,13 @@ class TestEpochObjective:
         data = [random_instance(rng)[0] for _ in range(6)]
         _, p0 = random_instance(rng)
         cfg = TrainConfig(estimator=estimator, k=2, lr=0.1, epochs=3, seed=4)
-        log, records = io.StringIO(), io.StringIO()
+        records = io.StringIO()
         assert_same_bytes(sgd_train(data, p0, cfg),
-                          sgd_train(data, p0, cfg, log, records))
-        lines = log.getvalue().splitlines()
-        assert [line.split(" objective ")[0] for line in lines] == [
-            "epoch 0", "epoch 1", "epoch 2"]
-        assert [json.loads(r)["estimator"]
-                for r in records.getvalue().splitlines()] == [estimator] * 3
+                          sgd_train(data, p0, cfg, records))
+        records = [json.loads(r) for r in records.getvalue().splitlines()]
+        assert [(r["epoch"], r["estimator"]) for r in records] == [
+            (0, estimator), (1, estimator), (2, estimator)]
+        assert all(math.isfinite(r["value"]) for r in records)
 
     def test_generative_logging_leaves_parameters_unchanged(self, rng):
         data = [LabeledExample(rng.normal(size=3),
@@ -301,8 +301,8 @@ class TestEpochObjective:
                 for _ in range(6)]
         p0 = GaussianRbmParams.random_init(3, 2, 3, rng, scale=0.3)
         cfg = TrainConfig(estimator="cd", k=2, lr=0.05, epochs=3, seed=4)
-        log, records = io.StringIO(), io.StringIO()
-        logged = sgd_train_generative(data, p0, cfg, log, records)
+        records = io.StringIO()
+        logged = sgd_train_generative(data, p0, cfg, records)
         assert_same_bytes(sgd_train_generative(data, p0, cfg), logged)
         record = json.loads(records.getvalue().splitlines()[-1])
         # the objective is that of the label conditional p(y|x)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multitag.data import NEGATIVE, POSITIVE, UNKNOWN, make_folds
-from multitag.evaluation import (AucReport, auc, betainc_reg, cv_run,
+from multitag.evaluation import (AucReport, auc, cv_run,
                                  paired_ttest, score_matrix_auc,
                                  significance_counts, t_sf_two_sided,
                                  write_auc_report, write_summary)
 
 scipy_stats = pytest.importorskip("scipy.stats")
-scipy_special = pytest.importorskip("scipy.special")
 
 
 def pair_count_auc(scores, labels):
@@ -93,14 +93,6 @@ class TestAuc:
 
 
 class TestStudentTail:
-    def test_betainc_matches_scipy(self, rng):
-        for _ in range(200):
-            a = float(rng.uniform(0.1, 20))
-            b = float(rng.uniform(0.1, 20))
-            x = float(rng.uniform(0, 1))
-            assert betainc_reg(a, b, x) == pytest.approx(
-                float(scipy_special.betainc(a, b, x)), abs=1e-10)
-
     def test_tail_matches_scipy(self, rng):
         for _ in range(100):
             t = float(rng.normal(scale=3))
@@ -109,9 +101,20 @@ class TestStudentTail:
             assert t_sf_two_sided(t, df) == pytest.approx(expected, abs=1e-10)
 
     def test_boundaries(self):
-        assert betainc_reg(2.0, 3.0, 0.0) == 0.0
-        assert betainc_reg(2.0, 3.0, 1.0) == 1.0
         assert t_sf_two_sided(0.0, 5) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-9, -0.3, 1.0, 2.5, -40.0, 1e6])
+    def test_closed_forms_at_one_and_two_df(self, t):
+        # Cauchy at df=1; at df=2, P(|T| > t) = 1 - |t| / sqrt(t^2 + 2)
+        assert t_sf_two_sided(t, 1) == pytest.approx(
+            1 - 2 * math.atan(abs(t)) / math.pi, abs=1e-15)
+        assert t_sf_two_sided(t, 2) == pytest.approx(
+            1 - abs(t) / math.sqrt(t * t + 2), abs=1e-15)
+
+    @pytest.mark.parametrize("df", [0, -1, 2.5])
+    def test_rejects_df_that_is_not_a_positive_integer(self, df):
+        with pytest.raises(ValueError, match="df must be an integer >= 1"):
+            t_sf_two_sided(1.0, df)
 
 
 class TestPairedTtest:

@@ -179,8 +179,21 @@ class TestErrors:
         ("array b 1 2\n0.5 -0.5\n", "array b 2 2\n0.5 -0.5\n",
          "array b truncated"),
         ("kind logreg\n", "kind\n", "unrecognized line 'kind'"),
+        # a count or entry that was no number was a bare ValueError, and
+        # a negative vocab count sent the parser back in a loop
+        ("dim C 2\n", "dim C two\n", "bad count in 'dim C two'"),
+        ("dim D 3\n", "dim D -3\n", "bad count in 'dim D -3'"),
+        ("vocab 2\n", "vocab 2.0\n", "bad count in 'vocab 2.0'"),
+        ("vocab 2\n", "vocab -1\n", "bad count in 'vocab -1'"),
+        ("array b 1 2\n", "array b one 2\n", "bad count in 'array b one 2'"),
+        ("array b 1 2\n0.5 -0.5\n", "array b 1 2\n0.5 half\n",
+         "array b: non-numeric entry"),
+        ("array b 1 2\n0.5 -0.5\n", "array b 1 2\n0.5 -0.5 1.0\n",
+         "array b shape mismatch"),
     ], ids=["short-b", "vocab-count", "dim-value", "dim-missing",
-            "extra-array", "truncated", "short-line"])
+            "extra-array", "truncated", "short-line", "dim-word",
+            "dim-negative", "vocab-float", "vocab-negative", "array-count",
+            "array-entry", "array-ragged"])
     def test_file_disagreeing_with_its_arrays(self, tmp_path, old, new,
                                               message):
         path = tmp_path / "bad.model"
@@ -204,3 +217,17 @@ class TestErrors:
         with pytest.raises(ModelFormatError,
                            match="b1 must have length H, got shape"):
             load_model(path)
+
+    @pytest.mark.parametrize("model, vocab", [
+        (LogRegParams(np.zeros((3, 2)), np.zeros(2)), ["a", "b", "c"]),
+        (LogRegParams(np.zeros((3, 2)), np.zeros(2)), ["a"]),
+        (DrbmParams(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(2),
+                    np.zeros(3)), []),
+    ], ids=["logreg-long", "logreg-short", "drbm-empty"])
+    def test_save_refuses_a_vocabulary_of_the_wrong_length(self, tmp_path,
+                                                           model, vocab):
+        path = tmp_path / "m.model"
+        with pytest.raises(ValueError, match=f"^{len(vocab)} vocabulary "
+                           f"entries for C={model.C} tags$"):
+            save_model(path, model, vocab)
+        assert not path.exists()

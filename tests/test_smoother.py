@@ -196,7 +196,7 @@ def dense_reference_train(events, p0, cfg):
         p.W = _clip_step(p.W, p.W + cfg.lr * dW)
         p.V = _clip_step(p.V, p.V + cfg.lr * dV)
 
-    return sgd(p0, len(events), step, cfg.epochs, cfg.seed)
+    return sgd(p0, len(events), step, cfg)
 
 
 def sparse_corpus(seed, clips=30, spare=(2, 3, 10)):
@@ -266,18 +266,16 @@ class TestTrainSmoother:
         p0 = SmootherParams.random_init(2, 2, (2, 2, 2), rng)
         cfg = TrainConfig(estimator="cd", k=1, lr=0.05, epochs=3, seed=3,
                           l1=0.01)
-        log, records = io.StringIO(), io.StringIO()
-        logged = train_smoother(toy_events(), p0, cfg, log, records)
+        records = io.StringIO()
+        logged = train_smoother(toy_events(), p0, cfg, records)
         plain = train_smoother(toy_events(), p0, cfg)
         for name in PARAM_ARRAYS:
             assert getattr(plain, name).tobytes() == \
                 getattr(logged, name).tobytes()
-        assert [line.split(" time ")[0] for line in
-                log.getvalue().splitlines()] == ["epoch 0", "epoch 1",
-                                                 "epoch 2"]
-        record = json.loads(records.getvalue().splitlines()[0])
-        assert (record["kind"], record["objective"], record["value"]) == (
-            "smoother", None, None)
+        records = [json.loads(r) for r in records.getvalue().splitlines()]
+        assert [(r["kind"], r["epoch"], r["objective"], r["value"])
+                for r in records] == [("smoother", e, None, None)
+                                      for e in range(3)]
 
     def test_l1_shrinks_conditioning_weights(self, rng):
         p0 = SmootherParams.random_init(2, 2, (2, 2, 2), rng, scale=0.001)
