@@ -268,7 +268,7 @@ def _fold_report(scores, matrix, split) -> AucReport:
 def cmd_eval(args):
     matrix, features = _load_ingested(args.data)
     split = dt.make_folds(len(matrix.items), args.seed)
-    models = []
+    reports = {}  # every model is checked and scored before --out exists
     for name, path, mismatch in (
             ("a", args.model, "model vocabulary does not match the data"),
             ("b", args.model_b, "comparison models use different folds or "
@@ -277,9 +277,8 @@ def cmd_eval(args):
             model, vocab = load_model(path)
             if vocab != matrix.vocab:
                 raise SystemExit(f"error: {mismatch}")
-            models.append((name, model))
-    reports = {name: _fold_report(_model_scores(model, features.X), matrix,
-                                  split) for name, model in models}
+            reports[name] = _fold_report(_model_scores(model, features.X),
+                                         matrix, split)
     os.makedirs(args.out, exist_ok=True)
     for name, report in reports.items():
         write_auc_report(os.path.join(args.out, f"auc_{name}.tsv"), name,
