@@ -13,29 +13,27 @@ import argparse
 import os
 import sys
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import data as dt
 from .baselines import (LOGREG_DEFAULT_LR, MLP_DEFAULT_HIDDEN, MLP_DEFAULT_LR,
-                        LogRegParams, MlpParams, logreg_predict, logreg_train,
-                        mlp_predict, mlp_train)
-from .core import DrbmParams, LabeledExample
+                        MlpParams, logreg_predict, logreg_train, mlp_predict,
+                        mlp_train)
+from .core import DrbmParams
 from .estimators import (ESTIMATORS, DivergenceError, GaussianRbmParams,
                          TrainConfig, sgd_train, sgd_train_generative)
 from .evaluation import (AucReport, score_matrix_auc, significance_counts,
                          write_auc_report, write_summary)
 from .inference import NumericError, lbp_scores
-from .modelio import KINDS, load_model, save_model
+from .modelio import load_model, save_model
 from .smoother import SmootherParams, TagEvent, smooth_tags, train_smoother
 from .verify import (check_capacity, check_exact_gradient, check_independence,
                      check_lbp_tree, check_normalization, check_pl_gradient)
 
 STATE_CHARS = {dt.POSITIVE: "P", dt.NEGATIVE: "N", dt.UNKNOWN: "U"}
 CHAR_STATES = {v: k for k, v in STATE_CHARS.items()}
-# train options whose built-in default depends on the model kind
-KIND_DEFAULTS = {"mlp": {"hidden": MLP_DEFAULT_HIDDEN, "lr": MLP_DEFAULT_LR},
-                 "logreg": {"lr": LOGREG_DEFAULT_LR}}
 
 
 def _read_config(path, known):
@@ -172,54 +170,100 @@ def _events_from_triples(triples, vocab, items_map):
     return events, sizes, cid, tid
 
 
+class Kind(NamedTuple):
+    """What `train` and `eval` do for one model kind."""
+    options: tuple  # the kind-specific train options that it reads
+    fit: Callable   # (*data, hidden, cfg, rng, record_file) -> Params
+    masked: bool = False    # UNKNOWN cells: out of the loss, or negatives
+    score: Callable = None  # (p, X) -> (B, C) scores; None: not scorable
+    defaults: dict = {}     # built-in train defaults that it replaces
+
+
+def _fit_drbm(X, Y, mask, hidden, cfg, rng, record_file):
+    p0 = DrbmParams.random_init(hidden, Y.shape[1], X.shape[1], rng)
+    return sgd_train(X, Y, p0, cfg, record_file)
+
+
+def _fit_grbm(X, Y, mask, hidden, cfg, rng, record_file):
+    p0 = GaussianRbmParams.random_init(hidden, Y.shape[1], X.shape[1], rng)
+    return sgd_train_generative(X, Y, p0, cfg, record_file)
+
+
+def _fit_mlp(X, Y, mask, hidden, cfg, rng, record_file):
+    p0 = MlpParams.random_init(X.shape[1], hidden, Y.shape[1], rng)
+    return mlp_train(X, Y, mask, cfg, p0, record_file)
+
+
+def _fit_logreg(X, Y, mask, hidden, cfg, rng, record_file):
+    return logreg_train(X, Y, mask, cfg, None, record_file)
+
+
+def _fit_smoother(events, sizes, C, hidden, cfg, rng, record_file):
+    p0 = SmootherParams.random_init(hidden, C, sizes, rng)
+    return train_smoother(events, p0, cfg, record_file)
+
+
+# model kind (the names of modelio.KINDS) -> Kind.  Its functions call
+# trainers and scorers by this module's names, which perfbench's tracing
+# patches.  The UNKNOWN policy is `masked`: mlp and logreg leave UNKNOWN
+# cells out of their loss, drbm and grbm train on them as negatives.
+KIND_TABLE = {
+    "drbm": Kind(("estimator", "k", "hidden"), _fit_drbm,
+                 score=lambda p, X: lbp_scores(X, p, K=10)),
+    "grbm": Kind(("k", "hidden"), _fit_grbm,
+                 score=lambda p, X: lbp_scores(X, p, K=10)),
+    "mlp": Kind(("hidden",), _fit_mlp, masked=True,
+                score=lambda p, X: mlp_predict(X, p),
+                defaults={"hidden": MLP_DEFAULT_HIDDEN, "lr": MLP_DEFAULT_LR}),
+    "logreg": Kind((), _fit_logreg, masked=True,
+                   score=lambda p, X: logreg_predict(X, p),
+                   defaults={"lr": LOGREG_DEFAULT_LR}),
+    "smoother": Kind(("k", "hidden", "l1"), _fit_smoother),
+}
+
+
+def _read_events(args):
+    """(vocab, (events, sizes, C)) from --triples, for the smoother."""
+    if args.triples is None:
+        raise ValueError("--kind smoother needs --triples")
+    triples = dt.read_triples(args.triples)
+    items_map = dt.read_items(args.items) if args.items else {}
+    vocab = dt.select_vocab(dt.condense(triples), args.vocab_size)
+    events, sizes, _, _ = _events_from_triples(triples, vocab, items_map)
+    return vocab, (events, sizes, len(vocab))
+
+
 def cmd_train(args):
-    if args.kind not in KINDS:
+    kind = KIND_TABLE.get(args.kind)
+    if kind is None:
         raise SystemExit(f"error: unknown model kind {args.kind!r}")
     if args.estimator not in ESTIMATORS:
         raise SystemExit(f"error: unknown estimator {args.estimator!r}")
-    if args.estimator != "cd" and args.kind != "drbm":
-        raise ValueError(f"--estimator {args.estimator} needs --kind drbm")
-    if args.l1 != 0.0 and args.kind != "smoother":
-        raise ValueError("--l1 needs --kind smoother")
+    # options that only some kinds read: each, set away from its built-in
+    # default, is an error for a kind that does not read it
+    for option in ("estimator", "k", "hidden", "l1"):
+        if (getattr(args, option) != args.defaults[option]
+                and option not in kind.options):
+            raise ValueError(f"--{option} is not read by --kind {args.kind}")
     if args.beta != 0.0 and (args.kind, args.estimator) != ("drbm", "lbp"):
         raise ValueError("--beta needs --kind drbm --estimator lbp")
-    if args.k != args.defaults["k"] and args.kind in ("mlp", "logreg"):
-        raise ValueError(f"--k is not read by --kind {args.kind}")
-    if args.hidden != args.defaults["hidden"] and args.kind == "logreg":
-        raise ValueError("--hidden is not read by --kind logreg")
-    if args.kind == "smoother":
-        triples = dt.read_triples(args.triples)
-        items_map = dt.read_items(args.items) if args.items else {}
-        vocab = dt.select_vocab(dt.condense(triples), args.vocab_size)
-        events, sizes, _, _ = _events_from_triples(triples, vocab, items_map)
+    if args.kind == "smoother":  # the one kind that trains on --triples
+        vocab, data = _read_events(args)
     else:
         matrix, features = _load_ingested(args.data)
-        vocab, X = matrix.vocab, features.X
         Y = (matrix.cells == dt.POSITIVE).astype(float)
-        mask = (matrix.cells != dt.UNKNOWN).astype(float)
-    for key, value in KIND_DEFAULTS.get(args.kind, {}).items():
+        known = (matrix.cells != dt.UNKNOWN).astype(float)
+        vocab = matrix.vocab
+        data = (features.X, Y, known if kind.masked else None)
+    for key, value in kind.defaults.items():
         if key in args.unset:
             setattr(args, key, value)
-    rng = np.random.default_rng(args.seed)
     cfg = TrainConfig(estimator=args.estimator, k=args.k, lr=args.lr,
                       beta=args.beta, epochs=args.epochs, seed=args.seed,
                       l1=args.l1)
     with open(args.model + ".jsonl", "w", encoding="utf-8") as records:
-        if args.kind == "smoother":
-            p0 = SmootherParams.random_init(args.hidden, len(vocab), sizes,
-                                            rng)
-            model = train_smoother(events, p0, cfg, records)
-        elif args.kind in ("drbm", "grbm"):
-            cls, train = ((DrbmParams, sgd_train) if args.kind == "drbm"
-                          else (GaussianRbmParams, sgd_train_generative))
-            p0 = cls.random_init(args.hidden, Y.shape[1], X.shape[1], rng)
-            dataset = [LabeledExample(X[i], Y[i]) for i in range(X.shape[0])]
-            model = train(dataset, p0, cfg, records)
-        elif args.kind == "mlp":
-            p0 = MlpParams.random_init(X.shape[1], args.hidden, Y.shape[1], rng)
-            model = mlp_train(X, Y, mask, cfg, p0, records)
-        else:
-            model = logreg_train(X, Y, mask, cfg, None, records)
+        model = kind.fit(*data, args.hidden, cfg,
+                         np.random.default_rng(args.seed), records)
     save_model(args.model, model, vocab)
     return 0
 
@@ -248,13 +292,11 @@ def cmd_smooth(args):
 
 
 def _model_scores(model, X):
-    if isinstance(model, DrbmParams):  # the Gaussian RBM's too
-        return lbp_scores(X, model, K=10)
-    if isinstance(model, MlpParams):
-        return mlp_predict(X, model)
-    if isinstance(model, LogRegParams):
-        return logreg_predict(X, model)
-    raise SystemExit(f"error: cannot score model type {type(model).__name__}")
+    score = KIND_TABLE[model.KIND].score
+    if score is None:
+        raise SystemExit(f"error: cannot score model type "
+                         f"{type(model).__name__}")
+    return score(model, X)
 
 
 def _fold_report(scores, matrix, split) -> AucReport:

@@ -136,23 +136,22 @@ def log_pl_rows(X, Y, p: DrbmParams) -> np.ndarray:
     return -np.sum(Y * log1pexp(-pre) + (1 - Y) * log1pexp(pre), axis=1)
 
 
-def cond_objective(dataset):
-    """The per-epoch objective of a label conditional p(y|x), as a
-    function of DrbmParams returning (name, value): the mean exact
-    conditional log-likelihood over the first PROBE_ROWS examples when
-    2^C * n * rows <= EXACT_OBJECTIVE_CELLS, else their mean log
-    pseudo-likelihood.
+def cond_objective(X, Y):
+    """The per-epoch objective of a label conditional p(y|x) on the rows
+    of the features X and 0/1 labels Y, as a function of DrbmParams
+    returning (name, value): the mean exact conditional log-likelihood
+    over the first PROBE_ROWS rows when 2^C * n * rows <=
+    EXACT_OBJECTIVE_CELLS, else their mean log pseudo-likelihood.
 
     Rows go through in chunks of about 2^13 cells (at least one row), so
     that each temporary array stays near 64 KB: larger ones raised the
     peak resident memory of a 200-item training run by 1.6 MB.
     """
-    probe = dataset[:PROBE_ROWS]
-    X = np.array([ex.x for ex in probe])
-    Y = np.array([ex.y for ex in probe])
+    X = np.asarray(X, dtype=float)[:PROBE_ROWS]
+    Y = np.asarray(Y, dtype=float)[:PROBE_ROWS]
 
     def objective(p):
-        if 2 ** p.C * p.n * len(probe) <= EXACT_OBJECTIVE_CELLS:
+        if 2 ** p.C * p.n * len(X) <= EXACT_OBJECTIVE_CELLS:
             name, per_row, cells = ("log_likelihood", exact_log_cond_probs,
                                     2 ** p.C * p.n)
         else:
@@ -160,8 +159,8 @@ def cond_objective(dataset):
                                     p.n * p.C)
         rows = max(1, 2 ** 13 // cells)
         total = sum(np.sum(per_row(X[s:s + rows], Y[s:s + rows], p))
-                    for s in range(0, len(probe), rows))
-        return name, float(total / len(probe))
+                    for s in range(0, len(X), rows))
+        return name, float(total / len(X))
     return objective
 
 
@@ -219,22 +218,16 @@ def _estimate(example, p, cfg: TrainConfig, rng) -> Gradient:
     return pl_gradient(example, p)[0]
 
 
-def check_divergence(p, epoch):
-    """Raise DivergenceError unless every entry of every array field of
-    the parameter object p is finite and at most DIVERGENCE_LIMIT in
-    magnitude (NaN fails the comparison)."""
-    for a in p.arrays().values():
-        if not np.all(np.abs(a) <= DIVERGENCE_LIMIT):
-            raise DivergenceError(f"parameters diverged at epoch {epoch}")
-
-
 def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,
         objective=None, estimator=None):
     """Per-example stochastic training of a copy of p0, for every model kind.
 
     Each of cfg.epochs epochs calls step(p, i, rng) for the examples in a
     permutation drawn from default_rng(cfg.seed); step updates p in place.
-    Each epoch ends with a divergence check.  Given a record file, it then
+    Each epoch ends with a divergence check: unless every parameter entry
+    is finite and at most DIVERGENCE_LIMIT in magnitude, it writes a last
+    record (kind, estimator, epoch, "diverged": true), given a record
+    file, and raises DivergenceError.  Given a record file, it then
     evaluates objective(p) -> (name, value), if there is an objective, and
     writes a JSON record (kind p.KIND, estimator, epoch, objective, value,
     seconds, max_abs_param, update_norm); seconds covers the training
@@ -252,7 +245,13 @@ def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,
         for i in rng.permutation(n_examples):
             step(p, i, rng)
         seconds = time.perf_counter() - t0
-        check_divergence(p, epoch)
+        if not all(np.all(np.abs(a) <= DIVERGENCE_LIMIT)  # NaN fails too
+                   for a in p.arrays().values()):
+            if record_file is not None:
+                record_file.write(json.dumps({
+                    "kind": p.KIND, "estimator": estimator, "epoch": epoch,
+                    "diverged": True}) + "\n")
+            raise DivergenceError(f"parameters diverged at epoch {epoch}")
         if record_file is None:
             continue
         name, value = objective(p) if objective else (None, None)
@@ -267,15 +266,16 @@ def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,
     return p
 
 
-def sgd_train(dataset, p0: DrbmParams, cfg: TrainConfig,
+def sgd_train(X, Y, p0: DrbmParams, cfg: TrainConfig,
               record_file=None) -> DrbmParams:
-    """Per-example stochastic ascent on the chosen surrogate objective.
+    """Per-example stochastic ascent on the chosen surrogate objective,
+    over the rows of the (N, D) features X and the (N, C) 0/1 labels Y.
 
-    Visits the examples in a seeded shuffled order each epoch;
+    Visits the rows in a seeded shuffled order each epoch;
     deterministic given cfg.seed (exactly for pl/mfcd, given the rng
     stream for cd).  The recorded objective is ``cond_objective``'s.
     """
-    dataset = list(dataset)
+    dataset = [LabeledExample(x, y) for x, y in zip(X, Y, strict=True)]
 
     def step(p, i, rng):
         grad = _estimate(dataset[i], p, cfg, rng)
@@ -285,14 +285,14 @@ def sgd_train(dataset, p0: DrbmParams, cfg: TrainConfig,
         p.d += cfg.lr * grad.dd
 
     return sgd(p0, len(dataset), step, cfg, record_file,
-               cond_objective(dataset), cfg.estimator)
+               cond_objective(X, Y), cfg.estimator)
 
 
-def sgd_train_generative(dataset, p0: GaussianRbmParams, cfg: TrainConfig,
+def sgd_train_generative(X, Y, p0: GaussianRbmParams, cfg: TrainConfig,
                          record_file=None) -> GaussianRbmParams:
     """Same `sgd` training for the joint Gaussian-input model (CD only);
     the recorded objective is that of its label conditional."""
-    dataset = list(dataset)
+    dataset = [LabeledExample(x, y) for x, y in zip(X, Y, strict=True)]
 
     def step(p, i, rng):
         grad = generative_cd_gradient(dataset[i], p, cfg.k, rng)
@@ -303,4 +303,4 @@ def sgd_train_generative(dataset, p0: GaussianRbmParams, cfg: TrainConfig,
         p.bx += cfg.lr * grad.dbx
 
     return sgd(p0, len(dataset), step, cfg, record_file,
-               cond_objective(dataset), "cd")
+               cond_objective(X, Y), "cd")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import logreg_predict, logreg_train
-from .core import DrbmParams, LabeledExample
+from .core import DrbmParams
 from .data import NEGATIVE, POSITIVE, FeatureTable, normalize_features
 from .estimators import TrainConfig, sgd_train
 from .evaluation import auc
@@ -31,13 +31,6 @@ def _grand_mean_auc(scores, Y):
     return float(np.mean(vals))
 
 
-def train_drbm(X, Y, cfg: TrainConfig, n_hidden: int) -> DrbmParams:
-    rng = np.random.default_rng(cfg.seed)
-    p0 = DrbmParams.random_init(n_hidden, Y.shape[1], X.shape[1], rng)
-    dataset = [LabeledExample(X[i], Y[i]) for i in range(X.shape[0])]
-    return sgd_train(dataset, p0, cfg)
-
-
 def damping_experiment(seed=0, n_items=500, C=8, D=10, betas=(0.0, 0.5, 0.9),
                        n_hidden=10, epochs=5, lr=0.01, k=30, n_test=150):
     """Train with belief-propagation gradients at several damping
@@ -46,12 +39,13 @@ def damping_experiment(seed=0, n_items=500, C=8, D=10, betas=(0.0, 0.5, 0.9),
     X = _standardize(X)
     Xtr, Ytr = X[:-n_test], Y[:-n_test]
     Xte, Yte = X[-n_test:], Y[-n_test:]
+    p0 = DrbmParams.random_init(n_hidden, C, D, np.random.default_rng(seed))
     results = {}
     for beta in betas:
         cfg = TrainConfig(estimator="lbp", k=k, lr=lr, beta=beta,
                           epochs=epochs, seed=seed)
-        p = train_drbm(Xtr, Ytr, cfg, n_hidden)
-        scores = lbp_scores(Xte, p, K=50, beta=beta)
+        scores = lbp_scores(Xte, sgd_train(Xtr, Ytr, p0, cfg), K=50,
+                            beta=beta)
         results[beta] = _grand_mean_auc(scores, Yte)
     return results
 
@@ -70,8 +64,9 @@ def label_dependency_experiment(seeds=(0, 1, 2, 3, 4), n_train=60, n_test=300,
 
         cfg = TrainConfig(estimator="cd", k=1, lr=drbm_lr, epochs=epochs,
                           seed=seed)
-        p = train_drbm(Xtr, Ytr, cfg, n_hidden)
-        drbm = lbp_scores(Xte, p, K=10)
+        p0 = DrbmParams.random_init(n_hidden, Y.shape[1], X.shape[1],
+                                    np.random.default_rng(seed))
+        drbm = lbp_scores(Xte, sgd_train(Xtr, Ytr, p0, cfg), K=10)
 
         lr_model = logreg_train(Xtr, Ytr, None,
                                 TrainConfig(lr=logreg_lr, epochs=epochs,

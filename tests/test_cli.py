@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from multitag.cli import main
+from multitag.cli import KIND_TABLE, main
 from multitag.core import sigm
-from multitag.modelio import load_model, save_model
+from multitag.modelio import KINDS, load_model, save_model
 from multitag.synthetic import make_tag_corpus, write_corpus_files
 
 
@@ -174,8 +174,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags, message", [
         (["--kind", "smoother", "--estimator", "pl"],
-         "--estimator pl needs --kind drbm"),
-        (["--kind", "drbm", "--l1", 0.01], "--l1 needs --kind smoother"),
+         "--estimator is not read by --kind smoother"),
+        (["--kind", "drbm", "--l1", 0.01], "--l1 is not read by --kind drbm"),
         (["--kind", "drbm", "--estimator", "cd", "--beta", 0.5],
          "--beta needs --kind drbm --estimator lbp"),
         (["--kind", "logreg", "--hidden", 7],
@@ -212,6 +212,22 @@ class TestTrain:
                     "--model", tmp_path / "m.model"]) == 1
         err = capsys.readouterr().err
         assert err == "error: parameters diverged at epoch 0\n"
+        # the record names the divergence in its last line
+        last = (tmp_path / "m.model.jsonl").read_text().splitlines()[-1]
+        assert json.loads(last) == {"kind": "drbm", "estimator": "pl",
+                                    "epoch": 0, "diverged": True}
+        assert not (tmp_path / "m.model").exists()
+
+    def test_smoother_without_triples_is_an_error_line(self, tmp_path,
+                                                       capsys):
+        assert run(["train", "--kind", "smoother", "--vocab-size", 3,
+                    "--model", tmp_path / "s.model"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --kind smoother needs --triples\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_kind_table_covers_every_model_kind(self):
+        assert KIND_TABLE.keys() == KINDS.keys()
 
     def test_unknown_kind_is_rejected_before_any_file(self, ingested,
                                                       tmp_path):

@@ -11,10 +11,16 @@ from multitag.estimators import (ESTIMATORS, EXACT_OBJECTIVE_CELLS,
                                  GaussianRbmParams, TrainConfig, cd_gradient,
                                  cond_objective, generative_cd_gradient,
                                  lbp_gradient, log_pl_rows, mfcd_gradient,
-                                 pl_gradient, sgd_train, sgd_train_generative)
+                                 pl_gradient, sgd, sgd_train,
+                                 sgd_train_generative)
 from multitag.oracle import exact_cond_prob, exact_grad, log_pl_reference
 from multitag.verify import check_pl_gradient
 from conftest import random_instance
+
+
+def arrays(data):
+    """The (N, D) features and (N, C) labels of a list of examples."""
+    return np.array([ex.x for ex in data]), np.array([ex.y for ex in data])
 
 
 class TestCdGradient:
@@ -192,7 +198,7 @@ class TestSgdTrain:
         data = [random_instance(rng)[0] for _ in range(4)]
         _, p0 = random_instance(rng)
         cfg = TrainConfig(estimator="pl", lr=0.0, epochs=3, seed=1)
-        p = sgd_train(data, p0, cfg)
+        p = sgd_train(*arrays(data), p0, cfg)
         np.testing.assert_array_equal(p.U, p0.U)
         np.testing.assert_array_equal(p.d, p0.d)
 
@@ -203,7 +209,7 @@ class TestSgdTrain:
                 LabeledExample(x1, np.array([0.0, 0.0]))]
         p0 = DrbmParams.random_init(3, 2, 2, rng)
         cfg = TrainConfig(estimator="pl", lr=0.5, epochs=500, seed=0)
-        p = sgd_train(data, p0, cfg)
+        p = sgd_train(*arrays(data), p0, cfg)
         from multitag.oracle import exact_cond_prob
         for ex in data:
             assert exact_cond_prob(ex.y, ex.x, p) > 0.99
@@ -212,8 +218,8 @@ class TestSgdTrain:
         data = [random_instance(rng)[0] for _ in range(6)]
         _, p0 = random_instance(rng)
         cfg = TrainConfig(estimator="cd", k=2, lr=0.05, epochs=3, seed=7)
-        a = sgd_train(data, p0, cfg)
-        b = sgd_train(data, p0, cfg)
+        a = sgd_train(*arrays(data), p0, cfg)
+        b = sgd_train(*arrays(data), p0, cfg)
         np.testing.assert_array_equal(a.U, b.U)
         np.testing.assert_array_equal(a.W, b.W)
 
@@ -222,7 +228,26 @@ class TestSgdTrain:
         _, p0 = random_instance(rng)
         cfg = TrainConfig(estimator="pl", lr=1e9, epochs=5, seed=0)
         with pytest.raises(DivergenceError):
-            sgd_train(data, p0, cfg)
+            sgd_train(*arrays(data), p0, cfg)
+
+    def test_divergence_is_the_last_record(self, rng):
+        # the epochs before the divergence keep their records
+        _, p0 = random_instance(rng)
+        steps = []
+
+        def step(p, i, rng):
+            steps.append(i)
+            if len(steps) > 2:  # the second epoch blows up
+                p.U[0, 0] = np.nan
+
+        records = io.StringIO()
+        with pytest.raises(DivergenceError, match="epoch 1"):
+            sgd(p0, 2, step, TrainConfig(epochs=3), records, estimator="cd")
+        lines = [json.loads(r) for r in records.getvalue().splitlines()]
+        assert lines[0]["epoch"] == 0 and "diverged" not in lines[0]
+        assert lines[1] == {"kind": "drbm", "estimator": "cd", "epoch": 1,
+                            "diverged": True}
+        assert len(lines) == 2
 
     def test_exact_ascent_monotone_on_average(self, rng):
         # small steps along pl gradients should not reduce the total
@@ -231,7 +256,7 @@ class TestSgdTrain:
         _, p0 = random_instance(rng, C=3, n=2, D=2)
         before = sum(log_pl_reference(ex, p0) for ex in data)
         cfg = TrainConfig(estimator="pl", lr=1e-3, epochs=200, seed=0)
-        p = sgd_train(data, p0, cfg)
+        p = sgd_train(*arrays(data), p0, cfg)
         after = sum(log_pl_reference(ex, p) for ex in data)
         assert after > before - 1e-9
 
@@ -241,7 +266,7 @@ class TestSgdTrain:
         cfg = TrainConfig(estimator="mfcd", lr=0.01, epochs=2, seed=0)
         log = tmp_path / "train.jsonl"
         with open(log, "w") as fh:
-            sgd_train(data, p0, cfg, record_file=fh)
+            sgd_train(*arrays(data), p0, cfg, record_file=fh)
         records = [json.loads(line) for line in log.read_text().splitlines()]
         assert [r["epoch"] for r in records] == [0, 1]
         assert all(math.isfinite(r["value"]) for r in records)
@@ -249,7 +274,8 @@ class TestSgdTrain:
     def test_empty_dataset_rejected(self, rng):
         _, p0 = random_instance(rng)
         with pytest.raises(ValueError):
-            sgd_train([], p0, TrainConfig())
+            sgd_train(np.empty((0, p0.D)), np.empty((0, p0.C)), p0,
+                      TrainConfig())
 
 
 class TestSgdTrainGenerative:
@@ -262,7 +288,7 @@ class TestSgdTrainGenerative:
                                np.array([-50.0]), np.array([-50.0]),
                                np.zeros(2))
         cfg = TrainConfig(estimator="cd", k=1, lr=0.05, epochs=40, seed=0)
-        p = sgd_train_generative(data, p0, cfg)
+        p = sgd_train_generative(*arrays(data), p0, cfg)
         np.testing.assert_allclose(p.bx, mean, atol=0.1)
 
     def test_divergence_guard(self, rng):
@@ -271,7 +297,7 @@ class TestSgdTrainGenerative:
         p0 = GaussianRbmParams.random_init(2, 1, 2, rng)
         cfg = TrainConfig(estimator="cd", k=1, lr=1e9, epochs=5, seed=0)
         with pytest.raises(DivergenceError):
-            sgd_train_generative(data, p0, cfg)
+            sgd_train_generative(*arrays(data), p0, cfg)
 
 
 def assert_same_bytes(a, b):
@@ -288,8 +314,8 @@ class TestEpochObjective:
         _, p0 = random_instance(rng)
         cfg = TrainConfig(estimator=estimator, k=2, lr=0.1, epochs=3, seed=4)
         records = io.StringIO()
-        assert_same_bytes(sgd_train(data, p0, cfg),
-                          sgd_train(data, p0, cfg, records))
+        assert_same_bytes(sgd_train(*arrays(data), p0, cfg),
+                          sgd_train(*arrays(data), p0, cfg, records))
         records = [json.loads(r) for r in records.getvalue().splitlines()]
         assert [(r["epoch"], r["estimator"]) for r in records] == [
             (0, estimator), (1, estimator), (2, estimator)]
@@ -302,8 +328,8 @@ class TestEpochObjective:
         p0 = GaussianRbmParams.random_init(3, 2, 3, rng, scale=0.3)
         cfg = TrainConfig(estimator="cd", k=2, lr=0.05, epochs=3, seed=4)
         records = io.StringIO()
-        logged = sgd_train_generative(data, p0, cfg, records)
-        assert_same_bytes(sgd_train_generative(data, p0, cfg), logged)
+        logged = sgd_train_generative(*arrays(data), p0, cfg, records)
+        assert_same_bytes(sgd_train_generative(*arrays(data), p0, cfg), logged)
         record = json.loads(records.getvalue().splitlines()[-1])
         # the objective is that of the label conditional p(y|x)
         assert record["kind"] == "grbm"
@@ -317,7 +343,7 @@ class TestEpochObjective:
         data = [random_instance(rng, C=3, n=2, D=2)[0]
                 for _ in range(PROBE_ROWS + 9)]
         _, p = random_instance(rng, C=3, n=2, D=2)
-        name, value = cond_objective(data)(p)
+        name, value = cond_objective(*arrays(data))(p)
         assert name == "log_likelihood"
         expected = np.mean([math.log(exact_cond_prob(ex.y, ex.x, p))
                             for ex in data[:PROBE_ROWS]])
@@ -339,8 +365,8 @@ class TestEpochObjective:
         data = [random_instance(rng, C=C, n=n, D=2)[0]
                 for _ in range(rows + 1)]
         _, p = random_instance(rng, C=C, n=n, D=2)
-        assert cond_objective(data[:rows])(p)[0] == "log_likelihood"
-        name, value = cond_objective(data)(p)
+        assert cond_objective(*arrays(data[:rows]))(p)[0] == "log_likelihood"
+        name, value = cond_objective(*arrays(data))(p)
         assert name == "log_pseudo_likelihood"
         assert value == pytest.approx(
             np.mean([log_pl_reference(ex, p) for ex in data]), abs=1e-12)
