@@ -32,8 +32,8 @@ from .smoother import SmootherParams, TagEvent, smooth_tags, train_smoother
 from .verify import (check_capacity, check_exact_gradient, check_independence,
                      check_lbp_tree, check_normalization, check_pl_gradient)
 
-STATE_CHARS = {dt.POSITIVE: "P", dt.NEGATIVE: "N", dt.UNKNOWN: "U"}
-CHAR_STATES = {v: k for k, v in STATE_CHARS.items()}
+# perfbench traces the matrix file's reader and writer under these names
+_read_matrix, _write_matrix = dt.read_matrix, dt.write_matrix
 
 
 def _read_config(path, known):
@@ -78,62 +78,24 @@ def _merge(args, defaults):
     return args
 
 
-def _write_matrix(path, matrix: dt.ThreeStateTagMatrix):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("item\t" + "\t".join(matrix.vocab) + "\n")
-        for i, item in enumerate(matrix.items):
-            cells = "\t".join(STATE_CHARS[int(v)] for v in matrix.cells[i])
-            fh.write(item + "\t" + cells + "\n")
-
-
-def _read_matrix(path) -> dt.ThreeStateTagMatrix:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        vocab = header[1:]
-        items, rows = [], []
-        for lineno, line in enumerate(fh, 2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) - 1 != len(vocab):
-                raise ValueError(f"{path}:{lineno}: expected {len(vocab)} "
-                                 f"cells, got {len(parts) - 1}")
-            try:
-                rows.append([CHAR_STATES[c] for c in parts[1:]])
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: unknown cell "
-                                 f"{exc.args[0]!r}") from exc
-            items.append(parts[0])
-    return dt.ThreeStateTagMatrix(items, vocab, np.asarray(rows, dtype=np.int8))
-
-
-def _write_features(path, table: dt.FeatureTable):
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, item in enumerate(table.items):
-            fh.write(item + "\t" + "\t".join(repr(float(v)) for v in table.X[i]) + "\n")
-
-
 def cmd_ingest(args):
     triples = dt.read_triples(args.triples)
     features = dt.read_features(args.features)
     records = dt.condense(triples)
     vocab = dt.select_vocab(records, args.vocab_size)
-    feat_items = set(features.items)
-    tagged = {item for item, _ in records}
-    missing = sorted(tagged - feat_items)
+    missing = sorted(set(triples.items) - set(features.items))
     if missing:
         more = ", ..." if len(missing) > 5 else ""
         print(f"warning: {len(missing)} tagged item(s) have no features and "
               f"are excluded: {', '.join(missing[:5])}{more}", file=sys.stderr)
-    items = sorted(feat_items)
+    order = sorted(range(len(features.items)), key=features.items.__getitem__)
+    items = [features.items[r] for r in order]
     matrix = dt.binarize(records, vocab, args.min_positive, items=items)
-    row = {item: r for r, item in enumerate(features.items)}
-    order = [row[i] for i in items]
-    table = dt.normalize_features(
-        dt.FeatureTable(items, features.X[order]))
+    table = dt.normalize_features(dt.FeatureTable(items, features.X[order]))
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "vocab.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(vocab) + "\n")
+    dt.write_rows(os.path.join(args.out, "vocab.txt"), ([t] for t in vocab))
     _write_matrix(os.path.join(args.out, "matrix.tsv"), matrix)
-    _write_features(os.path.join(args.out, "features.tsv"), table)
+    dt.write_features(os.path.join(args.out, "features.tsv"), table)
     return 0
 
 
@@ -145,29 +107,27 @@ def _load_ingested(data_dir):
     return matrix, features
 
 
-def _events_from_triples(triples, vocab, items_map):
-    """One TagEvent per (user, clip); ids assigned by sorted order, so
-    the same triples file always yields the same id maps."""
-    col = {t: j for j, t in enumerate(vocab)}
-    users = sorted({t.user for t in triples})
-    clips = sorted({t.item for t in triples})
-    tracks = sorted({items_map.get(c, c) for c in clips})
-    uid = {u: i for i, u in enumerate(users)}
-    cid = {c: i for i, c in enumerate(clips)}
-    tid = {t: i for i, t in enumerate(tracks)}
-    grouped = {}
-    for t in triples:
-        grouped.setdefault((t.user, t.item), set()).add(t.tag)
-    events = []
-    for (user, item), tags in sorted(grouped.items()):
-        y = np.zeros(len(vocab))
-        for tag in tags:
-            if tag in col:
-                y[col[tag]] = 1.0
-        events.append(TagEvent(uid[user], tid[items_map.get(item, item)],
-                               cid[item], y))
-    sizes = (len(users), len(tracks), len(clips))
-    return events, sizes, cid, tid
+def _events_from_triples(triples: dt.Triples, vocab, items_map):
+    """One TagEvent per (user, clip) in that order, with the triples'
+    codes as user and clip ids; tracks (a clip's items_map entry, else
+    the clip) are numbered in sorted order, so the same files always
+    yield the same ids.  Returns the events, the (#users, #tracks,
+    #clips) sizes and each clip's track id."""
+    n_users, n_clips = len(triples.users), len(triples.items)
+    track_of = [items_map.get(clip, clip) for clip in triples.items]
+    tid = {t: i for i, t in enumerate(sorted(set(track_of)))}
+    tracks = [tid[t] for t in track_of]
+    col = {tag: j for j, tag in enumerate(vocab)}
+    cols = np.array([col.get(tag, -1) for tag in triples.tags],
+                    dtype=np.intp)[triples.codes[:, 2]]
+    pairs, event = np.unique(triples.codes[:, 0] * n_clips
+                             + triples.codes[:, 1], return_inverse=True)
+    Y = np.zeros((len(pairs), len(vocab)))
+    Y[event[cols >= 0], cols[cols >= 0]] = 1.0
+    users, clips = np.divmod(pairs, n_clips)
+    events = [TagEvent(u, tracks[c], c, y)
+              for u, c, y in zip(users.tolist(), clips.tolist(), Y)]
+    return events, (n_users, len(tid), n_clips), tracks
 
 
 class Kind(NamedTuple):
@@ -208,17 +168,18 @@ def _fit_smoother(events, sizes, C, hidden, cfg, rng, record_file):
 # patches.  The UNKNOWN policy is `masked`: mlp and logreg leave UNKNOWN
 # cells out of their loss, drbm and grbm train on them as negatives.
 KIND_TABLE = {
-    "drbm": Kind(("estimator", "k", "hidden"), _fit_drbm,
+    "drbm": Kind(("estimator", "k", "hidden", "data"), _fit_drbm,
                  score=lambda p, X: lbp_scores(X, p, K=10)),
-    "grbm": Kind(("k", "hidden"), _fit_grbm,
+    "grbm": Kind(("k", "hidden", "data"), _fit_grbm,
                  score=lambda p, X: lbp_scores(X, p, K=10)),
-    "mlp": Kind(("hidden",), _fit_mlp, masked=True,
+    "mlp": Kind(("hidden", "data"), _fit_mlp, masked=True,
                 score=lambda p, X: mlp_predict(X, p),
                 defaults={"hidden": MLP_DEFAULT_HIDDEN, "lr": MLP_DEFAULT_LR}),
-    "logreg": Kind((), _fit_logreg, masked=True,
+    "logreg": Kind(("data",), _fit_logreg, masked=True,
                    score=lambda p, X: logreg_predict(X, p),
                    defaults={"lr": LOGREG_DEFAULT_LR}),
-    "smoother": Kind(("k", "hidden", "l1"), _fit_smoother),
+    "smoother": Kind(("k", "hidden", "l1", "triples", "items", "vocab_size"),
+                     _fit_smoother),
 }
 
 
@@ -229,7 +190,7 @@ def _read_events(args):
     triples = dt.read_triples(args.triples)
     items_map = dt.read_items(args.items) if args.items else {}
     vocab = dt.select_vocab(dt.condense(triples), args.vocab_size)
-    events, sizes, _, _ = _events_from_triples(triples, vocab, items_map)
+    events, sizes, _ = _events_from_triples(triples, vocab, items_map)
     return vocab, (events, sizes, len(vocab))
 
 
@@ -239,14 +200,17 @@ def cmd_train(args):
         raise SystemExit(f"error: unknown model kind {args.kind!r}")
     if args.estimator not in ESTIMATORS:
         raise SystemExit(f"error: unknown estimator {args.estimator!r}")
-    # options that only some kinds read: each, set away from its built-in
-    # default, is an error for a kind that does not read it
-    for option in ("estimator", "k", "hidden", "l1"):
-        if (getattr(args, option) != args.defaults[option]
-                and option not in kind.options):
-            raise ValueError(f"--{option} is not read by --kind {args.kind}")
     if args.beta != 0.0 and (args.kind, args.estimator) != ("drbm", "lbp"):
         raise ValueError("--beta needs --kind drbm --estimator lbp")
+    # options that only some kinds read: each, set away from its built-in
+    # default, is an error for a kind that does not read it; the model
+    # options are checked before the data options
+    for option in ("estimator", "k", "hidden", "l1", "data", "triples",
+                   "items", "vocab_size"):
+        if (getattr(args, option) != args.defaults[option]
+                and option not in kind.options):
+            raise ValueError(f"--{option.replace('_', '-')} is not read by "
+                             f"--kind {args.kind}")
     if args.kind == "smoother":  # the one kind that trains on --triples
         vocab, data = _read_events(args)
     else:
@@ -274,20 +238,12 @@ def cmd_smooth(args):
         raise SystemExit("error: --model must point to a smoother model")
     triples = dt.read_triples(args.triples)
     items_map = dt.read_items(args.items) if args.items else {}
-    events, sizes, cid, tid = _events_from_triples(triples, vocab, items_map)
+    events, sizes, tracks = _events_from_triples(triples, vocab, items_map)
     if sizes != model.aux_sizes:
         raise SystemExit("error: triples vocabularies do not match the model")
-    track = {}  # clip id -> the track of its first event
-    for e in events:
-        track.setdefault(e.clip, e.track)
-    clips = sorted(track)
-    probs = smooth_tags(clips, [track[c] for c in clips], model, events)
-    clip_name = {i: name for name, i in cid.items()}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("item\t" + "\t".join(vocab) + "\n")
-        for clip, row in zip(clips, probs.tolist()):
-            fh.write(clip_name[clip] + "\t"
-                     + "\t".join(map(repr, row)) + "\n")
+    probs = smooth_tags(range(len(tracks)), tracks, model, events)
+    dt.write_rows(args.out, [["item", *vocab], *(
+        [clip, *row] for clip, row in zip(triples.items, probs.tolist()))])
     return 0
 
 
@@ -330,10 +286,8 @@ def cmd_eval(args):
                    for name, report in reports.items()])
     if "b" in reports:
         sig = significance_counts(reports["a"], reports["b"])
-        with open(os.path.join(args.out, "significance.tsv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("a_better\t{}\nb_better\t{}\n".format(sig.a_better,
-                                                           sig.b_better))
+        dt.write_rows(os.path.join(args.out, "significance.tsv"),
+                      [("a_better", sig.a_better), ("b_better", sig.b_better)])
     return 0
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NEGATIVE, POSITIVE, UNKNOWN, FoldSplit
+from .data import NEGATIVE, POSITIVE, UNKNOWN, FoldSplit, write_rows
 
 
 @dataclass
@@ -191,19 +191,14 @@ def cv_run(X: np.ndarray, cells: np.ndarray, tags, split: FoldSplit,
 
 def write_auc_report(path, model_name: str, report: AucReport):
     """One row per (model, tag, fold, AUC)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model\ttag\tfold\tauc\n")
-        for j, tag in enumerate(report.tags):
-            for f in range(report.n_folds):
-                v = report.values[j, f]
-                cell = "NA" if np.isnan(v) else repr(float(v))
-                fh.write("\t".join((model_name, tag, str(f), cell)) + "\n")
+    write_rows(path, [("model", "tag", "fold", "auc"), *(
+        (model_name, tag, f, "NA" if math.isnan(v) else v)
+        for tag, row in zip(report.tags, report.values.tolist())
+        for f, v in enumerate(row))])
 
 
 def write_summary(path, rows):
     """Summary rows: (model, dataset, smoothed flag, grand mean AUC)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model\tdataset\tsmoothed\tgrand_mean_auc\n")
-        for model, dataset, smoothed, mean in rows:
-            fh.write("\t".join((model, dataset, "+" if smoothed else "-",
-                                 repr(float(mean)))) + "\n")
+    write_rows(path, [("model", "dataset", "smoothed", "grand_mean_auc"), *(
+        (model, dataset, "+" if smoothed else "-", float(mean))
+        for model, dataset, smoothed, mean in rows)])

@@ -11,6 +11,7 @@ import os
 import numpy as np
 
 from .core import sigm
+from .data import FeatureTable, write_features, write_rows
 from .smoother import TagEvent
 
 
@@ -70,19 +71,10 @@ def write_corpus_files(outdir, X, Y, tags):
     (user0, item, tag) triple."""
     os.makedirs(outdir, exist_ok=True)
     items = [f"item{i:04d}" for i in range(X.shape[0])]
-    triples_path = os.path.join(outdir, "triples.tsv")
-    with open(triples_path, "w", encoding="utf-8") as fh:
-        for i, item in enumerate(items):
-            for j, tag in enumerate(tags):
-                if Y[i, j]:
-                    fh.write(f"user0\t{item}\t{tag}\n")
-    features_path = os.path.join(outdir, "features.tsv")
-    with open(features_path, "w", encoding="utf-8") as fh:
-        for i, item in enumerate(items):
-            row = "\t".join(repr(float(v)) for v in X[i])
-            fh.write(item + "\t" + row + "\n")
-    items_path = os.path.join(outdir, "items.tsv")
-    with open(items_path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(item + "\ttrack_" + item + "\n")
-    return triples_path, features_path, items_path
+    paths = [os.path.join(outdir, name)
+             for name in ("triples.tsv", "features.tsv", "items.tsv")]
+    write_rows(paths[0], (("user0", items[i], tags[j])
+                          for i, j in zip(*np.nonzero(Y))))
+    write_features(paths[1], FeatureTable(items, np.asarray(X, dtype=float)))
+    write_rows(paths[2], ((item, "track_" + item) for item in items))
+    return tuple(paths)

@@ -3,9 +3,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multitag.cli import KIND_TABLE, main
+from multitag.cli import KIND_TABLE, _events_from_triples, main
 from multitag.core import sigm
+from multitag.data import Triples
 from multitag.modelio import KINDS, load_model, save_model
 from multitag.synthetic import make_tag_corpus, write_corpus_files
 
@@ -32,6 +35,35 @@ class TestIngest:
         for name in ("vocab.txt", "matrix.tsv", "features.tsv"):
             assert (out / name).exists()
         assert len((out / "vocab.txt").read_text().split()) == 3
+
+    def test_literal_corpus(self, tmp_path, capsys):
+        # rock: a by u1 and u2 (u1 twice), b by u3 twice: one user, so
+        # unknown at --min-positive 2; jazz and pop tie at two users each,
+        # so jazz takes the second column and pop is left out; ghost has
+        # no features, and d no triples
+        triples, features = tmp_path / "triples.tsv", tmp_path / "features.tsv"
+        triples.write_text("u1\ta\trock\nu2\ta\trock\nu1\ta\trock\n"
+                           "u3\tb\trock\nu3\tb\trock\nu1\tb\tjazz\n"
+                           "u2\tc\tjazz\nu1\tc\tpop\nu2\tghost\tpop\n")
+        features.write_text("d\t1.0\t0.0\nb\t0.0\t1.0\na\t2.0\t2.0\n"
+                            "c\t-1.0\t3.0\n")
+        out = tmp_path / "out"
+        assert run(["ingest", "--triples", triples, "--features", features,
+                    "--vocab-size", 2, "--min-positive", 2,
+                    "--out", out]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 1 tagged item(s) have no features and are excluded: "
+            "ghost\n")
+        assert (out / "vocab.txt").read_text() == "rock\njazz\n"
+        assert (out / "matrix.tsv").read_text() == (
+            "item\trock\tjazz\n"
+            "a\tP\tN\n"
+            "b\tU\tU\n"
+            "c\tN\tU\n"
+            "d\tN\tN\n")
+        assert [line.split("\t")[0] for line in
+                (out / "features.tsv").read_text().splitlines()] == [
+            "a", "b", "c", "d"]
 
     def test_byte_reproducible(self, corpus_dir, tmp_path):
         outs = []
@@ -182,8 +214,10 @@ class TestTrain:
          "--hidden is not read by --kind logreg"),
         (["--kind", "logreg", "--k", 4], "--k is not read by --kind logreg"),
         (["--kind", "mlp", "--k", 3], "--k is not read by --kind mlp"),
+        (["--kind", "drbm"], "--triples is not read by --kind drbm"),
+        (["--kind", "smoother"], "--data is not read by --kind smoother"),
     ], ids=["smoother-estimator", "drbm-l1", "cd-beta", "logreg-hidden",
-            "logreg-k", "mlp-k"])
+            "logreg-k", "mlp-k", "drbm-triples", "smoother-data"])
     def test_rejects_options_the_kind_ignores(self, tmp_path, capsys, flags,
                                               message):
         # no data or triples exist: the option is refused before either
@@ -562,6 +596,36 @@ class TestSmoothPipeline:
                     break
             lines.append(clip + "\t" + "\t".join(repr(float(v)) for v in y))
         assert out.read_text() == "\n".join(lines) + "\n"
+
+
+class TestEventsFromTriples:
+    @given(st.lists(st.tuples(st.sampled_from(["u2", "u1", "u3"]),
+                              st.sampled_from(["c2", "c1", "c3", "c4"]),
+                              st.sampled_from(["t1", "t2", "t3"])),
+                    min_size=1, max_size=25),
+           st.dictionaries(st.sampled_from(["c1", "c2", "c3"]),
+                           st.sampled_from(["k2", "k1", "c4"])),
+           st.lists(st.sampled_from(["t1", "t2", "t4"]), unique=True))
+    @settings(max_examples=100)
+    def test_matches_grouping_reference(self, rows, items_map, vocab):
+        # the reference groups each (user, clip)'s tags in a set and
+        # numbers users, clips and tracks in sorted name order
+        users = sorted({u for u, _, _ in rows})
+        clips = sorted({c for _, c, _ in rows})
+        track_names = sorted({items_map.get(c, c) for c in clips})
+        grouped = {}
+        for user, clip, tag in rows:
+            grouped.setdefault((user, clip), set()).add(tag)
+        want = [(users.index(u), track_names.index(items_map.get(c, c)),
+                 clips.index(c), [float(t in tags) for t in vocab])
+                for (u, c), tags in sorted(grouped.items())]
+        events, sizes, tracks = _events_from_triples(Triples.from_rows(rows),
+                                                     vocab, items_map)
+        assert [(e.user, e.track, e.clip, e.y.tolist())
+                for e in events] == want
+        assert sizes == (len(users), len(track_names), len(clips))
+        assert tracks == [track_names.index(items_map.get(c, c))
+                          for c in clips]
 
 
 class TestOracleCheck:

@@ -4,23 +4,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multitag.data import (NEGATIVE, POSITIVE, UNKNOWN, FeatureTable,
-                           TagTriple, binarize, condense, make_folds,
-                           normalize_features, read_features, read_items,
-                           read_triples, select_vocab)
+                           ThreeStateTagMatrix, Triples, binarize, condense,
+                           make_folds, normalize_features, read_features,
+                           read_items, read_matrix, read_triples,
+                           select_vocab, write_features, write_matrix)
+
+NAMES = st.sampled_from(["u1", "u2", "a", "b", "rock", "jazz"])
+
+
+class TestTriples:
+    @given(st.lists(st.tuples(NAMES, NAMES, NAMES), max_size=20))
+    @settings(max_examples=50)
+    def test_codes_decode_to_the_rows(self, rows):
+        triples = Triples.from_rows(rows)
+        for names, column in zip(triples[:3], zip(*rows) if rows else
+                                 ((), (), ())):
+            assert names == sorted(set(column))
+        assert triples.codes.shape == (len(rows), 3)
+        assert [(triples.users[u], triples.items[i], triples.tags[t])
+                for u, i, t in triples.codes.tolist()] == list(map(tuple, rows))
 
 
 class TestCondense:
     def test_distinct_users_counted(self):
-        triples = [TagTriple("u1", "a", "rock"), TagTriple("u2", "a", "rock"),
-                   TagTriple("u1", "b", "rock")]
+        triples = Triples.from_rows([("u1", "a", "rock"), ("u2", "a", "rock"),
+                                     ("u1", "b", "rock")])
         assert condense(triples) == {("a", "rock"): 2, ("b", "rock"): 1}
 
     def test_repeated_vote_counts_once(self):
-        triples = [TagTriple("u1", "a", "rock")] * 3
+        triples = Triples.from_rows([("u1", "a", "rock")] * 3)
         assert condense(triples) == {("a", "rock"): 1}
 
     def test_empty(self):
-        assert condense([]) == {}
+        assert condense(Triples.from_rows([])) == {}
+
+    @given(st.lists(st.tuples(NAMES, NAMES, NAMES), max_size=30))
+    @settings(max_examples=50)
+    def test_counts_distinct_users_per_item_and_tag(self, rows):
+        want = {}
+        for user, item, tag in set(rows):
+            want[(item, tag)] = want.get((item, tag), 0) + 1
+        assert condense(Triples.from_rows(rows)) == want
 
 
 class TestSelectVocab:
@@ -36,6 +60,12 @@ class TestSelectVocab:
     def test_too_few_tags(self):
         with pytest.raises(ValueError):
             select_vocab({("a", "rock"): 1}, 2)
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_size_below_one_rejected(self, K):
+        # 0 would write a matrix without tag columns, -1 drop the last tag
+        with pytest.raises(ValueError, match=f"at least 1, got {K}"):
+            select_vocab({("a", "rock"): 1, ("a", "jazz"): 2}, K)
 
     @given(st.dictionaries(
         st.tuples(st.sampled_from(["a", "b", "c"]),
@@ -143,13 +173,24 @@ class TestReaders:
         path = tmp_path / "triples.tsv"
         path.write_text("u1\ta\trock\nu2\tb\tjazz\n\n")
         triples = read_triples(path)
-        assert triples == [TagTriple("u1", "a", "rock"),
-                           TagTriple("u2", "b", "jazz")]
+        assert triples[:3] == (["u1", "u2"], ["a", "b"], ["jazz", "rock"])
+        np.testing.assert_array_equal(triples.codes, [[0, 0, 1], [1, 1, 0]])
+        built = Triples.from_rows([("u1", "a", "rock"), ("u2", "b", "jazz")])
+        assert built[:3] == triples[:3]
+        np.testing.assert_array_equal(built.codes, triples.codes)
 
     def test_triples_bad_columns_report_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("u1\ta\trock\nu2\tb\n")
         with pytest.raises(ValueError, match="2"):
+            read_triples(path)
+
+    def test_triples_empty_field_reports_line(self, tmp_path):
+        # the blank line 2 is skipped but still counted
+        path = tmp_path / "bad.tsv"
+        path.write_text("u1\ta\trock\n\n\tb\tjazz\n")
+        with pytest.raises(ValueError, match=r"bad.tsv:3: triple fields "
+                                             r"must be nonempty"):
             read_triples(path)
 
     def test_features_parse(self, tmp_path):
@@ -187,7 +228,55 @@ class TestReaders:
         path.write_text("clip1\ttrackA\nclip2\ttrackB\n")
         assert read_items(path) == {"clip1": "trackA", "clip2": "trackB"}
 
+    def test_items_duplicate_id_reports_line(self, tmp_path):
+        path = tmp_path / "items.tsv"
+        path.write_text("clip1\ttrackA\nclip2\ttrackB\nclip1\ttrackB\n")
+        with pytest.raises(ValueError, match=r"items.tsv:3: duplicate item "
+                                             r"id 'clip1'"):
+            read_items(path)
 
-def test_tag_triple_rejects_empty_fields():
-    with pytest.raises(ValueError):
-        TagTriple("", "a", "rock")
+    def test_items_wrong_column_count_reports_line(self, tmp_path):
+        path = tmp_path / "items.tsv"
+        path.write_text("clip1\ttrackA\nclip2\ttrackB\textra\n")
+        with pytest.raises(ValueError, match=r"items.tsv:2: expected 2 "
+                                             r"columns, got 3"):
+            read_items(path)
+
+
+# ids and tag names: nonempty, and free of the tab and line separators
+FIELDS = st.text(st.characters(blacklist_characters="\t\n\r",
+                               blacklist_categories=("Cs",)), min_size=1)
+
+
+class TestFileRoundTrips:
+    @given(st.lists(FIELDS, min_size=1, max_size=6, unique=True),
+           st.lists(FIELDS, max_size=4), st.data())
+    @settings(max_examples=50)
+    def test_matrix(self, tmp_path_factory, items, vocab, data):
+        cells = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([POSITIVE, NEGATIVE, UNKNOWN]),
+                     min_size=len(vocab), max_size=len(vocab)),
+            min_size=len(items), max_size=len(items))),
+            dtype=np.int8).reshape(len(items), len(vocab))
+        path = tmp_path_factory.mktemp("matrix") / "matrix.tsv"
+        write_matrix(path, ThreeStateTagMatrix(items, vocab, cells))
+        back = read_matrix(path)
+        assert (back.items, back.vocab) == (items, vocab)
+        assert back.cells.dtype == np.int8
+        np.testing.assert_array_equal(back.cells, cells)
+
+    @given(st.lists(FIELDS, min_size=1, max_size=6, unique=True),
+           st.integers(1, 4), st.data())
+    @settings(max_examples=50)
+    def test_features(self, tmp_path_factory, items, D, data):
+        X = np.array(data.draw(st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=D, max_size=D),
+            min_size=len(items), max_size=len(items))))
+        path = tmp_path_factory.mktemp("features") / "features.tsv"
+        write_features(path, FeatureTable(items, X))
+        back = read_features(path)
+        assert back.items == items
+        # the same float bits, signed zeros and subnormals included
+        np.testing.assert_array_equal(back.X.view(np.int64),
+                                      X.view(np.int64))

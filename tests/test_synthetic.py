@@ -59,8 +59,9 @@ def test_write_corpus_files_round_trip(tmp_path):
     features = read_features(tmp_path / "features.tsv")
     assert len(features.items) == 20
     np.testing.assert_allclose(features.X, X)
-    assert {t.tag for t in triples} <= set(tags)
+    assert set(triples.tags) <= set(tags)
     # every positive cell shows up as at least one triple
     positives = {(features.items[i], tags[j])
                  for i, j in zip(*np.nonzero(Y))}
-    assert {(t.item, t.tag) for t in triples} == positives
+    assert {(triples.items[i], triples.tags[t])
+            for _, i, t in triples.codes.tolist()} == positives
