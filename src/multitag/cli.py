@@ -100,7 +100,10 @@ def cmd_ingest(args):
 
 
 def _load_ingested(data_dir):
-    matrix = _read_matrix(os.path.join(data_dir, "matrix.tsv"))
+    path = os.path.join(data_dir, "matrix.tsv")
+    matrix = _read_matrix(path)
+    if not matrix.vocab:
+        raise ValueError(f"{path}: no tag columns")
     features = dt.read_features(os.path.join(data_dir, "features.tsv"))
     if features.items != matrix.items:
         raise ValueError("matrix and features item order mismatch")

@@ -10,6 +10,7 @@ biases (C,).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,18 +125,10 @@ class DrbmParams(Params):
         )
 
 
-@dataclass
-class LabeledExample:
+class LabeledExample(NamedTuple):
+    """One row for a per-example gradient, unchecked: trainers check X, Y."""
     x: np.ndarray  # D
-    y: np.ndarray  # C, binary
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("non-finite feature entry")
-        if not np.all((self.y == 0) | (self.y == 1)):
-            raise ValueError("labels must be 0/1")
+    y: np.ndarray  # C, 0/1
 
 
 @dataclass

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DrbmParams, Gradient, LabeledExample, cd_chain, log1pexp,
-                   mean_field, p_hidden_given, sample_bernoulli, sigm)
+                   mean_field, sample_bernoulli, sigm)
 from .inference import lbp_marginals
-from .oracle import exact_log_cond_probs
+from .oracle import exact_log_cond_probs, marginal_gradient
 
 ESTIMATORS = ("cd", "mfcd", "lbp", "pl")
 DIVERGENCE_LIMIT = 1e6
@@ -90,14 +90,7 @@ def lbp_gradient(example: LabeledExample, p: DrbmParams, K: int,
                  beta: float) -> Gradient:
     """Exact data term minus the model expectation estimated from
     belief-propagation marginals."""
-    m = lbp_marginals(example.x, p, K, beta)
-    h0 = p_hidden_given(example.y, example.x, p)
-    return Gradient(
-        dU=np.outer(h0, example.y) - m.pair_marg,
-        dW=np.outer(h0 - m.h_marg, example.x),
-        dc=h0 - m.h_marg,
-        dd=example.y - m.y_marg,
-    )
+    return marginal_gradient(example, p, lbp_marginals(example.x, p, K, beta))
 
 
 def pl_gradient(example: LabeledExample, p: DrbmParams):
@@ -266,41 +259,42 @@ def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,
     return p
 
 
-def sgd_train(X, Y, p0: DrbmParams, cfg: TrainConfig,
-              record_file=None) -> DrbmParams:
-    """Per-example stochastic ascent on the chosen surrogate objective,
-    over the rows of the (N, D) features X and the (N, C) 0/1 labels Y.
-
-    Visits the rows in a seeded shuffled order each epoch;
-    deterministic given cfg.seed (exactly for pl/mfcd, given the rng
-    stream for cd).  The recorded objective is ``cond_objective``'s.
-    """
-    dataset = [LabeledExample(x, y) for x, y in zip(X, Y, strict=True)]
+def _sgd_rows(X, Y, p0, cfg: TrainConfig, gradient, estimator, record_file):
+    """`sgd` over the rows of the (N, D) features X and (N, C) labels Y,
+    checked once as a block: finite features, 0/1 labels, N rows in each.
+    A step adds cfg.lr times the field dA of gradient(LabeledExample(X[i],
+    Y[i]), p, cfg, rng) to each array A of p.  The objective is
+    ``cond_objective``'s."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if len(X) != len(Y):
+        raise ValueError(f"{len(X)} feature rows but {len(Y)} label rows")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite feature entry")
+    if not np.all((Y == 0) | (Y == 1)):
+        raise ValueError("labels must be 0/1")
 
     def step(p, i, rng):
-        grad = _estimate(dataset[i], p, cfg, rng)
-        p.U += cfg.lr * grad.dU
-        p.W += cfg.lr * grad.dW
-        p.c += cfg.lr * grad.dc
-        p.d += cfg.lr * grad.dd
+        grad = gradient(LabeledExample(X[i], Y[i]), p, cfg, rng)
+        for name in p.SHAPES:  # cheaper per step than p.arrays()
+            a = getattr(p, name)
+            a += cfg.lr * getattr(grad, "d" + name)
 
-    return sgd(p0, len(dataset), step, cfg, record_file,
-               cond_objective(X, Y), cfg.estimator)
+    return sgd(p0, len(X), step, cfg, record_file, cond_objective(X, Y),
+               estimator)
+
+
+def sgd_train(X, Y, p0: DrbmParams, cfg: TrainConfig,
+              record_file=None) -> DrbmParams:
+    """Per-example stochastic ascent on cfg.estimator's surrogate
+    objective (`_sgd_rows`): deterministic given cfg.seed (exactly for
+    pl/mfcd, given the rng stream for cd)."""
+    return _sgd_rows(X, Y, p0, cfg, _estimate, cfg.estimator, record_file)
 
 
 def sgd_train_generative(X, Y, p0: GaussianRbmParams, cfg: TrainConfig,
                          record_file=None) -> GaussianRbmParams:
-    """Same `sgd` training for the joint Gaussian-input model (CD only);
-    the recorded objective is that of its label conditional."""
-    dataset = [LabeledExample(x, y) for x, y in zip(X, Y, strict=True)]
-
-    def step(p, i, rng):
-        grad = generative_cd_gradient(dataset[i], p, cfg.k, rng)
-        p.U += cfg.lr * grad.dU
-        p.W += cfg.lr * grad.dW
-        p.c += cfg.lr * grad.dc
-        p.d += cfg.lr * grad.dd
-        p.bx += cfg.lr * grad.dbx
-
-    return sgd(p0, len(dataset), step, cfg, record_file,
-               cond_objective(X, Y), "cd")
+    """Same training for the joint Gaussian-input model (CD only); the
+    recorded objective is that of its label conditional."""
+    return _sgd_rows(X, Y, p0, cfg, lambda ex, p, cfg, rng:
+                     generative_cd_gradient(ex, p, cfg.k, rng), "cd",
+                     record_file)

@@ -22,18 +22,11 @@ class AucReport:
     def n_folds(self):
         return self.values.shape[1]
 
-    def per_tag_mean(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.nanmean(self.values, axis=1)
-
     def grand_mean(self) -> float:
         valid = self.values[~np.isnan(self.values)]
         if valid.size == 0:
             return float("nan")
         return float(np.mean(valid))
-
-    def valid_cells(self) -> int:
-        return int(np.sum(~np.isnan(self.values)))
 
 
 @dataclass
@@ -173,9 +166,7 @@ def cv_run(X: np.ndarray, cells: np.ndarray, tags, split: FoldSplit,
             for val_idx, train_idx in split.rotations(test_fold):
                 score = train_fn(X[train_idx], cells[train_idx], hyper, seed)
                 cols.append(score_matrix_auc(score(X[val_idx]), cells[val_idx], tags))
-        stacked = np.stack(cols, axis=1)
-        valid = stacked[~np.isnan(stacked)]
-        val_means.append(float(np.mean(valid)) if valid.size else float("nan"))
+        val_means.append(AucReport(tags, np.stack(cols, axis=1)).grand_mean())
     best = int(np.nanargmax(val_means))
     hyper = grid[best]
 

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .core import (DrbmParams, Gradient, LabeledExample, cond_free_energy,
-                   energy, log1pexp, p_hidden_given, sigm)
+                   energy, log1pexp, sigm)
 
 ENUM_BITS = 20  # ~10^6 terms keeps a full enumeration under a second
 
@@ -88,16 +88,20 @@ def exact_marginals(x, p: DrbmParams) -> Marginals:
     return Marginals(y_marg, h_marg, pair)
 
 
+def marginal_gradient(example: LabeledExample, p: DrbmParams,
+                      m: Marginals) -> Gradient:
+    """The exact data term of log p(y|x) minus the model expectation
+    that the marginals m give."""
+    x, y = example.x, example.y
+    h0 = sigm(p.c + p.W @ x + p.U @ y)  # p_hidden_given, unchecked
+    return Gradient(dU=np.outer(h0, y) - m.pair_marg,
+                    dW=np.outer(h0 - m.h_marg, x), dc=h0 - m.h_marg,
+                    dd=y - m.y_marg)
+
+
 def exact_grad(example: LabeledExample, p: DrbmParams) -> Gradient:
     """Exact gradient of log p(y_t|x_t): data term minus model expectation."""
-    m = exact_marginals(example.x, p)
-    h0 = p_hidden_given(example.y, example.x, p)
-    return Gradient(
-        dU=np.outer(h0, example.y) - m.pair_marg,
-        dW=np.outer(h0 - m.h_marg, example.x),
-        dc=h0 - m.h_marg,
-        dd=example.y - m.y_marg,
-    )
+    return marginal_gradient(example, p, exact_marginals(example.x, p))
 
 
 def finite_diff(f, p: DrbmParams, step: float = 1e-5) -> Gradient:

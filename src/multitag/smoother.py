@@ -8,6 +8,7 @@ for downstream classifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,7 @@ class SmootherParams(Params):
                    np.zeros(n), np.zeros(C), aux_sizes)
 
 
-@dataclass
-class TagEvent:
+class TagEvent(NamedTuple):
     user: int
     track: int
     clip: int
@@ -78,20 +78,25 @@ def aux_columns(user, track, clip, aux_sizes) -> list:
     return cols
 
 
+def _block_columns(ids, aux_sizes, first=0):
+    """``aux_columns`` for a (b, k) block of ids in the k identity blocks
+    from block ``first`` on; the first row and block with an id out of
+    range raise its IndexError."""
+    sizes = np.array(aux_sizes)[first:first + ids.shape[1]]
+    bad = np.argwhere((ids < 0) | (ids >= sizes))
+    if bad.size:
+        r, b = bad[0]
+        raise IndexError(f"id {ids[r, b]} out of range for block of size "
+                         f"{sizes[b]}")
+    return ids + np.cumsum([0, *aux_sizes])[first:first + ids.shape[1]]
+
+
 def build_aux(user, track, clip, aux_sizes) -> np.ndarray:
     """The dense conditioning vector a: one-hot blocks for user, track,
     clip, so V @ a is V[:, aux_columns(...)].sum(axis=1)."""
     a = np.zeros(sum(aux_sizes))
     a[aux_columns(user, track, clip, aux_sizes)] = 1.0
     return a
-
-
-def events_by_clip(events) -> dict:
-    """clip id -> that clip's events, in their original order."""
-    by_clip = {}
-    for e in events:
-        by_clip.setdefault(e.clip, []).append(e)
-    return by_clip
 
 
 def other_users_avg(events, excluded_user) -> np.ndarray:
@@ -112,13 +117,12 @@ def smoother_cd_gradient(event: TagEvent, u, cols, p: SmootherParams, K: int,
     d + Va + U'h, a one-hot on the columns ``cols`` of V; dV is the
     C x len(cols) block of those columns (every other column of the
     dense gradient is zero but for the l1 term).  The l1 subgradient
-    shrinks only the conditioning weights V and W."""
-    u = np.asarray(u, dtype=float)
-    y0 = np.asarray(event.y, dtype=float)
+    shrinks only the conditioning weights V and W.  The arrays u and
+    event.y are not checked: ``train_smoother`` checks its events once."""
     V = p.V[:, cols]
     h0, hK, y = cd_chain((p.c + p.W @ u)[None], p.d + V.sum(axis=1), p.U,
-                         y0[None], K, rng)
-    g = _phase_difference(h0[0], y0, hK[0], y[0], u)
+                         event.y[None], K, rng)
+    g = _phase_difference(h0[0], event.y, hK[0], y[0], u)
     dV = np.outer(g.dd, np.ones(len(cols)))
     if l1 > 0:
         dV = dV - l1 * np.sign(V)
@@ -139,16 +143,35 @@ def _shrink(v: np.ndarray, amount) -> np.ndarray:
     return np.where(np.abs(v) <= amount, 0.0, v - np.sign(v) * amount)
 
 
+def _clip_sums(clips, Y, n_clips):
+    """The label sum of each of n_clips clips, its events added in their
+    order (as ``np.mean`` adds a clip's rows), and its event count."""
+    sums = np.zeros((n_clips, Y.shape[1]))
+    np.add.at(sums, clips, Y)
+    return sums, np.bincount(clips, minlength=n_clips)
+
+
 def _event_inputs(events, p: SmootherParams):
     """Each event's other-users average (events x C) and its three
-    columns of V (events x 3)."""
-    by_clip = events_by_clip(events)
-    avgs = np.empty((len(events), p.C))
-    cols = np.empty((len(events), 3), dtype=np.intp)
-    for i, e in enumerate(events):
-        avgs[i] = other_users_avg(by_clip[e.clip], e.user)
-        cols[i] = aux_columns(e.user, e.track, e.clip, p.aux_sizes)
-    return avgs, cols
+    columns of V (events x 3), by array ops over the stacked events.  The
+    average is (S_clip - S_clip,user) / (n_clip - n_clip,user), zero
+    where nobody else tagged the clip; the labels must be 0/1, so the
+    sums are exact and each average has the bits of ``other_users_avg``.
+    """
+    ids = np.array([(e.user, e.track, e.clip) for e in events],
+                   dtype=np.intp).reshape(-1, 3)
+    cols = _block_columns(ids, p.aux_sizes)
+    Y = np.array([e.y for e in events], dtype=float).reshape(len(ids), p.C)
+    if not np.all((Y == 0) | (Y == 1)):
+        raise ValueError("labels must be 0/1")
+    clips = ids[:, 2]
+    pairs, pair = np.unique(clips * p.aux_sizes[0] + ids[:, 0],
+                            return_inverse=True)
+    clip_sum, clip_n = _clip_sums(clips, Y, p.aux_sizes[2])
+    pair_sum, pair_n = _clip_sums(pair, Y, len(pairs))
+    others = (clip_n[clips] - pair_n[pair])[:, None]
+    return np.divide(clip_sum[clips] - pair_sum[pair], others,
+                     out=np.zeros_like(Y), where=others > 0), cols
 
 
 def train_smoother(events, p0: SmootherParams, cfg: TrainConfig,
@@ -199,27 +222,18 @@ def smooth_tags(clips, tracks, p: SmootherParams, events) -> np.ndarray:
     pair: u averages all users of the clip, the user identity block is
     left out, and mean-field runs from y* = u to convergence (SMOOTH_TOL,
     at most SMOOTH_MAX_ITER steps), every clip in one batched
-    ``mean_field`` call.  ``events`` may hold other
-    clips' events too; each clip's average sums its events in their
-    order, as ``np.mean`` over that clip's rows would.
-    """
-    n_users, n_tracks, n_clips = p.aux_sizes
+    ``mean_field`` call.  ``events`` may hold other clips' events too;
+    each clip's average is ``_clip_sums``'s sum over its count."""
     clips = np.asarray(clips, dtype=np.intp)
-    tracks = np.asarray(tracks, dtype=np.intp)
     event_clips = np.array([e.clip for e in events], dtype=np.intp)
     known = np.isin(clips, event_clips)
     if not np.all(known):
         raise KeyError(f"unknown clip {int(clips[~known][0])}")
-    for ids, size in ((tracks, n_tracks), (clips, n_clips)):
-        bad = ids[(ids < 0) | (ids >= size)]
-        if bad.size:
-            raise IndexError(f"id {bad[0]} out of range for block of "
-                             f"size {size}")
-    sums = np.zeros((n_clips, p.C))
-    np.add.at(sums, event_clips, np.array([e.y for e in events], dtype=float))
-    counts = np.bincount(event_clips, minlength=n_clips)[clips]
-    u = sums[clips] / counts[:, None]
-    cols = np.stack([n_users + tracks, n_users + n_tracks + clips], axis=1)
+    cols = _block_columns(np.stack([np.asarray(tracks, dtype=np.intp),
+                                    clips], axis=1), p.aux_sizes, first=1)
+    sums, counts = _clip_sums(event_clips, np.array(
+        [e.y for e in events], dtype=float), p.aux_sizes[2])
+    u = sums[clips] / counts[clips, None]
     return mean_field(p.c + (p.W @ u[:, :, None])[:, :, 0],
                       p.d + p.V.T[cols].sum(axis=1), p.U, u, SMOOTH_MAX_ITER,
                       SMOOTH_TOL)

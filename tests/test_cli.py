@@ -296,6 +296,27 @@ class TestMatrixFile:
                     "--epochs", 1, "--model", tmp_path / "m.model"]) == 1
         assert f"matrix.tsv:3: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--kind", "drbm", "--epochs", 1],
+        ["train", "--kind", "logreg", "--epochs", 1],
+        ["eval", "--out", "{out}/reports"]],
+        ids=["drbm-train", "logreg-train", "eval"])
+    def test_no_tag_columns_is_an_error_line(self, ingested, tmp_path, capsys,
+                                             command):
+        # only the item column is left: refused before the record, the
+        # model or the reports directory exists
+        matrix = ingested / "matrix.tsv"
+        matrix.write_text("".join(line.split("\t")[0] + "\n" for line in
+                                  matrix.read_text().splitlines()))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run([str(a).format(out=out) for a in command]
+                   + ["--data", ingested, "--model", out / "m.model"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {matrix}: no tag columns\n"
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
 
 class TestPrecedence:
     def test_flag_beats_config_beats_env(self, ingested, tmp_path,

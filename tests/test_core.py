@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multitag.core import (DrbmParams, LabeledExample, ShapeError, cd_chain,
-                           cond_free_energy, energy, log1pexp, mean_field,
-                           p_hidden_given, sample_bernoulli, sigm)
+from multitag.core import (DrbmParams, ShapeError, cd_chain, cond_free_energy,
+                           energy, log1pexp, mean_field, p_hidden_given,
+                           sample_bernoulli, sigm)
 from conftest import random_instance
 
 
@@ -305,8 +305,3 @@ def test_params_copy_is_not_checked_again():
     assert type(q) is DrbmParams and np.isnan(q.U[0, 0])
     q.W[0, 0] = 1.0
     assert p.W[0, 0] == 0.0
-
-
-def test_labeled_example_validates():
-    with pytest.raises(ValueError):
-        LabeledExample(np.zeros(2), np.array([0.0, 0.5]))

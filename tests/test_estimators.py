@@ -278,6 +278,29 @@ class TestSgdTrain:
                       TrainConfig())
 
 
+class TestBlockCheck:
+    @pytest.mark.parametrize("trainer, params", [
+        (sgd_train, DrbmParams), (sgd_train_generative, GaussianRbmParams)],
+        ids=["sgd_train", "sgd_train_generative"])
+    @pytest.mark.parametrize("case, message", [
+        ("nan-feature", "non-finite feature entry"),
+        ("half-label", "labels must be 0/1"),
+        ("row-counts", "2 feature rows but 1 label rows")],
+        ids=["nan-feature", "half-label", "row-counts"])
+    def test_rejects_bad_block(self, rng, trainer, params, case, message):
+        # the rows are checked once, before the first step
+        X, Y = np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 0.0]])
+        if case == "nan-feature":
+            X[1, 0] = np.nan
+        elif case == "half-label":
+            Y[1] = [0.0, 0.5]
+        else:
+            Y = Y[:1]
+        p0 = params.random_init(3, 2, 2, rng)
+        with pytest.raises(ValueError, match=message):
+            trainer(X, Y, p0, TrainConfig(epochs=0))
+
+
 class TestSgdTrainGenerative:
     def test_learns_feature_means(self, rng):
         # a decoupled generative model should move bx toward the data mean

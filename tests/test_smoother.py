@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multitag import synthetic
 from multitag.core import (DrbmParams, LabeledExample, ShapeError, cd_chain,
@@ -10,7 +12,7 @@ from multitag.core import (DrbmParams, LabeledExample, ShapeError, cd_chain,
 from multitag.estimators import (DIVERGENCE_LIMIT, DivergenceError,
                                  TrainConfig, cd_gradient, sgd)
 from multitag.smoother import (SmootherParams, TagEvent, _clip_step,
-                               aux_columns, build_aux, events_by_clip,
+                               _event_inputs, aux_columns, build_aux,
                                other_users_avg, smooth_tags,
                                smoothed_dataset, smoother_cd_gradient,
                                train_smoother)
@@ -73,6 +75,41 @@ class TestOtherUsersAvg:
     def test_lone_tagger_gets_zeros(self):
         events = [TagEvent(0, 0, 0, np.array([1.0, 1.0]))]
         np.testing.assert_array_equal(other_users_avg(events, 0), [0.0, 0.0])
+
+
+@st.composite
+def event_lists(draw):
+    """(events, aux_sizes, C): random 0/1 events plus a second event of
+    the first event's user on its clip and a lone tagger on a clip of its
+    own, in a random order."""
+    C = draw(st.integers(1, 4))
+    sizes = (draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+             draw(st.integers(1, 4)) + 1)
+    bits = st.lists(st.integers(0, 1), min_size=C, max_size=C)
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, sizes[0] - 1), st.integers(0, sizes[1] - 1),
+        st.integers(0, sizes[2] - 2), bits), min_size=1, max_size=12))
+    u, t, c, _ = rows[0]
+    rows += [(u, t, c, draw(bits)), (0, 0, sizes[2] - 1, draw(bits))]
+    rows = draw(st.permutations(rows))
+    return ([TagEvent(u, t, c, np.array(y, dtype=float))
+             for u, t, c, y in rows], sizes, C)
+
+
+class TestEventInputs:
+    @settings(max_examples=100)
+    @given(event_lists())
+    def test_match_the_per_event_functions(self, case):
+        events, sizes, C = case
+        p = SmootherParams.random_init(2, C, sizes, np.random.default_rng(0))
+        avgs, cols = _event_inputs(events, p)
+        assert avgs.shape == (len(events), C)
+        for e, avg, col in zip(events, avgs, cols):
+            same_clip = [f for f in events if f.clip == e.clip]
+            assert avg.tobytes() == other_users_avg(same_clip,
+                                                    e.user).tobytes()
+            assert col.tolist() == aux_columns(e.user, e.track, e.clip,
+                                               sizes)
 
 
 class TestSmootherCdGradient:
@@ -176,7 +213,9 @@ def dense_reference_train(events, p0, cfg):
     the C x A conditioning gradient from the dense aux vector and takes
     the clipped l1 step on all of V."""
     events = list(events)
-    by_clip = events_by_clip(events)
+    by_clip = {}  # clip id -> that clip's events, in their order
+    for e in events:
+        by_clip.setdefault(e.clip, []).append(e)
 
     def step(p, i, rng):
         e = events[i]
@@ -293,6 +332,22 @@ class TestTrainSmoother:
         cfg = TrainConfig(estimator="cd", k=1, lr=1e7, epochs=3, seed=0)
         with pytest.raises(DivergenceError):
             train_smoother(toy_events(), p0, cfg)
+
+    @pytest.mark.parametrize("ids, bad", [
+        ((2, 0, 0), 2), ((0, -1, 1), -1), ((0, 1, 2), 2)],
+        ids=["user", "track", "clip"])
+    def test_id_out_of_range_rejected(self, rng, ids, bad):
+        p0 = SmootherParams.random_init(2, 2, (2, 2, 2), rng)
+        events = toy_events() + [TagEvent(*ids, np.array([1.0, 0.0]))]
+        with pytest.raises(IndexError, match=f"^id {bad} out of range for "
+                                             "block of size 2$"):
+            train_smoother(events, p0, TrainConfig())
+
+    def test_label_other_than_0_1_rejected(self, rng):
+        p0 = SmootherParams.random_init(2, 2, (2, 2, 2), rng)
+        events = toy_events() + [TagEvent(1, 1, 1, np.array([0.5, 0.0]))]
+        with pytest.raises(ValueError, match="labels must be 0/1"):
+            train_smoother(events, p0, TrainConfig())
 
     def test_empty_events_rejected(self, rng):
         p0 = SmootherParams.random_init(2, 2, (2, 2, 2), rng)
