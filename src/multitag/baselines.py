@@ -94,7 +94,7 @@ def _mlp_grads(x, t, mask, p: MlpParams):
     dpre_o = (o - t) * mask
     dh = p.W2 @ dpre_o
     dpre_h = dh * h * (1 - h)
-    return (np.outer(x, dpre_h), dpre_h, np.outer(h, dpre_o), dpre_o)
+    return (x[:, None] * dpre_h, dpre_h, h[:, None] * dpre_o, dpre_o)
 
 
 def mlp_train(X, targets, mask, cfg: TrainConfig, p0: MlpParams,
@@ -127,7 +127,7 @@ def logreg_train(X, targets, mask, cfg: TrainConfig,
 
     def step(p, i, rng):
         dpre = (sigm(p.b + X[i] @ p.W) - targets[i]) * mask[i]
-        p.W -= cfg.lr * np.outer(X[i], dpre)
+        p.W -= cfg.lr * (X[i][:, None] * dpre)
         p.b -= cfg.lr * dpre
 
     return sgd(p0, X.shape[0], step, cfg, record_file,

@@ -28,7 +28,7 @@ from .evaluation import (AucReport, score_matrix_auc, significance_counts,
                          write_auc_report, write_summary)
 from .inference import NumericError, lbp_scores
 from .modelio import load_model, save_model
-from .smoother import SmootherParams, TagEvent, smooth_tags, train_smoother
+from .smoother import Events, SmootherParams, smooth_tags, train_smoother
 from .verify import (check_capacity, check_exact_gradient, check_independence,
                      check_lbp_tree, check_normalization, check_pl_gradient)
 
@@ -111,15 +111,15 @@ def _load_ingested(data_dir):
 
 
 def _events_from_triples(triples: dt.Triples, vocab, items_map):
-    """One TagEvent per (user, clip) in that order, with the triples'
-    codes as user and clip ids; tracks (a clip's items_map entry, else
-    the clip) are numbered in sorted order, so the same files always
-    yield the same ids.  Returns the events, the (#users, #tracks,
+    """The smoother's Events, one per (user, clip) in that order, with
+    the triples' codes as user and clip ids; tracks (a clip's items_map
+    entry, else the clip) are numbered in sorted order, so the same files
+    always yield the same ids.  Returns the events, the (#users, #tracks,
     #clips) sizes and each clip's track id."""
     n_users, n_clips = len(triples.users), len(triples.items)
     track_of = [items_map.get(clip, clip) for clip in triples.items]
     tid = {t: i for i, t in enumerate(sorted(set(track_of)))}
-    tracks = [tid[t] for t in track_of]
+    tracks = np.array([tid[t] for t in track_of], dtype=np.intp)
     col = {tag: j for j, tag in enumerate(vocab)}
     cols = np.array([col.get(tag, -1) for tag in triples.tags],
                     dtype=np.intp)[triples.codes[:, 2]]
@@ -128,9 +128,8 @@ def _events_from_triples(triples: dt.Triples, vocab, items_map):
     Y = np.zeros((len(pairs), len(vocab)))
     Y[event[cols >= 0], cols[cols >= 0]] = 1.0
     users, clips = np.divmod(pairs, n_clips)
-    events = [TagEvent(u, tracks[c], c, y)
-              for u, c, y in zip(users.tolist(), clips.tolist(), Y)]
-    return events, (n_users, len(tid), n_clips), tracks
+    return (Events(np.stack([users, tracks[clips], clips], axis=1), Y),
+            (n_users, len(tid), n_clips), tracks)
 
 
 class Kind(NamedTuple):

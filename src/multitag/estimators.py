@@ -59,12 +59,10 @@ class TrainConfig:
 
 
 def _phase_difference(h0, y0, hK, yK, x) -> Gradient:
-    return Gradient(
-        dU=np.outer(h0, y0) - np.outer(hK, yK),
-        dW=np.outer(h0 - hK, x),
-        dc=h0 - hK,
-        dd=y0 - yK,
-    )
+    # broadcast products: the ufunc calls of np.outer, so the same bits
+    dc = h0 - hK
+    return Gradient(dU=h0[:, None] * y0 - hK[:, None] * yK,
+                    dW=dc[:, None] * x, dc=dc, dd=y0 - yK)
 
 
 def cd_gradient(example: LabeledExample, p: DrbmParams, K: int, rng) -> Gradient:
@@ -93,17 +91,14 @@ def lbp_gradient(example: LabeledExample, p: DrbmParams, K: int,
     return marginal_gradient(example, p, lbp_marginals(example.x, p, K, beta))
 
 
-def pl_gradient(example: LabeledExample, p: DrbmParams):
-    """Exact gradient of the pseudo-likelihood sum_j log p(y_j | y_\\j, x).
-
-    Returns (gradient, log_pl).
-    """
+def _pl_ascent(example: LabeledExample, p: DrbmParams):
+    """``pl_gradient``'s gradient and the (C,) pre-activations of the
+    conditionals p(y_j | y_\\j, x), without the log pseudo-likelihood."""
     x, y = example.x, example.y
     c_data = p.c + p.W @ x + p.U @ y
     T0 = c_data[:, None] - p.U * y[None, :]   # n x C, j-th bit removed
     T1 = T0 + p.U                             # j-th bit set
     pre = p.d + np.sum(log1pexp(T1) - log1pexp(T0), axis=0)
-    log_pl = float(-np.sum(y * log1pexp(-pre) + (1 - y) * log1pexp(pre)))
 
     dout = sigm(pre) - y                      # C, descent on -log PL
     S0 = sigm(T0)
@@ -111,11 +106,22 @@ def pl_gradient(example: LabeledExample, p: DrbmParams):
     dU_direct = ((1 - y)[None, :] * S1 + y[None, :] * S0) * dout[None, :]
     dhid = ((S1 - S0) * dout[None, :]).sum(axis=1)  # n
     grad = Gradient(
-        dU=-(dU_direct + np.outer(dhid, y)),
-        dW=-np.outer(dhid, x),
+        dU=-(dU_direct + dhid[:, None] * y),
+        dW=-(dhid[:, None] * x),
         dc=-dhid,
         dd=-dout,
     )
+    return grad, pre
+
+
+def pl_gradient(example: LabeledExample, p: DrbmParams):
+    """Exact gradient of the pseudo-likelihood sum_j log p(y_j | y_\\j, x).
+
+    Returns (gradient, log_pl).
+    """
+    grad, pre = _pl_ascent(example, p)
+    y = example.y
+    log_pl = float(-np.sum(y * log1pexp(-pre) + (1 - y) * log1pexp(pre)))
     return grad, log_pl
 
 
@@ -192,8 +198,8 @@ def generative_cd_gradient(example: LabeledExample, p: GaussianRbmParams,
         x = p.bx + p.W.T @ h
     hK = sigm(p.c + p.W @ x + p.U @ y)
     return GaussianGradient(
-        dU=np.outer(h0, y0) - np.outer(hK, y),
-        dW=np.outer(h0, x0) - np.outer(hK, x),
+        dU=h0[:, None] * y0 - hK[:, None] * y,
+        dW=h0[:, None] * x0 - hK[:, None] * x,
         dc=h0 - hK,
         dd=y0 - y,
         dbx=x0 - x,
@@ -208,7 +214,7 @@ def _estimate(example, p, cfg: TrainConfig, rng) -> Gradient:
         return mfcd_gradient(example, p, cfg.k)
     if cfg.estimator == "lbp":
         return lbp_gradient(example, p, cfg.k, cfg.beta)
-    return pl_gradient(example, p)[0]
+    return _pl_ascent(example, p)[0]
 
 
 def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,

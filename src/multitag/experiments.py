@@ -14,7 +14,7 @@ from .data import NEGATIVE, POSITIVE, FeatureTable, normalize_features
 from .estimators import TrainConfig, sgd_train
 from .evaluation import auc
 from .inference import lbp_scores
-from .smoother import SmootherParams, smooth_tags, train_smoother
+from .smoother import Events, SmootherParams, smooth_tags, train_smoother
 from .synthetic import (make_cooccurrence_corpus, make_dependency_corpus,
                         make_tag_corpus)
 
@@ -78,13 +78,13 @@ def label_dependency_experiment(seeds=(0, 1, 2, 3, 4), n_train=60, n_test=300,
     return results
 
 
-def _observed_matrix(events, clips, C):
+def _observed_matrix(events: Events, clips, C):
     """Any-user-reported binarization of events for the given clips."""
     Y = np.zeros((len(clips), C))
     index = {c: i for i, c in enumerate(clips)}
-    for e in events:
-        if e.clip in index:
-            Y[index[e.clip]] = np.maximum(Y[index[e.clip]], e.y)
+    for clip, y in zip(events.ids[:, 2].tolist(), events.Y):
+        if clip in index:
+            Y[index[clip]] = np.maximum(Y[index[clip]], y)
     return Y
 
 
@@ -97,17 +97,19 @@ def smoothing_experiment(seeds=(0, 1, 2, 3, 4), n_clips=300, n_train=200,
     against the observed (unsmoothed) labels."""
     results = []
     for seed in seeds:
-        X, _, events = make_cooccurrence_corpus(n_clips, seed, drop=drop)
+        X, _, tag_events = make_cooccurrence_corpus(n_clips, seed, drop=drop)
         X = _standardize(X)
-        C = events[0].y.shape[0]
+        events = Events.from_tag_events(tag_events)
+        C = events.Y.shape[1]
         train_clips = list(range(n_train))
         test_clips = list(range(n_train, n_clips))
-        train_events = [e for e in events if e.clip < n_train]
+        train = events.ids[:, 2] < n_train
+        train_events = Events(events.ids[train], events.Y[train])
 
         rng = np.random.default_rng(seed)
         # every clip is its own track here, so the identity blocks are
         # (users, tracks=clips, clips)
-        n_users = max(e.user for e in events) + 1
+        n_users = int(events.ids[:, 0].max()) + 1
         p0 = SmootherParams.random_init(smoother_hidden, C,
                                         (n_users, n_clips, n_clips), rng)
         cfg = TrainConfig(estimator="cd", k=1, lr=0.05,

@@ -94,9 +94,9 @@ def marginal_gradient(example: LabeledExample, p: DrbmParams,
     that the marginals m give."""
     x, y = example.x, example.y
     h0 = sigm(p.c + p.W @ x + p.U @ y)  # p_hidden_given, unchecked
-    return Gradient(dU=np.outer(h0, y) - m.pair_marg,
-                    dW=np.outer(h0 - m.h_marg, x), dc=h0 - m.h_marg,
-                    dd=y - m.y_marg)
+    dc = h0 - m.h_marg
+    return Gradient(dU=h0[:, None] * y - m.pair_marg, dW=dc[:, None] * x,
+                    dc=dc, dd=y - m.y_marg)
 
 
 def exact_grad(example: LabeledExample, p: DrbmParams) -> Gradient:

@@ -59,9 +59,23 @@ class TagEvent(NamedTuple):
     y: np.ndarray  # C, binary
 
 
+class Events(NamedTuple):
+    """The smoother's (user, clip) events as arrays: ids holds each
+    event's (user, track, clip) ids as an (E, 3) integer block and Y its
+    (E, C) labels."""
+    ids: np.ndarray
+    Y: np.ndarray
+
+    @classmethod
+    def from_tag_events(cls, events) -> "Events":
+        """The arrays of a sequence of TagEvents, in their order."""
+        ids = np.array([e[:3] for e in events], dtype=np.intp).reshape(-1, 3)
+        return cls(ids, np.array([e.y for e in events], dtype=float))
+
+
 @dataclass
 class SmootherGradient(Gradient):
-    dV: np.ndarray  # C x len(cols), the columns of V an event selects
+    dV: np.ndarray  # C x k, for the k columns of V an event selects
 
 
 def aux_columns(user, track, clip, aux_sizes) -> list:
@@ -111,36 +125,47 @@ def other_users_avg(events, excluded_user) -> np.ndarray:
     return np.mean(np.asarray(vecs, dtype=float), axis=0)
 
 
-def smoother_cd_gradient(event: TagEvent, u, cols, p: SmootherParams, K: int,
-                         rng, l1: float = 0.0) -> SmootherGradient:
-    """Conditional CD-K with hidden input c + Wu + Uy and visible input
-    d + Va + U'h, a one-hot on the columns ``cols`` of V; dV is the
-    C x len(cols) block of those columns (every other column of the
-    dense gradient is zero but for the l1 term).  The l1 subgradient
-    shrinks only the conditioning weights V and W.  The arrays u and
-    event.y are not checked: ``train_smoother`` checks its events once."""
-    V = p.V[:, cols]
-    h0, hK, y = cd_chain((p.c + p.W @ u)[None], p.d + V.sum(axis=1), p.U,
-                         event.y[None], K, rng)
-    g = _phase_difference(h0[0], event.y, hK[0], y[0], u)
-    dV = np.outer(g.dd, np.ones(len(cols)))
+def smoother_cd_gradient(y, u, V, p: SmootherParams, K: int, rng,
+                         l1: float = 0.0, signs=None) -> SmootherGradient:
+    """Conditional CD-K for one event with labels y and other-users
+    average u: hidden input c + Wu + Uy and visible input d + Va + U'h.
+    The conditioning vector a is one-hot on k columns of p.V, and V is
+    the C x k block of their current values, so Va = V.sum(axis=1); dV
+    is the gradient of that block (every other column of the dense
+    gradient is zero but for the l1 term).  The l1 subgradient shrinks
+    only the conditioning weights V and W; ``signs``, if given, is the
+    pair (np.sign(p.W), np.sign(V)) that it uses.  y and u are not
+    checked: ``train_smoother`` checks its events once."""
+    h0, hK, yK = cd_chain((p.c + p.W @ u)[None], p.d + V.sum(axis=1), p.U,
+                          y[None], K, rng)
+    g = _phase_difference(h0[0], y, hK[0], yK[0], u)
     if l1 > 0:
-        dV = dV - l1 * np.sign(V)
-        g.dW = g.dW - l1 * np.sign(p.W)
+        sign_W, sign_V = (np.sign(p.W), np.sign(V)) if signs is None \
+            else signs
+        dV = g.dd[:, None] - l1 * sign_V
+        g.dW = g.dW - l1 * sign_W
+    else:
+        dV = g.dd[:, None].repeat(V.shape[1], axis=1)
     return SmootherGradient(g.dU, g.dW, g.dc, g.dd, dV)
 
 
-def _clip_step(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """l1 steps never push a weight through zero; sign flips land at 0."""
-    flipped = (old != 0) & (np.sign(new) == -np.sign(old))
-    return np.where(flipped, 0.0, new)
+def _clip_step(old: np.ndarray, new: np.ndarray, sign_old=None) -> np.ndarray:
+    """l1 steps never push a weight through zero; sign flips land at 0.
+    sign_old, if given, is np.sign(old).  A flip is sign_old * new < 0:
+    the product is exact, and it is NaN, so no flip, where either factor
+    is NaN or a zero meets an infinity."""
+    if sign_old is None:
+        sign_old = np.sign(old)
+    return np.where(sign_old * new < 0, 0.0, new)
 
 
 def _shrink(v: np.ndarray, amount) -> np.ndarray:
     """Soft threshold sign(v) * max(|v| - amount, 0): in exact arithmetic,
     the clipped l1 steps of total size ``amount`` that a weight with no
     data gradient takes.  NaN stays NaN for the divergence check."""
-    return np.where(np.abs(v) <= amount, 0.0, v - np.sign(v) * amount)
+    out = v - np.sign(v) * amount
+    out[np.abs(v) <= amount] = 0.0
+    return out
 
 
 def _clip_sums(clips, Y, n_clips):
@@ -151,17 +176,19 @@ def _clip_sums(clips, Y, n_clips):
     return sums, np.bincount(clips, minlength=n_clips)
 
 
-def _event_inputs(events, p: SmootherParams):
-    """Each event's other-users average (events x C) and its three
-    columns of V (events x 3), by array ops over the stacked events.  The
-    average is (S_clip - S_clip,user) / (n_clip - n_clip,user), zero
+def _event_inputs(events: Events, p: SmootherParams):
+    """The events' (E, C) 0/1 label block, each event's other-users
+    average (E x C) and its three columns of V (E x 3), by array ops.
+    The average is (S_clip - S_clip,user) / (n_clip - n_clip,user), zero
     where nobody else tagged the clip; the labels must be 0/1, so the
     sums are exact and each average has the bits of ``other_users_avg``.
     """
-    ids = np.array([(e.user, e.track, e.clip) for e in events],
-                   dtype=np.intp).reshape(-1, 3)
+    ids = np.asarray(events.ids, dtype=np.intp)
+    Y = np.asarray(events.Y, dtype=float)
+    if ids.shape != (len(ids), 3) or Y.shape != (len(ids), p.C):
+        raise ShapeError(f"events must be (E, 3) ids and (E, {p.C}) labels, "
+                         f"got {ids.shape} and {Y.shape}")
     cols = _block_columns(ids, p.aux_sizes)
-    Y = np.array([e.y for e in events], dtype=float).reshape(len(ids), p.C)
     if not np.all((Y == 0) | (Y == 1)):
         raise ValueError("labels must be 0/1")
     clips = ids[:, 2]
@@ -170,11 +197,11 @@ def _event_inputs(events, p: SmootherParams):
     clip_sum, clip_n = _clip_sums(clips, Y, p.aux_sizes[2])
     pair_sum, pair_n = _clip_sums(pair, Y, len(pairs))
     others = (clip_n[clips] - pair_n[pair])[:, None]
-    return np.divide(clip_sum[clips] - pair_sum[pair], others,
-                     out=np.zeros_like(Y), where=others > 0), cols
+    return Y, np.divide(clip_sum[clips] - pair_sum[pair], others,
+                        out=np.zeros_like(Y), where=others > 0), cols
 
 
-def train_smoother(events, p0: SmootherParams, cfg: TrainConfig,
+def train_smoother(events: Events, p0: SmootherParams, cfg: TrainConfig,
                    record_file=None) -> SmootherParams:
     """Per-event stochastic CD training of the smoother; the l1 penalty
     on V and W uses subgradient steps clipped through zero.
@@ -182,41 +209,41 @@ def train_smoother(events, p0: SmootherParams, cfg: TrainConfig,
     An event's conditioning vector is one-hot on three columns of V, and
     every other column only shrinks under l1.  That shrinkage is applied
     lazily: each column remembers how many events it is up to date with
-    and catches up in one soft threshold just before an event reads it,
-    and every column catches up at the end of each epoch.
+    and catches up in one soft threshold when an event reads it, and
+    every column catches up at the end of each epoch.  A step reads its
+    three columns once, as a block that it brings up to date, trains on
+    and writes back once.
     """
-    events = list(events)
-    avgs, cols = _event_inputs(events, p0)
+    Y, avgs, cols = _event_inputs(events, p0)
     per_step = cfg.lr * cfg.l1
     t = 0  # events seen so far
     done = np.zeros(p0.A, dtype=np.int64)  # t when each column caught up
 
-    def catch_up(V, c):
-        V[:, c] = _shrink(V[:, c], (t - done[c]) * per_step)
-        done[c] = t
-
     def step(p, i, rng):
         nonlocal t
         c = cols[i]
-        catch_up(p.V, c)
-        g = smoother_cd_gradient(events[i], avgs[i], c, p, cfg.k, rng, cfg.l1)
+        # take: the gather of p.V[:, c] at about a quarter of its cost
+        V = _shrink(p.V.take(c, axis=1), (t - done[c]) * per_step)
+        sign_W, sign_V = np.sign(p.W), np.sign(V)
+        g = smoother_cd_gradient(Y[i], avgs[i], V, p, cfg.k, rng, cfg.l1,
+                                 (sign_W, sign_V))
         p.U += cfg.lr * g.dU
         p.c += cfg.lr * g.dc
         p.d += cfg.lr * g.dd
-        p.W = _clip_step(p.W, p.W + cfg.lr * g.dW)
-        V = p.V[:, c]
-        p.V[:, c] = _clip_step(V, V + cfg.lr * g.dV)
+        p.W = _clip_step(p.W, p.W + cfg.lr * g.dW, sign_W)
+        p.V[:, c] = _clip_step(V, V + cfg.lr * g.dV, sign_V)
         t += 1
         done[c] = t
-        if t % len(events) == 0:
+        if t % len(Y) == 0:
             # last event of the epoch: the divergence check and the
             # caller see the true V
-            catch_up(p.V, slice(None))
+            p.V[:] = _shrink(p.V, (t - done) * per_step)
+            done[:] = t
 
-    return sgd(p0, len(events), step, cfg, record_file, estimator="cd")
+    return sgd(p0, len(Y), step, cfg, record_file, estimator="cd")
 
 
-def smooth_tags(clips, tracks, p: SmootherParams, events) -> np.ndarray:
+def smooth_tags(clips, tracks, p: SmootherParams, events: Events) -> np.ndarray:
     """Predicted tag probabilities for a new (unknown) user on known
     clips, as a (len(clips), C) block with one row per (clip, track)
     pair: u averages all users of the clip, the user identity block is
@@ -225,14 +252,14 @@ def smooth_tags(clips, tracks, p: SmootherParams, events) -> np.ndarray:
     ``mean_field`` call.  ``events`` may hold other clips' events too;
     each clip's average is ``_clip_sums``'s sum over its count."""
     clips = np.asarray(clips, dtype=np.intp)
-    event_clips = np.array([e.clip for e in events], dtype=np.intp)
+    event_clips = np.asarray(events.ids, dtype=np.intp)[:, 2]
     known = np.isin(clips, event_clips)
     if not np.all(known):
         raise KeyError(f"unknown clip {int(clips[~known][0])}")
     cols = _block_columns(np.stack([np.asarray(tracks, dtype=np.intp),
                                     clips], axis=1), p.aux_sizes, first=1)
-    sums, counts = _clip_sums(event_clips, np.array(
-        [e.y for e in events], dtype=float), p.aux_sizes[2])
+    sums, counts = _clip_sums(event_clips, np.asarray(events.Y, dtype=float),
+                              p.aux_sizes[2])
     u = sums[clips] / counts[clips, None]
     return mean_field(p.c + (p.W @ u[:, :, None])[:, :, 0],
                       p.d + p.V.T[cols].sum(axis=1), p.U, u, SMOOTH_MAX_ITER,

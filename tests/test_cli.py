@@ -642,11 +642,11 @@ class TestEventsFromTriples:
                 for (u, c), tags in sorted(grouped.items())]
         events, sizes, tracks = _events_from_triples(Triples.from_rows(rows),
                                                      vocab, items_map)
-        assert [(e.user, e.track, e.clip, e.y.tolist())
-                for e in events] == want
+        assert [(*ids, y) for ids, y in zip(events.ids.tolist(),
+                                            events.Y.tolist())] == want
         assert sizes == (len(users), len(track_names), len(clips))
-        assert tracks == [track_names.index(items_map.get(c, c))
-                          for c in clips]
+        assert tracks.tolist() == [track_names.index(items_map.get(c, c))
+                                   for c in clips]
 
 
 class TestOracleCheck:

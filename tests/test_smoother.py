@@ -11,7 +11,7 @@ from multitag.core import (DrbmParams, LabeledExample, ShapeError, cd_chain,
                            mean_field, sigm)
 from multitag.estimators import (DIVERGENCE_LIMIT, DivergenceError,
                                  TrainConfig, cd_gradient, sgd)
-from multitag.smoother import (SmootherParams, TagEvent, _clip_step,
+from multitag.smoother import (Events, SmootherParams, TagEvent, _clip_step,
                                _event_inputs, aux_columns, build_aux,
                                other_users_avg, smooth_tags,
                                smoothed_dataset, smoother_cd_gradient,
@@ -102,14 +102,24 @@ class TestEventInputs:
     def test_match_the_per_event_functions(self, case):
         events, sizes, C = case
         p = SmootherParams.random_init(2, C, sizes, np.random.default_rng(0))
-        avgs, cols = _event_inputs(events, p)
+        Y, avgs, cols = _event_inputs(Events.from_tag_events(events), p)
         assert avgs.shape == (len(events), C)
+        assert Y.tobytes() == np.array([e.y for e in events]).tobytes()
         for e, avg, col in zip(events, avgs, cols):
             same_clip = [f for f in events if f.clip == e.clip]
             assert avg.tobytes() == other_users_avg(same_clip,
                                                     e.user).tobytes()
             assert col.tolist() == aux_columns(e.user, e.track, e.clip,
                                                sizes)
+
+    def test_label_block_must_match_the_model(self):
+        p = SmootherParams.random_init(2, 3, (2, 2, 2),
+                                       np.random.default_rng(0))
+        events = Events(np.zeros((2, 3), dtype=np.intp), np.zeros((2, 2)))
+        with pytest.raises(ShapeError, match=r"\(E, 3\) ids and \(E, 3\) "
+                                             r"labels, got \(2, 3\) and "
+                                             r"\(2, 2\)"):
+            _event_inputs(events, p)
 
 
 class TestSmootherCdGradient:
@@ -129,8 +139,8 @@ class TestSmootherCdGradient:
         ev = TagEvent(0, 0, 0, y)
         ex = LabeledExample(np.zeros(D), y)
         for K in (1, 3):
-            gs = smoother_cd_gradient(ev, np.zeros(C), [0, 1, 2], sp, K,
-                                      np.random.default_rng(17))
+            gs = smoother_cd_gradient(ev.y, np.zeros(C), sp.V[:, [0, 1, 2]],
+                                      sp, K, np.random.default_rng(17))
             gd = cd_gradient(ex, base, K, np.random.default_rng(17))
             np.testing.assert_array_equal(gs.dU, gd.dU)
             np.testing.assert_array_equal(gs.dc, gd.dc)
@@ -143,8 +153,8 @@ class TestSmootherCdGradient:
         u = rng.random(p.C)
         a = build_aux(1, 0, 1, p.aux_sizes)
         cols = aux_columns(1, 0, 1, p.aux_sizes)
-        g = smoother_cd_gradient(TagEvent(1, 0, 1, np.array([1.0, 0.0, 1.0])),
-                                 u, cols, p, 1, np.random.default_rng(3))
+        g = smoother_cd_gradient(np.array([1.0, 0.0, 1.0]), u, p.V[:, cols],
+                                 p, 1, np.random.default_rng(3))
         np.testing.assert_allclose(g.dW, np.outer(g.dc, u), atol=1e-12)
         np.testing.assert_allclose(g.dV, np.outer(g.dd, a)[:, cols],
                                    atol=1e-12)
@@ -177,8 +187,9 @@ class TestSmootherCdGradient:
         u = rng.random(p.C)
         cols = aux_columns(0, 1, 0, p.aux_sizes)
         ev = TagEvent(0, 1, 0, np.array([0.0, 1.0, 0.0]))
-        g0 = smoother_cd_gradient(ev, u, cols, p, 1, np.random.default_rng(8))
-        g1 = smoother_cd_gradient(ev, u, cols, p, 1, np.random.default_rng(8),
+        V = p.V[:, cols]
+        g0 = smoother_cd_gradient(ev.y, u, V, p, 1, np.random.default_rng(8))
+        g1 = smoother_cd_gradient(ev.y, u, V, p, 1, np.random.default_rng(8),
                                   l1=0.1)
         np.testing.assert_array_equal(g0.dU, g1.dU)
         np.testing.assert_allclose(g1.dW, g0.dW - 0.1 * np.sign(p.W),
@@ -186,6 +197,20 @@ class TestSmootherCdGradient:
         np.testing.assert_allclose(g1.dV,
                                    g0.dV - 0.1 * np.sign(p.V[:, cols]),
                                    atol=1e-12)
+
+
+# zeros of both signs, NaN, infinities and subnormals, among any floats
+CLIP_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                     -5e-324, 2.2e-308, -1e-310, 1.0, -1.0]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+def where_clip_step(old, new):
+    """The clipped step as first written, frozen: a flip is a nonzero old
+    weight and a new one of the opposite sign."""
+    flipped = (old != 0) & (np.sign(new) == -np.sign(old))
+    return np.where(flipped, 0.0, new)
 
 
 class TestClipStep:
@@ -200,12 +225,26 @@ class TestClipStep:
         new = np.array([0.5, -0.1])
         np.testing.assert_array_equal(_clip_step(old, new), new)
 
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(CLIP_VALUES, CLIP_VALUES), min_size=1,
+                    max_size=12))
+    def test_matches_the_where_rule_bit_for_bit(self, pairs):
+        old, new = np.array(pairs, dtype=float).T
+        with np.errstate(invalid="ignore"):  # 0 * inf in the product
+            want = where_clip_step(old, new).tobytes()
+            assert _clip_step(old, new).tobytes() == want
+            assert _clip_step(old, new, np.sign(old)).tobytes() == want
 
-def toy_events():
+
+def toy_tag_events():
     return [TagEvent(0, 0, 0, np.array([1.0, 0.0])),
             TagEvent(1, 0, 0, np.array([1.0, 1.0])),
             TagEvent(0, 1, 1, np.array([0.0, 1.0])),
             TagEvent(1, 1, 1, np.array([0.0, 0.0]))]
+
+
+def toy_events():
+    return Events.from_tag_events(toy_tag_events())
 
 
 def dense_reference_train(events, p0, cfg):
@@ -238,6 +277,55 @@ def dense_reference_train(events, p0, cfg):
     return sgd(p0, len(events), step, cfg)
 
 
+def lazy_reference_train(events, p0, cfg):
+    """The lazy-l1 trainer as first written, frozen: each step catches its
+    three columns of V up in place, gathers them again for the gradient
+    and for the clipped step, builds dU, dW and dV as np.outer products,
+    and clips and shrinks in the np.where forms."""
+    events = list(events)
+    by_clip = {}  # clip id -> that clip's events, in their order
+    for e in events:
+        by_clip.setdefault(e.clip, []).append(e)
+    per_step = cfg.lr * cfg.l1
+    t = 0
+    done = np.zeros(p0.A, dtype=np.int64)
+
+    def catch_up(V, c):
+        amount = (t - done[c]) * per_step
+        v = V[:, c]
+        V[:, c] = np.where(np.abs(v) <= amount, 0.0, v - np.sign(v) * amount)
+        done[c] = t
+
+    def step(p, i, rng):
+        nonlocal t
+        e = events[i]
+        u = other_users_avg(by_clip[e.clip], e.user)
+        c = aux_columns(e.user, e.track, e.clip, p.aux_sizes)
+        catch_up(p.V, c)
+        V = p.V[:, c]
+        h0, hK, y = (s[0] for s in cd_chain((p.c + p.W @ u)[None],
+                                            p.d + V.sum(axis=1), p.U,
+                                            e.y[None], cfg.k, rng))
+        dU = np.outer(h0, e.y) - np.outer(hK, y)
+        dW = np.outer(h0 - hK, u)
+        dV = np.outer(e.y - y, np.ones(len(c)))
+        if cfg.l1 > 0:
+            dV = dV - cfg.l1 * np.sign(V)
+            dW = dW - cfg.l1 * np.sign(p.W)
+        p.U += cfg.lr * dU
+        p.c += cfg.lr * (h0 - hK)
+        p.d += cfg.lr * (e.y - y)
+        p.W = where_clip_step(p.W, p.W + cfg.lr * dW)
+        V = p.V[:, c]
+        p.V[:, c] = where_clip_step(V, V + cfg.lr * dV)
+        t += 1
+        done[c] = t
+        if t % len(events) == 0:
+            catch_up(p.V, slice(None))
+
+    return sgd(p0, len(events), step, cfg)
+
+
 def sparse_corpus(seed, clips=30, spare=(2, 3, 10)):
     """Events on `clips` clips (one track each, three of six users per
     clip) under identity blocks with `spare` extra users, tracks and
@@ -258,7 +346,7 @@ class TestLazyL1MatchesDenseTrainer:
     def test_identical_without_penalty(self, k):
         events, p0 = sparse_corpus(5)
         cfg = TrainConfig(estimator="cd", k=k, lr=0.1, epochs=3, seed=2)
-        got = train_smoother(events, p0, cfg)
+        got = train_smoother(Events.from_tag_events(events), p0, cfg)
         want = dense_reference_train(events, p0, cfg)
         for name in PARAM_ARRAYS:
             np.testing.assert_array_equal(getattr(got, name),
@@ -268,7 +356,7 @@ class TestLazyL1MatchesDenseTrainer:
         events, p0 = sparse_corpus(7)
         cfg = TrainConfig(estimator="cd", k=1, lr=0.1, epochs=6, seed=4,
                           l1=0.03)
-        got = train_smoother(events, p0, cfg)
+        got = train_smoother(Events.from_tag_events(events), p0, cfg)
         want = dense_reference_train(events, p0, cfg)
         for name in PARAM_ARRAYS:
             np.testing.assert_allclose(getattr(got, name),
@@ -279,6 +367,18 @@ class TestLazyL1MatchesDenseTrainer:
         assert np.all(want.V[:, -10:] == 0.0)
         assert np.sum(got.V == 0.0) == np.sum(want.V == 0.0)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bit_identical_to_the_frozen_lazy_step_with_penalty(self, k):
+        events, p0 = sparse_corpus(7)
+        cfg = TrainConfig(estimator="cd", k=k, lr=0.1, epochs=6, seed=4,
+                          l1=0.03)
+        got = train_smoother(Events.from_tag_events(events), p0, cfg)
+        want = lazy_reference_train(events, p0, cfg)
+        assert np.mean(want.V == 0.0) > 0.5
+        for name in PARAM_ARRAYS:
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, 2 * DIVERGENCE_LIMIT])
     def test_divergence_guard_sees_untouched_columns(self, bad):
         # the only blow-up sits in a clip column that no event touches,
@@ -288,7 +388,7 @@ class TestLazyL1MatchesDenseTrainer:
         cfg = TrainConfig(estimator="cd", k=1, lr=0.01, epochs=1, seed=0,
                           l1=0.001)
         with pytest.raises(DivergenceError):
-            train_smoother(events, p0, cfg)
+            train_smoother(Events.from_tag_events(events), p0, cfg)
 
 
 class TestTrainSmoother:
@@ -338,21 +438,24 @@ class TestTrainSmoother:
         ids=["user", "track", "clip"])
     def test_id_out_of_range_rejected(self, rng, ids, bad):
         p0 = SmootherParams.random_init(2, 2, (2, 2, 2), rng)
-        events = toy_events() + [TagEvent(*ids, np.array([1.0, 0.0]))]
+        events = Events.from_tag_events(
+            toy_tag_events() + [TagEvent(*ids, np.array([1.0, 0.0]))])
         with pytest.raises(IndexError, match=f"^id {bad} out of range for "
                                              "block of size 2$"):
             train_smoother(events, p0, TrainConfig())
 
     def test_label_other_than_0_1_rejected(self, rng):
         p0 = SmootherParams.random_init(2, 2, (2, 2, 2), rng)
-        events = toy_events() + [TagEvent(1, 1, 1, np.array([0.5, 0.0]))]
+        events = Events.from_tag_events(
+            toy_tag_events() + [TagEvent(1, 1, 1, np.array([0.5, 0.0]))])
         with pytest.raises(ValueError, match="labels must be 0/1"):
             train_smoother(events, p0, TrainConfig())
 
     def test_empty_events_rejected(self, rng):
         p0 = SmootherParams.random_init(2, 2, (2, 2, 2), rng)
+        events = Events(np.zeros((0, 3), dtype=np.intp), np.zeros((0, 2)))
         with pytest.raises(ValueError):
-            train_smoother([], p0, TrainConfig())
+            train_smoother(events, p0, TrainConfig())
 
 
 def row_smooth(clip, track, p, events, tol=1e-8, max_iter=500):
@@ -385,8 +488,7 @@ class TestSmoothTags:
         events = toy_events()
         got = smooth_tags([0, 1], [0, 1], p, events)
         for clip in (0, 1):
-            clip_events = [e for e in events if e.clip == clip]
-            u = np.mean([e.y for e in clip_events], axis=0)
+            u = np.mean(events.Y[events.ids[:, 2] == clip], axis=0)
             a = build_aux(None, clip, clip, p.aux_sizes)
             want = mean_field((p.c + p.W @ u)[None], p.d + p.V @ a, p.U,
                               u[None], 500, 1e-8)[0]
@@ -404,7 +506,7 @@ class TestSmoothTags:
         events = [events[i] for i in rng.permutation(len(events))]
         p = SmootherParams.random_init(4, C, (6, 5, n_clips), rng, scale=1.5)
         clips = rng.permutation(n_clips)
-        got = smooth_tags(clips, clips % 5, p, events)
+        got = smooth_tags(clips, clips % 5, p, Events.from_tag_events(events))
         assert got.shape == (n_clips, C)
         for row, clip in zip(got, clips):
             want = row_smooth(clip, clip % 5, p, events)
