@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from functools import partial
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -79,18 +80,18 @@ def _merge(args, defaults):
 
 
 def cmd_ingest(args):
-    triples = dt.read_triples(args.triples)
+    # the triples' codes go once condensed, before the features are read
+    counts = dt.condense(dt.read_triples(args.triples))
     features = dt.read_features(args.features)
-    records = dt.condense(triples)
-    vocab = dt.select_vocab(records, args.vocab_size)
-    missing = sorted(set(triples.items) - set(features.items))
+    vocab = dt.select_vocab(counts, args.vocab_size)
+    missing = sorted(set(counts.items) - set(features.items))
     if missing:
         more = ", ..." if len(missing) > 5 else ""
         print(f"warning: {len(missing)} tagged item(s) have no features and "
               f"are excluded: {', '.join(missing[:5])}{more}", file=sys.stderr)
     order = sorted(range(len(features.items)), key=features.items.__getitem__)
     items = [features.items[r] for r in order]
-    matrix = dt.binarize(records, vocab, args.min_positive, items=items)
+    matrix = dt.binarize(counts, vocab, args.min_positive, items=items)
     table = dt.normalize_features(dt.FeatureTable(items, features.X[order]))
     os.makedirs(args.out, exist_ok=True)
     dt.write_rows(os.path.join(args.out, "vocab.txt"), ([t] for t in vocab))
@@ -244,8 +245,8 @@ def cmd_smooth(args):
     if sizes != model.aux_sizes:
         raise SystemExit("error: triples vocabularies do not match the model")
     probs = smooth_tags(range(len(tracks)), tracks, model, events)
-    dt.write_rows(args.out, [["item", *vocab], *(
-        [clip, *row] for clip, row in zip(triples.items, probs.tolist()))])
+    dt.write_rows(args.out, chain([["item", *vocab]], (
+        [clip, *row] for clip, row in dt.rows_of(triples.items, probs))))
     return 0
 
 

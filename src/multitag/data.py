@@ -5,7 +5,7 @@ construction, and every tab-separated file multitag reads or writes.
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,6 +16,12 @@ NEGATIVE = 0
 UNKNOWN = -1
 STATE_CHARS = {POSITIVE: "P", NEGATIVE: "N", UNKNOWN: "U"}  # matrix.tsv cells
 CHAR_STATES = {v: k for k, v in STATE_CHARS.items()}
+# a matrix.tsv cell's byte -> its state; _NOT_A_CELL for any other byte
+_NOT_A_CELL = 2
+_CELL_BYTES = np.full(256, _NOT_A_CELL, dtype=np.int8)
+_CELL_BYTES[[ord(c) for c in CHAR_STATES]] = list(CHAR_STATES.values())
+BLOCK = 1 << 17  # characters of whole lines a tab-file reader takes at once
+ROWS = 4096      # rows of an array a tab-file writer converts at once
 
 
 class Triples(NamedTuple):
@@ -30,15 +36,34 @@ class Triples(NamedTuple):
     @classmethod
     def from_rows(cls, rows):
         """Code a sequence of (user, item, tag) name rows."""
-        names, codes = [], []
-        for k in range(3):
-            column = [row[k] for row in rows]
-            distinct = sorted(set(column))
-            index = {name: i for i, name in enumerate(distinct)}
-            names.append(distinct)
-            codes.append(np.fromiter(map(index.__getitem__, column),
-                                     np.int64, len(column)))
-        return cls(*names, np.stack(codes, axis=1))
+        columns = list(zip(*rows))
+        return _code([columns] if columns else [])
+
+
+def _code(column_blocks) -> Triples:
+    """Triples from blocks of (users, items, tags) name columns: each
+    name gets its first-seen code as its block arrives, and the codes are
+    renumbered in sorted name order at the end."""
+    index, blocks = ({}, {}, {}), []  # per column: name -> first-seen code
+    for columns in column_blocks:
+        block = np.empty((len(columns[0]), 3), dtype=np.int64)
+        for k, (codes, column) in enumerate(zip(index, columns)):
+            new = [name for name in dict.fromkeys(column) if name not in codes]
+            codes.update(zip(new, range(len(codes), len(codes) + len(new))))
+            block[:, k] = np.fromiter(map(codes.__getitem__, column),
+                                      np.int64, len(column))
+        blocks.append(block)
+    coded = (np.concatenate(blocks) if blocks
+             else np.empty((0, 3), dtype=np.int64))
+    names = []
+    for k, codes in enumerate(index):
+        distinct = sorted(codes)
+        rank = np.empty(len(distinct), dtype=np.int64)
+        rank[np.fromiter(map(codes.__getitem__, distinct), np.int64,
+                         len(distinct))] = np.arange(len(distinct))
+        coded[:, k] = rank[coded[:, k]]
+        names.append(distinct)
+    return Triples(*names, coded)
 
 
 @dataclass
@@ -76,8 +101,20 @@ class FoldSplit:
                 for i in self.folds[f]]
 
 
-def condense(triples: Triples) -> dict:
-    """Coded triples -> {(item, tag): distinct-user count}.
+class Counts(NamedTuple):
+    """Distinct-user counts per (item, tag) pair, integer-coded: one
+    entry per pair that some user tagged, in (item, tag) code order.
+    ``item`` and ``tag`` index the sorted name lists ``items`` and
+    ``tags``; every listed tag has a count."""
+    items: list
+    tags: list
+    item: np.ndarray   # int64 item codes
+    tag: np.ndarray    # int64 tag codes
+    users: np.ndarray  # distinct users who gave the pair
+
+
+def condense(triples: Triples) -> Counts:
+    """Coded triples -> distinct-user count per (item, tag) pair.
 
     A user repeating the same triple counts once.
     """
@@ -86,28 +123,32 @@ def condense(triples: Triples) -> dict:
     # hash set, 25 times slower on 404k keys (one 2.1 GHz Xeon core)
     distinct, _ = np.unique(np.ravel_multi_index(triples.codes.T, dims),
                             return_counts=True)
-    pairs, counts = np.unique(distinct % (dims[1] * dims[2]),
-                              return_counts=True)
+    pairs, users = np.unique(distinct % (dims[1] * dims[2]),
+                             return_counts=True)
     item, tag = np.divmod(pairs, dims[2])
-    return dict(zip(zip(map(triples.items.__getitem__, item.tolist()),
-                        map(triples.tags.__getitem__, tag.tolist())),
-                    counts.tolist()))
+    return Counts(triples.items, triples.tags, item, tag, users)
 
 
-def select_vocab(records: dict, K: int) -> list:
+def select_vocab(counts: Counts, K: int) -> list:
     """Top-K tags by total count, ties broken lexicographically."""
     if K < 1:
         raise ValueError(f"vocabulary size must be at least 1, got {K}")
-    totals = Counter()
-    for (_, tag), count in records.items():
-        totals[tag] += count
-    if len(totals) < K:
-        raise ValueError(f"only {len(totals)} distinct tags, need {K}")
-    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [tag for tag, _ in ranked[:K]]
+    if len(counts.tags) < K:
+        raise ValueError(f"only {len(counts.tags)} distinct tags, need {K}")
+    totals = np.bincount(counts.tag, weights=counts.users,
+                         minlength=len(counts.tags))
+    # codes follow sorted names, so the stable sort breaks ties by name
+    ranked = np.argsort(-totals, kind="stable")[:K]
+    return [counts.tags[j] for j in ranked.tolist()]
 
 
-def binarize(records: dict, vocab, min_positive: int,
+def _positions(names, chosen) -> np.ndarray:
+    """Each of ``names``' position in ``chosen``, -1 where absent."""
+    at = {name: i for i, name in enumerate(chosen)}
+    return np.array([at.get(name, -1) for name in names], dtype=np.intp)
+
+
+def binarize(counts: Counts, vocab, min_positive: int,
              items=None) -> ThreeStateTagMatrix:
     """count >= min_positive -> POSITIVE, count 0 -> NEGATIVE,
     in between -> UNKNOWN (single counts are too plausible to be
@@ -115,17 +156,13 @@ def binarize(records: dict, vocab, min_positive: int,
     if min_positive not in (1, 2):
         raise ValueError("min_positive must be 1 or 2")
     if items is None:
-        items = sorted({item for item, _ in records})
-    col = {tag: j for j, tag in enumerate(vocab)}
+        items = [counts.items[i] for i in np.unique(counts.item).tolist()]
+    row = _positions(counts.items, items)[counts.item]
+    col = _positions(counts.tags, vocab)[counts.tag]
+    keep = (row >= 0) & (col >= 0)
     cells = np.full((len(items), len(vocab)), NEGATIVE, dtype=np.int8)
-    row = {item: i for i, item in enumerate(items)}
-    for (item, tag), count in records.items():
-        if item not in row or tag not in col:
-            continue
-        if count >= min_positive:
-            cells[row[item], col[tag]] = POSITIVE
-        elif count > 0:
-            cells[row[item], col[tag]] = UNKNOWN
+    cells[row[keep], col[keep]] = np.where(
+        counts.users[keep] >= min_positive, POSITIVE, UNKNOWN)
     return ThreeStateTagMatrix(list(items), list(vocab), cells)
 
 
@@ -152,18 +189,65 @@ def make_folds(n_items: int, seed: int, n_folds: int = 5) -> FoldSplit:
     return FoldSplit(folds, seed)
 
 
-def _tab_rows(path, columns=None):
-    """(line number, tab-separated fields) for each nonempty line; a line
-    without ``columns`` fields, when given, is an error."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if line:
-                parts = line.split("\t")
-                if columns and len(parts) != columns:
-                    raise ValueError(f"{path}:{lineno}: expected {columns} "
-                                     f"columns, got {len(parts)}")
-                yield lineno, parts
+def _blocks(path):
+    """(number of its first line, text) for each run of whole lines of
+    about BLOCK characters in the tab file at ``path``, every line ending
+    in a newline.  The file is read as UTF-8 with universal newlines; a
+    leading byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
+        first, carry = 1, ""
+        while chunk := fh.read(BLOCK):
+            text = carry + chunk
+            cut = text.rfind("\n") + 1
+            carry = text[cut:]
+            if cut:
+                yield first, text[:cut]
+                first += text.count("\n", 0, cut)
+        if carry:
+            yield first, carry + "\n"
+
+
+def _split(text):
+    """A block's nonblank lines, for whole-block checks: the number of
+    tabs on each line, and all their tab-separated fields in one list."""
+    if text.startswith("\n") or "\n\n" in text:
+        text = "".join(line + "\n" for line in text.split("\n") if line)
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(raw[(raw == 9) | (raw == 10)] == 10)
+    fields = text.replace("\n", "\t").split("\t")
+    fields.pop()  # after the last newline
+    return np.diff(ends, prepend=-1) - 1, fields
+
+
+def _lines(first, text):
+    """(line number, line) for each nonblank line of a block."""
+    return ((lineno, line) for lineno, line in
+            enumerate(text.split("\n")[:-1], first) if line)
+
+
+def _first_fault(first, text, check, skip=0):
+    """Walk a block that failed a whole-block check line by line, after
+    its first ``skip`` nonblank lines: ``check(lineno, fields)`` raises
+    at the first bad line."""
+    for lineno, line in itertools.islice(_lines(first, text), skip, None):
+        check(lineno, line.split("\t"))
+    raise AssertionError("a block failed its check but none of its lines")
+
+
+def _columns_check(path, columns):
+    def check(lineno, parts):
+        if len(parts) != columns:
+            raise ValueError(f"{path}:{lineno}: expected {columns} "
+                             f"columns, got {len(parts)}")
+    return check
+
+
+def rows_of(labels, array):
+    """(label, row as a list) for each row of a 2-D array, converted ROWS
+    rows at a time, so no whole-table list is built."""
+    for start in range(0, len(array), ROWS):
+        yield from zip(labels[start:start + ROWS],
+                       array[start:start + ROWS].tolist())
 
 
 def write_rows(path, rows):
@@ -175,81 +259,144 @@ def write_rows(path, rows):
 
 def read_triples(path) -> Triples:
     """Triples file: user, item, tag per line, no field empty."""
-    rows = []
-    for lineno, parts in _tab_rows(path, 3):
+    columns = _columns_check(path, 3)
+
+    def check(lineno, parts):
+        columns(lineno, parts)
         if "" in parts:
-            raise ValueError(f"{path}:{lineno}: triple fields must be nonempty")
-        rows.append(tuple(parts))  # the cyclic collector untracks string tuples
-    return Triples.from_rows(rows)
+            raise ValueError(f"{path}:{lineno}: triple fields must be "
+                             f"nonempty")
+
+    def name_columns():
+        for first, text in _blocks(path):
+            tabs, fields = _split(text)
+            if (tabs != 2).any() or "" in fields:
+                _first_fault(first, text, check)
+            yield fields[0::3], fields[1::3], fields[2::3]
+
+    return _code(name_columns())
 
 
 def read_features(path) -> FeatureTable:
     """Features file: item id, then D finite floats per line; item ids
     must be unique."""
-    items, rows, linenos, seen = [], [], [], set()
-    width = None
-    for lineno, parts in _tab_rows(path):
+    items, blocks, seen, width = [], [], set(), None
+
+    def check(lineno, parts):
         if parts[0] in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate item id "
+                             f"{parts[0]!r}")
         seen.add(parts[0])
-        items.append(parts[0])
-        linenos.append(lineno)
-        if width is None:
-            width = len(parts) - 1
-        elif len(parts) - 1 != width:
+        if len(parts) - 1 != width:
             raise ValueError(f"{path}:{lineno}: expected {width} features, "
                              f"got {len(parts) - 1}")
         try:
-            rows.append([float(v) for v in parts[1:]])
+            [float(v) for v in parts[1:]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad float") from exc
-    X = np.asarray(rows, dtype=float)
-    if X.ndim != 2:
+
+    for first, text in _blocks(path):
+        tabs, fields = _split(text)
+        if not tabs.size:
+            continue
+        if width is None:
+            width = int(tabs[0])
+        ids = fields[::width + 1]
+        fresh = set(ids)
+        ok = ((tabs == width).all() and len(fresh) == len(ids)
+              and seen.isdisjoint(fresh))
+        if ok:
+            del fields[::width + 1]
+            try:
+                X = np.fromiter(map(float, fields), float, len(fields))
+            except ValueError:
+                ok = False
+        if not ok:
+            _first_fault(first, text, check)
+        seen |= fresh
+        items += ids
+        blocks.append(X.reshape(len(ids), width))
+    if not items:
         raise ValueError(f"{path}: no feature rows")
+    X = np.concatenate(blocks)
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
-        raise ValueError(f"{path}:{linenos[np.argmax(bad)]}: non-finite "
-                         f"feature value")
+        lineno = next(itertools.islice(
+            (lineno for first, text in _blocks(path)
+             for lineno, _ in _lines(first, text)), int(np.argmax(bad)), None))
+        raise ValueError(f"{path}:{lineno}: non-finite feature value")
     return FeatureTable(items, X)
 
 
 def write_features(path, table: FeatureTable):
     write_rows(path, ([item, *row] for item, row in
-                      zip(table.items, table.X.tolist())))
+                      rows_of(table.items, table.X)))
 
 
 def read_matrix(path) -> ThreeStateTagMatrix:
     """Matrix file: a header of ``item`` and the vocabulary, then one
     item id and C cells of P, N or U per line."""
-    rows = _tab_rows(path)
-    vocab = next(rows, (0, [""]))[1][1:]
-    items, cells = [], []
-    for lineno, parts in rows:
+    vocab, items, blocks = None, [], []
+
+    def check(lineno, parts):
         if len(parts) - 1 != len(vocab):
             raise ValueError(f"{path}:{lineno}: expected {len(vocab)} "
                              f"cells, got {len(parts) - 1}")
-        try:
-            cells.append([CHAR_STATES[c] for c in parts[1:]])
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: unknown cell "
-                             f"{exc.args[0]!r}") from exc
-        items.append(parts[0])
-    return ThreeStateTagMatrix(items, vocab, np.asarray(
-        cells, dtype=np.int8).reshape(len(items), len(vocab)))
+        for cell in parts[1:]:
+            if cell not in CHAR_STATES:
+                raise ValueError(f"{path}:{lineno}: unknown cell {cell!r}")
+
+    for first, text in _blocks(path):
+        tabs, fields = _split(text)
+        skip = 0
+        if vocab is None and tabs.size:
+            head = int(tabs[0]) + 1
+            vocab, fields, tabs, skip = fields[1:head], fields[head:], \
+                tabs[1:], 1
+        if not tabs.size:
+            continue
+        C = len(vocab)
+        ids = fields[::C + 1]
+        del fields[::C + 1]
+        # each cell one byte exactly when the joined cells alternate with
+        # the tabs between them
+        raw = np.frombuffer("\t".join(fields).encode("utf-8"), np.uint8)
+        states = _CELL_BYTES[raw[::2]]
+        if ((tabs != C).any() or raw.size != max(2 * len(fields) - 1, 0)
+                or (states == _NOT_A_CELL).any()):
+            _first_fault(first, text, check, skip)
+        items += ids
+        blocks.append(states.reshape(len(ids), C))
+    vocab = vocab or []
+    cells = (np.concatenate(blocks) if blocks
+             else np.empty((0, len(vocab)), dtype=np.int8))
+    return ThreeStateTagMatrix(items, vocab, cells)
 
 
 def write_matrix(path, matrix: ThreeStateTagMatrix):
-    write_rows(path, [["item", *matrix.vocab]] + [
+    write_rows(path, itertools.chain([["item", *matrix.vocab]], (
         [item, *map(STATE_CHARS.__getitem__, row)]
-        for item, row in zip(matrix.items, matrix.cells.tolist())])
+        for item, row in rows_of(matrix.items, matrix.cells))))
 
 
 def read_items(path) -> dict:
     """Optional items file: item id -> track id; item ids must be
     unique."""
     mapping = {}
-    for lineno, (item, track) in _tab_rows(path, 2):
-        if item in mapping:
-            raise ValueError(f"{path}:{lineno}: duplicate item id {item!r}")
-        mapping[item] = track
+    columns = _columns_check(path, 2)
+
+    def check(lineno, parts):
+        columns(lineno, parts)
+        if parts[0] in mapping:
+            raise ValueError(f"{path}:{lineno}: duplicate item id "
+                             f"{parts[0]!r}")
+        mapping[parts[0]] = parts[1]
+
+    for first, text in _blocks(path):
+        tabs, fields = _split(text)
+        ids = fields[0::2]
+        if ((tabs != 1).any() or len(set(ids)) != len(ids)
+                or not mapping.keys().isdisjoint(ids)):
+            _first_fault(first, text, check)
+        mapping.update(zip(ids, fields[1::2]))
     return mapping

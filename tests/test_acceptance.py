@@ -20,7 +20,7 @@ from multitag.oracle import exact_grad
 from multitag.synthetic import make_tag_corpus, write_corpus_files
 from multitag.verify import (check_exact_gradient, check_independence,
                              check_lbp_tree, check_pl_gradient)
-from conftest import random_instance
+from conftest import coded, random_instance
 
 
 def report(name, ok, elapsed, budget):
@@ -174,8 +174,8 @@ def test_criterion_10_binarization_rules():
                 count = int(rng.integers(0, 5))
                 if count:
                     records[(item, tag)] = count
-        m2 = binarize(records, vocab, 2, items=items)
-        m1 = binarize(records, vocab, 1, items=items)
+        m2 = binarize(coded(records), vocab, 2, items=items)
+        m1 = binarize(coded(records), vocab, 1, items=items)
         for i, item in enumerate(items):
             for j, tag in enumerate(vocab):
                 count = records.get((item, tag), 0)

@@ -1,9 +1,16 @@
+import tracemalloc
+from dataclasses import astuple
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multitag.data import (NEGATIVE, POSITIVE, UNKNOWN, FeatureTable,
+from conftest import as_dict, coded
+from multitag import data as dt
+from multitag.data import (CHAR_STATES, NEGATIVE, POSITIVE, UNKNOWN,
+                           FeatureTable,
                            ThreeStateTagMatrix, Triples, binarize, condense,
                            make_folds, normalize_features, read_features,
                            read_items, read_matrix, read_triples,
@@ -29,14 +36,15 @@ class TestCondense:
     def test_distinct_users_counted(self):
         triples = Triples.from_rows([("u1", "a", "rock"), ("u2", "a", "rock"),
                                      ("u1", "b", "rock")])
-        assert condense(triples) == {("a", "rock"): 2, ("b", "rock"): 1}
+        assert as_dict(condense(triples)) == {("a", "rock"): 2,
+                                              ("b", "rock"): 1}
 
     def test_repeated_vote_counts_once(self):
         triples = Triples.from_rows([("u1", "a", "rock")] * 3)
-        assert condense(triples) == {("a", "rock"): 1}
+        assert as_dict(condense(triples)) == {("a", "rock"): 1}
 
     def test_empty(self):
-        assert condense(Triples.from_rows([])) == {}
+        assert as_dict(condense(Triples.from_rows([]))) == {}
 
     @given(st.lists(st.tuples(NAMES, NAMES, NAMES), max_size=30))
     @settings(max_examples=50)
@@ -44,28 +52,28 @@ class TestCondense:
         want = {}
         for user, item, tag in set(rows):
             want[(item, tag)] = want.get((item, tag), 0) + 1
-        assert condense(Triples.from_rows(rows)) == want
+        assert as_dict(condense(Triples.from_rows(rows))) == want
 
 
 class TestSelectVocab:
     def test_top_k_by_total_count(self):
         records = {("a", "rock"): 3, ("b", "rock"): 2, ("a", "jazz"): 4,
                    ("a", "pop"): 1}
-        assert select_vocab(records, 2) == ["rock", "jazz"]
+        assert select_vocab(coded(records), 2) == ["rock", "jazz"]
 
     def test_lexicographic_tie_break(self):
         records = {("a", "zeta"): 2, ("a", "alpha"): 2, ("a", "mid"): 2}
-        assert select_vocab(records, 3) == ["alpha", "mid", "zeta"]
+        assert select_vocab(coded(records), 3) == ["alpha", "mid", "zeta"]
 
     def test_too_few_tags(self):
         with pytest.raises(ValueError):
-            select_vocab({("a", "rock"): 1}, 2)
+            select_vocab(coded({("a", "rock"): 1}), 2)
 
     @pytest.mark.parametrize("K", [0, -1])
     def test_size_below_one_rejected(self, K):
         # 0 would write a matrix without tag columns, -1 drop the last tag
         with pytest.raises(ValueError, match=f"at least 1, got {K}"):
-            select_vocab({("a", "rock"): 1, ("a", "jazz"): 2}, K)
+            select_vocab(coded({("a", "rock"): 1, ("a", "jazz"): 2}), K)
 
     @given(st.dictionaries(
         st.tuples(st.sampled_from(["a", "b", "c"]),
@@ -76,13 +84,14 @@ class TestSelectVocab:
         tags = {t for _, t in records}
         K = min(2, len(tags))
         shuffled = dict(sorted(records.items(), reverse=True))
-        assert select_vocab(records, K) == select_vocab(shuffled, K)
+        assert (select_vocab(coded(records), K)
+                == select_vocab(coded(shuffled), K))
 
 
 class TestBinarize:
     def test_three_states_at_threshold_two(self):
         records = {("a", "t0"): 2, ("a", "t1"): 1, ("b", "t0"): 5}
-        m = binarize(records, ["t0", "t1"], min_positive=2)
+        m = binarize(coded(records), ["t0", "t1"], min_positive=2)
         assert m.items == ["a", "b"]
         np.testing.assert_array_equal(m.cells,
                                       [[POSITIVE, UNKNOWN],
@@ -90,18 +99,18 @@ class TestBinarize:
 
     def test_threshold_one_has_no_unknowns(self):
         records = {("a", "t0"): 1, ("b", "t1"): 3}
-        m = binarize(records, ["t0", "t1"], min_positive=1)
+        m = binarize(coded(records), ["t0", "t1"], min_positive=1)
         assert not np.any(m.cells == UNKNOWN)
 
     def test_explicit_item_order_kept(self):
         records = {("a", "t0"): 1}
-        m = binarize(records, ["t0"], 1, items=["b", "a"])
+        m = binarize(coded(records), ["t0"], 1, items=["b", "a"])
         assert m.items == ["b", "a"]
         np.testing.assert_array_equal(m.cells[:, 0], [NEGATIVE, POSITIVE])
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
-            binarize({}, [], min_positive=3)
+            binarize(coded({}), [], min_positive=3)
 
     @given(st.dictionaries(
         st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(["t0", "t1"])),
@@ -109,8 +118,8 @@ class TestBinarize:
     @settings(max_examples=50)
     def test_monotone_in_threshold(self, records):
         # raising the positive threshold never creates new positives
-        m1 = binarize(records, ["t0", "t1"], 1)
-        m2 = binarize(records, ["t0", "t1"], 2)
+        m1 = binarize(coded(records), ["t0", "t1"], 1)
+        m2 = binarize(coded(records), ["t0", "t1"], 2)
         assert not np.any((m2.cells == POSITIVE) & (m1.cells != POSITIVE))
         # zero counts stay negative in both
         assert np.array_equal(m1.cells == NEGATIVE, m2.cells == NEGATIVE)
@@ -241,6 +250,201 @@ class TestReaders:
         with pytest.raises(ValueError, match=r"items.tsv:2: expected 2 "
                                              r"columns, got 3"):
             read_items(path)
+
+    def test_triples_byte_order_mark_dropped(self, tmp_path):
+        # with the mark kept, '\ufeffu1' would be a second user
+        path = tmp_path / "triples.tsv"
+        path.write_text("u1\ta\trock\nu1\tb\tjazz\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        triples = read_triples(path)
+        assert triples[:3] == (["u1"], ["a", "b"], ["jazz", "rock"])
+        np.testing.assert_array_equal(triples.codes, [[0, 0, 1], [0, 1, 0]])
+
+    def test_features_byte_order_mark_dropped(self, tmp_path):
+        # with the mark kept, the first item would match no triple
+        path = tmp_path / "features.tsv"
+        path.write_text("a\t1.0\nb\t2.0\n", encoding="utf-8-sig")
+        assert read_features(path).items == ["a", "b"]
+
+
+# The per-line readers that the block readers replaced, frozen as the
+# reference: a block reader returns the same values, or raises the same
+# message at the same line.
+
+def reference_tab_rows(path, columns=None):
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if line:
+                parts = line.split("\t")
+                if columns and len(parts) != columns:
+                    raise ValueError(f"{path}:{lineno}: expected {columns} "
+                                     f"columns, got {len(parts)}")
+                yield lineno, parts
+
+
+def reference_read_triples(path):
+    rows = []
+    for lineno, parts in reference_tab_rows(path, 3):
+        if "" in parts:
+            raise ValueError(f"{path}:{lineno}: triple fields must be nonempty")
+        rows.append(tuple(parts))
+    names, codes = [], []
+    for k in range(3):
+        column = [row[k] for row in rows]
+        distinct = sorted(set(column))
+        index = {name: i for i, name in enumerate(distinct)}
+        names.append(distinct)
+        codes.append(np.fromiter(map(index.__getitem__, column),
+                                 np.int64, len(column)))
+    return Triples(*names, np.stack(codes, axis=1))
+
+
+def reference_read_features(path):
+    items, rows, linenos, seen = [], [], [], set()
+    width = None
+    for lineno, parts in reference_tab_rows(path):
+        if parts[0] in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
+        seen.add(parts[0])
+        items.append(parts[0])
+        linenos.append(lineno)
+        if width is None:
+            width = len(parts) - 1
+        elif len(parts) - 1 != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} features, "
+                             f"got {len(parts) - 1}")
+        try:
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad float") from exc
+    X = np.asarray(rows, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"{path}: no feature rows")
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}:{linenos[np.argmax(bad)]}: non-finite "
+                         f"feature value")
+    return FeatureTable(items, X)
+
+
+def reference_read_matrix(path):
+    rows = reference_tab_rows(path)
+    vocab = next(rows, (0, [""]))[1][1:]
+    items, cells = [], []
+    for lineno, parts in rows:
+        if len(parts) - 1 != len(vocab):
+            raise ValueError(f"{path}:{lineno}: expected {len(vocab)} "
+                             f"cells, got {len(parts) - 1}")
+        try:
+            cells.append([CHAR_STATES[c] for c in parts[1:]])
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: unknown cell "
+                             f"{exc.args[0]!r}") from exc
+        items.append(parts[0])
+    return ThreeStateTagMatrix(items, vocab, np.asarray(
+        cells, dtype=np.int8).reshape(len(items), len(vocab)))
+
+
+def reference_read_items(path):
+    mapping = {}
+    for lineno, (item, track) in reference_tab_rows(path, 2):
+        if item in mapping:
+            raise ValueError(f"{path}:{lineno}: duplicate item id {item!r}")
+        mapping[item] = track
+    return mapping
+
+
+def plain(value):
+    """A reader's result as comparable values, arrays as dtype, shape and
+    bytes (so float bits count)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return list(value.items())
+    if isinstance(value, (FeatureTable, ThreeStateTagMatrix)):
+        value = astuple(value)
+    if isinstance(value, tuple):
+        return tuple(map(plain, value))
+    return value
+
+
+def outcome(read, path):
+    try:
+        return "ok", plain(read(path))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def tab_texts(draw, first, rest, width):
+    """A tab file's text: mostly rows of ``width`` fields (a ``first``
+    then ``rest``), some blank or ragged, with LF, CRLF or CR line ends
+    and perhaps no final one."""
+    row = st.builds(lambda a, b: [a, *b], first,
+                    st.lists(rest, min_size=width - 1, max_size=width - 1))
+    ragged = st.lists(st.one_of(first, rest), max_size=width + 2)
+    rows = draw(st.lists(st.one_of(row, row, row, st.just([]), ragged),
+                         max_size=12))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in rows]
+    text = "".join("\t".join(r) + end for r, end in zip(rows, ends))
+    if rows and draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    return text
+
+
+IDS = st.sampled_from(["a", "b", "c", "d", "é", "u1", ""])
+FLOATS = st.sampled_from(["0", "1.5", "-2.25", "-0.0", "1e-310", "3", " 4 ",
+                          "1_0", "0.1", "-7", "nan", "-inf", "1e999", "oops",
+                          ""])
+CELLS = st.sampled_from(["P", "N", "U", "P", "N", "U", "X", "", "PN", "é"])
+
+# reader, its frozen reference, the first field and the rest of a row
+PARITY = {
+    "triples": (read_triples, reference_read_triples, IDS, IDS),
+    "features": (read_features, reference_read_features, IDS, FLOATS),
+    "matrix": (read_matrix, reference_read_matrix, IDS, CELLS),
+    "items": (read_items, reference_read_items, IDS, IDS),
+}
+
+
+class TestBlockReadersMatchPerLineReaders:
+    @pytest.mark.parametrize("name", sorted(PARITY))
+    @given(data=st.data(),
+           block=st.sampled_from([1, 2, 3, 5, 8, 13, 64, dt.BLOCK]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_values_or_same_fault(self, tmp_path_factory, name, data,
+                                       block):
+        read, reference, first, rest = PARITY[name]
+        width = 3 if name == "triples" else 2 if name == "items" else \
+            data.draw(st.integers(1, 4))
+        path = tmp_path_factory.mktemp(name) / f"{name}.tsv"
+        path.write_bytes(data.draw(tab_texts(first, rest, width))
+                         .encode("utf-8"))
+        # a small block puts faults and lines across block boundaries
+        with mock.patch.object(dt, "BLOCK", block):
+            got = outcome(read, path)
+        assert got == outcome(reference, path)
+
+
+def test_triples_memory_per_line(tmp_path):
+    # the per-line reader peaked near 300 B per triple: one tuple of three
+    # strings per line, then three whole-file columns and a dict of counts
+    n = 50_000
+    rng = np.random.default_rng(0)
+    users, items, tags = (rng.integers(0, k, n) for k in (100, n // 10, 20))
+    path = tmp_path / "triples.tsv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"user{u}\titem{i:06d}\ttag{t:02d}\n"
+                      for u, i, t in zip(users, items, tags))
+    tracemalloc.start()
+    try:
+        counts = condense(read_triples(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.users.sum() <= n
+    assert peak / n < 150, f"{peak / n:.0f} B per triple"
 
 
 # ids and tag names: nonempty, and free of the tab and line separators
