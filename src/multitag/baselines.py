@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Params, sigm
-from .estimators import PROBE_ROWS, TrainConfig, sgd
+from .estimators import PROBE_ROWS, TrainConfig, check_rows, sgd
 
 # validation-selected defaults: 250 hidden units / lr 0.001 for the MLP,
 # lr 2.0 for logistic regression
@@ -29,11 +29,6 @@ class MlpParams(Params):
     W2: np.ndarray
     b2: np.ndarray
 
-    @classmethod
-    def random_init(cls, D, H, C, rng, scale=0.01):
-        return cls(rng.uniform(-scale, scale, (D, H)), np.zeros(H),
-                   rng.uniform(-scale, scale, (H, C)), np.zeros(C))
-
 
 @dataclass
 class LogRegParams(Params):
@@ -41,10 +36,6 @@ class LogRegParams(Params):
     SHAPES = {"W": ("D", "C"), "b": ("C",)}
     W: np.ndarray
     b: np.ndarray
-
-    @classmethod
-    def zeros(cls, D, C):
-        return cls(np.zeros((D, C)), np.zeros(C))
 
 
 def _rows(x, D) -> np.ndarray:
@@ -80,12 +71,30 @@ def cross_entropy(probs, targets, mask=None) -> float:
     return float(np.sum(terms))
 
 
-def _probe_cross_entropy(X, targets, mask, predict):
-    """The per-epoch objective of a baseline: mean masked cross-entropy
-    of predict(X, p) over the first PROBE_ROWS rows, as (name, value)."""
-    X, targets, mask = X[:PROBE_ROWS], targets[:PROBE_ROWS], mask[:PROBE_ROWS]
-    return lambda p: ("cross_entropy",
-                      cross_entropy(predict(X, p), targets, mask) / len(X))
+def _sgd_cross_entropy(X, targets, mask, p0, cfg, record_file, grads,
+                       predict):
+    """Per-example SGD on masked cross-entropy over a block checked once:
+    `check_rows`, targets in [0, 1], and a mask (all ones when None) of
+    the targets' shape.  A step subtracts cfg.lr times each array of
+    grads(x, t, mask, p), one per field of p in SHAPES order.  The
+    per-epoch objective is the mean masked cross-entropy of predict(X, p)
+    per row over the first PROBE_ROWS rows."""
+    X, targets = check_rows(X, targets)
+    if not np.all((targets >= 0) & (targets <= 1)):
+        raise ValueError("targets must lie in [0, 1]")
+    mask = np.ones_like(targets) if mask is None else np.asarray(mask, float)
+    if mask.shape != targets.shape:
+        raise ValueError(f"mask must have the targets' shape "
+                         f"{targets.shape}, got {mask.shape}")
+
+    def step(p, i, rng):
+        for name, grad in zip(p.SHAPES, grads(X[i], targets[i], mask[i], p)):
+            a = getattr(p, name)
+            a -= cfg.lr * grad
+
+    Xp, tp, mp = X[:PROBE_ROWS], targets[:PROBE_ROWS], mask[:PROBE_ROWS]
+    return sgd(p0, len(X), step, cfg, record_file, lambda p: (
+        "cross_entropy", cross_entropy(predict(Xp, p), tp, mp) / len(Xp)))
 
 
 def _mlp_grads(x, t, mask, p: MlpParams):
@@ -97,38 +106,23 @@ def _mlp_grads(x, t, mask, p: MlpParams):
     return (x[:, None] * dpre_h, dpre_h, h[:, None] * dpre_o, dpre_o)
 
 
+def _logreg_grads(x, t, mask, p: LogRegParams):
+    dpre = (sigm(p.b + x @ p.W) - t) * mask
+    return x[:, None] * dpre, dpre
+
+
 def mlp_train(X, targets, mask, cfg: TrainConfig, p0: MlpParams,
               record_file=None) -> MlpParams:
     """Seeded per-example SGD on cross-entropy; targets in [0, 1]."""
-    X = np.asarray(X, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    mask = np.ones_like(targets) if mask is None else np.asarray(mask, dtype=float)
-
-    def step(p, i, rng):
-        dW1, db1, dW2, db2 = _mlp_grads(X[i], targets[i], mask[i], p)
-        p.W1 -= cfg.lr * dW1
-        p.b1 -= cfg.lr * db1
-        p.W2 -= cfg.lr * dW2
-        p.b2 -= cfg.lr * db2
-
-    return sgd(p0, X.shape[0], step, cfg, record_file,
-               _probe_cross_entropy(X, targets, mask, mlp_predict))
+    return _sgd_cross_entropy(X, targets, mask, p0, cfg, record_file,
+                              _mlp_grads, mlp_predict)
 
 
 def logreg_train(X, targets, mask, cfg: TrainConfig,
                  p0: LogRegParams | None = None,
                  record_file=None) -> LogRegParams:
     """Per-tag independent sigmoid regression by per-example SGD."""
-    X = np.asarray(X, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    mask = np.ones_like(targets) if mask is None else np.asarray(mask, dtype=float)
     if p0 is None:
-        p0 = LogRegParams.zeros(X.shape[1], targets.shape[1])
-
-    def step(p, i, rng):
-        dpre = (sigm(p.b + X[i] @ p.W) - targets[i]) * mask[i]
-        p.W -= cfg.lr * (X[i][:, None] * dpre)
-        p.b -= cfg.lr * dpre
-
-    return sgd(p0, X.shape[0], step, cfg, record_file,
-               _probe_cross_entropy(X, targets, mask, logreg_predict))
+        p0 = LogRegParams.zeros(np.shape(X)[1], np.shape(targets)[1])
+    return _sgd_cross_entropy(X, targets, mask, p0, cfg, record_file,
+                              _logreg_grads, logreg_predict)

@@ -41,7 +41,7 @@ def _read_config(path, known):
     """The key=value pairs of a config file; a key that is not in
     ``known`` (an option of some command) is an error."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

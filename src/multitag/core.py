@@ -47,7 +47,7 @@ class Params:
     dimensions, in field order.  From these: the constructor checks every
     shape against ``dims`` and every entry for finiteness, a property per
     dimension (p.n, p.C, ...) reads its size, and ``arrays`` and ``copy``
-    serve every kind.
+    serve every kind, as do ``random_init`` and ``zeros``.
     """
     KIND = None
     SHAPES = {}
@@ -75,6 +75,28 @@ class Params:
         for a in self.arrays().values():
             if not np.all(np.isfinite(a)):
                 raise ValueError("non-finite parameter entry")
+
+    @classmethod
+    def random_init(cls, *sizes_then_rng, scale=0.01, **fields):
+        """Parameters of the given sizes in ``dims`` order, then the rng:
+        each matrix drawn uniform in +-scale, in SHAPES order, each vector
+        zero.  ``fields`` are the class's other fields."""
+        *sizes, rng = sizes_then_rng
+        return cls._from_sizes(sizes, lambda s: rng.uniform(-scale, scale, s),
+                               fields)
+
+    @classmethod
+    def zeros(cls, *sizes):
+        """All-zero parameters of the given sizes, in ``dims`` order."""
+        return cls._from_sizes(sizes, np.zeros, {})
+
+    @classmethod
+    def _from_sizes(cls, sizes, matrix, fields):
+        dims = dict.fromkeys(d for axes in cls.SHAPES.values() for d in axes)
+        size = dict(zip(dims, sizes, strict=True))
+        arrays = {name: (matrix if len(axes) == 2 else np.zeros)(
+            tuple(map(size.get, axes))) for name, axes in cls.SHAPES.items()}
+        return cls(**arrays, **fields)
 
     @property
     def dims(self) -> dict:
@@ -109,20 +131,6 @@ class DrbmParams(Params):
     W: np.ndarray
     c: np.ndarray
     d: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int, C: int, D: int) -> "DrbmParams":
-        return cls(np.zeros((n, C)), np.zeros((n, D)), np.zeros(n), np.zeros(C))
-
-    @classmethod
-    def random_init(cls, n: int, C: int, D: int, rng, scale: float = 0.01) -> "DrbmParams":
-        """Small symmetric weight init, zero biases."""
-        return cls(
-            rng.uniform(-scale, scale, size=(n, C)),
-            rng.uniform(-scale, scale, size=(n, D)),
-            np.zeros(n),
-            np.zeros(C),
-        )
 
 
 class LabeledExample(NamedTuple):

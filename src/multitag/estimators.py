@@ -172,11 +172,6 @@ class GaussianRbmParams(DrbmParams):
     SHAPES = {**DrbmParams.SHAPES, "bx": ("D",)}
     bx: np.ndarray
 
-    @classmethod
-    def random_init(cls, n, C, D, rng, scale=0.01):
-        p = DrbmParams.random_init(n, C, D, rng, scale)
-        return cls(p.U, p.W, p.c, p.d, np.zeros(D))
-
 
 @dataclass
 class GaussianGradient(Gradient):
@@ -265,17 +260,23 @@ def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,
     return p
 
 
-def _sgd_rows(X, Y, p0, cfg: TrainConfig, gradient, estimator, record_file):
-    """`sgd` over the rows of the (N, D) features X and (N, C) labels Y,
-    checked once as a block: finite features, 0/1 labels, N rows in each.
-    A step adds cfg.lr times the field dA of gradient(LabeledExample(X[i],
-    Y[i]), p, cfg, rng) to each array A of p.  The objective is
-    ``cond_objective``'s."""
+def check_rows(X, Y):
+    """A trainer's (N, D) features X and N rows of labels or targets Y as
+    float arrays, checked once: as many rows in each, finite features."""
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     if len(X) != len(Y):
         raise ValueError(f"{len(X)} feature rows but {len(Y)} label rows")
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite feature entry")
+    return X, Y
+
+
+def _sgd_rows(X, Y, p0, cfg: TrainConfig, gradient, estimator, record_file):
+    """`sgd` over the rows of the (N, D) features X and (N, C) labels Y,
+    checked once as a block (`check_rows`, and 0/1 labels).  A step adds
+    cfg.lr times the field dA of gradient(LabeledExample(X[i], Y[i]), p,
+    cfg, rng) to each array A of p.  The objective is ``cond_objective``'s."""
+    X, Y = check_rows(X, Y)
     if not np.all((Y == 0) | (Y == 1)):
         raise ValueError("labels must be 0/1")
 

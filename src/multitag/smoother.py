@@ -45,11 +45,8 @@ class SmootherParams(Params):
 
     @classmethod
     def random_init(cls, n, C, aux_sizes, rng, scale=0.01):
-        A = sum(aux_sizes)
-        return cls(rng.uniform(-scale, scale, (n, C)),
-                   rng.uniform(-scale, scale, (n, C)),
-                   rng.uniform(-scale, scale, (C, A)),
-                   np.zeros(n), np.zeros(C), aux_sizes)
+        return super().random_init(n, C, sum(aux_sizes), rng, scale=scale,
+                                   aux_sizes=aux_sizes)
 
 
 class TagEvent(NamedTuple):

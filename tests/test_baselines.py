@@ -187,6 +187,43 @@ class TestMlpTrain:
                       TrainConfig(lr=1e6, epochs=5, seed=0), p0)
 
 
+class TestBlockCheck:
+    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
+    @pytest.mark.parametrize("case, message", [
+        ("nan-feature", "non-finite feature entry"),
+        ("row-counts", "2 feature rows but 3 label rows"),
+        ("target-above-one", r"targets must lie in \[0, 1\]"),
+        ("negative-target", r"targets must lie in \[0, 1\]"),
+        ("nan-target", r"targets must lie in \[0, 1\]"),
+        ("mask-shape", r"mask must have the targets' shape \(2, 2\), "
+                       r"got \(2, 1\)")],
+        ids=["nan-feature", "row-counts", "target-above-one",
+             "negative-target", "nan-target", "mask-shape"])
+    def test_rejects_bad_block(self, rng, kind, case, message):
+        # the rows are checked once, before the first step
+        X, targets = np.zeros((2, 2)), np.array([[1.0, 0.0], [0.5, 0.0]])
+        mask = None
+        if case == "nan-feature":
+            X[1, 0] = np.nan
+        elif case == "row-counts":
+            targets = np.vstack([targets, targets[:1]])
+        elif case == "target-above-one":
+            targets[1, 1] = 1.5
+        elif case == "negative-target":
+            targets[1, 1] = -0.5
+        elif case == "nan-target":
+            targets[1, 1] = np.nan
+        else:
+            mask = np.ones((2, 1))
+        cfg = TrainConfig(lr=0.1, epochs=1, seed=0)
+        with pytest.raises(ValueError, match=message):
+            if kind == "logreg":
+                logreg_train(X, targets, mask, cfg)
+            else:
+                mlp_train(X, targets, mask, cfg,
+                          MlpParams.random_init(2, 3, 2, rng))
+
+
 @pytest.mark.parametrize("kind", ["logreg", "mlp"])
 def test_empty_dataset_rejected(rng, kind):
     X, targets = np.zeros((0, 2)), np.zeros((0, 2))

@@ -361,6 +361,20 @@ class TestPrecedence:
         assert err == f"error: {config}:2: unknown key 'epoch'\n"
         assert not model.exists()
 
+    def test_config_with_byte_order_mark(self, ingested, tmp_path):
+        # a config file saved with a leading byte-order mark reads the
+        # same as one without
+        models = []
+        for name, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_bytes(mark + b"seed=3\nepochs=1\nhidden=3\n")
+            models.append(tmp_path / f"{name}.model")
+            assert run(["train", "--data", ingested, "--estimator", "pl",
+                        "--config", config, "--model", models[-1]]) == 0
+        assert models[0].read_bytes() == models[1].read_bytes()
+        assert len((tmp_path / "bom.model.jsonl").read_text()
+                   .splitlines()) == 1
+
     def test_one_config_serves_train_and_eval(self, ingested, tmp_path):
         # each command reads its own keys and skips the other's
         config = tmp_path / "run.cfg"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from multitag.core import (DrbmParams, ShapeError, cd_chain, cond_free_energy,
                            energy, log1pexp, mean_field, p_hidden_given,
                            sample_bernoulli, sigm)
+from multitag.modelio import KINDS
 from conftest import random_instance
 
 
@@ -305,3 +306,64 @@ def test_params_copy_is_not_checked_again():
     assert type(q) is DrbmParams and np.isnan(q.U[0, 0])
     q.W[0, 0] = 1.0
     assert p.W[0, 0] == 0.0
+
+
+# The per-class inits that Params.random_init and Params.zeros replaced,
+# frozen as the reference: the same arrays to the bit, drawn from the rng
+# in the same order.
+
+def reference_drbm_init(n, C, D, rng, scale):
+    return (rng.uniform(-scale, scale, size=(n, C)),
+            rng.uniform(-scale, scale, size=(n, D)), np.zeros(n), np.zeros(C))
+
+
+def reference_grbm_init(n, C, D, rng, scale):
+    return (*reference_drbm_init(n, C, D, rng, scale), np.zeros(D))
+
+
+def reference_smoother_init(n, C, aux_sizes, rng, scale):
+    A = sum(aux_sizes)
+    return (rng.uniform(-scale, scale, (n, C)),
+            rng.uniform(-scale, scale, (n, C)),
+            rng.uniform(-scale, scale, (C, A)), np.zeros(n), np.zeros(C))
+
+
+def reference_mlp_init(D, H, C, rng, scale):
+    return (rng.uniform(-scale, scale, (D, H)), np.zeros(H),
+            rng.uniform(-scale, scale, (H, C)), np.zeros(C))
+
+
+def as_bytes(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestInit:
+    @pytest.mark.parametrize("kind, sizes", [
+        ("drbm", (3, 2, 4)), ("grbm", (3, 2, 4)),
+        ("smoother", (3, 2, (2, 1, 4))), ("mlp", (4, 3, 2))])
+    @pytest.mark.parametrize("scale", [None, 0.3])
+    def test_random_init_matches_the_per_class_init(self, kind, sizes,
+                                                    scale):
+        reference = {"drbm": reference_drbm_init,
+                     "grbm": reference_grbm_init,
+                     "smoother": reference_smoother_init,
+                     "mlp": reference_mlp_init}[kind]
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        options = {} if scale is None else {"scale": scale}
+        p = KINDS[kind].random_init(*sizes, rng, **options)
+        want = reference(*sizes, ref_rng, 0.01 if scale is None else scale)
+        assert as_bytes(p.arrays().values()) == as_bytes(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if kind == "smoother":
+            assert p.aux_sizes == sizes[2]
+
+    @pytest.mark.parametrize("kind, sizes, want", [
+        ("drbm", (4, 3, 2), [(4, 3), (4, 2), (4,), (3,)]),
+        ("logreg", (3, 2), [(3, 2), (2,)])])
+    def test_zeros_matches_the_per_class_zeros(self, kind, sizes, want):
+        p = KINDS[kind].zeros(*sizes)
+        assert as_bytes(p.arrays().values()) == as_bytes(map(np.zeros, want))
+
+    def test_sizes_follow_dims(self):
+        with pytest.raises(ValueError):
+            DrbmParams.zeros(4, 3)

@@ -148,6 +148,32 @@ class TestNormalizeFeatures:
         with pytest.raises(ValueError):
             normalize_features(FeatureTable(["a"], np.ones((1, 2))))
 
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_same_bits_as_the_two_where_formula(self, data):
+        # constant columns, rows equal to the mean, zero rows, signed
+        # zeros, NaN, +-inf and overflowing statistics
+        N, D = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 4))
+        values = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 3.0, np.nan, np.inf,
+                             -np.inf, 1e308, -1e308, 5e-324]),
+            st.floats())
+        X = np.array(data.draw(st.lists(values, min_size=N * D,
+                                        max_size=N * D))).reshape(N, D)
+        with np.errstate(all="ignore"):
+            if data.draw(st.booleans()):
+                X[:, 0] = X[0, 0]
+            if data.draw(st.booleans()):  # the mean of all rows too
+                X[-1] = X[:-1].mean(axis=0)
+            got =normalize_features(FeatureTable(list(range(N)), X.copy())).X
+            mean, std = X.mean(axis=0), X.std(axis=0)
+            Z = np.where(std > 0, (X - mean) / np.where(std > 0, std, 1.0),
+                         0.0)
+            norms = np.linalg.norm(Z, axis=1)[:, None]
+            want = np.where(norms > 0, Z / np.where(norms > 0, norms, 1.0),
+                            0.0)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestMakeFolds:
     def test_partition_properties(self):
