@@ -6,12 +6,13 @@ revision's.
 
 The base revision's `src` is exported with `git archive` into a
 temporary directory. The README's 200-item corpus is generated once,
-and one fixed list of CLI commands (COMMANDS) runs on it twice: with the
-base's `src` and with this tree's, as separate processes on this machine.
-Every output file must be byte-identical, except that each line of a
-`.jsonl` training record is compared as JSON without its `seconds`
-field. Each command's exit code, stdout and stderr count as an output
-too (`cli.txt`).
+with a second items file that puts three clips on each track, and one
+fixed list of CLI commands (COMMANDS) and of this tree's experiment
+scripts (SCRIPTS) runs on it twice: with the base's `src` and with this
+tree's, as separate processes on this machine. Every output file must be
+byte-identical, except that each line of a `.jsonl` training record is
+compared as JSON without its `seconds` field. Each run's exit code,
+stdout and stderr count as an output too (`cli.txt`, `scripts.txt`).
 
 `--expect-diff` names outputs (paths relative to the output directory,
 such as `drbm-cd.model`) that are meant to change; they may differ.
@@ -36,8 +37,11 @@ REPO = Path(__file__).resolve().parent.parent
 CORPUS = "../corpus"  # from each output directory
 TRAIN = ("--epochs", "2", "--seed", "1")
 SMOOTHER = ("--kind", "smoother", "--triples", f"{CORPUS}/triples.tsv",
-            "--items", f"{CORPUS}/items.tsv", "--vocab-size", "5",
-            "--hidden", "4", *TRAIN)
+            "--vocab-size", "5", "--hidden", "4", *TRAIN)
+# (items file, l1, name): items.tsv gives every clip its own track,
+# items-shared.tsv puts three clips on each track
+SMOOTHERS = (("items.tsv", "0", "l1-0"), ("items.tsv", "0.01", "l1-0.01"),
+             ("items-shared.tsv", "0.01", "shared-tracks"))
 
 COMMANDS = [
     ("ingest", "--triples", f"{CORPUS}/triples.tsv",
@@ -58,11 +62,19 @@ COMMANDS = [
                    "mlp", "logreg")],
     ("eval", "--data", "ingested", "--model", "drbm-pl.model",
      "--model-b", "logreg.model", "--out", "reports-pl-vs-logreg"),
-    *[cmd for l1 in ("0", "0.01") for cmd in (
-        ("train", *SMOOTHER, "--l1", l1, "--model", f"smoother-l1-{l1}.model"),
-        ("smooth", "--model", f"smoother-l1-{l1}.model",
+    *[cmd for items, l1, name in SMOOTHERS for cmd in (
+        ("train", *SMOOTHER, "--items", f"{CORPUS}/{items}", "--l1", l1,
+         "--model", f"smoother-{name}.model"),
+        ("smooth", "--model", f"smoother-{name}.model",
          "--triples", f"{CORPUS}/triples.tsv", "--items",
-         f"{CORPUS}/items.tsv", "--out", f"smoothed-l1-{l1}.tsv"))],
+         f"{CORPUS}/{items}", "--out", f"smoothed-{name}.tsv"))],
+    ("oracle-check", "--trials", "2"),
+]
+# this tree's experiment scripts, at small sizes
+SCRIPTS = [
+    ("run_damping.py", "--items", "200"),
+    ("run_label_dependency.py", "--seeds", "0", "1"),
+    ("run_smoothing.py", "--seeds", "0", "1"),
 ]
 
 
@@ -82,24 +94,35 @@ def python(src, args, cwd):
                           capture_output=True, text=True)
 
 
+def runs():
+    """(log file, command as shown, python arguments) of every run."""
+    for command in COMMANDS:
+        yield ("cli.txt", f"multitag {' '.join(command)}",
+               ["-m", "multitag.cli", *command])
+    for script, *args in SCRIPTS:
+        yield ("scripts.txt", f"scripts/{script} {' '.join(args)}",
+               [str(REPO / "scripts" / script), *args])
+
+
 def run_all(src, out):
-    """Run COMMANDS with ``src`` in the new directory ``out``, and write
-    their exit codes and output to ``out/cli.txt``; None on success, else
-    the first failing command and its stderr."""
+    """Run COMMANDS and SCRIPTS with ``src`` in the new directory ``out``,
+    and write their exit codes and output to ``out/cli.txt`` and
+    ``out/scripts.txt``; None on success, else the first failing run and
+    its stderr."""
     out.mkdir()
     found = python(src, ["-c", "import multitag; print(multitag.__file__)"],
                    out).stdout.strip()
     if not Path(found).resolve().is_relative_to(src.resolve()):
         return f"multitag imported from {found}, not from {src}"
-    log = []
-    for command in COMMANDS:
-        done = python(src, ["-m", "multitag.cli", *command], out)
-        log.append(f"$ multitag {' '.join(command)}\nexit {done.returncode}\n"
-                   f"{done.stdout}{done.stderr}")
+    logs = {}
+    for log, shown, args in runs():
+        done = python(src, args, out)
+        logs.setdefault(log, []).append(
+            f"$ {shown}\nexit {done.returncode}\n{done.stdout}{done.stderr}")
         if done.returncode:
-            return f"multitag {' '.join(command)}: exit " \
-                   f"{done.returncode}\n{done.stderr}"
-    (out / "cli.txt").write_text("".join(log), encoding="utf-8")
+            return f"{shown}: exit {done.returncode}\n{done.stderr}"
+    for log, lines in logs.items():
+        (out / log).write_text("".join(lines), encoding="utf-8")
     return None
 
 
@@ -146,6 +169,12 @@ def main(argv=None):
                                      "--out", "corpus", "--items", "200"], tmp)
         if done.returncode:
             sys.exit(f"corpus generation failed:\n{done.stderr}")
+        corpus = tmp / "corpus"
+        items = [line.split("\t")[0] for line in
+                 (corpus / "items.tsv").read_text("utf-8").splitlines()]
+        (corpus / "items-shared.tsv").write_text("".join(
+            f"{item}\ttrack{i // 3:03d}\n" for i, item in enumerate(items)),
+            encoding="utf-8")
         sides = {"base": export(args.base, tmp / "base"),
                  "this tree": REPO / "src"}
         for (label, src), out in zip(sides.items(), ("out-base", "out-head")):
@@ -162,9 +191,10 @@ def main(argv=None):
         print(f"expected: {name}: {how}")
     for name, how in unexpected:
         print(f"DIFFERS: {name}: {how}")
-    print(f"{len(compared)} outputs of {len(COMMANDS)} commands compared "
-          f"against {args.base}: {len(unexpected)} unexpected "
-          f"difference(s), {len(expected)} expected")
+    print(f"{len(compared)} outputs of {len(COMMANDS)} commands and "
+          f"{len(SCRIPTS)} scripts compared against {args.base}: "
+          f"{len(unexpected)} unexpected difference(s), {len(expected)} "
+          f"expected")
     return 1 if unexpected else 0
 
 

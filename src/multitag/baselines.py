@@ -60,15 +60,13 @@ def logreg_predict(x, p: LogRegParams) -> np.ndarray:
     return sigm(p.b + _rows(x, p.D) @ p.W)[..., 0, :]
 
 
-def cross_entropy(probs, targets, mask=None) -> float:
+def cross_entropy(probs, targets, mask) -> float:
     """Masked multi-label cross-entropy; safe at saturated probabilities
     when computed from logits upstream, here clipped for generality."""
     probs = np.clip(np.asarray(probs, dtype=float), 1e-12, 1 - 1e-12)
     targets = np.asarray(targets, dtype=float)
     terms = -(targets * np.log(probs) + (1 - targets) * np.log(1 - probs))
-    if mask is not None:
-        terms = terms * mask
-    return float(np.sum(terms))
+    return float(np.sum(terms * mask))
 
 
 def _sgd_cross_entropy(X, targets, mask, p0, cfg, record_file, grads,
@@ -79,7 +77,7 @@ def _sgd_cross_entropy(X, targets, mask, p0, cfg, record_file, grads,
     grads(x, t, mask, p), one per field of p in SHAPES order.  The
     per-epoch objective is the mean masked cross-entropy of predict(X, p)
     per row over the first PROBE_ROWS rows."""
-    X, targets = check_rows(X, targets)
+    X, targets = check_rows(X, targets, p0)
     if not np.all((targets >= 0) & (targets <= 1)):
         raise ValueError("targets must lie in [0, 1]")
     mask = np.ones_like(targets) if mask is None else np.asarray(mask, float)
@@ -119,10 +117,9 @@ def mlp_train(X, targets, mask, cfg: TrainConfig, p0: MlpParams,
 
 
 def logreg_train(X, targets, mask, cfg: TrainConfig,
-                 p0: LogRegParams | None = None,
                  record_file=None) -> LogRegParams:
-    """Per-tag independent sigmoid regression by per-example SGD."""
-    if p0 is None:
-        p0 = LogRegParams.zeros(np.shape(X)[1], np.shape(targets)[1])
+    """Per-tag independent sigmoid regression by per-example SGD from
+    all-zero weights, sized by the last axes of X and targets."""
+    p0 = LogRegParams.zeros(np.shape(X)[-1], np.shape(targets)[-1])
     return _sgd_cross_entropy(X, targets, mask, p0, cfg, record_file,
                               _logreg_grads, logreg_predict)

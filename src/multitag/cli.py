@@ -23,8 +23,8 @@ from .baselines import (LOGREG_DEFAULT_LR, MLP_DEFAULT_HIDDEN, MLP_DEFAULT_LR,
                         MlpParams, logreg_predict, logreg_train, mlp_predict,
                         mlp_train)
 from .core import DrbmParams
-from .estimators import (ESTIMATORS, DivergenceError, GaussianRbmParams,
-                         TrainConfig, sgd_train, sgd_train_generative)
+from .estimators import (DivergenceError, GaussianRbmParams, TrainConfig,
+                         sgd_train, sgd_train_generative)
 from .evaluation import (AucReport, score_matrix_auc, significance_counts,
                          write_auc_report, write_summary)
 from .inference import NumericError, lbp_scores
@@ -115,8 +115,8 @@ def _events_from_triples(triples: dt.Triples, vocab, items_map):
     """The smoother's Events, one per (user, clip) in that order, with
     the triples' codes as user and clip ids; tracks (a clip's items_map
     entry, else the clip) are numbered in sorted order, so the same files
-    always yield the same ids.  Returns the events, the (#users, #tracks,
-    #clips) sizes and each clip's track id."""
+    always yield the same ids.  Returns the events and the (#users,
+    #tracks, #clips) sizes."""
     n_users, n_clips = len(triples.users), len(triples.items)
     track_of = [items_map.get(clip, clip) for clip in triples.items]
     tid = {t: i for i, t in enumerate(sorted(set(track_of)))}
@@ -130,7 +130,7 @@ def _events_from_triples(triples: dt.Triples, vocab, items_map):
     Y[event[cols >= 0], cols[cols >= 0]] = 1.0
     users, clips = np.divmod(pairs, n_clips)
     return (Events(np.stack([users, tracks[clips], clips], axis=1), Y),
-            (n_users, len(tid), n_clips), tracks)
+            (n_users, len(tid), n_clips))
 
 
 class Kind(NamedTuple):
@@ -158,7 +158,7 @@ def _fit_mlp(X, Y, mask, hidden, cfg, rng, record_file):
 
 
 def _fit_logreg(X, Y, mask, hidden, cfg, rng, record_file):
-    return logreg_train(X, Y, mask, cfg, None, record_file)
+    return logreg_train(X, Y, mask, cfg, record_file)
 
 
 def _fit_smoother(events, sizes, C, hidden, cfg, rng, record_file):
@@ -193,7 +193,7 @@ def _read_events(args):
     triples = dt.read_triples(args.triples)
     items_map = dt.read_items(args.items) if args.items else {}
     vocab = dt.select_vocab(dt.condense(triples), args.vocab_size)
-    events, sizes, _ = _events_from_triples(triples, vocab, items_map)
+    events, sizes = _events_from_triples(triples, vocab, items_map)
     return vocab, (events, sizes, len(vocab))
 
 
@@ -201,8 +201,13 @@ def cmd_train(args):
     kind = KIND_TABLE.get(args.kind)
     if kind is None:
         raise SystemExit(f"error: unknown model kind {args.kind!r}")
-    if args.estimator not in ESTIMATORS:
-        raise SystemExit(f"error: unknown estimator {args.estimator!r}")
+    for key, value in kind.defaults.items():
+        if key in args.unset:
+            setattr(args, key, value)
+    # TrainConfig checks the estimator's name and the values' ranges
+    cfg = TrainConfig(estimator=args.estimator, k=args.k, lr=args.lr,
+                      beta=args.beta, epochs=args.epochs, seed=args.seed,
+                      l1=args.l1)
     if args.beta != 0.0 and (args.kind, args.estimator) != ("drbm", "lbp"):
         raise ValueError("--beta needs --kind drbm --estimator lbp")
     # options that only some kinds read: each, set away from its built-in
@@ -222,12 +227,6 @@ def cmd_train(args):
         known = (matrix.cells != dt.UNKNOWN).astype(float)
         vocab = matrix.vocab
         data = (features.X, Y, known if kind.masked else None)
-    for key, value in kind.defaults.items():
-        if key in args.unset:
-            setattr(args, key, value)
-    cfg = TrainConfig(estimator=args.estimator, k=args.k, lr=args.lr,
-                      beta=args.beta, epochs=args.epochs, seed=args.seed,
-                      l1=args.l1)
     with open(args.model + ".jsonl", "w", encoding="utf-8") as records:
         model = kind.fit(*data, args.hidden, cfg,
                          np.random.default_rng(args.seed), records)
@@ -241,10 +240,11 @@ def cmd_smooth(args):
         raise SystemExit("error: --model must point to a smoother model")
     triples = dt.read_triples(args.triples)
     items_map = dt.read_items(args.items) if args.items else {}
-    events, sizes, tracks = _events_from_triples(triples, vocab, items_map)
+    events, sizes = _events_from_triples(triples, vocab, items_map)
     if sizes != model.aux_sizes:
         raise SystemExit("error: triples vocabularies do not match the model")
-    probs = smooth_tags(range(len(tracks)), tracks, model, events)
+    # every clip of the triples has an event, so this is one row per clip
+    probs = smooth_tags(model, events)
     dt.write_rows(args.out, chain([["item", *vocab]], (
         [clip, *row] for clip, row in dt.rows_of(triples.items, probs))))
     return 0

@@ -22,6 +22,7 @@ _CELL_BYTES = np.full(256, _NOT_A_CELL, dtype=np.int8)
 _CELL_BYTES[[ord(c) for c in CHAR_STATES]] = list(CHAR_STATES.values())
 BLOCK = 1 << 17  # characters of whole lines a tab-file reader takes at once
 ROWS = 4096      # rows of an array a tab-file writer converts at once
+N_FOLDS = 5      # the folds of make_folds
 
 
 class Triples(NamedTuple):
@@ -88,7 +89,6 @@ class FoldSplit:
     """5-way item partition; per held-out fold, 4 rotations each using
     one remaining fold for validation and the other 3 for training."""
     folds: list            # 5 lists of item indices
-    seed: int
 
     def rotations(self, test_fold: int):
         others = [f for f in range(len(self.folds)) if f != test_fold]
@@ -181,14 +181,14 @@ def normalize_features(table: FeatureTable) -> FeatureTable:
     return FeatureTable(list(table.items), Z)
 
 
-def make_folds(n_items: int, seed: int, n_folds: int = 5) -> FoldSplit:
-    """Seeded uniform partition into near-equal folds."""
-    if n_items < n_folds:
-        raise ValueError(f"need at least {n_folds} items")
+def make_folds(n_items: int, seed: int) -> FoldSplit:
+    """Seeded uniform partition into N_FOLDS near-equal folds."""
+    if n_items < N_FOLDS:
+        raise ValueError(f"need at least {N_FOLDS} items")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n_items)
-    folds = [sorted(order[f::n_folds].tolist()) for f in range(n_folds)]
-    return FoldSplit(folds, seed)
+    folds = [sorted(order[f::N_FOLDS].tolist()) for f in range(N_FOLDS)]
+    return FoldSplit(folds)
 
 
 def _blocks(path):

@@ -260,12 +260,17 @@ def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,
     return p
 
 
-def check_rows(X, Y):
-    """A trainer's (N, D) features X and N rows of labels or targets Y as
-    float arrays, checked once: as many rows in each, finite features."""
+def check_rows(X, Y, p0):
+    """A trainer's (N, D) features X and (N, C) labels or targets Y, for
+    the model p0, as float arrays, checked once: as many rows in each,
+    the model's D and C as their widths, finite features."""
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     if len(X) != len(Y):
         raise ValueError(f"{len(X)} feature rows but {len(Y)} label rows")
+    if X.shape != (len(X), p0.D):
+        raise ValueError(f"features must be N x {p0.D}, got shape {X.shape}")
+    if Y.shape != (len(Y), p0.C):
+        raise ValueError(f"labels must be N x {p0.C}, got shape {Y.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite feature entry")
     return X, Y
@@ -276,7 +281,7 @@ def _sgd_rows(X, Y, p0, cfg: TrainConfig, gradient, estimator, record_file):
     checked once as a block (`check_rows`, and 0/1 labels).  A step adds
     cfg.lr times the field dA of gradient(LabeledExample(X[i], Y[i]), p,
     cfg, rng) to each array A of p.  The objective is ``cond_objective``'s."""
-    X, Y = check_rows(X, Y)
+    X, Y = check_rows(X, Y, p0)
     if not np.all((Y == 0) | (Y == 1)):
         raise ValueError("labels must be 0/1")
 

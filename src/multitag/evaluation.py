@@ -12,6 +12,8 @@ import numpy as np
 
 from .data import NEGATIVE, POSITIVE, UNKNOWN, FoldSplit, write_rows
 
+ALPHA = 0.05  # the significance level of significance_counts
+
 
 @dataclass
 class AucReport:
@@ -103,10 +105,10 @@ def paired_ttest(a, b) -> float:
     return t_sf_two_sided(t, d.size - 1)
 
 
-def significance_counts(report_a: AucReport, report_b: AucReport,
-                        alpha: float = 0.05) -> SignificanceReport:
+def significance_counts(report_a: AucReport,
+                        report_b: AucReport) -> SignificanceReport:
     """Per-tag paired t-test across folds; a tag counts for the model
-    with the higher mean AUC when p < alpha, undecided tags count for
+    with the higher mean AUC when p < ALPHA, undecided tags count for
     neither."""
     if report_a.tags != report_b.tags:
         raise ValueError("mismatched tag sets")
@@ -122,7 +124,7 @@ def significance_counts(report_a: AucReport, report_b: AucReport,
             continue
         p = paired_ttest(va[ok], vb[ok])
         p_values[j] = p
-        if p < alpha:
+        if p < ALPHA:
             if np.mean(va[ok]) > np.mean(vb[ok]):
                 winners[j] = "a"
                 a_better += 1

@@ -116,7 +116,7 @@ def smoothing_experiment(seeds=(0, 1, 2, 3, 4), n_clips=300, n_train=200,
                           epochs=smoother_epochs, seed=seed, l1=l1)
         sm = train_smoother(train_events, p0, cfg)
 
-        smoothed = smooth_tags(train_clips, train_clips, sm, train_events)
+        smoothed = smooth_tags(sm, train_events)  # clips 0..n_train-1
         raw = _observed_matrix(train_events, train_clips, C)
 
         Xtr, Xte = X[train_clips], X[test_clips]

@@ -31,17 +31,14 @@ def _coupling_log(U: np.ndarray, arg: np.ndarray) -> np.ndarray:
     return log1pexp(U + arg) - log1pexp(arg)
 
 
-def lbp_sweeps(hid_bias, vis_bias, U, K: int, beta: float,
-               tol: float = 0.0):
+def lbp_sweeps(hid_bias, vis_bias, U, K: int, beta: float):
     """K damped sweeps of belief propagation on b rows of the bipartite
     model with hidden input hid_bias + Uy and visible input
     vis_bias + U'h; hid_bias is a (b, n) block.
 
     Each sweep updates all label-bound messages, then all hidden-bound
-    messages (parallel within each type).  Stops early once the largest
-    message change over all rows drops below ``tol`` (tol=0 runs all K
-    sweeps).  Returns the (b, n, C) messages (down, up): toward labels
-    and toward hidden units.
+    messages (parallel within each type).  Returns the (b, n, C) messages
+    (down, up): toward labels and toward hidden units.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -64,17 +61,11 @@ def lbp_sweeps(hid_bias, vis_bias, U, K: int, beta: float,
             new_up = beta * up + (1 - beta) * new_up
         if not (np.all(np.isfinite(new_down)) and np.all(np.isfinite(new_up))):
             raise NumericError(f"non-finite message at sweep {sweep}")
-        converged = tol > 0 and max(
-            np.max(np.abs(new_down - down), initial=0.0),
-            np.max(np.abs(new_up - up), initial=0.0)) < tol
         down, up = new_down, new_up
-        if converged:
-            break
     return down, up
 
 
 def lbp_marginals(x, p: DrbmParams, K: int, beta: float,
-                  tol: float = 0.0,
                   printed_pair_normalizer: bool = False) -> Marginals:
     """K damped sweeps of belief propagation (``lbp_sweeps`` on one
     row); returns singleton and pairwise marginals given the feature
@@ -86,7 +77,7 @@ def lbp_marginals(x, p: DrbmParams, K: int, beta: float,
     """
     x = _check_vec(x, p.D, "x")
     c_data = p.c + p.W @ x
-    down, up = lbp_sweeps(c_data[None, :], p.d, p.U, K, beta, tol)
+    down, up = lbp_sweeps(c_data[None, :], p.d, p.U, K, beta)
     down, up = down[0], up[0]
 
     y_marg = sigm(p.d + down.sum(axis=0))

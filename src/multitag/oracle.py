@@ -18,6 +18,7 @@ from .core import (DrbmParams, Gradient, LabeledExample, cond_free_energy,
                    energy, log1pexp, sigm)
 
 ENUM_BITS = 20  # ~10^6 terms keeps a full enumeration under a second
+FD_STEP = 1e-5  # finite_diff's step
 
 
 class CapacityError(ValueError):
@@ -104,7 +105,7 @@ def exact_grad(example: LabeledExample, p: DrbmParams) -> Gradient:
     return marginal_gradient(example, p, exact_marginals(example.x, p))
 
 
-def finite_diff(f, p: DrbmParams, step: float = 1e-5) -> Gradient:
+def finite_diff(f, p: DrbmParams) -> Gradient:
     """Central finite differences of a scalar function of the
     parameters, entry by entry."""
     g = Gradient(np.zeros_like(p.U), np.zeros_like(p.W),
@@ -114,12 +115,12 @@ def finite_diff(f, p: DrbmParams, step: float = 1e-5) -> Gradient:
         for _ in it:
             idx = it.multi_index
             orig = src[idx]
-            src[idx] = orig + step
+            src[idx] = orig + FD_STEP
             hi = f(p)
-            src[idx] = orig - step
+            src[idx] = orig - FD_STEP
             lo = f(p)
             src[idx] = orig
-            dst[idx] = (hi - lo) / (2 * step)
+            dst[idx] = (hi - lo) / (2 * FD_STEP)
     return g
 
 

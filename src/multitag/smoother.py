@@ -122,23 +122,22 @@ def other_users_avg(events, excluded_user) -> np.ndarray:
     return np.mean(np.asarray(vecs, dtype=float), axis=0)
 
 
-def smoother_cd_gradient(y, u, V, p: SmootherParams, K: int, rng,
-                         l1: float = 0.0, signs=None) -> SmootherGradient:
+def smoother_cd_gradient(y, u, V, p: SmootherParams, K: int, rng, l1: float,
+                         signs) -> SmootherGradient:
     """Conditional CD-K for one event with labels y and other-users
     average u: hidden input c + Wu + Uy and visible input d + Va + U'h.
     The conditioning vector a is one-hot on k columns of p.V, and V is
     the C x k block of their current values, so Va = V.sum(axis=1); dV
     is the gradient of that block (every other column of the dense
     gradient is zero but for the l1 term).  The l1 subgradient shrinks
-    only the conditioning weights V and W; ``signs``, if given, is the
-    pair (np.sign(p.W), np.sign(V)) that it uses.  y and u are not
-    checked: ``train_smoother`` checks its events once."""
+    only the conditioning weights V and W; ``signs`` is the pair
+    (np.sign(p.W), np.sign(V)) that it uses, read only when l1 > 0.  y
+    and u are not checked: ``train_smoother`` checks its events once."""
     h0, hK, yK = cd_chain((p.c + p.W @ u)[None], p.d + V.sum(axis=1), p.U,
                           y[None], K, rng)
     g = _phase_difference(h0[0], y, hK[0], yK[0], u)
     if l1 > 0:
-        sign_W, sign_V = (np.sign(p.W), np.sign(V)) if signs is None \
-            else signs
+        sign_W, sign_V = signs
         dV = g.dd[:, None] - l1 * sign_V
         g.dW = g.dW - l1 * sign_W
     else:
@@ -146,13 +145,11 @@ def smoother_cd_gradient(y, u, V, p: SmootherParams, K: int, rng,
     return SmootherGradient(g.dU, g.dW, g.dc, g.dd, dV)
 
 
-def _clip_step(old: np.ndarray, new: np.ndarray, sign_old=None) -> np.ndarray:
+def _clip_step(sign_old: np.ndarray, new: np.ndarray) -> np.ndarray:
     """l1 steps never push a weight through zero; sign flips land at 0.
-    sign_old, if given, is np.sign(old).  A flip is sign_old * new < 0:
+    sign_old is np.sign of the old weights.  A flip is sign_old * new < 0:
     the product is exact, and it is NaN, so no flip, where either factor
     is NaN or a zero meets an infinity."""
-    if sign_old is None:
-        sign_old = np.sign(old)
     return np.where(sign_old * new < 0, 0.0, new)
 
 
@@ -227,8 +224,8 @@ def train_smoother(events: Events, p0: SmootherParams, cfg: TrainConfig,
         p.U += cfg.lr * g.dU
         p.c += cfg.lr * g.dc
         p.d += cfg.lr * g.dd
-        p.W = _clip_step(p.W, p.W + cfg.lr * g.dW, sign_W)
-        p.V[:, c] = _clip_step(V, V + cfg.lr * g.dV, sign_V)
+        p.W = _clip_step(sign_W, p.W + cfg.lr * g.dW)
+        p.V[:, c] = _clip_step(sign_V, V + cfg.lr * g.dV)
         t += 1
         done[c] = t
         if t % len(Y) == 0:
@@ -240,22 +237,18 @@ def train_smoother(events: Events, p0: SmootherParams, cfg: TrainConfig,
     return sgd(p0, len(Y), step, cfg, record_file, estimator="cd")
 
 
-def smooth_tags(clips, tracks, p: SmootherParams, events: Events) -> np.ndarray:
-    """Predicted tag probabilities for a new (unknown) user on known
-    clips, as a (len(clips), C) block with one row per (clip, track)
-    pair: u averages all users of the clip, the user identity block is
-    left out, and mean-field runs from y* = u to convergence (SMOOTH_TOL,
-    at most SMOOTH_MAX_ITER steps), every clip in one batched
-    ``mean_field`` call.  ``events`` may hold other clips' events too;
-    each clip's average is ``_clip_sums``'s sum over its count."""
-    clips = np.asarray(clips, dtype=np.intp)
-    event_clips = np.asarray(events.ids, dtype=np.intp)[:, 2]
-    known = np.isin(clips, event_clips)
-    if not np.all(known):
-        raise KeyError(f"unknown clip {int(clips[~known][0])}")
-    cols = _block_columns(np.stack([np.asarray(tracks, dtype=np.intp),
-                                    clips], axis=1), p.aux_sizes, first=1)
-    sums, counts = _clip_sums(event_clips, np.asarray(events.Y, dtype=float),
+def smooth_tags(p: SmootherParams, events: Events) -> np.ndarray:
+    """Predicted tag probabilities for a new (unknown) user on every clip
+    that has an event, as a (clips, C) block in clip-id order; each clip
+    takes the track its first event carries.  u averages all users of
+    the clip, the user identity block is left out, and mean-field runs
+    from y* = u to convergence (SMOOTH_TOL, at most SMOOTH_MAX_ITER
+    steps), every clip in one batched ``mean_field`` call.  Each clip's
+    average is ``_clip_sums``'s sum over its count."""
+    ids = np.asarray(events.ids, dtype=np.intp)
+    clips, first_event = np.unique(ids[:, 2], return_index=True)
+    cols = _block_columns(ids[first_event, 1:], p.aux_sizes, first=1)
+    sums, counts = _clip_sums(ids[:, 2], np.asarray(events.Y, dtype=float),
                               p.aux_sizes[2])
     u = sums[clips] / counts[clips, None]
     return mean_field(p.c + (p.W @ u[:, :, None])[:, :, 0],

@@ -84,14 +84,15 @@ class TestPredict:
 
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
-        assert cross_entropy([1.0, 0.0], [1.0, 0.0]) < 1e-10
+        assert cross_entropy([1.0, 0.0], [1.0, 0.0], np.ones(2)) < 1e-10
 
     def test_uniform_prediction(self):
-        assert cross_entropy([0.5, 0.5], [1.0, 0.0]) == pytest.approx(
+        assert cross_entropy([0.5, 0.5], [1.0, 0.0],
+                             np.ones(2)) == pytest.approx(
             2 * np.log(2), rel=1e-9)
 
     def test_mask_drops_terms(self):
-        full = cross_entropy([0.3, 0.9], [1.0, 0.0])
+        full = cross_entropy([0.3, 0.9], [1.0, 0.0], np.ones(2))
         masked = cross_entropy([0.3, 0.9], [1.0, 0.0], mask=[1.0, 0.0])
         assert masked == pytest.approx(-np.log(0.3), rel=1e-9)
         assert masked < full
@@ -196,9 +197,13 @@ class TestBlockCheck:
         ("negative-target", r"targets must lie in \[0, 1\]"),
         ("nan-target", r"targets must lie in \[0, 1\]"),
         ("mask-shape", r"mask must have the targets' shape \(2, 2\), "
-                       r"got \(2, 1\)")],
+                       r"got \(2, 1\)"),
+        ("1-d-features", r"features must be N x 2, got shape \(2,\)"),
+        ("feature-width", r"features must be N x 2, got shape \(2, 1, 2\)"),
+        ("label-width", r"labels must be N x 2, got shape \(2, 1, 2\)")],
         ids=["nan-feature", "row-counts", "target-above-one",
-             "negative-target", "nan-target", "mask-shape"])
+             "negative-target", "nan-target", "mask-shape", "1-d-features",
+             "feature-width", "label-width"])
     def test_rejects_bad_block(self, rng, kind, case, message):
         # the rows are checked once, before the first step
         X, targets = np.zeros((2, 2)), np.array([[1.0, 0.0], [0.5, 0.0]])
@@ -213,8 +218,16 @@ class TestBlockCheck:
             targets[1, 1] = -0.5
         elif case == "nan-target":
             targets[1, 1] = np.nan
-        else:
+        elif case == "mask-shape":
             mask = np.ones((2, 1))
+        elif case == "1-d-features":
+            X = X[:, 0]
+        elif case == "feature-width":
+            # logistic regression takes its widths from the last axes, so
+            # only rows that are not vectors are the wrong width for it
+            X = X[:, None, :]
+        else:
+            targets = targets[:, None, :]
         cfg = TrainConfig(lr=0.1, epochs=1, seed=0)
         with pytest.raises(ValueError, match=message):
             if kind == "logreg":

@@ -199,10 +199,14 @@ class TestTrain:
             models.append(model.read_bytes())
         assert models[0] == models[1]
 
-    def test_unknown_estimator_exits_nonzero(self, ingested, tmp_path):
-        with pytest.raises(SystemExit):
-            run(["train", "--data", ingested, "--estimator", "gibbs",
-                 "--model", tmp_path / "m.model"])
+    def test_unknown_estimator_exits_nonzero(self, ingested, tmp_path,
+                                             capsys):
+        # TrainConfig's check, before any file is written
+        assert run(["train", "--data", ingested, "--estimator", "gibbs",
+                    "--model", tmp_path / "m.model"]) == 1
+        assert capsys.readouterr().err == "error: unknown estimator 'gibbs'\n"
+        assert not (tmp_path / "m.model").exists()
+        assert not (tmp_path / "m.model.jsonl").exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--kind", "smoother", "--estimator", "pl"],
@@ -632,6 +636,36 @@ class TestSmoothPipeline:
             lines.append(clip + "\t" + "\t".join(repr(float(v)) for v in y))
         assert out.read_text() == "\n".join(lines) + "\n"
 
+    def test_every_clip_of_the_triples_gets_a_row(self, tmp_path):
+        # clip c2's only tag is outside the vocabulary, so its one event
+        # has an all-zero label row; c2 still gets its row, between c1
+        # and c3, smoothed from an all-zero average
+        triples = tmp_path / "triples.tsv"
+        triples.write_text("u0\tc3\ttag0\nu1\tc1\ttag0\nu1\tc2\trare\n"
+                           "u0\tc1\ttag1\nu2\tc4\ttag0\nu2\tc3\ttag1\n")
+        model = tmp_path / "s.model"
+        assert run(["train", "--kind", "smoother", "--triples", triples,
+                    "--vocab-size", 2, "--epochs", 2, "--hidden", 2,
+                    "--model", model]) == 0
+        out = tmp_path / "smoothed.tsv"
+        assert run(["smooth", "--model", model, "--triples", triples,
+                    "--out", out]) == 0
+        p, vocab = load_model(model)
+        assert vocab == ["tag0", "tag1"]
+        rows = [line.split("\t") for line in out.read_text().splitlines()]
+        assert [r[0] for r in rows] == ["item", "c1", "c2", "c3", "c4"]
+        # users u0..u2, then one track per clip, then the clips
+        vis = p.d + p.V[:, [3 + 1, 3 + 4 + 1]].sum(axis=1)
+        y = np.zeros(2)
+        for _ in range(500):
+            y_new = sigm(vis + p.U.T @ sigm(p.c + p.W @ np.zeros(2)
+                                            + p.U @ y))
+            done = np.max(np.abs(y_new - y)) < 1e-8
+            y = y_new
+            if done:
+                break
+        assert rows[2][1:] == [repr(float(v)) for v in y]
+
 
 class TestEventsFromTriples:
     @given(st.lists(st.tuples(st.sampled_from(["u2", "u1", "u3"]),
@@ -654,13 +688,14 @@ class TestEventsFromTriples:
         want = [(users.index(u), track_names.index(items_map.get(c, c)),
                  clips.index(c), [float(t in tags) for t in vocab])
                 for (u, c), tags in sorted(grouped.items())]
-        events, sizes, tracks = _events_from_triples(Triples.from_rows(rows),
-                                                     vocab, items_map)
+        events, sizes = _events_from_triples(Triples.from_rows(rows), vocab,
+                                             items_map)
         assert [(*ids, y) for ids, y in zip(events.ids.tolist(),
                                             events.Y.tolist())] == want
         assert sizes == (len(users), len(track_names), len(clips))
-        assert tracks.tolist() == [track_names.index(items_map.get(c, c))
-                                   for c in clips]
+        _, first_event = np.unique(events.ids[:, 2], return_index=True)
+        assert events.ids[first_event, 1].tolist() == [
+            track_names.index(items_map.get(c, c)) for c in clips]
 
 
 class TestOracleCheck:

@@ -285,8 +285,12 @@ class TestBlockCheck:
     @pytest.mark.parametrize("case, message", [
         ("nan-feature", "non-finite feature entry"),
         ("half-label", "labels must be 0/1"),
-        ("row-counts", "2 feature rows but 1 label rows")],
-        ids=["nan-feature", "half-label", "row-counts"])
+        ("row-counts", "2 feature rows but 1 label rows"),
+        ("1-d-features", r"features must be N x 2, got shape \(2,\)"),
+        ("feature-width", r"features must be N x 2, got shape \(2, 3\)"),
+        ("label-width", r"labels must be N x 2, got shape \(2, 3\)")],
+        ids=["nan-feature", "half-label", "row-counts", "1-d-features",
+             "feature-width", "label-width"])
     def test_rejects_bad_block(self, rng, trainer, params, case, message):
         # the rows are checked once, before the first step
         X, Y = np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -294,8 +298,14 @@ class TestBlockCheck:
             X[1, 0] = np.nan
         elif case == "half-label":
             Y[1] = [0.0, 0.5]
-        else:
+        elif case == "row-counts":
             Y = Y[:1]
+        elif case == "1-d-features":
+            X = X[:, 0]
+        elif case == "feature-width":
+            X = np.zeros((2, 3))
+        else:
+            Y = np.zeros((2, 3))
         p0 = params.random_init(3, 2, 2, rng)
         with pytest.raises(ValueError, match=message):
             trainer(X, Y, p0, TrainConfig(epochs=0))

@@ -41,8 +41,8 @@ class TestLbpMarginals:
         for _ in range(5):
             ex, p = random_instance(rng, C=5, n=4, scale=0.12)
             assert np.max(np.abs(p.U)) <= 0.5
-            a = lbp_marginals(ex.x, p, K=200, beta=0.0, tol=1e-12)
-            b = lbp_marginals(ex.x, p, K=200, beta=0.9, tol=1e-12)
+            a = lbp_marginals(ex.x, p, K=200, beta=0.0)
+            b = lbp_marginals(ex.x, p, K=200, beta=0.9)
             np.testing.assert_allclose(a.y_marg, b.y_marg, atol=1e-6)
 
     def test_probabilities_and_frechet_bounds(self, rng):

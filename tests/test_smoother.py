@@ -140,7 +140,8 @@ class TestSmootherCdGradient:
         ex = LabeledExample(np.zeros(D), y)
         for K in (1, 3):
             gs = smoother_cd_gradient(ev.y, np.zeros(C), sp.V[:, [0, 1, 2]],
-                                      sp, K, np.random.default_rng(17))
+                                      sp, K, np.random.default_rng(17), 0.0,
+                                      None)
             gd = cd_gradient(ex, base, K, np.random.default_rng(17))
             np.testing.assert_array_equal(gs.dU, gd.dU)
             np.testing.assert_array_equal(gs.dc, gd.dc)
@@ -154,7 +155,7 @@ class TestSmootherCdGradient:
         a = build_aux(1, 0, 1, p.aux_sizes)
         cols = aux_columns(1, 0, 1, p.aux_sizes)
         g = smoother_cd_gradient(np.array([1.0, 0.0, 1.0]), u, p.V[:, cols],
-                                 p, 1, np.random.default_rng(3))
+                                 p, 1, np.random.default_rng(3), 0.0, None)
         np.testing.assert_allclose(g.dW, np.outer(g.dc, u), atol=1e-12)
         np.testing.assert_allclose(g.dV, np.outer(g.dd, a)[:, cols],
                                    atol=1e-12)
@@ -188,9 +189,10 @@ class TestSmootherCdGradient:
         cols = aux_columns(0, 1, 0, p.aux_sizes)
         ev = TagEvent(0, 1, 0, np.array([0.0, 1.0, 0.0]))
         V = p.V[:, cols]
-        g0 = smoother_cd_gradient(ev.y, u, V, p, 1, np.random.default_rng(8))
+        g0 = smoother_cd_gradient(ev.y, u, V, p, 1, np.random.default_rng(8),
+                                  0.0, None)
         g1 = smoother_cd_gradient(ev.y, u, V, p, 1, np.random.default_rng(8),
-                                  l1=0.1)
+                                  0.1, (np.sign(p.W), np.sign(V)))
         np.testing.assert_array_equal(g0.dU, g1.dU)
         np.testing.assert_allclose(g1.dW, g0.dW - 0.1 * np.sign(p.W),
                                    atol=1e-12)
@@ -217,13 +219,13 @@ class TestClipStep:
     def test_sign_flip_lands_at_zero(self):
         old = np.array([1.0, -1.0, 0.5, 0.0])
         new = np.array([-0.2, 0.3, 0.4, -0.1])
-        np.testing.assert_array_equal(_clip_step(old, new),
+        np.testing.assert_array_equal(_clip_step(np.sign(old), new),
                                       [0.0, 0.0, 0.4, -0.1])
 
     def test_same_sign_untouched(self):
         old = np.array([1.0, -2.0])
         new = np.array([0.5, -0.1])
-        np.testing.assert_array_equal(_clip_step(old, new), new)
+        np.testing.assert_array_equal(_clip_step(np.sign(old), new), new)
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(CLIP_VALUES, CLIP_VALUES), min_size=1,
@@ -232,8 +234,7 @@ class TestClipStep:
         old, new = np.array(pairs, dtype=float).T
         with np.errstate(invalid="ignore"):  # 0 * inf in the product
             want = where_clip_step(old, new).tobytes()
-            assert _clip_step(old, new).tobytes() == want
-            assert _clip_step(old, new, np.sign(old)).tobytes() == want
+            assert _clip_step(np.sign(old), new).tobytes() == want
 
 
 def toy_tag_events():
@@ -271,8 +272,8 @@ def dense_reference_train(events, p0, cfg):
         p.U += cfg.lr * (np.outer(h0, e.y) - np.outer(hK, y))
         p.c += cfg.lr * (h0 - hK)
         p.d += cfg.lr * (e.y - y)
-        p.W = _clip_step(p.W, p.W + cfg.lr * dW)
-        p.V = _clip_step(p.V, p.V + cfg.lr * dV)
+        p.W = _clip_step(np.sign(p.W), p.W + cfg.lr * dW)
+        p.V = _clip_step(np.sign(p.V), p.V + cfg.lr * dV)
 
     return sgd(p0, len(events), step, cfg)
 
@@ -479,14 +480,14 @@ class TestSmoothTags:
         p.U[:] = 0.0
         p.W[:] = 0.0
         events = toy_events()
-        out = smooth_tags([0], [0], p, events)
+        out = smooth_tags(p, events)[:1]
         a = build_aux(None, 0, 0, p.aux_sizes)
         np.testing.assert_allclose(out, sigm(p.d + p.V @ a)[None], atol=1e-8)
 
     def test_matches_dense_aux_product(self, rng):
         p = small_smoother(rng, C=2, scale=1.0)
         events = toy_events()
-        got = smooth_tags([0, 1], [0, 1], p, events)
+        got = smooth_tags(p, events)
         for clip in (0, 1):
             u = np.mean(events.Y[events.ids[:, 2] == clip], axis=0)
             a = build_aux(None, clip, clip, p.aux_sizes)
@@ -505,27 +506,23 @@ class TestSmoothTags:
                   for u in rng.choice(6, rng.integers(1, 5), replace=False)]
         events = [events[i] for i in rng.permutation(len(events))]
         p = SmootherParams.random_init(4, C, (6, 5, n_clips), rng, scale=1.5)
-        clips = rng.permutation(n_clips)
-        got = smooth_tags(clips, clips % 5, p, Events.from_tag_events(events))
+        got = smooth_tags(p, Events.from_tag_events(events))
         assert got.shape == (n_clips, C)
-        for row, clip in zip(got, clips):
+        for clip, row in enumerate(got):
             want = row_smooth(clip, clip % 5, p, events)
             assert row.tobytes() == want.tobytes()
 
     def test_output_in_unit_interval(self, rng):
         p = small_smoother(rng, C=2, scale=1.0)
-        out = smooth_tags([1], [1], p, toy_events())
+        out = smooth_tags(p, toy_events())[1:]
         assert np.all((out >= 0) & (out <= 1))
-
-    def test_unknown_clip(self, rng):
-        p = small_smoother(rng, C=2)
-        with pytest.raises(KeyError):
-            smooth_tags([0, 99], [0, 0], p, toy_events())
 
     def test_track_out_of_range(self, rng):
         p = small_smoother(rng, C=2)
+        events = toy_events()
+        events.ids[0, 1] = 2
         with pytest.raises(IndexError):
-            smooth_tags([0], [2], p, toy_events())
+            smooth_tags(p, events)
 
 
 class TestSmoothedDataset:
