@@ -9,10 +9,13 @@ temporary directory. The README's 200-item corpus is generated once,
 with a second items file that puts three clips on each track, and one
 fixed list of CLI commands (COMMANDS) and of this tree's experiment
 scripts (SCRIPTS) runs on it twice: with the base's `src` and with this
-tree's, as separate processes on this machine. Every output file must be
+tree's, as separate processes on this machine. So do the experiment
+calls (EXPERIMENTS), which print the `repr` of their exact return value
+where the scripts print 4 decimals. Every output file must be
 byte-identical, except that each line of a `.jsonl` training record is
 compared as JSON without its `seconds` field. Each run's exit code,
-stdout and stderr count as an output too (`cli.txt`, `scripts.txt`).
+stdout and stderr count as an output too (`cli.txt`, `scripts.txt`,
+`experiments.txt`).
 
 `--expect-diff` names outputs (paths relative to the output directory,
 such as `drbm-cd.model`) that are meant to change; they may differ.
@@ -76,6 +79,12 @@ SCRIPTS = [
     ("run_label_dependency.py", "--seeds", "0", "1"),
     ("run_smoothing.py", "--seeds", "0", "1"),
 ]
+# the same experiments at the same sizes, their results printed exactly
+EXPERIMENTS = [
+    "damping_experiment(n_items=200)",
+    "label_dependency_experiment(seeds=(0, 1))",
+    "smoothing_experiment(seeds=(0, 1))",
+]
 
 
 def export(rev, dest):
@@ -102,13 +111,17 @@ def runs():
     for script, *args in SCRIPTS:
         yield ("scripts.txt", f"scripts/{script} {' '.join(args)}",
                [str(REPO / "scripts" / script), *args])
+    for call in EXPERIMENTS:
+        yield ("experiments.txt", call,
+               ["-c", "from multitag import experiments; "
+                      f"print(repr(experiments.{call}))"])
 
 
 def run_all(src, out):
-    """Run COMMANDS and SCRIPTS with ``src`` in the new directory ``out``,
-    and write their exit codes and output to ``out/cli.txt`` and
-    ``out/scripts.txt``; None on success, else the first failing run and
-    its stderr."""
+    """Run COMMANDS, SCRIPTS and EXPERIMENTS with ``src`` in the new
+    directory ``out``, and write their exit codes and output to
+    ``out/cli.txt``, ``out/scripts.txt`` and ``out/experiments.txt``;
+    None on success, else the first failing run and its stderr."""
     out.mkdir()
     found = python(src, ["-c", "import multitag; print(multitag.__file__)"],
                    out).stdout.strip()
@@ -191,8 +204,9 @@ def main(argv=None):
         print(f"expected: {name}: {how}")
     for name, how in unexpected:
         print(f"DIFFERS: {name}: {how}")
-    print(f"{len(compared)} outputs of {len(COMMANDS)} commands and "
-          f"{len(SCRIPTS)} scripts compared against {args.base}: "
+    print(f"{len(compared)} outputs of {len(COMMANDS)} commands, "
+          f"{len(SCRIPTS)} scripts and {len(EXPERIMENTS)} experiment calls "
+          f"compared against {args.base}: "
           f"{len(unexpected)} unexpected difference(s), {len(expected)} "
           f"expected")
     return 1 if unexpected else 0

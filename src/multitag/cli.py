@@ -23,6 +23,7 @@ from .baselines import (LOGREG_DEFAULT_LR, MLP_DEFAULT_HIDDEN, MLP_DEFAULT_LR,
                         MlpParams, logreg_predict, logreg_train, mlp_predict,
                         mlp_train)
 from .core import DrbmParams
+from .data import _positions
 from .estimators import (DivergenceError, GaussianRbmParams, TrainConfig,
                          sgd_train, sgd_train_generative)
 from .evaluation import (AucReport, score_matrix_auc, significance_counts,
@@ -92,7 +93,7 @@ def cmd_ingest(args):
     order = sorted(range(len(features.items)), key=features.items.__getitem__)
     items = [features.items[r] for r in order]
     matrix = dt.binarize(counts, vocab, args.min_positive, items=items)
-    table = dt.normalize_features(dt.FeatureTable(items, features.X[order]))
+    table = dt.FeatureTable(items, dt.normalize_features(features.X[order]))
     os.makedirs(args.out, exist_ok=True)
     dt.write_rows(os.path.join(args.out, "vocab.txt"), ([t] for t in vocab))
     _write_matrix(os.path.join(args.out, "matrix.tsv"), matrix)
@@ -119,18 +120,16 @@ def _events_from_triples(triples: dt.Triples, vocab, items_map):
     #tracks, #clips) sizes."""
     n_users, n_clips = len(triples.users), len(triples.items)
     track_of = [items_map.get(clip, clip) for clip in triples.items]
-    tid = {t: i for i, t in enumerate(sorted(set(track_of)))}
-    tracks = np.array([tid[t] for t in track_of], dtype=np.intp)
-    col = {tag: j for j, tag in enumerate(vocab)}
-    cols = np.array([col.get(tag, -1) for tag in triples.tags],
-                    dtype=np.intp)[triples.codes[:, 2]]
+    track_names = sorted(set(track_of))
+    tracks = _positions(track_of, track_names)
+    cols = _positions(triples.tags, vocab)[triples.codes[:, 2]]
     pairs, event = np.unique(triples.codes[:, 0] * n_clips
                              + triples.codes[:, 1], return_inverse=True)
     Y = np.zeros((len(pairs), len(vocab)))
     Y[event[cols >= 0], cols[cols >= 0]] = 1.0
     users, clips = np.divmod(pairs, n_clips)
     return (Events(np.stack([users, tracks[clips], clips], axis=1), Y),
-            (n_users, len(tid), n_clips))
+            (n_users, len(track_names), n_clips))
 
 
 class Kind(NamedTuple):
@@ -208,6 +207,8 @@ def cmd_train(args):
     cfg = TrainConfig(estimator=args.estimator, k=args.k, lr=args.lr,
                       beta=args.beta, epochs=args.epochs, seed=args.seed,
                       l1=args.l1)
+    if args.hidden < 1:
+        raise ValueError("--hidden must be >= 1")
     if args.beta != 0.0 and (args.kind, args.estimator) != ("drbm", "lbp"):
         raise ValueError("--beta needs --kind drbm --estimator lbp")
     # options that only some kinds read: each, set away from its built-in
@@ -295,6 +296,8 @@ def cmd_eval(args):
 
 
 def cmd_oracle_check(args):
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     rng = np.random.default_rng(args.seed)
     printed = args.printed_normalizer
     checks = (

@@ -166,19 +166,20 @@ def binarize(counts: Counts, vocab, min_positive: int,
     return ThreeStateTagMatrix(list(items), list(vocab), cells)
 
 
-def normalize_features(table: FeatureTable) -> FeatureTable:
-    """Per-dimension standardization with population statistics, then
-    per-row unit Euclidean norm; constant dimensions map to zero."""
-    if table.X.shape[0] < 2:
+def normalize_features(X: np.ndarray) -> np.ndarray:
+    """The (N, D) features X standardized per dimension with population
+    statistics, then scaled to unit Euclidean norm per row; constant
+    dimensions map to zero."""
+    if X.shape[0] < 2:
         raise ValueError("need at least 2 items to standardize")
-    std = table.X.std(axis=0)  # population variance
-    Z = table.X - table.X.mean(axis=0)  # the one (N, D) array built
+    std = X.std(axis=0)  # population variance
+    Z = X - X.mean(axis=0)  # the one (N, D) array built
     Z /= np.where(std > 0, std, 1.0)
     Z[:, ~(std > 0)] = 0.0  # a NaN or inf std too
     norms = np.linalg.norm(Z, axis=1)
     Z /= np.where(norms > 0, norms, 1.0)[:, None]
     Z[~(norms > 0)] = 0.0  # -0.0 and NaN rows too
-    return FeatureTable(list(table.items), Z)
+    return Z
 
 
 def make_folds(n_items: int, seed: int) -> FoldSplit:

@@ -56,6 +56,10 @@ class TrainConfig:
             raise ValueError("beta must lie in [0, 1)")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.l1 < 0:
+            raise ValueError("l1 must be >= 0")
 
 
 def _phase_difference(h0, y0, hK, yK, x) -> Gradient:

@@ -10,25 +10,23 @@ import numpy as np
 
 from .baselines import logreg_predict, logreg_train
 from .core import DrbmParams
-from .data import NEGATIVE, POSITIVE, FeatureTable, normalize_features
+from .data import NEGATIVE, POSITIVE, normalize_features
 from .estimators import TrainConfig, sgd_train
-from .evaluation import auc
+from .evaluation import AucReport, auc, score_matrix_auc
 from .inference import lbp_scores
-from .smoother import Events, SmootherParams, smooth_tags, train_smoother
+from .smoother import (Events, SmootherParams, _clip_sums, smooth_tags,
+                       train_smoother)
 from .synthetic import (make_cooccurrence_corpus, make_dependency_corpus,
                         make_tag_corpus)
 
 
-def _standardize(X):
-    table = normalize_features(FeatureTable([str(i) for i in range(len(X))], X))
-    return table.X
-
-
 def _grand_mean_auc(scores, Y):
-    vals = [auc(scores[:, j], np.where(Y[:, j] > 0, POSITIVE, NEGATIVE))
-            for j in range(Y.shape[1])]
-    vals = [v for v in vals if v is not None]
-    return float(np.mean(vals))
+    """The grand mean AUC that `multitag eval` reports, of the one fold
+    of (B, C) scores against the 0/1 labels Y."""
+    tags = list(range(Y.shape[1]))
+    cells = np.where(Y > 0, POSITIVE, NEGATIVE)
+    values = score_matrix_auc(scores, cells, tags)[:, None]  # one fold
+    return AucReport(tags, values).grand_mean()
 
 
 def damping_experiment(seed=0, n_items=500, C=8, D=10, betas=(0.0, 0.5, 0.9),
@@ -36,7 +34,7 @@ def damping_experiment(seed=0, n_items=500, C=8, D=10, betas=(0.0, 0.5, 0.9),
     """Train with belief-propagation gradients at several damping
     factors; returns {beta: grand-mean test AUC}."""
     X, Y = make_tag_corpus(n_items, C, D, seed)
-    X = _standardize(X)
+    X = normalize_features(X)
     Xtr, Ytr = X[:-n_test], Y[:-n_test]
     Xte, Yte = X[-n_test:], Y[-n_test:]
     p0 = DrbmParams.random_init(n_hidden, C, D, np.random.default_rng(seed))
@@ -58,7 +56,7 @@ def label_dependency_experiment(seeds=(0, 1, 2, 3, 4), n_train=60, n_test=300,
     results = []
     for seed in seeds:
         X, Y = make_dependency_corpus(n_train + n_test, seed)
-        X = _standardize(X)
+        X = normalize_features(X)
         Xtr, Ytr = X[:n_train], Y[:n_train]
         Xte, Yte = X[n_train:], Y[n_train:]
 
@@ -78,16 +76,6 @@ def label_dependency_experiment(seeds=(0, 1, 2, 3, 4), n_train=60, n_test=300,
     return results
 
 
-def _observed_matrix(events: Events, clips, C):
-    """Any-user-reported binarization of events for the given clips."""
-    Y = np.zeros((len(clips), C))
-    index = {c: i for i, c in enumerate(clips)}
-    for clip, y in zip(events.ids[:, 2].tolist(), events.Y):
-        if clip in index:
-            Y[index[clip]] = np.maximum(Y[index[clip]], y)
-    return Y
-
-
 def smoothing_experiment(seeds=(0, 1, 2, 3, 4), n_clips=300, n_train=200,
                          drop=0.8, smoother_hidden=4, smoother_epochs=20,
                          l1=0.001, logreg_lr=0.5, logreg_epochs=30):
@@ -98,11 +86,11 @@ def smoothing_experiment(seeds=(0, 1, 2, 3, 4), n_clips=300, n_train=200,
     results = []
     for seed in seeds:
         X, _, tag_events = make_cooccurrence_corpus(n_clips, seed, drop=drop)
-        X = _standardize(X)
+        X = normalize_features(X)
         events = Events.from_tag_events(tag_events)
         C = events.Y.shape[1]
-        train_clips = list(range(n_train))
-        test_clips = list(range(n_train, n_clips))
+        # any-user-reported tags of each clip
+        observed = _clip_sums(events.ids[:, 2], events.Y, n_clips)[0] > 0
         train = events.ids[:, 2] < n_train
         train_events = Events(events.ids[train], events.Y[train])
 
@@ -117,14 +105,12 @@ def smoothing_experiment(seeds=(0, 1, 2, 3, 4), n_clips=300, n_train=200,
         sm = train_smoother(train_events, p0, cfg)
 
         smoothed = smooth_tags(sm, train_events)  # clips 0..n_train-1
-        raw = _observed_matrix(train_events, train_clips, C)
 
-        Xtr, Xte = X[train_clips], X[test_clips]
-        Y_obs_test = _observed_matrix(events, test_clips, C)
-
+        Xtr, Xte = X[:n_train], X[n_train:]
         sc = TrainConfig(lr=logreg_lr, epochs=logreg_epochs, seed=seed)
         s_smooth = logreg_predict(Xte, logreg_train(Xtr, smoothed, None, sc))
-        s_raw = logreg_predict(Xte, logreg_train(Xtr, raw, None, sc))
-        results.append((_grand_mean_auc(s_smooth, Y_obs_test),
-                        _grand_mean_auc(s_raw, Y_obs_test)))
+        s_raw = logreg_predict(Xte, logreg_train(Xtr, observed[:n_train],
+                                                 None, sc))
+        results.append((_grand_mean_auc(s_smooth, observed[n_train:]),
+                        _grand_mean_auc(s_raw, observed[n_train:])))
     return results

@@ -40,18 +40,22 @@ def all_bit_vectors(C: int) -> np.ndarray:
     return np.stack(cols, axis=1).astype(float)
 
 
-def _free_energies(x, p: DrbmParams, Y: np.ndarray) -> np.ndarray:
-    """F(y|x) for every row of Y, vectorized."""
-    act = p.c + p.W @ np.asarray(x, dtype=float)  # n
-    inputs = act[None, :] + Y @ p.U.T             # 2^C x n
-    return -(Y @ p.d) - np.sum(log1pexp(inputs), axis=1)
+def _label_table(X, p: DrbmParams):
+    """For every row of the (b, D) features X: the 2^C label vectors A,
+    the hidden inputs c + Wx (b x n), the (b, 2^C) block of -F(a|x) and
+    log Z(x), log-sum-exp stable, all rows enumerated at once."""
+    A = all_bit_vectors(p.C)
+    act = p.c + X @ p.W.T                                          # b x n
+    neg_F = A @ p.d + np.sum(log1pexp(act[:, None, :] + A @ p.U.T), axis=2)
+    m = np.max(neg_F, axis=1)
+    log_Z = m + np.log(np.sum(np.exp(neg_F - m[:, None]), axis=1))
+    return A, act, neg_F, log_Z
 
 
 def exact_log_partition(x, p: DrbmParams) -> float:
-    """log sum_y e^{-F(y|x)}, log-sum-exp stable."""
-    F = _free_energies(x, p, all_bit_vectors(p.C))
-    m = np.max(-F)
-    return float(m + np.log(np.sum(np.exp(-F - m))))
+    """log sum_y e^{-F(y|x)}."""
+    *_, log_Z = _label_table(np.asarray(x, dtype=float)[None], p)
+    return float(log_Z[0])
 
 
 def exact_cond_prob(y, x, p: DrbmParams) -> float:
@@ -61,13 +65,8 @@ def exact_cond_prob(y, x, p: DrbmParams) -> float:
 
 def exact_log_cond_probs(X, Y, p: DrbmParams) -> np.ndarray:
     """log p(y_b|x_b) for every row of the (b, D) features X and (b, C)
-    labels Y, enumerating the 2^C label vectors for all rows at once
-    through a (b, 2^C, n) block of hidden inputs."""
-    A = all_bit_vectors(p.C)
-    act = p.c + X @ p.W.T                                          # b x n
-    F_all = -(A @ p.d) - np.sum(log1pexp(act[:, None, :] + A @ p.U.T), axis=2)
-    m = np.max(-F_all, axis=1)
-    log_Z = m + np.log(np.sum(np.exp(-F_all - m[:, None]), axis=1))
+    labels Y."""
+    _, act, _, log_Z = _label_table(X, p)
     F = -(Y @ p.d) - np.sum(log1pexp(act + Y @ p.U.T), axis=1)
     return -F - log_Z
 
@@ -75,18 +74,10 @@ def exact_log_cond_probs(X, Y, p: DrbmParams) -> np.ndarray:
 def exact_marginals(x, p: DrbmParams) -> Marginals:
     """Enumerates the 2^C label vectors (bounded by all_bit_vectors) and
     sums the hidden units analytically, so n is not bounded."""
-    Y = all_bit_vectors(p.C)
-    F = _free_energies(x, p, Y)
-    logw = -F - np.max(-F)
-    w = np.exp(logw)
-    w /= np.sum(w)
-    # p(h_k=1 | y, x) is analytic per enumerated y
-    act = p.c + p.W @ np.asarray(x, dtype=float)
-    H = sigm(act[None, :] + Y @ p.U.T)  # 2^C x n
-    y_marg = w @ Y
-    h_marg = w @ H
-    pair = (H * w[:, None]).T @ Y       # n x C
-    return Marginals(y_marg, h_marg, pair)
+    A, act, neg_F, log_Z = _label_table(np.asarray(x, dtype=float)[None], p)
+    w = np.exp(neg_F[0] - log_Z[0])
+    H = sigm(act[0] + A @ p.U.T)  # p(h_k=1 | a, x), 2^C x n
+    return Marginals(w @ A, w @ H, (H * w[:, None]).T @ A)
 
 
 def marginal_gradient(example: LabeledExample, p: DrbmParams,

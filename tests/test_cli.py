@@ -220,8 +220,14 @@ class TestTrain:
         (["--kind", "mlp", "--k", 3], "--k is not read by --kind mlp"),
         (["--kind", "drbm"], "--triples is not read by --kind drbm"),
         (["--kind", "smoother"], "--data is not read by --kind smoother"),
+        (["--kind", "smoother", "--l1", -0.5], "l1 must be >= 0"),
+        (["--kind", "mlp", "--hidden", 0], "--hidden must be >= 1"),
+        (["--hidden", -1], "--hidden must be >= 1"),
+        (["--seed", -1], "seed must be >= 0"),
     ], ids=["smoother-estimator", "drbm-l1", "cd-beta", "logreg-hidden",
-            "logreg-k", "mlp-k", "drbm-triples", "smoother-data"])
+            "logreg-k", "mlp-k", "drbm-triples", "smoother-data",
+            "negative-l1", "mlp-zero-hidden", "negative-hidden",
+            "negative-seed"])
     def test_rejects_options_the_kind_ignores(self, tmp_path, capsys, flags,
                                               message):
         # no data or triples exist: the option is refused before either
@@ -709,3 +715,10 @@ class TestOracleCheck:
         assert run(["oracle-check", "--trials", 2,
                     "--printed-normalizer"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_rejects_zero_trials(self, capsys):
+        # with no trials every check would pass without checking anything
+        assert run(["oracle-check", "--trials", 0]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --trials must be >= 1\n"

@@ -414,3 +414,7 @@ def test_train_config_validation():
         TrainConfig(beta=1.0)
     with pytest.raises(ValueError):
         TrainConfig(lr=-0.1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match="l1 must be >= 0"):
+        TrainConfig(l1=-0.5)
