@@ -59,7 +59,8 @@ def _read_config(path, known):
 
 def _merge(args, defaults):
     """Fill unset options from config file, MULTITAG_SEED, then defaults;
-    args.unset names the options that took the built-in default."""
+    args.unset names the options that took the built-in default.  A
+    negative seed, from any of them, is an error."""
     config = (_read_config(args.config, args.config_keys)
               if getattr(args, "config", None) else {})
     args.unset = set()
@@ -77,6 +78,8 @@ def _merge(args, defaults):
         else:
             setattr(args, key, default)
             args.unset.add(key)
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError("seed must be >= 0")
     return args
 
 
@@ -97,7 +100,7 @@ def cmd_ingest(args):
     os.makedirs(args.out, exist_ok=True)
     dt.write_rows(os.path.join(args.out, "vocab.txt"), ([t] for t in vocab))
     _write_matrix(os.path.join(args.out, "matrix.tsv"), matrix)
-    dt.write_features(os.path.join(args.out, "features.tsv"), table)
+    dt.write_ingested_features(args.out, table)
     return 0
 
 
@@ -106,7 +109,7 @@ def _load_ingested(data_dir):
     matrix = _read_matrix(path)
     if not matrix.vocab:
         raise ValueError(f"{path}: no tag columns")
-    features = dt.read_features(os.path.join(data_dir, "features.tsv"))
+    features = dt.read_ingested_features(data_dir)
     if features.items != matrix.items:
         raise ValueError("matrix and features item order mismatch")
     return matrix, features

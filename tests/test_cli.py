@@ -1,11 +1,13 @@
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multitag import data as dt
 from multitag.cli import KIND_TABLE, _events_from_triples, main
 from multitag.core import sigm
 from multitag.data import Triples
@@ -73,7 +75,8 @@ class TestIngest:
                  "--features", corpus_dir / "features.tsv",
                  "--vocab-size", 3, "--min-positive", 1, "--out", out])
             outs.append(out)
-        for name in ("vocab.txt", "matrix.tsv", "features.tsv"):
+        for name in ("vocab.txt", "matrix.tsv", "features.tsv",
+                     "features.npy", "features.sha256"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_warns_on_missing_features(self, corpus_dir, tmp_path, capsys):
@@ -289,6 +292,62 @@ class TestTrain:
                         "--epochs", 1, *hidden, "--lr", 0.1,
                         "--model", model]) == 0
             assert model.exists()
+
+
+class TestFeatureCopy:
+    def test_model_the_same_without_the_binary_copy(self, ingested,
+                                                    tmp_path):
+        # the same bytes whether train loads features.npy or parses
+        # features.tsv
+        text_only = tmp_path / "text-only"
+        text_only.mkdir()
+        for name in ("vocab.txt", "matrix.tsv", "features.tsv"):
+            (text_only / name).write_bytes((ingested / name).read_bytes())
+        models, parsed = [], []
+        for data in (ingested, text_only):
+            models.append(tmp_path / f"{data.name}.model")
+            with mock.patch.object(dt, "read_features",
+                                   wraps=dt.read_features) as parse:
+                assert run(["train", "--data", data, "--estimator", "cd",
+                            "--epochs", 2, "--hidden", 3,
+                            "--model", models[-1]]) == 0
+            parsed.append(parse.called)
+        assert parsed == [False, True]
+        assert models[0].read_bytes() == models[1].read_bytes()
+        records = [[{k: v for k, v in json.loads(line).items()
+                     if k != "seconds"} for line in
+                    (tmp_path / f"{model.name}.jsonl").read_text()
+                    .splitlines()]
+                   for model in models]
+        assert len(records[0]) == 2 and records[0] == records[1]
+
+
+class TestNegativeSeed:
+    # train's own check (TrainConfig) is in
+    # TestTrain::test_rejects_options_the_kind_ignores
+    @pytest.mark.parametrize("command", ["eval", "oracle-check"])
+    @pytest.mark.parametrize("source", ["flag", "config", "environment"])
+    def test_rejected_before_any_file(self, tmp_path, capsys, monkeypatch,
+                                      command, source):
+        # the data directory does not exist: the seed is refused first
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "reports"
+        args = {"eval": ["--data", tmp_path / "missing", "--model",
+                         work / "m.model", "--out", out],
+                "oracle-check": ["--trials", 1]}[command]
+        if source == "flag":
+            args += ["--seed", -1]
+        elif source == "config":
+            config = tmp_path / "run.cfg"
+            config.write_text("seed=-1\n")
+            args += ["--config", config]
+        else:
+            monkeypatch.setenv("MULTITAG_SEED", "-1")
+        assert run([command, *args]) == 1
+        assert capsys.readouterr() == ("", "error: seed must be >= 0\n")
+        assert not out.exists()
+        assert list(work.iterdir()) == []
 
 
 class TestMatrixFile:

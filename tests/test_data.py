@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import astuple
 from unittest import mock
@@ -13,8 +14,9 @@ from multitag.data import (CHAR_STATES, NEGATIVE, POSITIVE, UNKNOWN,
                            FeatureTable,
                            ThreeStateTagMatrix, Triples, binarize, condense,
                            make_folds, normalize_features, read_features,
-                           read_items, read_matrix, read_triples,
-                           select_vocab, write_features, write_matrix)
+                           read_ingested_features, read_items, read_matrix,
+                           read_triples, select_vocab, write_features,
+                           write_ingested_features, write_matrix)
 
 NAMES = st.sampled_from(["u1", "u2", "a", "b", "rock", "jazz"])
 
@@ -509,3 +511,87 @@ class TestFileRoundTrips:
         # the same float bits, signed zeros and subnormals included
         np.testing.assert_array_equal(back.X.view(np.int64),
                                       X.view(np.int64))
+
+
+class TestIngestedFeatures:
+    """The binary copy an ingest writes beside features.tsv, and the rule
+    that the text is the truth."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        # signed zeros, subnormals, huge values and 17-digit values, with
+        # an empty and a non-ASCII id
+        X = np.array([[-0.0, 0.0, 5e-324, -2.225073858507201e-308],
+                      [1e300, -1e300, 0.1 + 0.2, 1 / 3],
+                      [2.718281828459045, -1.7976931348623157e308,
+                       123456789.12345679, -9.999999999999999e-301]])
+        write_ingested_features(tmp_path, FeatureTable(["b", "", "é"], X))
+        return tmp_path, X
+
+    @staticmethod
+    def read(directory):
+        """read_ingested_features, and whether it parsed the text."""
+        with mock.patch.object(dt, "read_features",
+                               wraps=dt.read_features) as parse:
+            table = read_ingested_features(directory)
+        return table, parse.called
+
+    def test_copy_carries_the_texts_bits(self, written):
+        directory, X = written
+        table, parsed = self.read(directory)
+        assert not parsed
+        assert plain(table) == plain(read_features(directory /
+                                                   "features.tsv"))
+        assert table.items == ["b", "", "é"]
+        assert table.X.view(np.int64).tolist() == X.view(np.int64).tolist()
+
+    def test_manifest_in_sha256sum_format(self, written):
+        directory, _ = written
+        lines = (directory / "features.sha256").read_text().splitlines()
+        assert [line[64:] for line in lines] == ["  features.tsv",
+                                                 "  features.npy"]
+        assert [line[:64] for line in lines] == [
+            hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in ("features.tsv", "features.npy")]
+
+    def test_edited_text_is_read_from_the_text(self, written):
+        directory, _ = written
+        text = directory / "features.tsv"
+        lines = text.read_text().splitlines()
+        lines[0] = "b\t1.0\t2.0\t3.0\t4.0"
+        text.write_text("\n".join(lines) + "\n")
+        table, parsed = self.read(directory)
+        assert parsed
+        assert table.X[0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        lines[1] = "\toops\t2.0\t3.0\t4.0"
+        text.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_ingested_features(directory)
+        assert str(exc.value) == f"{text}:2: bad float"
+
+    @pytest.mark.parametrize("defect", [
+        "replaced", "truncated", "no-manifest", "hand-made-float32",
+        "hand-made-wrong-rows", "hand-made-non-finite", "hand-made-pickle"])
+    def test_a_copy_in_doubt_falls_back_to_the_text(self, written, defect):
+        directory, X = written
+        copy = directory / "features.npy"
+        if defect == "replaced":
+            np.save(copy, X + 1.0)
+        elif defect == "truncated":
+            copy.write_bytes(copy.read_bytes()[:100])
+        elif defect == "no-manifest":
+            (directory / "features.sha256").unlink()
+        else:
+            # a manifest made by hand, after the copy was replaced
+            np.save(copy, {"hand-made-float32": np.zeros(X.shape, np.float32),
+                           "hand-made-wrong-rows": X[:2],
+                           "hand-made-non-finite": np.where(X == 0.0, np.nan,
+                                                            X),
+                           "hand-made-pickle": np.array([X], dtype=object),
+                           }[defect], allow_pickle=True)
+            (directory / "features.sha256").write_text(
+                dt._manifest(directory))
+        table, parsed = self.read(directory)
+        assert parsed
+        assert plain(table) == plain(read_features(directory /
+                                                   "features.tsv"))
