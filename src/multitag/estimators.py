@@ -95,48 +95,47 @@ def lbp_gradient(example: LabeledExample, p: DrbmParams, K: int,
     return marginal_gradient(example, p, lbp_marginals(example.x, p, K, beta))
 
 
+def _pl_flip(c_data, Y, p: DrbmParams):
+    """The pseudo-likelihood's one flipped-bit block, for the observed
+    hidden inputs c_data = c + Wx + Uy, (n,) or (b, n), and 0/1 labels Y,
+    (C,) or (b, C): the signs 2y - 1, the hidden inputs F with bit j
+    flipped (n x C per row), and the pre-activations of p(y_j | y_\\j, x),
+    pre_j = d_j + (2y_j - 1) sum_i [log1pexp(c_data_i) - log1pexp(F_ij)]."""
+    sign = 2 * Y - 1
+    F = c_data[..., :, None] - p.U * sign[..., None, :]
+    pre = p.d + sign * (log1pexp(c_data)[..., :, None] - log1pexp(F)).sum(-2)
+    return sign, F, pre
+
+
+def _log_pl(sign, pre):
+    """sum_j log p(y_j | y_\\j, x) from ``_pl_flip``'s signs and pre."""
+    return -np.sum(log1pexp(-sign * pre), axis=-1)
+
+
 def _pl_ascent(example: LabeledExample, p: DrbmParams):
-    """``pl_gradient``'s gradient and the (C,) pre-activations of the
-    conditionals p(y_j | y_\\j, x), without the log pseudo-likelihood."""
+    """``pl_gradient``'s gradient, and ``_pl_flip``'s signs and pre."""
     x, y = example.x, example.y
     c_data = p.c + p.W @ x + p.U @ y
-    T0 = c_data[:, None] - p.U * y[None, :]   # n x C, j-th bit removed
-    T1 = T0 + p.U                             # j-th bit set
-    pre = p.d + np.sum(log1pexp(T1) - log1pexp(T0), axis=0)
-
-    dout = sigm(pre) - y                      # C, descent on -log PL
-    S0 = sigm(T0)
-    S1 = sigm(T1)
-    dU_direct = ((1 - y)[None, :] * S1 + y[None, :] * S0) * dout[None, :]
-    dhid = ((S1 - S0) * dout[None, :]).sum(axis=1)  # n
-    grad = Gradient(
-        dU=-(dU_direct + dhid[:, None] * y),
-        dW=-(dhid[:, None] * x),
-        dc=-dhid,
-        dd=-dout,
-    )
-    return grad, pre
+    sign, F, pre = _pl_flip(c_data, y, p)
+    dd = y - sigm(pre)                        # C, ascent on log PL
+    SF = sigm(F)
+    dhid = (sigm(c_data)[:, None] - SF) @ (sign * dd)  # n
+    return (Gradient(dU=SF * dd + dhid[:, None] * y, dW=dhid[:, None] * x,
+                     dc=dhid, dd=dd), sign, pre)
 
 
 def pl_gradient(example: LabeledExample, p: DrbmParams):
-    """Exact gradient of the pseudo-likelihood sum_j log p(y_j | y_\\j, x).
-
-    Returns (gradient, log_pl).
-    """
-    grad, pre = _pl_ascent(example, p)
-    y = example.y
-    log_pl = float(-np.sum(y * log1pexp(-pre) + (1 - y) * log1pexp(pre)))
-    return grad, log_pl
+    """Exact gradient of the pseudo-likelihood sum_j log p(y_j | y_\\j, x)
+    and its value: (gradient, log_pl)."""
+    grad, sign, pre = _pl_ascent(example, p)
+    return grad, float(_log_pl(sign, pre))
 
 
 def log_pl_rows(X, Y, p: DrbmParams) -> np.ndarray:
     """The log pseudo-likelihood of ``pl_gradient`` for every row of the
     (b, D) features X and (b, C) labels Y, through (b, n, C) blocks."""
-    c_data = p.c + X @ p.W.T + Y @ p.U.T                 # b x n
-    T0 = c_data[:, :, None] - p.U * Y[:, None, :]        # j-th bit removed
-    T1 = T0 + p.U                                        # j-th bit set
-    pre = p.d + np.sum(log1pexp(T1) - log1pexp(T0), axis=1)  # b x C
-    return -np.sum(Y * log1pexp(-pre) + (1 - Y) * log1pexp(pre), axis=1)
+    sign, _, pre = _pl_flip(p.c + X @ p.W.T + Y @ p.U.T, Y, p)
+    return _log_pl(sign, pre)
 
 
 def cond_objective(X, Y):

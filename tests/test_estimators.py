@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multitag.core import DrbmParams, LabeledExample, cd_chain, sigm
+from multitag.core import (DrbmParams, Gradient, LabeledExample, cd_chain,
+                           log1pexp, sigm)
 from multitag.estimators import (ESTIMATORS, EXACT_OBJECTIVE_CELLS,
                                  PROBE_ROWS, DivergenceError,
                                  GaussianRbmParams, TrainConfig, cd_gradient,
-                                 cond_objective, generative_cd_gradient,
-                                 lbp_gradient, log_pl_rows, mfcd_gradient,
-                                 pl_gradient, sgd, sgd_train,
-                                 sgd_train_generative)
+                                 _pl_ascent, cond_objective,
+                                 generative_cd_gradient, lbp_gradient,
+                                 log_pl_rows, mfcd_gradient, pl_gradient, sgd,
+                                 sgd_train, sgd_train_generative)
 from multitag.oracle import exact_cond_prob, exact_grad, log_pl_reference
 from multitag.verify import check_pl_gradient
 from conftest import random_instance
@@ -122,6 +125,27 @@ class TestLbpGradient:
         assert np.max(np.abs(g.dW)) <= np.max(np.abs(ex.x)) + 1e-9
 
 
+def pl_gradient_by_conditionals(ex, p):
+    """The pseudo-likelihood gradient as a sum of exact likelihood
+    gradients: p(y_j | y_\\j, x) is the one-label DRBM with label
+    weights U_j, label bias d_j and hidden bias c + sum_{k != j} U_k y_k,
+    so its bias gradient dc' reaches column k of dU as y_k dc'."""
+    x, y = ex.x, ex.y
+    g = Gradient(np.zeros_like(p.U), np.zeros_like(p.W), np.zeros_like(p.c),
+                 np.zeros_like(p.d))
+    for j in range(p.C):
+        rest = np.arange(p.C) != j
+        one = DrbmParams(p.U[:, [j]], p.W, p.c + p.U[:, rest] @ y[rest],
+                         p.d[[j]])
+        gj = exact_grad(LabeledExample(x, y[[j]]), one)
+        g.dU[:, j] += gj.dU[:, 0]
+        g.dU[:, rest] += gj.dc[:, None] * y[rest]
+        g.dW += gj.dW
+        g.dc += gj.dc
+        g.dd[j] += gj.dd[0]
+    return g
+
+
 class TestPlGradient:
     def test_single_label_equals_exact(self, rng):
         # with one label the pseudo-likelihood is the likelihood
@@ -135,11 +159,86 @@ class TestPlGradient:
     def test_matches_finite_differences(self, rng):
         assert check_pl_gradient(rng, 5)
 
+    @pytest.mark.parametrize("C", [1, 3, 8])
+    @pytest.mark.parametrize("labels", ["zeros", "ones", "drawn"])
+    def test_is_the_sum_of_one_label_exact_gradients(self, rng, C, labels):
+        for _ in range(5):
+            ex, p = random_instance(rng, C=C, n=4, D=3, scale=1.0)
+            y = {"zeros": np.zeros(C), "ones": np.ones(C), "drawn": ex.y}
+            ex = LabeledExample(ex.x, y[labels])
+            np.testing.assert_allclose(
+                pl_gradient(ex, p)[0].flat(),
+                pl_gradient_by_conditionals(ex, p).flat(), rtol=0, atol=1e-12)
+
     def test_log_pl_nonpositive(self, rng):
         for _ in range(10):
             ex, p = random_instance(rng, scale=1.0)
             _, log_pl = pl_gradient(ex, p)
             assert log_pl <= 1e-12
+
+
+# The two-block pseudo-likelihood kernel that the flipped-bit block
+# replaced, frozen as the reference: it builds the hidden inputs with bit
+# j off (T0) and on (T1) and runs log1pexp and sigm over both.
+
+def reference_pl_ascent(example, p):
+    x, y = example.x, example.y
+    c_data = p.c + p.W @ x + p.U @ y
+    T0 = c_data[:, None] - p.U * y[None, :]
+    T1 = T0 + p.U
+    pre = p.d + np.sum(log1pexp(T1) - log1pexp(T0), axis=0)
+    dout = sigm(pre) - y
+    S0 = sigm(T0)
+    S1 = sigm(T1)
+    dU_direct = ((1 - y)[None, :] * S1 + y[None, :] * S0) * dout[None, :]
+    dhid = ((S1 - S0) * dout[None, :]).sum(axis=1)
+    return Gradient(dU=-(dU_direct + dhid[:, None] * y),
+                    dW=-(dhid[:, None] * x), dc=-dhid, dd=-dout), pre
+
+
+def reference_log_pl_rows(X, Y, p):
+    c_data = p.c + X @ p.W.T + Y @ p.U.T
+    T0 = c_data[:, :, None] - p.U * Y[:, None, :]
+    T1 = T0 + p.U
+    pre = p.d + np.sum(log1pexp(T1) - log1pexp(T0), axis=1)
+    return -np.sum(Y * log1pexp(-pre) + (1 - Y) * log1pexp(pre), axis=1)
+
+
+@st.composite
+def pl_blocks(draw):
+    """A model and a block of rows, up to saturated hidden inputs: |U| up
+    to 40, and |c + Wx| near 700 in every hidden unit of the first row."""
+    C, n, D, b = (draw(st.integers(1, k)) for k in (6, 5, 4, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([0.5, 5.0, 40.0]))
+    p = DrbmParams(rng.uniform(-scale, scale, (n, C)), rng.normal(size=(n, D)),
+                   rng.normal(size=n), rng.normal(size=C))
+    X = rng.normal(size=(b, D))
+    Y = (rng.random((b, C)) < draw(st.sampled_from([0.0, 0.5, 1.0]))) * 1.0
+    if draw(st.booleans()):
+        p.c[:] = rng.choice([-700.0, 700.0], n) + rng.uniform(-1, 1, n) \
+            - p.W @ X[0]
+    return p, X, Y
+
+
+def assert_near(got, want):
+    """Equal to 1e-12 relative to the larger of 1 and the largest |entry|."""
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+class TestPlMatchesTwoBlockKernel:
+    @given(pl_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_gradient_pre_and_log_pl(self, block):
+        p, X, Y = block
+        with np.errstate(over="raise", invalid="raise"):
+            for x, y in zip(X, Y):
+                grad, _, pre = _pl_ascent(LabeledExample(x, y), p)
+                want, want_pre = reference_pl_ascent(LabeledExample(x, y), p)
+                assert_near(pre, want_pre)
+                for name in vars(grad):
+                    assert_near(getattr(grad, name), getattr(want, name))
+            assert_near(log_pl_rows(X, Y, p), reference_log_pl_rows(X, Y, p))
 
 
 class TestGenerativeCd:
