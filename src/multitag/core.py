@@ -228,6 +228,10 @@ def cd_chain(hid_bias, vis_bias, U, y0, K: int, rng):
     return h0[:, :, 0], (0.5 * s)[:, :, 0], y[:, :, 0]
 
 
+# mf_predict and smooth_tags stop once no label probability moves by MF_TOL
+MF_TOL = 1e-8
+
+
 def mean_field(hid_bias, vis_bias, U, y, K: int, tol: float) -> np.ndarray:
     """Mean-field label probabilities of the same bipartite model for b
     rows: iterates h = sigm(hid_bias + Uy), y = sigm(vis_bias + U'h) from

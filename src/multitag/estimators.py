@@ -48,6 +48,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if not np.isfinite(self.lr):
+            raise ValueError("learning rate must be finite")
         if self.lr < 0:
             raise ValueError("learning rate must be >= 0")
         if self.k < 1:
@@ -58,6 +60,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if not np.isfinite(self.l1):
+            raise ValueError("l1 must be finite")
         if self.l1 < 0:
             raise ValueError("l1 must be >= 0")
 

@@ -29,46 +29,47 @@ def _grand_mean_auc(scores, Y):
     return AucReport(tags, values).grand_mean()
 
 
-def damping_experiment(seed=0, n_items=500, C=8, D=10, betas=(0.0, 0.5, 0.9),
-                       n_hidden=10, epochs=5, lr=0.01, k=30, n_test=150):
+def damping_experiment(seed=0, n_items=500, betas=(0.0, 0.5, 0.9)):
     """Train with belief-propagation gradients at several damping
-    factors; returns {beta: grand-mean test AUC}."""
-    X, Y = make_tag_corpus(n_items, C, D, seed)
+    factors on ``make_tag_corpus(n_items, 8, 10, seed)``, the last 150
+    items held out: 10 hidden units, 5 epochs, 30 sweeps, lr 0.01.
+    Returns {beta: grand-mean test AUC}."""
+    X, Y = make_tag_corpus(n_items, 8, 10, seed)
     X = normalize_features(X)
-    Xtr, Ytr = X[:-n_test], Y[:-n_test]
-    Xte, Yte = X[-n_test:], Y[-n_test:]
-    p0 = DrbmParams.random_init(n_hidden, C, D, np.random.default_rng(seed))
+    Xtr, Ytr = X[:-150], Y[:-150]
+    Xte, Yte = X[-150:], Y[-150:]
+    p0 = DrbmParams.random_init(10, 8, 10, np.random.default_rng(seed))
     results = {}
     for beta in betas:
-        cfg = TrainConfig(estimator="lbp", k=k, lr=lr, beta=beta,
-                          epochs=epochs, seed=seed)
+        cfg = TrainConfig(estimator="lbp", k=30, lr=0.01, beta=beta,
+                          epochs=5, seed=seed)
         scores = lbp_scores(Xte, sgd_train(Xtr, Ytr, p0, cfg), K=50,
                             beta=beta)
         results[beta] = _grand_mean_auc(scores, Yte)
     return results
 
 
-def label_dependency_experiment(seeds=(0, 1, 2, 3, 4), n_train=60, n_test=300,
-                                n_hidden=8, epochs=50, drbm_lr=0.05,
-                                logreg_lr=0.5):
-    """Tag 1 is a noisy copy of tag 0 and only tag 0 depends on x.
-    Returns per-seed (drbm AUC, logreg AUC) on tag 1."""
+def label_dependency_experiment(seeds=(0, 1, 2, 3, 4)):
+    """Tag 1 is a noisy copy of tag 0 and only tag 0 depends on x.  Per
+    seed, 60 training and 300 test items; a drbm with 8 hidden units
+    (CD-1, lr 0.05) and logistic regression (lr 0.5) each train for 50
+    epochs.  Returns per-seed (drbm AUC, logreg AUC) on tag 1."""
+    n_train, epochs = 60, 50
     results = []
     for seed in seeds:
-        X, Y = make_dependency_corpus(n_train + n_test, seed)
+        X, Y = make_dependency_corpus(n_train + 300, seed)
         X = normalize_features(X)
         Xtr, Ytr = X[:n_train], Y[:n_train]
         Xte, Yte = X[n_train:], Y[n_train:]
 
-        cfg = TrainConfig(estimator="cd", k=1, lr=drbm_lr, epochs=epochs,
+        cfg = TrainConfig(estimator="cd", k=1, lr=0.05, epochs=epochs,
                           seed=seed)
-        p0 = DrbmParams.random_init(n_hidden, Y.shape[1], X.shape[1],
+        p0 = DrbmParams.random_init(8, Y.shape[1], X.shape[1],
                                     np.random.default_rng(seed))
         drbm = lbp_scores(Xte, sgd_train(Xtr, Ytr, p0, cfg), K=10)
 
         lr_model = logreg_train(Xtr, Ytr, None,
-                                TrainConfig(lr=logreg_lr, epochs=epochs,
-                                            seed=seed))
+                                TrainConfig(lr=0.5, epochs=epochs, seed=seed))
         lr_scores = logreg_predict(Xte, lr_model)
 
         labels = np.where(Yte[:, 1] > 0, POSITIVE, NEGATIVE)
@@ -76,13 +77,15 @@ def label_dependency_experiment(seeds=(0, 1, 2, 3, 4), n_train=60, n_test=300,
     return results
 
 
-def smoothing_experiment(seeds=(0, 1, 2, 3, 4), n_clips=300, n_train=200,
-                         drop=0.8, smoother_hidden=4, smoother_epochs=20,
-                         l1=0.001, logreg_lr=0.5, logreg_epochs=30):
+def smoothing_experiment(seeds=(0, 1, 2, 3, 4), drop=0.8):
     """Under-reported co-occurring tags: does training logistic
     regression on smoothed targets beat training on the raw observed
-    tags?  Returns per-seed (smoothed AUC, raw AUC), held-out, scored
-    against the observed (unsmoothed) labels."""
+    tags?  Per seed, 300 clips of which the first 200 train; a smoother
+    with 4 hidden units (CD-1, lr 0.05, l1 0.001, 20 epochs) and
+    logistic regression (lr 0.5, 30 epochs).  Returns per-seed (smoothed
+    AUC, raw AUC), held-out, scored against the observed (unsmoothed)
+    labels."""
+    n_clips, n_train = 300, 200
     results = []
     for seed in seeds:
         X, _, tag_events = make_cooccurrence_corpus(n_clips, seed, drop=drop)
@@ -98,16 +101,16 @@ def smoothing_experiment(seeds=(0, 1, 2, 3, 4), n_clips=300, n_train=200,
         # every clip is its own track here, so the identity blocks are
         # (users, tracks=clips, clips)
         n_users = int(events.ids[:, 0].max()) + 1
-        p0 = SmootherParams.random_init(smoother_hidden, C,
-                                        (n_users, n_clips, n_clips), rng)
-        cfg = TrainConfig(estimator="cd", k=1, lr=0.05,
-                          epochs=smoother_epochs, seed=seed, l1=l1)
+        p0 = SmootherParams.random_init(4, C, (n_users, n_clips, n_clips),
+                                        rng)
+        cfg = TrainConfig(estimator="cd", k=1, lr=0.05, epochs=20, seed=seed,
+                          l1=0.001)
         sm = train_smoother(train_events, p0, cfg)
 
         smoothed = smooth_tags(sm, train_events)  # clips 0..n_train-1
 
         Xtr, Xte = X[:n_train], X[n_train:]
-        sc = TrainConfig(lr=logreg_lr, epochs=logreg_epochs, seed=seed)
+        sc = TrainConfig(lr=0.5, epochs=30, seed=seed)
         s_smooth = logreg_predict(Xte, logreg_train(Xtr, smoothed, None, sc))
         s_raw = logreg_predict(Xte, logreg_train(Xtr, observed[:n_train],
                                                  None, sc))

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (DrbmParams, ShapeError, _check_vec, log1pexp, mean_field,
-                   sigm)
+from .core import (MF_TOL, DrbmParams, ShapeError, _check_vec, log1pexp,
+                   mean_field, sigm)
 from .oracle import Marginals
-
-# mf_predict stops when no label probability moves by MF_TOL
-MF_TOL = 1e-8
 
 
 class NumericError(RuntimeError):

@@ -12,12 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Gradient, Params, ShapeError, cd_chain, mean_field
+from .core import (MF_TOL, Gradient, Params, ShapeError, cd_chain,
+                   mean_field)
 from .estimators import TrainConfig, _phase_difference, sgd
 
-# smooth_tags runs mean field until no tag probability moves by
-# SMOOTH_TOL, for at most SMOOTH_MAX_ITER steps
-SMOOTH_TOL = 1e-8
+# smooth_tags runs mean field for at most SMOOTH_MAX_ITER steps
 SMOOTH_MAX_ITER = 500
 
 
@@ -70,11 +69,6 @@ class Events(NamedTuple):
         return cls(ids, np.array([e.y for e in events], dtype=float))
 
 
-@dataclass
-class SmootherGradient(Gradient):
-    dV: np.ndarray  # C x k, for the k columns of V an event selects
-
-
 def aux_columns(user, track, clip, aux_sizes) -> list:
     """Columns of V that the one-hot user, track and clip blocks select;
     None leaves its block out (unknown-user prediction)."""
@@ -122,27 +116,17 @@ def other_users_avg(events, excluded_user) -> np.ndarray:
     return np.mean(np.asarray(vecs, dtype=float), axis=0)
 
 
-def smoother_cd_gradient(y, u, V, p: SmootherParams, K: int, rng, l1: float,
-                         signs) -> SmootherGradient:
+def smoother_cd_gradient(y, u, V, p: SmootherParams, K: int,
+                         rng) -> Gradient:
     """Conditional CD-K for one event with labels y and other-users
     average u: hidden input c + Wu + Uy and visible input d + Va + U'h.
     The conditioning vector a is one-hot on k columns of p.V, and V is
-    the C x k block of their current values, so Va = V.sum(axis=1); dV
-    is the gradient of that block (every other column of the dense
-    gradient is zero but for the l1 term).  The l1 subgradient shrinks
-    only the conditioning weights V and W; ``signs`` is the pair
-    (np.sign(p.W), np.sign(V)) that it uses, read only when l1 > 0.  y
-    and u are not checked: ``train_smoother`` checks its events once."""
+    the C x k block of their current values, so Va = V.sum(axis=1); each
+    of those columns' gradient is dd, and every other column's is zero.
+    y and u are not checked: ``train_smoother`` checks its events once."""
     h0, hK, yK = cd_chain((p.c + p.W @ u)[None], p.d + V.sum(axis=1), p.U,
                           y[None], K, rng)
-    g = _phase_difference(h0[0], y, hK[0], yK[0], u)
-    if l1 > 0:
-        sign_W, sign_V = signs
-        dV = g.dd[:, None] - l1 * sign_V
-        g.dW = g.dW - l1 * sign_W
-    else:
-        dV = g.dd[:, None].repeat(V.shape[1], axis=1)
-    return SmootherGradient(g.dU, g.dW, g.dc, g.dd, dV)
+    return _phase_difference(h0[0], y, hK[0], yK[0], u)
 
 
 def _clip_step(sign_old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -197,8 +181,9 @@ def _event_inputs(events: Events, p: SmootherParams):
 
 def train_smoother(events: Events, p0: SmootherParams, cfg: TrainConfig,
                    record_file=None) -> SmootherParams:
-    """Per-event stochastic CD training of the smoother; the l1 penalty
-    on V and W uses subgradient steps clipped through zero.
+    """Per-event stochastic CD training of the smoother; each step
+    adds the l1 subgradient -l1 * sign to the CD gradient of the
+    conditioning weights V and W and clips the step through zero.
 
     An event's conditioning vector is one-hot on three columns of V, and
     every other column only shrinks under l1.  That shrinkage is applied
@@ -219,13 +204,13 @@ def train_smoother(events: Events, p0: SmootherParams, cfg: TrainConfig,
         # take: the gather of p.V[:, c] at about a quarter of its cost
         V = _shrink(p.V.take(c, axis=1), (t - done[c]) * per_step)
         sign_W, sign_V = np.sign(p.W), np.sign(V)
-        g = smoother_cd_gradient(Y[i], avgs[i], V, p, cfg.k, rng, cfg.l1,
-                                 (sign_W, sign_V))
+        g = smoother_cd_gradient(Y[i], avgs[i], V, p, cfg.k, rng)
         p.U += cfg.lr * g.dU
         p.c += cfg.lr * g.dc
         p.d += cfg.lr * g.dd
-        p.W = _clip_step(sign_W, p.W + cfg.lr * g.dW)
-        p.V[:, c] = _clip_step(sign_V, V + cfg.lr * g.dV)
+        p.W = _clip_step(sign_W, p.W + cfg.lr * (g.dW - cfg.l1 * sign_W))
+        p.V[:, c] = _clip_step(sign_V,
+                               V + cfg.lr * (g.dd[:, None] - cfg.l1 * sign_V))
         t += 1
         done[c] = t
         if t % len(Y) == 0:
@@ -242,9 +227,9 @@ def smooth_tags(p: SmootherParams, events: Events) -> np.ndarray:
     that has an event, as a (clips, C) block in clip-id order; each clip
     takes the track its first event carries.  u averages all users of
     the clip, the user identity block is left out, and mean-field runs
-    from y* = u to convergence (SMOOTH_TOL, at most SMOOTH_MAX_ITER
-    steps), every clip in one batched ``mean_field`` call.  Each clip's
-    average is ``_clip_sums``'s sum over its count."""
+    from y* = u to convergence (MF_TOL, at most SMOOTH_MAX_ITER steps),
+    every clip in one batched ``mean_field`` call.  Each clip's average
+    is ``_clip_sums``'s sum over its count."""
     ids = np.asarray(events.ids, dtype=np.intp)
     clips, first_event = np.unique(ids[:, 2], return_index=True)
     cols = _block_columns(ids[first_event, 1:], p.aux_sizes, first=1)
@@ -253,7 +238,7 @@ def smooth_tags(p: SmootherParams, events: Events) -> np.ndarray:
     u = sums[clips] / counts[clips, None]
     return mean_field(p.c + (p.W @ u[:, :, None])[:, :, 0],
                       p.d + p.V.T[cols].sum(axis=1), p.U, u, SMOOTH_MAX_ITER,
-                      SMOOTH_TOL)
+                      MF_TOL)
 
 
 def smoothed_dataset(matrix, smoothed_rows: dict) -> np.ndarray:

@@ -15,47 +15,49 @@ from .data import FeatureTable, write_features, write_rows
 from .smoother import TagEvent
 
 
-def make_tag_corpus(n_items, C, D, seed, weight_scale=2.0):
+def make_tag_corpus(n_items, C, D, seed):
     """Features drawn standard normal; each tag Bernoulli with logit
-    linear in x.  Returns (X, Y)."""
+    linear in x, its weights normal with standard deviation 2.  Returns
+    (X, Y)."""
     rng = np.random.default_rng(seed)
-    w_true = rng.normal(size=(D, C)) * weight_scale
+    w_true = rng.normal(size=(D, C)) * 2.0
     X = rng.normal(size=(n_items, D))
     Y = (rng.random((n_items, C)) < sigm(X @ w_true)).astype(float)
     return X, Y
 
 
-def make_dependency_corpus(n_items, seed, D=5, flip=0.1, weight_scale=1.5):
-    """Two tags: tag 0 depends on x, tag 1 is tag 0 with flip noise.
-    Returns (X, Y)."""
+def make_dependency_corpus(n_items, seed, flip=0.1):
+    """Two tags: tag 0 depends on 5 standard normal features through
+    normal weights of standard deviation 1.5, tag 1 is tag 0 with flip
+    noise.  Returns (X, Y)."""
     rng = np.random.default_rng(seed)
-    w = rng.normal(size=D) * weight_scale
-    X = rng.normal(size=(n_items, D))
+    w = rng.normal(size=5) * 1.5
+    X = rng.normal(size=(n_items, 5))
     y0 = (rng.random(n_items) < sigm(X @ w)).astype(float)
     flips = rng.random(n_items) < flip
     y1 = np.where(flips, 1 - y0, y0)
     return X, np.stack([y0, y1], axis=1)
 
 
-def make_cooccurrence_corpus(n_clips, seed, D=3, drop=0.5, users_per_clip=3,
-                             weight_scale=2.0):
-    """Tags 0 and 1 always co-occur in truth; users report tag 0
-    reliably but omit tag 1 with probability ``drop``.  A third tag is
-    independent noise.
+def make_cooccurrence_corpus(n_clips, seed, drop=0.5):
+    """Tags 0 and 1 always co-occur in truth, present with logit linear
+    in 3 standard normal features (normal weights of standard deviation
+    2); users report tag 0 reliably but omit tag 1 with probability
+    ``drop``.  A third tag is independent noise.
 
-    Returns (X, Y_true, events) with one TagEvent per (user, clip); each
-    clip is its own track.
+    Returns (X, Y_true, events) with one TagEvent per (user, clip): 3
+    users of 6 per clip, and each clip is its own track.
     """
     rng = np.random.default_rng(seed)
-    w = rng.normal(size=D) * weight_scale
-    X = rng.normal(size=(n_clips, D))
+    w = rng.normal(size=3) * 2.0
+    X = rng.normal(size=(n_clips, 3))
     present = (rng.random(n_clips) < sigm(X @ w)).astype(float)
     extra = (rng.random(n_clips) < 0.3).astype(float)
     Y_true = np.stack([present, present, extra], axis=1)
     events = []
     for clip in range(n_clips):
-        for u in range(users_per_clip):
-            user = (clip * users_per_clip + u) % (2 * users_per_clip)
+        for u in range(3):
+            user = (clip * 3 + u) % 6
             y = Y_true[clip].copy()
             if y[1] == 1 and rng.random() < drop:
                 y[1] = 0.0

@@ -224,13 +224,16 @@ class TestTrain:
         (["--kind", "drbm"], "--triples is not read by --kind drbm"),
         (["--kind", "smoother"], "--data is not read by --kind smoother"),
         (["--kind", "smoother", "--l1", -0.5], "l1 must be >= 0"),
+        (["--kind", "smoother", "--l1", "nan"], "l1 must be finite"),
+        (["--lr", "nan"], "learning rate must be finite"),
+        (["--lr", "inf"], "learning rate must be finite"),
         (["--kind", "mlp", "--hidden", 0], "--hidden must be >= 1"),
         (["--hidden", -1], "--hidden must be >= 1"),
         (["--seed", -1], "seed must be >= 0"),
     ], ids=["smoother-estimator", "drbm-l1", "cd-beta", "logreg-hidden",
             "logreg-k", "mlp-k", "drbm-triples", "smoother-data",
-            "negative-l1", "mlp-zero-hidden", "negative-hidden",
-            "negative-seed"])
+            "negative-l1", "nan-l1", "nan-lr", "inf-lr", "mlp-zero-hidden",
+            "negative-hidden", "negative-seed"])
     def test_rejects_options_the_kind_ignores(self, tmp_path, capsys, flags,
                                               message):
         # no data or triples exist: the option is refused before either

@@ -517,3 +517,8 @@ def test_train_config_validation():
         TrainConfig(seed=-1)
     with pytest.raises(ValueError, match="l1 must be >= 0"):
         TrainConfig(l1=-0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="learning rate must be finite"):
+            TrainConfig(lr=bad)
+        with pytest.raises(ValueError, match="l1 must be finite"):
+            TrainConfig(l1=bad)

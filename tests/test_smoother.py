@@ -140,24 +140,29 @@ class TestSmootherCdGradient:
         ex = LabeledExample(np.zeros(D), y)
         for K in (1, 3):
             gs = smoother_cd_gradient(ev.y, np.zeros(C), sp.V[:, [0, 1, 2]],
-                                      sp, K, np.random.default_rng(17), 0.0,
-                                      None)
+                                      sp, K, np.random.default_rng(17))
             gd = cd_gradient(ex, base, K, np.random.default_rng(17))
             np.testing.assert_array_equal(gs.dU, gd.dU)
             np.testing.assert_array_equal(gs.dc, gd.dc)
             np.testing.assert_array_equal(gs.dd, gd.dd)
 
     def test_conditioning_gradients_are_outer_products(self, rng):
-        # dW and dV are the bias statistics crossed with the inputs; dV
-        # holds the one-hot columns of the dense outer product
+        # dW is dc crossed with the other users' average, and a step's
+        # update of V is dd crossed with the one-hot aux vector; V starts
+        # at zero, so no step is clipped
         p = small_smoother(rng)
         u = rng.random(p.C)
-        a = build_aux(1, 0, 1, p.aux_sizes)
         cols = aux_columns(1, 0, 1, p.aux_sizes)
         g = smoother_cd_gradient(np.array([1.0, 0.0, 1.0]), u, p.V[:, cols],
-                                 p, 1, np.random.default_rng(3), 0.0, None)
+                                 p, 1, np.random.default_rng(3))
         np.testing.assert_allclose(g.dW, np.outer(g.dc, u), atol=1e-12)
-        np.testing.assert_allclose(g.dV, np.outer(g.dd, a)[:, cols],
+
+        p.V[:] = 0.0
+        a = build_aux(1, 0, 1, p.aux_sizes)
+        events = Events(np.array([[1, 0, 1]]), np.array([[1.0, 0.0, 1.0]]))
+        cfg = TrainConfig(estimator="cd", k=1, lr=0.1, epochs=1, seed=3)
+        got = train_smoother(events, p, cfg)
+        np.testing.assert_allclose(got.V, np.outer(got.d - p.d, a),
                                    atol=1e-12)
 
     def test_decoupled_visible_bias_expectation(self):
@@ -184,20 +189,26 @@ class TestSmootherCdGradient:
         assert np.all(np.abs(acc / runs - (y - probs)) < 3 * se)
 
     def test_l1_shrinks_only_conditioning_weights(self, rng):
+        # one step on one event at l1 = 0.1 and at l1 = 0 from the same
+        # seed; every weight lies at least 0.2 from zero, so no step of
+        # size lr * (1 + l1) is clipped
         p = small_smoother(rng)
-        u = rng.random(p.C)
+        p.W += 0.2 * np.sign(p.W)
+        p.V += 0.2 * np.sign(p.V)
         cols = aux_columns(0, 1, 0, p.aux_sizes)
-        ev = TagEvent(0, 1, 0, np.array([0.0, 1.0, 0.0]))
-        V = p.V[:, cols]
-        g0 = smoother_cd_gradient(ev.y, u, V, p, 1, np.random.default_rng(8),
-                                  0.0, None)
-        g1 = smoother_cd_gradient(ev.y, u, V, p, 1, np.random.default_rng(8),
-                                  0.1, (np.sign(p.W), np.sign(V)))
-        np.testing.assert_array_equal(g0.dU, g1.dU)
-        np.testing.assert_allclose(g1.dW, g0.dW - 0.1 * np.sign(p.W),
+        events = Events(np.array([[0, 1, 0]]), np.array([[0.0, 1.0, 0.0]]))
+        lr = 0.1
+        plain, shrunk = (train_smoother(events, p, TrainConfig(
+            estimator="cd", k=1, lr=lr, epochs=1, seed=8, l1=l1))
+            for l1 in (0.0, 0.1))
+        for name in ("U", "c", "d"):
+            np.testing.assert_array_equal(getattr(shrunk, name),
+                                          getattr(plain, name))
+        np.testing.assert_allclose(shrunk.W, plain.W - lr * 0.1 * np.sign(p.W),
                                    atol=1e-12)
-        np.testing.assert_allclose(g1.dV,
-                                   g0.dV - 0.1 * np.sign(p.V[:, cols]),
+        np.testing.assert_allclose(shrunk.V[:, cols],
+                                   plain.V[:, cols]
+                                   - lr * 0.1 * np.sign(p.V[:, cols]),
                                    atol=1e-12)
 
 
