@@ -19,6 +19,13 @@ class NumericError(RuntimeError):
     """Non-finite message encountered during propagation."""
 
 
+# Largest max|U| for the expm1 form of ``_coupling``.  Where e^{s*arg}
+# overflows (s*arg > log(DBL_MAX) = 709.78) that form drops a term below
+# P e^-709.78 < e^(|U| - 709.78).  The term stays under half an ulp of 1
+# while |U| <= 709.78 - 53 log 2 = 673.0; at 600 it is under 1e-47.
+U_BOUND = 600.0
+
+
 def _coupling_log(U: np.ndarray, arg: np.ndarray) -> np.ndarray:
     """log(1 + (e^U - 1) * sigm(arg)), stable for large |U| and |arg|.
 
@@ -28,38 +35,83 @@ def _coupling_log(U: np.ndarray, arg: np.ndarray) -> np.ndarray:
     return log1pexp(U + arg) - log1pexp(arg)
 
 
+def _coupling(U: np.ndarray):
+    """The message map arg -> log(1 + (e^U - 1) * sigm(arg)) for this U.
+
+    While max|U| <= U_BOUND it is low + log1p(P / (1 + e^{s*arg})) with
+    P = e^|U| - 1, s = -sign(U) and low = min(U, 0), from
+    1 + (e^U - 1) sigm(a) = e^U (1 + (e^-U - 1) sigm(-a)) for U < 0: six
+    ufunc passes, and the log1p argument is never negative.  e^{s*arg}
+    may overflow to inf, where the message is low; ``lbp_sweeps``
+    silences that warning.  Beyond the bound the map is ``_coupling_log``.
+    """
+    absU = np.abs(U)
+    if not absU.max(initial=0.0) <= U_BOUND:
+        return lambda arg: _coupling_log(U, arg)
+    P = np.expm1(absU)
+    s = -np.sign(U)
+    low = np.minimum(U, 0.0)
+
+    def message(arg):
+        t = np.multiply(s, arg)
+        np.exp(t, out=t)
+        t += 1.0
+        np.divide(P, t, out=t)
+        np.log1p(t, out=t)
+        t += low
+        return t
+    return message
+
+
 def lbp_sweeps(hid_bias, vis_bias, U, K: int, beta: float):
     """K damped sweeps of belief propagation on b rows of the bipartite
     model with hidden input hid_bias + Uy and visible input
     vis_bias + U'h; hid_bias is a (b, n) block.
 
     Each sweep updates all label-bound messages, then all hidden-bound
-    messages (parallel within each type).  Returns the (b, n, C) messages
-    (down, up): toward labels and toward hidden units.
+    messages (parallel within each type).  A non-finite input to either
+    update raises NumericError naming its sweep, as do non-finite
+    messages toward hidden units after the last sweep.  Returns the
+    (b, n, C) messages (down, up): toward labels and toward hidden units.
     """
+    _check_sweeps(K, beta)
+    b, n = hid_bias.shape
+    ones_n, ones_C = np.ones(n), np.ones(U.shape[1])
+    coupling = _coupling(U)
+    down = np.zeros((b, n, U.shape[1]))
+    up = np.zeros_like(down)
+    with np.errstate(over="ignore"):
+        for sweep in range(K):
+            # message sums over labels and over hidden units as
+            # matrix-vector products, which beat ufunc reductions over
+            # these short axes
+            arg_down = (hid_bias + up @ ones_C)[:, :, None] - up
+            _check_finite(arg_down, sweep)
+            new_down = coupling(arg_down)
+            if beta:
+                new_down = beta * down + (1 - beta) * new_down
+            arg_up = (vis_bias + ones_n @ new_down)[:, None, :] - new_down
+            _check_finite(arg_up, sweep)
+            new_up = coupling(arg_up)
+            if beta:
+                new_up = beta * up + (1 - beta) * new_up
+            down, up = new_down, new_up
+    # the next sweep's inputs would carry these; only the log1pexp form
+    # can make them non-finite from finite inputs
+    _check_finite(up, K - 1)
+    return down, up
+
+
+def _check_sweeps(K: int, beta: float) -> None:
     if K < 1:
         raise ValueError("K must be >= 1")
     if not (0.0 <= beta < 1.0):
         raise ValueError("beta must lie in [0, 1)")
-    b, n = hid_bias.shape
-    ones_n, ones_C = np.ones(n), np.ones(U.shape[1])
-    down = np.zeros((b, n, U.shape[1]))
-    up = np.zeros_like(down)
-    for sweep in range(K):
-        # message sums over labels and over hidden units as matrix-vector
-        # products, which beat ufunc reductions over these short axes
-        arg_down = (hid_bias + up @ ones_C)[:, :, None] - up
-        new_down = _coupling_log(U, arg_down)
-        if beta:
-            new_down = beta * down + (1 - beta) * new_down
-        arg_up = (vis_bias + ones_n @ new_down)[:, None, :] - new_down
-        new_up = _coupling_log(U, arg_up)
-        if beta:
-            new_up = beta * up + (1 - beta) * new_up
-        if not (np.all(np.isfinite(new_down)) and np.all(np.isfinite(new_up))):
-            raise NumericError(f"non-finite message at sweep {sweep}")
-        down, up = new_down, new_up
-    return down, up
+
+
+def _check_finite(arg: np.ndarray, sweep: int) -> None:
+    if not np.isfinite(arg).all():
+        raise NumericError(f"non-finite message at sweep {sweep}")
 
 
 def lbp_marginals(x, p: DrbmParams, K: int, beta: float,
@@ -104,6 +156,7 @@ def lbp_scores(X, p: DrbmParams, K: int, beta: float = 0.0) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != p.D:
         raise ShapeError(f"X must be B x {p.D}, got shape {X.shape}")
+    _check_sweeps(K, beta)
     rows = max(1, 2**15 // (p.n * p.C))
     out = np.empty((X.shape[0], p.C))
     for s in range(0, X.shape[0], rows):

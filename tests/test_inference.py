@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from multitag import inference
 from multitag.core import DrbmParams, log1pexp, sigm
-from multitag.inference import (NumericError, _coupling_log, lbp_marginals,
+from multitag.inference import (U_BOUND, NumericError, _coupling, lbp_marginals,
                                 lbp_scores, mf_predict)
 from multitag.oracle import exact_marginals
 from conftest import random_instance
@@ -64,6 +65,15 @@ class TestLbpMarginals:
         assert not np.allclose(m.pair_marg, np.outer(m.h_marg, m.y_marg),
                                atol=1e-10)
 
+    def test_last_sweeps_overflowing_message_raises(self):
+        # U + d overflows in the log1pexp form's hidden-bound message,
+        # which no later sweep reads; every input of the sweep is finite
+        p = DrbmParams(np.array([[1e308]]), np.zeros((1, 2)),
+                       np.array([-1e308]), np.array([1e308]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="sweep 0"):
+            lbp_marginals(np.zeros(2), p, K=1, beta=0.0)
+
     def test_parameter_validation(self, rng):
         ex, p = random_instance(rng)
         with pytest.raises(ValueError):
@@ -91,11 +101,18 @@ class TestLbpScores:
         with pytest.raises(ValueError):
             lbp_scores(np.zeros((2, p.D + 1)), p, 5)
 
-    @pytest.mark.parametrize("w", [(2.0, 0.0), (1.0, -1.0)],
-                             ids=["inf", "inf-minus-inf"])
+    @pytest.mark.parametrize("K, beta, match", [(0, 0.0, "K must"),
+                                                (5, 1.5, "beta must")])
+    def test_sweep_parameters_checked_without_rows(self, rng, K, beta, match):
+        _, p = random_instance(rng)
+        with pytest.raises(ValueError, match=match):
+            lbp_scores(np.zeros((0, p.D)), p, K, beta)
+
+    @pytest.mark.parametrize("w", [(2.0, 0.0), (1.0, -1.0), (-2.0, 0.0)],
+                             ids=["inf", "inf-minus-inf", "minus-inf"])
     def test_overflowing_messages_raise(self, rng, w):
-        # one row's hidden input overflows to inf (or inf - inf = NaN),
-        # which makes that row's messages non-finite in the first sweep
+        # one row's hidden input overflows to inf, -inf or inf - inf = NaN,
+        # a non-finite input to the first sweep's label-bound messages
         _, p = random_instance(rng)
         X = rng.normal(size=(7, p.D))
         p.W[0, :2] = w
@@ -115,6 +132,62 @@ def _where_log1pexp(z):
 def _logaddexp_coupling(U, arg):
     """The coupling as first written, through np.logaddexp (reference)."""
     return np.logaddexp(-_where_log1pexp(arg), U - _where_log1pexp(-arg))
+
+
+def _reference_sweeps(hid_bias, vis_bias, U, K, beta):
+    """lbp_sweeps as it was before the expm1 form (frozen reference):
+    every message is log1pexp(U + a) - log1pexp(a), and a non-finite
+    message raises after its sweep."""
+    b, n = hid_bias.shape
+    ones_n, ones_C = np.ones(n), np.ones(U.shape[1])
+    down = np.zeros((b, n, U.shape[1]))
+    up = np.zeros_like(down)
+    for sweep in range(K):
+        arg_down = (hid_bias + up @ ones_C)[:, :, None] - up
+        new_down = log1pexp(U + arg_down) - log1pexp(arg_down)
+        if beta:
+            new_down = beta * down + (1 - beta) * new_down
+        arg_up = (vis_bias + ones_n @ new_down)[:, None, :] - new_down
+        new_up = log1pexp(U + arg_up) - log1pexp(arg_up)
+        if beta:
+            new_up = beta * up + (1 - beta) * new_up
+        if not (np.all(np.isfinite(new_down)) and np.all(np.isfinite(new_up))):
+            raise NumericError(f"non-finite message at sweep {sweep}")
+        down, up = new_down, new_up
+    return down, up
+
+
+def _lbp_outputs(X, p, beta):
+    """lbp_marginals of X's first rows and lbp_scores of all of X."""
+    marginals = [lbp_marginals(x, p, 10, beta) for x in X[:3]]
+    return ([m.y_marg for m in marginals] + [m.h_marg for m in marginals]
+            + [m.pair_marg for m in marginals] + [lbp_scores(X, p, 10, beta)])
+
+
+class TestAgainstReferenceSweeps:
+    @pytest.mark.parametrize("C, n", [(8, 16), (50, 100)],
+                             ids=["small", "wide"])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_marginals_and_scores_match(self, rng, monkeypatch, C, n, beta):
+        _, p = random_instance(rng, C=C, n=n, D=6, scale=1.0)
+        X = rng.normal(size=(2**15 // (n * C) + 3, p.D))
+        got = _lbp_outputs(X, p, beta)
+        monkeypatch.setattr(inference, "lbp_sweeps", _reference_sweeps)
+        want = _lbp_outputs(X, p, beta)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_coupling_beyond_bound_is_the_reference_bitwise(self, rng,
+                                                            monkeypatch, beta):
+        _, p = random_instance(rng, C=8, n=16, D=6)
+        p.U[3, 5] = -1.01 * U_BOUND
+        X = rng.normal(size=(20, p.D))
+        got = _lbp_outputs(X, p, beta)
+        monkeypatch.setattr(inference, "lbp_sweeps", _reference_sweeps)
+        want = _lbp_outputs(X, p, beta)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 class TestNumericPrimitives:
@@ -139,7 +212,38 @@ class TestNumericPrimitives:
         grid = np.concatenate([grid, -grid])
         U = np.concatenate([magnitudes(20000), np.repeat(grid, grid.size)])
         a = np.concatenate([magnitudes(20000), np.tile(grid, grid.size)])
-        got = _coupling_log(U, a)
+        # the entries within the bound through the expm1 form, the rest
+        # through the log1pexp form, as lbp_sweeps picks them per call
+        fast = np.abs(U) <= U_BOUND
+        assert 0 < fast.sum() < U.size
+        got = np.empty_like(U)
+        with np.errstate(over="ignore"):
+            for part in (fast, ~fast):
+                got[part] = _coupling(U[part])(a[part])
+        want = _logaddexp_coupling(U, a)
+        scale = np.maximum(1.0, np.maximum(np.abs(U), np.abs(a)))
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
+
+    def test_expm1_coupling_within_4_ulp_up_to_the_bound(self, rng):
+        # where e^{s*arg} overflows, the dropped term grows as e^|U|; the
+        # band |a| in [500, 800] straddles that overflow at 709.78
+        def magnitudes(size):
+            signs = rng.choice([-1.0, 1.0], size=size)
+            return signs * 10.0 ** rng.uniform(-6, 6, size=size)
+
+        def band(size):
+            return rng.choice([-1.0, 1.0], size=size) * rng.uniform(
+                500, 800, size=size)
+
+        grid = np.array([0.0, 1e-300, 1.0, 30.0, 600.0, 709.0, 1e6])
+        grid = np.concatenate([grid, -grid])
+        U = np.concatenate([magnitudes(20000), rng.uniform(-1, 1, 10000)
+                            * U_BOUND, np.repeat(grid, grid.size)])
+        a = np.concatenate([magnitudes(10000), band(20000),
+                            np.tile(grid, grid.size)])
+        U = np.clip(U, -U_BOUND, U_BOUND)
+        with np.errstate(over="ignore"):
+            got = _coupling(U)(a)
         want = _logaddexp_coupling(U, a)
         scale = np.maximum(1.0, np.maximum(np.abs(U), np.abs(a)))
         assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
