@@ -39,8 +39,9 @@ _read_matrix, _write_matrix = dt.read_matrix, dt.write_matrix
 
 
 def _read_config(path, known):
-    """The key=value pairs of a config file; a key that is not in
-    ``known`` (an option of some command) is an error."""
+    """A config file's key=value pairs as key -> (value, "path:lineno");
+    a key not in ``known`` (an option of some command), or twice, is an
+    error."""
     values = {}
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -53,8 +54,26 @@ def _read_config(path, known):
             key = key.strip().replace("-", "_")
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = val.strip()
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            values[key] = (val.strip(), f"{path}:{lineno}")
     return values
+
+
+_SWITCH = {"1": True, "true": True, "yes": True,
+           "0": False, "false": False, "no": False}
+
+
+def _convert(key, default, text, where):
+    """text, from a config line or the environment (``where``), as the
+    type of the option's default: a str for a None default, a switch
+    from _SWITCH's keys in any case."""
+    try:
+        if isinstance(default, bool):
+            return _SWITCH[text.lower()]
+        return text if default is None else type(default)(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"{where}: bad value {text!r} for {key}") from None
 
 
 def _merge(args, defaults):
@@ -63,18 +82,14 @@ def _merge(args, defaults):
     negative seed, from any of them, is an error."""
     config = (_read_config(args.config, args.config_keys)
               if getattr(args, "config", None) else {})
+    if "seed" not in config and os.environ.get("MULTITAG_SEED"):
+        config["seed"] = (os.environ["MULTITAG_SEED"], "MULTITAG_SEED")
     args.unset = set()
     for key, default in defaults.items():
         if getattr(args, key, None) is not None:
             continue
         if key in config:
-            cast = type(default) if default is not None else str
-            if cast is bool:
-                setattr(args, key, config[key].lower() in ("1", "true", "yes"))
-            else:
-                setattr(args, key, cast(config[key]))
-        elif key == "seed" and os.environ.get("MULTITAG_SEED"):
-            setattr(args, key, int(os.environ["MULTITAG_SEED"]))
+            setattr(args, key, _convert(key, default, *config[key]))
         else:
             setattr(args, key, default)
             args.unset.add(key)
@@ -163,8 +178,8 @@ def _fit_logreg(X, Y, mask, hidden, cfg, rng, record_file):
     return logreg_train(X, Y, mask, cfg, record_file)
 
 
-def _fit_smoother(events, sizes, C, hidden, cfg, rng, record_file):
-    p0 = SmootherParams.random_init(hidden, C, sizes, rng)
+def _fit_smoother(events, sizes, hidden, cfg, rng, record_file):
+    p0 = SmootherParams.random_init(hidden, events.Y.shape[1], sizes, rng)
     return train_smoother(events, p0, cfg, record_file)
 
 
@@ -188,21 +203,25 @@ KIND_TABLE = {
 }
 
 
-def _read_events(args):
-    """(vocab, (events, sizes, C)) from --triples, for the smoother."""
+def _read_events(args, vocab=None):
+    """The smoother's (vocab, clip names, (events, sizes)) from --triples
+    and --items, for the given vocab (a model's) or the triples' top
+    --vocab-size tags.  `train` and `smooth` both build their ids here,
+    so a model's V columns name the same users, tracks and clips."""
     if args.triples is None:
         raise ValueError("--kind smoother needs --triples")
     triples = dt.read_triples(args.triples)
     items_map = dt.read_items(args.items) if args.items else {}
-    vocab = dt.select_vocab(dt.condense(triples), args.vocab_size)
-    events, sizes = _events_from_triples(triples, vocab, items_map)
-    return vocab, (events, sizes, len(vocab))
+    if vocab is None:
+        vocab = dt.select_vocab(dt.condense(triples), args.vocab_size)
+    return (vocab, triples.items,
+            _events_from_triples(triples, vocab, items_map))
 
 
 def cmd_train(args):
     kind = KIND_TABLE.get(args.kind)
     if kind is None:
-        raise SystemExit(f"error: unknown model kind {args.kind!r}")
+        raise ValueError(f"unknown model kind {args.kind!r}")
     for key, value in kind.defaults.items():
         if key in args.unset:
             setattr(args, key, value)
@@ -224,7 +243,7 @@ def cmd_train(args):
             raise ValueError(f"--{option.replace('_', '-')} is not read by "
                              f"--kind {args.kind}")
     if args.kind == "smoother":  # the one kind that trains on --triples
-        vocab, data = _read_events(args)
+        vocab, _, data = _read_events(args)
     else:
         matrix, features = _load_ingested(args.data)
         Y = (matrix.cells == dt.POSITIVE).astype(float)
@@ -241,24 +260,21 @@ def cmd_train(args):
 def cmd_smooth(args):
     model, vocab = load_model(args.model)
     if not isinstance(model, SmootherParams):
-        raise SystemExit("error: --model must point to a smoother model")
-    triples = dt.read_triples(args.triples)
-    items_map = dt.read_items(args.items) if args.items else {}
-    events, sizes = _events_from_triples(triples, vocab, items_map)
+        raise ValueError("--model must point to a smoother model")
+    vocab, clips, (events, sizes) = _read_events(args, vocab)
     if sizes != model.aux_sizes:
-        raise SystemExit("error: triples vocabularies do not match the model")
+        raise ValueError("triples vocabularies do not match the model")
     # every clip of the triples has an event, so this is one row per clip
     probs = smooth_tags(model, events)
     dt.write_rows(args.out, chain([["item", *vocab]], (
-        [clip, *row] for clip, row in dt.rows_of(triples.items, probs))))
+        [clip, *row] for clip, row in dt.rows_of(clips, probs))))
     return 0
 
 
 def _model_scores(model, X):
     score = KIND_TABLE[model.KIND].score
     if score is None:
-        raise SystemExit(f"error: cannot score model type "
-                         f"{type(model).__name__}")
+        raise ValueError(f"cannot score model type {type(model).__name__}")
     return score(model, X)
 
 
@@ -281,7 +297,7 @@ def cmd_eval(args):
         if path:
             model, vocab = load_model(path)
             if vocab != matrix.vocab:
-                raise SystemExit(f"error: {mismatch}")
+                raise ValueError(mismatch)
             reports[name] = _fold_report(_model_scores(model, features.X),
                                          matrix, split)
     os.makedirs(args.out, exist_ok=True)
@@ -369,8 +385,7 @@ def main(argv=None):
     try:
         _merge(args, args.defaults)
         return args.fn(args)
-    except (ValueError, OSError, KeyError, DivergenceError,
-            NumericError) as exc:
+    except (ValueError, OSError, DivergenceError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

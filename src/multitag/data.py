@@ -289,7 +289,7 @@ def read_triples(path) -> Triples:
 def read_features(path) -> FeatureTable:
     """Features file: item id, then D finite floats per line; item ids
     must be unique."""
-    items, blocks, width = {}, [], None  # items: id -> None, file order
+    items, blocks, width = {}, [], None  # items: id -> line, file order
     for first, text in _blocks(path):
         values, start = [], len(items)
         for lineno, line in _lines(first, text):
@@ -297,7 +297,7 @@ def read_features(path) -> FeatureTable:
             if item in items:
                 raise ValueError(f"{path}:{lineno}: duplicate item id "
                                  f"{item!r}")
-            items[item] = None
+            items[item] = lineno
             if width is None:
                 width = len(fields)
             elif len(fields) != width:
@@ -314,9 +314,7 @@ def read_features(path) -> FeatureTable:
     X = np.concatenate(blocks)
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
-        lineno = next(itertools.islice(
-            (lineno for first, text in _blocks(path)
-             for lineno, _ in _lines(first, text)), int(np.argmax(bad)), None))
+        lineno = list(items.values())[int(np.argmax(bad))]
         raise ValueError(f"{path}:{lineno}: non-finite feature value")
     return FeatureTable(list(items), X)
 

@@ -239,6 +239,11 @@ def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,
         raise ValueError("empty dataset")
     rng = np.random.default_rng(cfg.seed)
     p = p0.copy()
+
+    def record(epoch, **fields):
+        record_file.write(json.dumps({"kind": p.KIND, "estimator": estimator,
+                                      "epoch": epoch, **fields}) + "\n")
+
     for epoch in range(cfg.epochs):
         if record_file is not None:
             before = [a.copy() for a in p.arrays().values()]
@@ -249,21 +254,17 @@ def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,
         if not all(np.all(np.abs(a) <= DIVERGENCE_LIMIT)  # NaN fails too
                    for a in p.arrays().values()):
             if record_file is not None:
-                record_file.write(json.dumps({
-                    "kind": p.KIND, "estimator": estimator, "epoch": epoch,
-                    "diverged": True}) + "\n")
+                record(epoch, diverged=True)
             raise DivergenceError(f"parameters diverged at epoch {epoch}")
         if record_file is None:
             continue
         name, value = objective(p) if objective else (None, None)
         after = p.arrays().values()
         sq = sum(np.sum((a - b) ** 2) for a, b in zip(after, before))
-        record_file.write(json.dumps({
-            "kind": p.KIND, "estimator": estimator, "epoch": epoch,
-            "objective": name, "value": value, "seconds": round(seconds, 6),
-            "max_abs_param": max(float(np.max(np.abs(a), initial=0.0))
+        record(epoch, objective=name, value=value, seconds=round(seconds, 6),
+               max_abs_param=max(float(np.max(np.abs(a), initial=0.0))
                                  for a in after),
-            "update_norm": float(np.sqrt(sq))}) + "\n")
+               update_norm=float(np.sqrt(sq)))
     return p
 
 

@@ -26,15 +26,6 @@ class NumericError(RuntimeError):
 U_BOUND = 600.0
 
 
-def _coupling_log(U: np.ndarray, arg: np.ndarray) -> np.ndarray:
-    """log(1 + (e^U - 1) * sigm(arg)), stable for large |U| and |arg|.
-
-    Uses 1 + (e^U - 1) sigm(a) = (1 + e^{U+a}) / (1 + e^a), which needs
-    only vectorised ufuncs (no logaddexp).
-    """
-    return log1pexp(U + arg) - log1pexp(arg)
-
-
 def _coupling(U: np.ndarray):
     """The message map arg -> log(1 + (e^U - 1) * sigm(arg)) for this U.
 
@@ -43,11 +34,12 @@ def _coupling(U: np.ndarray):
     1 + (e^U - 1) sigm(a) = e^U (1 + (e^-U - 1) sigm(-a)) for U < 0: six
     ufunc passes, and the log1p argument is never negative.  e^{s*arg}
     may overflow to inf, where the message is low; ``lbp_sweeps``
-    silences that warning.  Beyond the bound the map is ``_coupling_log``.
+    silences that warning.  Beyond the bound it is log1pexp(U + arg) -
+    log1pexp(arg), as 1 + (e^U - 1) sigm(a) = (1 + e^{U+a}) / (1 + e^a).
     """
     absU = np.abs(U)
     if not absU.max(initial=0.0) <= U_BOUND:
-        return lambda arg: _coupling_log(U, arg)
+        return lambda arg: log1pexp(U + arg) - log1pexp(arg)
     P = np.expm1(absU)
     s = -np.sign(U)
     low = np.minimum(U, 0.0)

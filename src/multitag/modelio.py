@@ -6,6 +6,8 @@ round-trip precision, so save -> load reproduces every value bit-exactly.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .baselines import LogRegParams, MlpParams
@@ -74,17 +76,11 @@ def _counts(path, words, line):
 
 def _parse(path):
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != FORMAT_HEADER:
+        lines = iter(fh.read().splitlines())
+    if next(lines, None) != FORMAT_HEADER:
         raise ModelFormatError(f"{path}: missing format header")
-    i = 1
-    kind = None
-    dims = {}
-    vocab = []
-    arrays = {}
-    while i < len(lines):
-        line = lines[i]
-        i += 1
+    kind, dims, vocab, arrays = None, {}, [], {}
+    for line in lines:
         if not line.strip():
             continue
         parts = line.split()
@@ -95,21 +91,18 @@ def _parse(path):
         elif parts[0] == "dim":
             dims[parts[1]] = _counts(path, parts[2:], line)[0]
         elif parts[0] == "vocab":
-            count = _counts(path, parts[1:], line)[0]
-            vocab = lines[i:i + count]
-            i += count
+            vocab = list(islice(lines, _counts(path, parts[1:], line)[0]))
         elif parts[0] == "array":
             name = parts[1]
             rows, cols = _counts(path, parts[2:], line)
-            if i + rows > len(lines):
+            block = list(islice(lines, rows))
+            if len(block) < rows:
                 raise ModelFormatError(f"{path}: array {name} truncated")
             try:
-                data = [[float(v) for v in lines[i + r].split()]
-                        for r in range(rows)]
+                data = [[float(v) for v in row.split()] for row in block]
             except ValueError:
                 raise ModelFormatError(f"{path}: array {name}: non-numeric "
                                        "entry") from None
-            i += rows
             if any(len(row) != cols for row in data):
                 raise ModelFormatError(f"{path}: array {name} shape mismatch")
             a = np.asarray(data, dtype=float).reshape(rows, cols)

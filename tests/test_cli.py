@@ -280,11 +280,10 @@ class TestTrain:
         assert KIND_TABLE.keys() == KINDS.keys()
 
     def test_unknown_kind_is_rejected_before_any_file(self, ingested,
-                                                      tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(["train", "--data", ingested, "--kind", "foo",
-                 "--model", tmp_path / "foo.model"])
-        assert exc.value.code == "error: unknown model kind 'foo'"
+                                                      tmp_path, capsys):
+        assert run(["train", "--data", ingested, "--kind", "foo",
+                    "--model", tmp_path / "foo.model"]) == 1
+        assert capsys.readouterr().err == "error: unknown model kind 'foo'\n"
         assert list(tmp_path.glob("foo.model*")) == []
 
     def test_baseline_kinds(self, ingested, tmp_path):
@@ -458,6 +457,59 @@ class TestPrecedence:
         assert run(["eval", "--config", config]) == 0
         assert (out / "summary.tsv").exists()
 
+    @pytest.mark.parametrize("command, text, where, value, key", [
+        ("oracle-check", "seed=abc\n", 1, "abc", "seed"),
+        ("oracle-check", "# whole trials\ntrials=1.5\n", 2, "1.5", "trials"),
+        ("train", "epochs=2\nlr=fast\n", 2, "fast", "lr"),
+    ], ids=["int", "float-for-int", "float"])
+    def test_bad_config_value_names_its_line(self, tmp_path, capsys, command,
+                                             text, where, value, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        assert run([command, "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {config}:{where}: bad value "
+                                f"{value!r} for {key}\n")
+
+    def test_bad_environment_seed_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("MULTITAG_SEED", "x")
+        assert run(["oracle-check", "--trials", 1]) == 1
+        assert capsys.readouterr().err == (
+            "error: MULTITAG_SEED: bad value 'x' for seed\n")
+        # a seed flag leaves the environment unread
+        assert run(["oracle-check", "--trials", 1, "--seed", 0]) == 0
+
+    def test_switch_takes_only_yes_and_no_words(self, tmp_path, capsys):
+        config = tmp_path / "check.cfg"
+        config.write_text("trials=1\nprinted_normalizer=ture\n")
+        assert run(["oracle-check", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {config}:2: bad value 'ture' for "
+                                "printed_normalizer\n")
+        # in any case; the negative control fails the tree check
+        for word, status in (("YES", 1), ("True", 1), ("1", 1),
+                             ("No", 0), ("FALSE", 0), ("0", 0)):
+            config.write_text(f"trials=1\nprinted_normalizer={word}\n")
+            assert run(["oracle-check", "--config", config]) == status
+
+    @pytest.mark.parametrize("text, where, key", [
+        ("trials=2\nseed=1\ntrials=3\n", 3, "trials"),
+        ("seed=1\n\nseed=1\n", 3, "seed"),
+        ("printed-normalizer=no\nprinted_normalizer=no\n", 2,
+         "printed_normalizer"),
+    ], ids=["differs", "same", "spelling"])
+    def test_repeated_config_key_is_an_error(self, tmp_path, capsys, text,
+                                             where, key):
+        config = tmp_path / "check.cfg"
+        config.write_text(text)
+        assert run(["oracle-check", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {config}:{where}: duplicate key "
+                                f"{key!r}\n")
+
 
 class TestEval:
     def test_non_finite_messages_are_an_error_line(self, ingested, tmp_path,
@@ -556,7 +608,7 @@ class TestEval:
     ], ids=["a", "b"])
     def test_vocabulary_mismatch_leaves_no_directory(self, ingested,
                                                      tmp_path, flag,
-                                                     message):
+                                                     message, capsys):
         model = tmp_path / "m.model"
         assert run(["train", "--data", ingested, "--kind", "logreg",
                     "--epochs", 1, "--model", model]) == 0
@@ -564,23 +616,22 @@ class TestEval:
         other.write_text(model.read_text().replace("\ntag0\n", "\nother\n"))
         a, b = (other, model) if flag == "--model" else (model, other)
         out = tmp_path / "reports"
-        with pytest.raises(SystemExit) as exc:
-            run(["eval", "--data", ingested, "--model", a, "--model-b", b,
-                 "--out", out])
-        assert exc.value.code == f"error: {message}"
+        assert run(["eval", "--data", ingested, "--model", a, "--model-b", b,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_smoother_model_cannot_be_scored(self, ingested, tmp_path,
-                                             corpus_dir):
+                                             corpus_dir, capsys):
         model = tmp_path / "s.model"
         assert run(["train", "--kind", "smoother", "--triples",
                     corpus_dir / "triples.tsv", "--vocab-size", 3,
                     "--epochs", 1, "--hidden", 2, "--model", model]) == 0
-        # a SystemExit with a message: the process prints it, exit status 1
-        with pytest.raises(SystemExit) as exc:
-            run(["eval", "--data", ingested, "--model", model,
-                 "--out", tmp_path / "reports"])
-        assert exc.value.code == "error: cannot score model type SmootherParams"
+        capsys.readouterr()
+        assert run(["eval", "--data", ingested, "--model", model,
+                    "--out", tmp_path / "reports"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot score model type SmootherParams\n")
         assert not (tmp_path / "reports").exists()
 
     def test_single_model_reports(self, ingested, tmp_path):
@@ -657,6 +708,36 @@ class TestSmoothPipeline:
                     "--out", out]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {model}: array V: non-finite entry\n"
+        assert not out.exists()
+
+    def test_non_smoother_model_is_an_error_line(self, corpus_dir, tmp_path,
+                                                  capsys, rng):
+        model = tmp_path / "m.model"
+        save_model(model, KINDS["drbm"].random_init(2, 3, 4, rng),
+                   ["tag0", "tag1", "tag2"])
+        out = tmp_path / "smoothed.tsv"
+        assert run(["smooth", "--model", model, "--triples",
+                    corpus_dir / "triples.tsv", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: --model must point to a smoother model\n")
+        assert not out.exists()
+
+    def test_block_sizes_differ_from_the_model(self, corpus_dir, tmp_path,
+                                               capsys):
+        # one more user than the model was trained with
+        triples = corpus_dir / "triples.tsv"
+        model = tmp_path / "s.model"
+        assert run(["train", "--kind", "smoother", "--triples", triples,
+                    "--vocab-size", 3, "--epochs", 1, "--hidden", 2,
+                    "--model", model]) == 0
+        clip = triples.read_text().split("\t")[1]
+        more = tmp_path / "more.tsv"
+        more.write_text(triples.read_text() + f"newcomer\t{clip}\ttag0\n")
+        out = tmp_path / "smoothed.tsv"
+        assert run(["smooth", "--model", model, "--triples", more,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: triples vocabularies do not match the model\n")
         assert not out.exists()
 
     def test_smooth_matches_per_clip_reference(self, tmp_path):
