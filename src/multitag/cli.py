@@ -381,7 +381,12 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits after --help (0) and after its usage line (2);
+        # return its status so an in-process caller is not aborted
+        return exc.code
     try:
         _merge(args, args.defaults)
         return args.fn(args)

@@ -27,19 +27,21 @@ U_BOUND = 600.0
 
 
 def _coupling(U: np.ndarray):
-    """The message map arg -> log(1 + (e^U - 1) * sigm(arg)) for this U.
+    """The message map arg -> log(1 + (e^U - 1) * sigm(arg)) for this U,
+    and whether it takes the expm1 form.
 
     While max|U| <= U_BOUND it is low + log1p(P / (1 + e^{s*arg})) with
     P = e^|U| - 1, s = -sign(U) and low = min(U, 0), from
     1 + (e^U - 1) sigm(a) = e^U (1 + (e^-U - 1) sigm(-a)) for U < 0: six
-    ufunc passes, and the log1p argument is never negative.  e^{s*arg}
-    may overflow to inf, where the message is low; ``lbp_sweeps``
-    silences that warning.  Beyond the bound it is log1pexp(U + arg) -
+    ufunc passes, and the log1p argument lies in [0, P], so a finite arg
+    maps into [min(U, 0), max(U, 0)] up to rounding.  e^{s*arg} may
+    overflow to inf, where the message is low; ``lbp_sweeps`` silences
+    that warning.  Beyond the bound it is log1pexp(U + arg) -
     log1pexp(arg), as 1 + (e^U - 1) sigm(a) = (1 + e^{U+a}) / (1 + e^a).
     """
     absU = np.abs(U)
     if not absU.max(initial=0.0) <= U_BOUND:
-        return lambda arg: log1pexp(U + arg) - log1pexp(arg)
+        return (lambda arg: log1pexp(U + arg) - log1pexp(arg)), False
     P = np.expm1(absU)
     s = -np.sign(U)
     low = np.minimum(U, 0.0)
@@ -52,7 +54,7 @@ def _coupling(U: np.ndarray):
         np.log1p(t, out=t)
         t += low
         return t
-    return message
+    return message, True
 
 
 def lbp_sweeps(hid_bias, vis_bias, U, K: int, beta: float):
@@ -61,15 +63,21 @@ def lbp_sweeps(hid_bias, vis_bias, U, K: int, beta: float):
     vis_bias + U'h; hid_bias is a (b, n) block.
 
     Each sweep updates all label-bound messages, then all hidden-bound
-    messages (parallel within each type).  A non-finite input to either
+    messages (parallel within each type).  A non-finite hid_bias or
+    vis_bias raises NumericError at sweep 0.  In the expm1 form that one
+    check is enough: every message, damped or not, lies in
+    [min(U, 0), max(U, 0)], so every later input is a finite bias plus a
+    bounded sum.  In the log1pexp form a non-finite input to either
     update raises NumericError naming its sweep, as do non-finite
     messages toward hidden units after the last sweep.  Returns the
     (b, n, C) messages (down, up): toward labels and toward hidden units.
     """
     _check_sweeps(K, beta)
+    _check_finite(hid_bias, 0)
+    _check_finite(vis_bias, 0)
     b, n = hid_bias.shape
     ones_n, ones_C = np.ones(n), np.ones(U.shape[1])
-    coupling = _coupling(U)
+    coupling, bounded = _coupling(U)
     down = np.zeros((b, n, U.shape[1]))
     up = np.zeros_like(down)
     with np.errstate(over="ignore"):
@@ -78,19 +86,22 @@ def lbp_sweeps(hid_bias, vis_bias, U, K: int, beta: float):
             # matrix-vector products, which beat ufunc reductions over
             # these short axes
             arg_down = (hid_bias + up @ ones_C)[:, :, None] - up
-            _check_finite(arg_down, sweep)
+            if not bounded:
+                _check_finite(arg_down, sweep)
             new_down = coupling(arg_down)
             if beta:
                 new_down = beta * down + (1 - beta) * new_down
             arg_up = (vis_bias + ones_n @ new_down)[:, None, :] - new_down
-            _check_finite(arg_up, sweep)
+            if not bounded:
+                _check_finite(arg_up, sweep)
             new_up = coupling(arg_up)
             if beta:
                 new_up = beta * up + (1 - beta) * new_up
             down, up = new_down, new_up
-    # the next sweep's inputs would carry these; only the log1pexp form
-    # can make them non-finite from finite inputs
-    _check_finite(up, K - 1)
+    if not bounded:
+        # the next sweep's inputs would carry these; only the log1pexp
+        # form can make them non-finite from finite inputs
+        _check_finite(up, K - 1)
     return down, up
 
 
@@ -121,20 +132,22 @@ def lbp_marginals(x, p: DrbmParams, K: int, beta: float,
     down, up = lbp_sweeps(c_data[None, :], p.d, p.U, K, beta)
     down, up = down[0], up[0]
 
-    y_marg = sigm(p.d + down.sum(axis=0))
-    h_marg = sigm(c_data + up.sum(axis=1))
-
-    num01 = p.d[None, :] + down.sum(axis=0, keepdims=True) - down
-    num10 = c_data[:, None] + up.sum(axis=1, keepdims=True) - up
-    num11 = p.U + num01 + num10
-    stacked = [num11, num01, num10]
-    if not printed_pair_normalizer:
-        stacked.append(np.zeros_like(num11))
-    stacked = np.stack(stacked)
-    m = stacked.max(axis=0)
-    lse = m + np.log(np.sum(np.exp(stacked - m), axis=0))
-    pair = np.exp(num11 - lse)
-    return Marginals(y_marg, h_marg, pair)
+    vis = p.d + down.sum(axis=0)
+    hid = c_data + up.sum(axis=1)
+    # num01 = d + sum of the other hidden units' messages to label j,
+    # num10 the same for hidden unit i; the pair is (1,1) with weight
+    # e^{U + num01 + num10}, against 1, e^num01 and e^num10, so
+    # p(y_j=1, h_i=1 | x) = 1 / (1 + e^-(U+num10) + e^-(U+num01)
+    # + e^-(U+num01+num10)); a term that overflows gives the limit 0
+    num01 = vis - down
+    num10 = hid[:, None] - up
+    with np.errstate(over="ignore"):
+        minus01 = -p.U - num01
+        denom = 1.0 + np.exp(-p.U - num10) + np.exp(minus01)
+        if not printed_pair_normalizer:
+            denom += np.exp(minus01 - num10)
+    pair = 1.0 / denom
+    return Marginals(sigm(vis), sigm(hid), pair)
 
 
 def lbp_scores(X, p: DrbmParams, K: int, beta: float = 0.0) -> np.ndarray:

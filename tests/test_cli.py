@@ -865,3 +865,17 @@ class TestOracleCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --trials must be >= 1\n"
+
+    def test_unparsable_flag_returns_argparse_status(self, capsys):
+        assert run(["oracle-check", "--trials", 1.5]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: multitag oracle-check")
+        assert captured.err.endswith(
+            "error: argument --trials: invalid int value: '1.5'\n")
+
+    def test_help_returns_zero(self, capsys):
+        assert run(["oracle-check", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: multitag oracle-check")
+        assert captured.err == ""

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multitag import inference
 from multitag.core import DrbmParams, log1pexp, sigm
 from multitag.inference import (U_BOUND, NumericError, _coupling, lbp_marginals,
-                                lbp_scores, mf_predict)
+                                lbp_scores, lbp_sweeps, mf_predict)
 from multitag.oracle import exact_marginals
 from conftest import random_instance
 
@@ -190,6 +195,127 @@ class TestAgainstReferenceSweeps:
             assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e308, -1e308])
+BOUNDED = st.floats(-U_BOUND, U_BOUND) | st.sampled_from([U_BOUND, -U_BOUND])
+
+
+@st.composite
+def sweep_inputs(draw, couplings=BOUNDED):
+    """(hid_bias, vis_bias, U, K, beta) with finite biases; vis_bias is
+    (C,) or (b, C)."""
+    b, n, C = (draw(st.integers(1, 3)) for _ in range(3))
+    hid_bias = draw(arrays(float, (b, n), elements=FINITE))
+    vis_shape = draw(st.sampled_from([(C,), (b, C)]))
+    vis_bias = draw(arrays(float, vis_shape, elements=FINITE))
+    U = draw(arrays(float, (n, C), elements=couplings))
+    return (hid_bias, vis_bias, U, draw(st.integers(1, 6)),
+            draw(st.floats(0.0, 1.0, exclude_max=True)))
+
+
+class TestOneFinitenessCheck:
+    """In the expm1 form ``lbp_sweeps`` checks only hid_bias and vis_bias,
+    before its loop; these tests show that check misses no fault."""
+
+    @given(sweep_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_coupling_keeps_every_sweep_within_its_range(self,
+                                                                 inputs):
+        # every message lies in [min(U, 0), max(U, 0)], so every later
+        # input is a finite bias plus a bounded sum: finite
+        hid_bias, vis_bias, U, K, beta = inputs
+        low, high = np.minimum(U, 0.0), np.maximum(U, 0.0)
+        ulps = 4 * np.spacing(np.abs(U))
+        for k in range(1, K + 1):
+            for messages in lbp_sweeps(hid_bias, vis_bias, U, k, beta):
+                assert np.isfinite(messages).all()
+                assert np.all(messages >= low - ulps)
+                assert np.all(messages <= high + ulps)
+
+    @given(sweep_inputs(couplings=st.floats(-1.0, 1.0)),
+           st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.sampled_from(["hid", "vis"]), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_non_finite_bias_raises_at_sweep_0_in_both_forms(
+            self, inputs, bad, which, bounded, data):
+        hid_bias, vis_bias, U, K, beta = inputs
+        if not bounded:
+            U[0, 0] = 1.01 * U_BOUND  # the whole call in the log1pexp form
+        target = hid_bias if which == "hid" else vis_bias
+        index = data.draw(st.tuples(*(st.integers(0, m - 1)
+                                      for m in target.shape)))
+        target[index] = bad
+        with pytest.raises(NumericError,
+                           match="^non-finite message at sweep 0$"):
+            lbp_sweeps(hid_bias, vis_bias, U, K, beta)
+
+
+def _reference_pair(down, up, p, c_data, printed_pair_normalizer):
+    """lbp_marginals' pairwise marginal as a four-way log-sum-exp over a
+    stacked (4, n, C) copy, as it was before the closed form (frozen
+    reference)."""
+    num01 = p.d[None, :] + down.sum(axis=0, keepdims=True) - down
+    num10 = c_data[:, None] + up.sum(axis=1, keepdims=True) - up
+    num11 = p.U + num01 + num10
+    stacked = [num11, num01, num10]
+    if not printed_pair_normalizer:
+        stacked.append(np.zeros_like(num11))
+    stacked = np.stack(stacked)
+    m = stacked.max(axis=0)
+    lse = m + np.log(np.sum(np.exp(stacked - m), axis=0))
+    return np.exp(num11 - lse), num01, num10
+
+
+class TestClosedFormPair:
+    """``lbp_marginals`` on given messages (``lbp_sweeps`` patched to
+    return them), fields c and d, and couplings U; x = 0, so the hidden
+    field is c."""
+
+    @staticmethod
+    def _pair(monkeypatch, down, up, p, printed):
+        monkeypatch.setattr(inference, "lbp_sweeps",
+                            lambda *args: (down[None], up[None]))
+        return lbp_marginals(np.zeros(p.D), p, 1, 0.0, printed).pair_marg
+
+    @pytest.mark.parametrize("printed", [False, True],
+                             ids=["four-term", "printed-three-term"])
+    def test_within_4_ulp_of_the_log_sum_exp(self, rng, monkeypatch,
+                                             printed):
+        for _ in range(300):
+            n, C = rng.integers(1, 12, size=2)
+            scale = 10.0 ** rng.uniform(-3, 2.5)
+            U, down, up = (rng.normal(scale=scale, size=(n, C))
+                           for _ in range(3))
+            c, d = (rng.normal(scale=scale, size=m) for m in (n, C))
+            p = DrbmParams(U, np.zeros((n, 2)), c, d)
+            got = self._pair(monkeypatch, down, up, p, printed)
+            want, num01, num10 = _reference_pair(down, up, p, p.c, printed)
+            # each exponent carries a rounding error of its largest part
+            size = np.maximum.reduce([np.ones_like(U), np.abs(U),
+                                      np.abs(num01), np.abs(num10)])
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(size))
+
+    @pytest.mark.parametrize("printed", [False, True],
+                             ids=["four-term", "printed-three-term"])
+    def test_fields_at_800_give_exact_limits_without_warnings(
+            self, rng, monkeypatch, printed):
+        # e^800 overflows and e^-800 underflows: the pair is 1 where both
+        # fields are +800 and 0 where either is -800
+        n, C = 4, 6
+        c = np.repeat([800.0, -800.0], n // 2)
+        d = np.tile([800.0, -800.0], C // 2)
+        p = DrbmParams(rng.uniform(-1, 1, size=(n, C)), np.zeros((n, 2)), c,
+                       d)
+        down, up = (rng.uniform(-1, 1, size=(n, C)) for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self._pair(monkeypatch, down, up, p, printed)
+        want = np.outer(c > 0, d > 0).astype(float)
+        assert np.array_equal(got, want)
+        assert np.array_equal(
+            _reference_pair(down, up, p, c, printed)[0], want)
+
+
 class TestNumericPrimitives:
     def test_log1pexp_bitwise_equals_where_form(self, rng):
         z = np.concatenate([rng.normal(scale=30.0, size=5000),
@@ -219,7 +345,7 @@ class TestNumericPrimitives:
         got = np.empty_like(U)
         with np.errstate(over="ignore"):
             for part in (fast, ~fast):
-                got[part] = _coupling(U[part])(a[part])
+                got[part] = _coupling(U[part])[0](a[part])
         want = _logaddexp_coupling(U, a)
         scale = np.maximum(1.0, np.maximum(np.abs(U), np.abs(a)))
         assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
@@ -243,7 +369,7 @@ class TestNumericPrimitives:
                             np.tile(grid, grid.size)])
         U = np.clip(U, -U_BOUND, U_BOUND)
         with np.errstate(over="ignore"):
-            got = _coupling(U)(a)
+            got = _coupling(U)[0](a)
         want = _logaddexp_coupling(U, a)
         scale = np.maximum(1.0, np.maximum(np.abs(U), np.abs(a)))
         assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
