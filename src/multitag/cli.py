@@ -263,7 +263,8 @@ def cmd_smooth(args):
         raise ValueError("--model must point to a smoother model")
     vocab, clips, (events, sizes) = _read_events(args, vocab)
     if sizes != model.aux_sizes:
-        raise ValueError("triples vocabularies do not match the model")
+        raise ValueError("the triples and items give (users, tracks, clips) "
+                         f"= {sizes}, the model {model.aux_sizes}")
     # every clip of the triples has an event, so this is one row per clip
     probs = smooth_tags(model, events)
     dt.write_rows(args.out, chain([["item", *vocab]], (

@@ -1,6 +1,7 @@
-"""Energy function, free energy, and exact conditionals of the
-label/hidden bilinear model, the CD chain and mean-field loop that every
-model kind runs through, plus shared numeric primitives.
+"""Energy function and free energy of the label/hidden bilinear model,
+the CD chain and mean-field loop that every model kind runs through
+(their half-steps are its exact conditionals), plus shared numeric
+primitives.
 
 Parameter layout: U couples hidden units to labels (n x C), W couples
 hidden units to features (n x D), c are hidden biases (n,), d are label
@@ -168,22 +169,11 @@ def energy(y, h, x, p: DrbmParams) -> float:
     return float(-h @ p.U @ y - h @ p.W @ x - p.d @ y - p.c @ h)
 
 
-def hidden_input(y, x, p: DrbmParams) -> np.ndarray:
-    """Total input to the hidden units: c + Wx + Uy."""
-    y = _check_vec(y, p.C, "y")
-    x = _check_vec(x, p.D, "x")
-    return p.c + p.W @ x + p.U @ y
-
-
 def cond_free_energy(y, x, p: DrbmParams) -> float:
     """F(y|x) = -log sum_h e^{-E(y,h,x)} = -d'y - sum_i log(1+e^{c_i+(Wx)_i+(Uy)_i})."""
     y = _check_vec(y, p.C, "y")
-    return float(-p.d @ y - np.sum(log1pexp(hidden_input(y, x, p))))
-
-
-def p_hidden_given(y, x, p: DrbmParams) -> np.ndarray:
-    """p(h_k=1 | y, x) = sigm(c + Wx + Uy), componentwise."""
-    return sigm(hidden_input(y, x, p))
+    x = _check_vec(x, p.D, "x")
+    return float(-p.d @ y - np.sum(log1pexp(p.c + p.W @ x + p.U @ y)))
 
 
 def cd_chain(hid_bias, vis_bias, U, y0, K: int, rng):
@@ -272,11 +262,3 @@ def mean_field(hid_bias, vis_bias, U, y, K: int, tol: float) -> np.ndarray:
             out[r] = v
         s = out
     return 0.5 * s[:, :, 0]
-
-
-def sample_bernoulli(probs, rng) -> np.ndarray:
-    """Independent Bernoulli draws, one per entry; deterministic given rng state."""
-    probs = np.asarray(probs, dtype=float)
-    if np.any(probs < 0) or np.any(probs > 1):
-        raise ValueError("probabilities must lie in [0, 1]")
-    return (rng.random(probs.shape) < probs).astype(float)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DrbmParams, Gradient, LabeledExample, cd_chain, log1pexp,
-                   mean_field, sample_bernoulli, sigm)
+                   mean_field, sigm)
 from .inference import lbp_marginals
 from .oracle import exact_log_cond_probs, marginal_gradient
 
@@ -195,8 +195,8 @@ def generative_cd_gradient(example: LabeledExample, p: GaussianRbmParams,
     h0 = sigm(p.c + p.W @ x0 + p.U @ y0)
     x, y = x0, y0
     for _ in range(K):
-        h = sample_bernoulli(sigm(p.c + p.W @ x + p.U @ y), rng)
-        y = sample_bernoulli(sigm(p.d + p.U.T @ h), rng)
+        h = (rng.random(p.n) < sigm(p.c + p.W @ x + p.U @ y)).astype(float)
+        y = (rng.random(p.C) < sigm(p.d + p.U.T @ h)).astype(float)
         x = p.bx + p.W.T @ h
     hK = sigm(p.c + p.W @ x + p.U @ y)
     return GaussianGradient(

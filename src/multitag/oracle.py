@@ -85,7 +85,7 @@ def marginal_gradient(example: LabeledExample, p: DrbmParams,
     """The exact data term of log p(y|x) minus the model expectation
     that the marginals m give."""
     x, y = example.x, example.y
-    h0 = sigm(p.c + p.W @ x + p.U @ y)  # p_hidden_given, unchecked
+    h0 = sigm(p.c + p.W @ x + p.U @ y)  # p(h=1 | y, x), unchecked
     dc = h0 - m.h_marg
     return Gradient(dU=h0[:, None] * y - m.pair_marg, dW=dc[:, None] * x,
                     dc=dc, dd=y - m.y_marg)

@@ -69,24 +69,11 @@ class Events(NamedTuple):
         return cls(ids, np.array([e.y for e in events], dtype=float))
 
 
-def aux_columns(user, track, clip, aux_sizes) -> list:
-    """Columns of V that the one-hot user, track and clip blocks select;
-    None leaves its block out (unknown-user prediction)."""
-    cols = []
-    offset = 0
-    for idx, size in zip((user, track, clip), aux_sizes):
-        if idx is not None:
-            if not (0 <= idx < size):
-                raise IndexError(f"id {idx} out of range for block of size {size}")
-            cols.append(offset + idx)
-        offset += size
-    return cols
-
-
 def _block_columns(ids, aux_sizes, first=0):
-    """``aux_columns`` for a (b, k) block of ids in the k identity blocks
-    from block ``first`` on; the first row and block with an id out of
-    range raise its IndexError."""
+    """Columns of V that the one-hot identity blocks select, for a (b, k)
+    block of ids in the k blocks from block ``first`` on (``first=1``
+    leaves the user block out, for an unknown user); the first row and
+    block with an id out of range raise its IndexError."""
     sizes = np.array(aux_sizes)[first:first + ids.shape[1]]
     bad = np.argwhere((ids < 0) | (ids >= sizes))
     if bad.size:
@@ -98,9 +85,11 @@ def _block_columns(ids, aux_sizes, first=0):
 
 def build_aux(user, track, clip, aux_sizes) -> np.ndarray:
     """The dense conditioning vector a: one-hot blocks for user, track,
-    clip, so V @ a is V[:, aux_columns(...)].sum(axis=1)."""
+    clip at ``_block_columns``' columns, so V @ a is the sum of those
+    columns of V; user None leaves its block out."""
+    ids = [track, clip] if user is None else [user, track, clip]
     a = np.zeros(sum(aux_sizes))
-    a[aux_columns(user, track, clip, aux_sizes)] = 1.0
+    a[_block_columns(np.array([ids]), aux_sizes, first=3 - len(ids))] = 1.0
     return a
 
 

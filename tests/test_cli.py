@@ -736,8 +736,37 @@ class TestSmoothPipeline:
         out = tmp_path / "smoothed.tsv"
         assert run(["smooth", "--model", model, "--triples", more,
                     "--out", out]) == 1
+        users, tracks, clips = load_model(model)[0].aux_sizes
         assert capsys.readouterr().err == (
-            "error: triples vocabularies do not match the model\n")
+            "error: the triples and items give (users, tracks, clips) = "
+            f"({users + 1}, {tracks}, {clips}), the model "
+            f"({users}, {tracks}, {clips})\n")
+        assert not out.exists()
+
+    def test_smooth_without_the_training_items_file(self, corpus_dir,
+                                                    tmp_path, capsys):
+        # trained on three clips per track, smoothed without --items:
+        # the vocabulary matches and only the track count differs
+        triples = corpus_dir / "triples.tsv"
+        lines = triples.read_text().splitlines()
+        users = len({line.split("\t")[0] for line in lines})
+        clips = sorted({line.split("\t")[1] for line in lines})
+        items = tmp_path / "items.tsv"
+        items.write_text("".join(f"{c}\ttrack{i // 3}\n"
+                                 for i, c in enumerate(clips)))
+        model = tmp_path / "s.model"
+        assert run(["train", "--kind", "smoother", "--triples", triples,
+                    "--items", items, "--vocab-size", 3, "--epochs", 1,
+                    "--hidden", 2, "--model", model]) == 0
+        tracks = -(-len(clips) // 3)
+        assert load_model(model)[0].aux_sizes == (users, tracks, len(clips))
+        out = tmp_path / "smoothed.tsv"
+        assert run(["smooth", "--model", model, "--triples", triples,
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: the triples and items give (users, tracks, clips) = "
+            f"({users}, {len(clips)}, {len(clips)}), the model "
+            f"({users}, {tracks}, {len(clips)})\n")
         assert not out.exists()
 
     def test_smooth_matches_per_clip_reference(self, tmp_path):

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multitag.core import (DrbmParams, ShapeError, cd_chain, cond_free_energy,
-                           energy, log1pexp, mean_field, p_hidden_given,
-                           sample_bernoulli, sigm)
+                           energy, log1pexp, mean_field, sigm)
 from multitag.modelio import KINDS
 from conftest import random_instance
 
@@ -118,14 +117,22 @@ def pinned_hidden(h):
     return np.where(np.asarray(h) > 0, 200.0, -200.0)
 
 
+def chain_h0(y, x, p):
+    """p(h=1 | y, x) as cd_chain's first half-step returns it, h0."""
+    h0, _, _ = cd_chain((p.c + p.W @ x)[None], p.d, p.U, y[None], 1,
+                        np.random.default_rng(0))
+    return h0[0]
+
+
 class TestConditionals:
+    # p(h_k=1 | y, x) = sigm(c + Wx + Uy) is cd_chain's hidden half-step
     def test_hidden_decoupled_reductions(self, rng):
         _, p = random_instance(rng)
         p0 = DrbmParams(np.zeros_like(p.U), np.zeros_like(p.W), p.c, p.d)
         x = rng.normal(size=p.D)
-        np.testing.assert_allclose(p_hidden_given(np.ones(p.C), x, p0), sigm(p.c))
+        np.testing.assert_allclose(chain_h0(np.ones(p.C), x, p0), sigm(p.c))
         pw = DrbmParams(p.U, np.zeros_like(p.W), p.c, p.d)
-        np.testing.assert_allclose(p_hidden_given(np.zeros(p.C), x, pw), sigm(p.c))
+        np.testing.assert_allclose(chain_h0(np.zeros(p.C), x, pw), sigm(p.c))
 
     def test_hidden_matches_joint_enumeration(self, rng):
         ex, p = random_instance(rng, C=3, n=3, D=2)
@@ -135,7 +142,7 @@ class TestConditionals:
         z = sum(weights.values())
         for k in range(p.n):
             marg = sum(w for h, w in weights.items() if h[k] == 1) / z
-            assert p_hidden_given(ex.y, ex.x, p)[k] == pytest.approx(marg, abs=1e-10)
+            assert chain_h0(ex.y, ex.x, p)[k] == pytest.approx(marg, abs=1e-10)
 
     # p(y_j=1 | h) = sigm(d + U'h) is mean-field's visible half-step: with
     # the hidden units pinned to 0/1 values, one step returns it
@@ -255,29 +262,6 @@ class TestMeanField:
         with pytest.raises(ValueError):
             mean_field(np.zeros((1, 2)), np.zeros(3), np.zeros((2, 3)),
                        np.zeros((1, 3)), 0, 0.0)
-
-
-class TestSampleBernoulli:
-    def test_degenerate_probabilities(self, rng):
-        np.testing.assert_array_equal(sample_bernoulli(np.zeros(8), rng), np.zeros(8))
-        np.testing.assert_array_equal(sample_bernoulli(np.ones(8), rng), np.ones(8))
-
-    def test_law_of_large_numbers(self):
-        rng = np.random.default_rng(11)
-        draws = np.stack([sample_bernoulli(np.full(4, 0.5), rng)
-                          for _ in range(100_000)])
-        assert np.all(np.abs(draws.mean(axis=0) - 0.5) < 0.01)
-
-    def test_reproducible_given_seed(self):
-        a = np.stack([sample_bernoulli(np.full(5, 0.3), np.random.default_rng(42))
-                      for _ in range(1)])
-        b = np.stack([sample_bernoulli(np.full(5, 0.3), np.random.default_rng(42))
-                      for _ in range(1)])
-        np.testing.assert_array_equal(a, b)
-
-    def test_rejects_bad_probabilities(self, rng):
-        with pytest.raises(ValueError):
-            sample_bernoulli(np.array([0.5, 1.5]), rng)
 
 
 def test_params_validate_shapes():

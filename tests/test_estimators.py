@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multitag import estimators
 from multitag.core import (DrbmParams, Gradient, LabeledExample, cd_chain,
                            log1pexp, sigm)
 from multitag.estimators import (ESTIMATORS, EXACT_OBJECTIVE_CELLS,
                                  PROBE_ROWS, DivergenceError,
-                                 GaussianRbmParams, TrainConfig, cd_gradient,
+                                 GaussianGradient, GaussianRbmParams,
+                                 TrainConfig, cd_gradient,
                                  _pl_ascent, cond_objective,
                                  generative_cd_gradient, lbp_gradient,
                                  log_pl_rows, mfcd_gradient, pl_gradient, sgd,
@@ -258,6 +260,54 @@ class TestGenerativeCd:
         g = generative_cd_gradient(ex, p, K=2, rng=rng)
         for a in (g.dU, g.dW, g.dc, g.dd, g.dbx):
             assert np.max(np.abs(a)) < 1e-12
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_matches_the_sample_bernoulli_form(self, K):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            p = GaussianRbmParams.random_init(4, 3, 5, rng, scale=1.0)
+            ex = LabeledExample(rng.normal(size=5),
+                                (rng.random(3) < 0.5).astype(float))
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = generative_cd_gradient(ex, p, K, a)
+            want = sample_bernoulli_generative_cd_gradient(ex, p, K, b)
+            for name, value in vars(want).items():
+                assert getattr(got, name).tobytes() == value.tobytes(), name
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_training_matches_the_sample_bernoulli_form(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(8, 5))
+        Y = (rng.random((8, 3)) < 0.5).astype(float)
+        p0 = GaussianRbmParams.random_init(4, 3, 5, rng, scale=0.3)
+        cfg = TrainConfig(estimator="cd", k=2, lr=0.05, epochs=2, seed=7)
+        got = sgd_train_generative(X, Y, p0, cfg)
+        monkeypatch.setattr(estimators, "generative_cd_gradient",
+                            sample_bernoulli_generative_cd_gradient)
+        assert_same_bytes(got, sgd_train_generative(X, Y, p0, cfg))
+
+
+def sample_bernoulli_generative_cd_gradient(example, p, K, rng):
+    """generative_cd_gradient as it was written with a sampling helper,
+    frozen: each Gibbs draw checked that its probabilities lie in [0, 1]
+    and drew rng.random(probs.shape) < probs."""
+    def sample_bernoulli(probs, rng):
+        probs = np.asarray(probs, dtype=float)
+        if np.any(probs < 0) or np.any(probs > 1):
+            raise ValueError("probabilities must lie in [0, 1]")
+        return (rng.random(probs.shape) < probs).astype(float)
+
+    x0, y0 = example.x, example.y
+    h0 = sigm(p.c + p.W @ x0 + p.U @ y0)
+    x, y = x0, y0
+    for _ in range(K):
+        h = sample_bernoulli(sigm(p.c + p.W @ x + p.U @ y), rng)
+        y = sample_bernoulli(sigm(p.d + p.U.T @ h), rng)
+        x = p.bx + p.W.T @ h
+    hK = sigm(p.c + p.W @ x + p.U @ y)
+    return GaussianGradient(dU=h0[:, None] * y0 - hK[:, None] * y,
+                            dW=h0[:, None] * x0 - hK[:, None] * x,
+                            dc=h0 - hK, dd=y0 - y, dbx=x0 - x)
 
 
 

@@ -11,9 +11,9 @@ from multitag.core import (DrbmParams, LabeledExample, ShapeError, cd_chain,
                            mean_field, sigm)
 from multitag.estimators import (DIVERGENCE_LIMIT, DivergenceError,
                                  TrainConfig, cd_gradient, sgd)
-from multitag.smoother import (Events, SmootherParams, TagEvent, _clip_step,
-                               _event_inputs, aux_columns, build_aux,
-                               other_users_avg, smooth_tags,
+from multitag.smoother import (Events, SmootherParams, TagEvent,
+                               _block_columns, _clip_step, _event_inputs,
+                               build_aux, other_users_avg, smooth_tags,
                                smoothed_dataset, smoother_cd_gradient,
                                train_smoother)
 
@@ -50,19 +50,27 @@ class TestBuildAux:
         np.testing.assert_array_equal(a, [0, 0, 0, 1, 1, 0])
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="^id 2 out of range for block "
+                                             "of size 2$"):
             build_aux(2, 0, 0, (2, 2, 2))
 
     @pytest.mark.parametrize("ids", [(2, 0, 0), (0, -1, 0), (0, 0, 2)])
     def test_columns_out_of_range_like_build_aux(self, ids):
-        with pytest.raises(IndexError):
+        bad = [i for i in ids if i != 0][0]
+        text = f"^id {bad} out of range for block of size 2$"
+        with pytest.raises(IndexError, match=text):
             build_aux(*ids, (2, 2, 2))
-        with pytest.raises(IndexError):
-            aux_columns(*ids, (2, 2, 2))
+        with pytest.raises(IndexError, match=text):
+            _block_columns(np.array([ids]), (2, 2, 2))
+        if ids[0] == 0:  # the same id, the user block left out
+            with pytest.raises(IndexError, match=text):
+                build_aux(None, *ids[1:], (2, 2, 2))
 
     def test_columns_are_the_one_hot_entries(self):
-        assert aux_columns(1, 0, 2, (2, 3, 4)) == [1, 2, 7]
-        assert aux_columns(None, 1, 0, (2, 2, 2)) == [3, 4]
+        assert _block_columns(np.array([[1, 0, 2]]),
+                              (2, 3, 4)).tolist() == [[1, 2, 7]]
+        assert _block_columns(np.array([[1, 0]]), (2, 2, 2),
+                              first=1).tolist() == [[3, 4]]
 
 
 class TestOtherUsersAvg:
@@ -109,8 +117,8 @@ class TestEventInputs:
             same_clip = [f for f in events if f.clip == e.clip]
             assert avg.tobytes() == other_users_avg(same_clip,
                                                     e.user).tobytes()
-            assert col.tolist() == aux_columns(e.user, e.track, e.clip,
-                                               sizes)
+            assert col.tolist() == [e.user, sizes[0] + e.track,
+                                    sizes[0] + sizes[1] + e.clip]
 
     def test_label_block_must_match_the_model(self):
         p = SmootherParams.random_init(2, 3, (2, 2, 2),
@@ -152,7 +160,7 @@ class TestSmootherCdGradient:
         # at zero, so no step is clipped
         p = small_smoother(rng)
         u = rng.random(p.C)
-        cols = aux_columns(1, 0, 1, p.aux_sizes)
+        cols = _block_columns(np.array([[1, 0, 1]]), p.aux_sizes)[0]
         g = smoother_cd_gradient(np.array([1.0, 0.0, 1.0]), u, p.V[:, cols],
                                  p, 1, np.random.default_rng(3))
         np.testing.assert_allclose(g.dW, np.outer(g.dc, u), atol=1e-12)
@@ -177,7 +185,7 @@ class TestSmootherCdGradient:
                            rng.normal(scale=0.5, size=(C, 3)), np.zeros(2),
                            rng.normal(scale=0.5, size=C), (1, 1, 1))
         a = build_aux(0, 0, 0, p.aux_sizes)
-        cols = aux_columns(0, 0, 0, p.aux_sizes)
+        cols = _block_columns(np.array([[0, 0, 0]]), p.aux_sizes)[0]
         y = np.array([1.0, 0.0, 1.0])
         runs = 30_000
         hid = np.broadcast_to(p.c + p.W @ np.zeros(C), (runs, p.n))
@@ -195,7 +203,7 @@ class TestSmootherCdGradient:
         p = small_smoother(rng)
         p.W += 0.2 * np.sign(p.W)
         p.V += 0.2 * np.sign(p.V)
-        cols = aux_columns(0, 1, 0, p.aux_sizes)
+        cols = _block_columns(np.array([[0, 1, 0]]), p.aux_sizes)[0]
         events = Events(np.array([[0, 1, 0]]), np.array([[0.0, 1.0, 0.0]]))
         lr = 0.1
         plain, shrunk = (train_smoother(events, p, TrainConfig(
@@ -312,7 +320,7 @@ def lazy_reference_train(events, p0, cfg):
         nonlocal t
         e = events[i]
         u = other_users_avg(by_clip[e.clip], e.user)
-        c = aux_columns(e.user, e.track, e.clip, p.aux_sizes)
+        c = _block_columns(np.array([e[:3]]), p.aux_sizes)[0]
         catch_up(p.V, c)
         V = p.V[:, c]
         h0, hK, y = (s[0] for s in cd_chain((p.c + p.W @ u)[None],
@@ -474,7 +482,7 @@ def row_smooth(clip, track, p, events, tol=1e-8, max_iter=500):
     """One clip as the per-clip smoother computed it: np.mean over the
     clip's events, 1-d products, and the row mean-field loop."""
     u = np.mean(np.asarray([e.y for e in events if e.clip == clip]), axis=0)
-    cols = aux_columns(None, track, clip, p.aux_sizes)
+    cols = _block_columns(np.array([[track, clip]]), p.aux_sizes, first=1)[0]
     hid, vis = p.c + p.W @ u, p.d + p.V[:, cols].sum(axis=1)
     y = u
     for _ in range(max_iter):
