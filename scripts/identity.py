@@ -59,10 +59,14 @@ COMMANDS = [
      *TRAIN, "--model", "mlp.model"),
     ("train", "--data", "ingested", "--kind", "logreg", *TRAIN,
      "--model", "logreg.model"),
+    # all-zero weights score every cell 0.5, so every AUC runs the tie
+    # path and every defined one is exactly 0.5
+    ("train", "--data", "ingested", "--kind", "logreg", "--epochs", "0",
+     "--seed", "1", "--model", "logreg-untrained.model"),
     *[("eval", "--data", "ingested", "--model", f"{name}.model",
        "--out", f"reports-{name}")
       for name in ("drbm-cd", "drbm-mfcd", "drbm-lbp", "drbm-pl", "grbm",
-                   "mlp", "logreg")],
+                   "mlp", "logreg", "logreg-untrained")],
     ("eval", "--data", "ingested", "--model", "drbm-pl.model",
      "--model-b", "logreg.model", "--out", "reports-pl-vs-logreg"),
     *[cmd for items, l1, name in SMOOTHERS for cmd in (

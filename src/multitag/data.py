@@ -19,6 +19,9 @@ NEGATIVE = 0
 UNKNOWN = -1
 STATE_CHARS = {POSITIVE: "P", NEGATIVE: "N", UNKNOWN: "U"}  # matrix.tsv cells
 CHAR_STATES = {v: k for k, v in STATE_CHARS.items()}
+# a state -> its matrix.tsv byte, indexed by the state (UNKNOWN, -1, last)
+_STATE_BYTES = np.zeros(len(STATE_CHARS), dtype=np.uint8)
+_STATE_BYTES[list(STATE_CHARS)] = [ord(c) for c in STATE_CHARS.values()]
 # a matrix.tsv cell's byte -> its state; _NOT_A_CELL for any other byte
 _NOT_A_CELL = 2
 _CELL_BYTES = np.full(256, _NOT_A_CELL, dtype=np.int8)
@@ -408,9 +411,18 @@ def read_matrix(path) -> ThreeStateTagMatrix:
 
 
 def write_matrix(path, matrix: ThreeStateTagMatrix):
-    write_rows(path, itertools.chain([["item", *matrix.vocab]], (
-        [item, *map(STATE_CHARS.__getitem__, row)]
-        for item, row in rows_of(matrix.items, matrix.cells))))
+    """The matrix file ``read_matrix`` reads, in ``write_rows``' format.
+    What follows each item id, a tab before each cell and the newline,
+    is built for every row at once as one block of bytes."""
+    width = 2 * matrix.cells.shape[1] + 1
+    block = np.full((len(matrix.cells), width), ord("\t"), dtype=np.uint8)
+    block[:, 1::2] = _STATE_BYTES[matrix.cells]
+    block[:, -1] = ord("\n")
+    text = block.tobytes().decode("ascii")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(["item", *matrix.vocab]) + "\n")
+        fh.writelines(item + text[k:k + width] for k, item in
+                      zip(range(0, len(text), width), matrix.items))
 
 
 def read_items(path) -> dict:

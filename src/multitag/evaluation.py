@@ -40,34 +40,13 @@ class SignificanceReport:
     b_better: int
 
 
-def _average_ranks(a: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    _, inv, counts = np.unique(a, return_inverse=True, return_counts=True)
-    cum = np.cumsum(counts)
-    avg = cum - counts + (counts + 1) / 2.0
-    return avg[inv]
-
-
 def auc(scores, labels):
-    """Mann-Whitney AUC: fraction of (positive, negative) pairs ranked
-    correctly, ties counted half.  Unknown labels are excluded; returns
-    None when either class is empty (undefined, excluded from means).
-    Raises ValueError on a NaN or infinite score, which has no rank.
-    """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("auc: scores must be finite")
-    keep = labels != UNKNOWN
-    scores, labels = scores[keep], labels[keep]
-    pos = labels == POSITIVE
-    neg = labels == NEGATIVE
-    n_pos, n_neg = int(pos.sum()), int(neg.sum())
-    if n_pos == 0 or n_neg == 0:
-        return None
-    ranks = _average_ranks(scores)
-    u = float(np.sum(ranks[pos])) - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    """Mann-Whitney AUC of one tag: ``score_matrix_auc`` of its one
+    column, as a float, or None when either class is empty.  Raises
+    ValueError on a NaN or infinite score."""
+    value = score_matrix_auc(np.reshape(scores, (-1, 1)),
+                             np.reshape(labels, (-1, 1)), [None])[0]
+    return None if math.isnan(value) else float(value)
 
 
 def t_sf_two_sided(t: float, df: int) -> float:
@@ -136,14 +115,63 @@ def significance_counts(report_a: AucReport,
 
 
 def score_matrix_auc(scores: np.ndarray, cells: np.ndarray, tags) -> np.ndarray:
-    """Per-tag AUC column vector for one evaluation set; NaN where
-    undefined."""
-    out = np.full(len(tags), np.nan)
-    for j in range(len(tags)):
-        val = auc(scores[:, j], cells[:, j])
-        if val is not None:
-            out[j] = val
-    return out
+    """Per-tag Mann-Whitney AUC of one evaluation block, the fraction of
+    (positive, negative) pairs ranked correctly with ties counted half;
+    NaN for a tag with an empty class.
+
+    ``scores`` and ``cells`` are (rows, len(tags)).  UNKNOWN cells are
+    left out.  Raises ValueError on a NaN or infinite score, UNKNOWN
+    cells included, since it has no rank.
+
+    One sort ranks every tag: each row of the transposed scores, UNKNOWN
+    cells keyed +inf so they sort last, and the positives' sorted
+    positions summed by one matrix product.  Tied scores share their
+    average rank, so each run of equal finite keys moves its positives
+    from their own positions to the run's mean.  Every rank is a
+    half-integer, so each sum is exact in any order.
+    """
+    scores = np.asarray(scores, dtype=float)
+    cells = np.asarray(cells)
+    if scores.shape != cells.shape or scores.shape[1:] != (len(tags),):
+        raise ValueError(f"scores {scores.shape} and cells {cells.shape} "
+                         f"must both be (rows, {len(tags)})")
+    if not np.isfinite(scores).all():
+        raise ValueError("auc: scores must be finite")
+    rows, C = scores.shape
+    state = cells.T.copy()
+    keys = np.where(state == UNKNOWN, np.inf, scores.T)  # (C, rows)
+    # flat (C * rows) indices of each row's keys in ascending order; a
+    # stable sort is much slower and tie order does not move a mean rank
+    order = np.argsort(keys, axis=1)
+    order += rows * np.arange(C)[:, None]
+    keys = keys.ravel()[order]
+    positive = (state == POSITIVE).ravel()[order]
+    position = np.arange(1.0, rows + 1.0)  # 1-based, in each sorted row
+    n_pos, rank_sum = (positive @ np.stack([np.ones(rows), position], 1)).T
+    n_neg = np.count_nonzero(state == NEGATIVE, axis=1)
+
+    # j with keys[j] == keys[j + 1] in one row, both finite: the +inf
+    # tail holds no positive, so its ties move no rank
+    tied = np.zeros((C, rows), dtype=bool)
+    np.equal(keys[:, 1:], keys[:, :-1], out=tied[:, :-1])
+    pair = np.flatnonzero(tied)
+    pair = pair[keys.ravel()[pair] < np.inf]
+    if pair.size:
+        starts = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1] + 1])
+        lasts = np.r_[starts[1:], pair.size] - 1
+        # run k holds the flat positions pair[starts[k]] .. pair[lasts[k]] + 1
+        members = np.insert(pair, lasts + 1, pair[lasts] + 1)
+        heads = starts + np.arange(starts.size)  # run k's first member
+        hit = positive.ravel()[members]
+        n_run = np.add.reduceat(hit.astype(float), heads)
+        own = np.add.reduceat(position[members % rows] * hit, heads)
+        lo, hi = pair[starts] % rows + 1.0, pair[lasts] % rows + 2.0
+        rank_sum += np.bincount(pair[starts] // rows, minlength=C,
+                                weights=n_run * (lo + hi) / 2.0 - own)
+
+    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return np.divide(u, n_pos * n_neg, out=np.full(C, np.nan),
+                     where=(n_pos > 0) & (n_neg > 0))
 
 
 def cv_run(X: np.ndarray, cells: np.ndarray, tags, split: FoldSplit,

@@ -496,6 +496,29 @@ class TestFileRoundTrips:
         assert back.cells.dtype == np.int8
         np.testing.assert_array_equal(back.cells, cells)
 
+    def test_matrix_bytes(self, tmp_path):
+        cells = np.array([[POSITIVE, NEGATIVE, UNKNOWN],
+                          [UNKNOWN, POSITIVE, NEGATIVE]], dtype=np.int8)
+        path = tmp_path / "matrix.tsv"
+        write_matrix(path, ThreeStateTagMatrix(["i1", "i2"],
+                                               ["rock", "pop", "jazz"], cells))
+        assert path.read_bytes() == (b"item\trock\tpop\tjazz\n"
+                                     b"i1\tP\tN\tU\ni2\tU\tP\tN\n")
+
+    def test_matrix_with_no_tag_columns(self, tmp_path):
+        path = tmp_path / "matrix.tsv"
+        write_matrix(path, ThreeStateTagMatrix(
+            ["i1", "i2"], [], np.empty((2, 0), dtype=np.int8)))
+        assert path.read_bytes() == b"item\ni1\ni2\n"
+
+    def test_matrix_with_non_ascii_ids_is_utf8(self, tmp_path):
+        path = tmp_path / "matrix.tsv"
+        write_matrix(path, ThreeStateTagMatrix(
+            ["caf\u00e9", "\u65e5\u672c"], ["m\u00e9tal"],
+            np.array([[POSITIVE], [NEGATIVE]], dtype=np.int8)))
+        assert path.read_bytes() == ("item\tm\u00e9tal\ncaf\u00e9\tP\n"
+                                     "\u65e5\u672c\tN\n").encode("utf-8")
+
     @given(st.lists(FIELDS, min_size=1, max_size=6, unique=True),
            st.integers(1, 4), st.data())
     @settings(max_examples=50)

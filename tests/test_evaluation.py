@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from multitag.data import NEGATIVE, POSITIVE, UNKNOWN, make_folds
 from multitag.evaluation import (AucReport, auc, cv_run,
@@ -28,6 +29,99 @@ def pair_count_auc(scores, labels):
         elif sp == sn:
             total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def _reference_average_ranks(a):
+    """1-based ranks with ties sharing their average rank."""
+    _, inv, counts = np.unique(a, return_inverse=True, return_counts=True)
+    cum = np.cumsum(counts)
+    avg = cum - counts + (counts + 1) / 2.0
+    return avg[inv]
+
+
+def _reference_auc(scores, labels):
+    """The one-tag AUC with one np.unique rank pass, kept as the
+    reference the one-sort kernel must match bit for bit."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("auc: scores must be finite")
+    keep = labels != UNKNOWN
+    scores, labels = scores[keep], labels[keep]
+    pos = labels == POSITIVE
+    neg = labels == NEGATIVE
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
+    if n_pos == 0 or n_neg == 0:
+        return None
+    ranks = _reference_average_ranks(scores)
+    u = float(np.sum(ranks[pos])) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+def reference_score_matrix_auc(scores, cells, tags):
+    """The per-tag loop over `_reference_auc`."""
+    out = np.full(len(tags), np.nan)
+    for j in range(len(tags)):
+        val = _reference_auc(scores[:, j], cells[:, j])
+        if val is not None:
+            out[j] = val
+    return out
+
+
+@st.composite
+def tied_blocks(draw):
+    """(scores, cells) of 0-60 rows x 1-8 tags: 1-5 score levels, so
+    ties are heavy, and cells from a random subset of P, N and U, so
+    empty classes are common."""
+    shape = (draw(st.integers(0, 60)), draw(st.integers(1, 8)))
+    levels = draw(st.integers(1, 5))
+    scores = draw(hnp.arrays(np.int64, shape, elements=st.integers(
+        0, levels - 1))) * 0.3 - 0.45
+    states = draw(st.lists(st.sampled_from([POSITIVE, NEGATIVE, UNKNOWN]),
+                           min_size=1, max_size=3, unique=True))
+    cells = draw(hnp.arrays(np.int8, shape, elements=st.sampled_from(states)))
+    return scores, cells
+
+
+class TestScoreMatrixAuc:
+    @given(tied_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_tag_loop_bit_for_bit(self, block):
+        scores, cells = block
+        tags = list(range(scores.shape[1]))
+        got = score_matrix_auc(scores, cells, tags)
+        want = reference_score_matrix_auc(scores, cells, tags)
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_matches_the_per_tag_loop_on_a_large_fold(self, rng):
+        # continuous scores with a tied patch and 10% UNKNOWN cells, at
+        # a corpus-20k fold's shape
+        scores = rng.random((4000, 20))
+        scores[:300] = np.round(scores[:300], 1)
+        cells = rng.choice(np.array([UNKNOWN, NEGATIVE, POSITIVE], np.int8),
+                           size=scores.shape, p=[0.1, 0.7, 0.2])
+        tags = list(range(20))
+        np.testing.assert_array_equal(
+            score_matrix_auc(scores, cells, tags).view(np.int64),
+            reference_score_matrix_auc(scores, cells, tags).view(np.int64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_in_an_unknown_cell_rejected(self, bad):
+        # finiteness is checked before UNKNOWN cells are left out
+        scores = np.array([[0.9, 0.1], [0.2, bad], [0.4, 0.3]])
+        cells = np.array([[POSITIVE, POSITIVE], [NEGATIVE, UNKNOWN],
+                          [NEGATIVE, NEGATIVE]], dtype=np.int8)
+        with pytest.raises(ValueError, match="auc: scores must be finite"):
+            score_matrix_auc(scores, cells, ["t0", "t1"])
+        with pytest.raises(ValueError, match="auc: scores must be finite"):
+            auc(scores[:, 1], cells[:, 1])
+
+    def test_shapes_must_match_the_tags(self):
+        with pytest.raises(ValueError, match="must both be"):
+            score_matrix_auc(np.zeros((3, 2)), np.zeros((3, 2)), ["t0"])
+        with pytest.raises(ValueError, match="must both be"):
+            auc([0.1, 0.2, 0.3], [POSITIVE, NEGATIVE])
 
 
 class TestAuc:
@@ -62,6 +156,7 @@ class TestAuc:
         assert auc([0.1, 0.9], [POSITIVE, POSITIVE]) is None
         assert auc([0.1, 0.9], [NEGATIVE, NEGATIVE]) is None
         assert auc([0.5], [UNKNOWN]) is None
+        assert auc([], []) is None
 
     def test_matches_pair_counting_on_random_data(self, rng):
         for _ in range(50):
