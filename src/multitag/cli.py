@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -60,19 +59,12 @@ def _read_config(path, known):
     return values
 
 
-_SWITCH = {"1": True, "true": True, "yes": True,
-           "0": False, "false": False, "no": False}
-
-
 def _convert(key, default, text, where):
     """text, from a config line or the environment (``where``), as the
-    type of the option's default: a str for a None default, a switch
-    from _SWITCH's keys in any case."""
+    type of the option's default: a str for a None default."""
     try:
-        if isinstance(default, bool):
-            return _SWITCH[text.lower()]
         return text if default is None else type(default)(text)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ValueError(f"{where}: bad value {text!r} for {key}") from None
 
 
@@ -234,10 +226,9 @@ def cmd_train(args):
     if args.beta != 0.0 and (args.kind, args.estimator) != ("drbm", "lbp"):
         raise ValueError("--beta needs --kind drbm --estimator lbp")
     # options that only some kinds read: each, set away from its built-in
-    # default, is an error for a kind that does not read it; the model
-    # options are checked before the data options
-    for option in ("estimator", "k", "hidden", "l1", "data", "triples",
-                   "items", "vocab_size"):
+    # default, is an error for a kind that does not read it
+    for option in dict.fromkeys(chain.from_iterable(
+            other.options for other in KIND_TABLE.values())):
         if (getattr(args, option) != args.defaults[option]
                 and option not in kind.options):
             raise ValueError(f"--{option.replace('_', '-')} is not read by "
@@ -319,15 +310,13 @@ def cmd_oracle_check(args):
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     rng = np.random.default_rng(args.seed)
-    printed = args.printed_normalizer
     checks = (
         ("exact gradient vs finite differences", check_exact_gradient),
         ("pseudo-likelihood gradient vs finite differences",
          check_pl_gradient),
         ("belief propagation exact on single-hidden-unit models",
-         partial(check_lbp_tree, printed_pair_normalizer=printed)),
-        ("independence identity at zero coupling",
-         partial(check_independence, printed_pair_normalizer=printed)),
+         check_lbp_tree),
+        ("independence identity at zero coupling", check_independence),
         ("conditional distribution normalizes", check_normalization),
         ("capacity bound enforced", check_capacity),
     )
@@ -348,19 +337,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     config_keys = set()  # every option of every command, filled by add()
 
-    def add(name, fn, switches=None, **options):
+    def add(name, fn, **options):
         """A command whose options take values (default None until
-        _merge) and store_true switches (name -> help, default False)."""
+        _merge)."""
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
         for flag, default in options.items():
             sp.add_argument("--" + flag.replace("_", "-"), dest=flag,
                             default=None,
                             type=type(default) if default is not None else str)
-        for flag, help_text in (switches or {}).items():
-            sp.add_argument("--" + flag.replace("_", "-"), dest=flag,
-                            action="store_true", default=None, help=help_text)
-            options[flag] = False
         config_keys.update(options)
         sp.set_defaults(fn=fn, defaults=options, config_keys=config_keys)
 
@@ -373,10 +358,7 @@ def build_parser():
         items=None, out="smoothed.tsv")
     add("eval", cmd_eval, data="ingested", model="model.txt", model_b=None,
         seed=0, out="reports")
-    add("oracle-check", cmd_oracle_check, seed=0, trials=5, switches={
-        "printed_normalizer": "use the uncorrected 3-term pairwise "
-                              "normalizer (negative control; fails the "
-                              "tree check)"})
+    add("oracle-check", cmd_oracle_check, seed=0, trials=5)
     return parser
 
 

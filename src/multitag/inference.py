@@ -117,16 +117,11 @@ def _check_finite(arg: np.ndarray, sweep: int) -> None:
         raise NumericError(f"non-finite message at sweep {sweep}")
 
 
-def lbp_marginals(x, p: DrbmParams, K: int, beta: float,
-                  printed_pair_normalizer: bool = False) -> Marginals:
+def lbp_marginals(x, p: DrbmParams, K: int, beta: float) -> Marginals:
     """K damped sweeps of belief propagation (``lbp_sweeps`` on one
     row); returns singleton and pairwise marginals given the feature
-    vector.
-
-    The pairwise normalizer includes the (0,0) configuration's unit
-    term; pass ``printed_pair_normalizer=True`` to drop it (debug
-    negative control, breaks the independence identity when U=0).
-    """
+    vector.  The pairwise normalizer includes the (0,0) configuration's
+    unit term."""
     x = _check_vec(x, p.D, "x")
     c_data = p.c + p.W @ x
     down, up = lbp_sweeps(c_data[None, :], p.d, p.U, K, beta)
@@ -144,8 +139,7 @@ def lbp_marginals(x, p: DrbmParams, K: int, beta: float,
     with np.errstate(over="ignore"):
         minus01 = -p.U - num01
         denom = 1.0 + np.exp(-p.U - num10) + np.exp(minus01)
-        if not printed_pair_normalizer:
-            denom += np.exp(minus01 - num10)
+        denom += np.exp(minus01 - num10)
     pair = 1.0 / denom
     return Marginals(sigm(vis), sigm(hid), pair)
 

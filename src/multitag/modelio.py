@@ -2,6 +2,8 @@
 model kind, dimensions, the tag vocabulary, and every parameter array as
 named rows of decimal floats.  Floats are written with shortest
 round-trip precision, so save -> load reproduces every value bit-exactly.
+A line ends at "\n" only (universal newlines fold "\r\n" and "\r" into
+it), so a tag may hold any other character, form feeds included.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ def save_model(path, model, vocab):
     if len(vocab) != model.C:
         raise ValueError(f"{len(vocab)} vocabulary entries for C={model.C} "
                          "tags")
+    for tag in vocab:
+        if "\n" in tag or "\r" in tag:
+            raise ValueError(f"vocabulary entry {tag!r} holds a line end")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(FORMAT_HEADER + "\n")
         fh.write(f"kind {model.KIND}\n")
@@ -76,16 +81,21 @@ def _counts(path, words, line):
 
 def _parse(path):
     with open(path, encoding="utf-8") as fh:
-        lines = iter(fh.read().splitlines())
+        lines = iter(fh.read().removesuffix("\n").split("\n"))
     if next(lines, None) != FORMAT_HEADER:
         raise ModelFormatError(f"{path}: missing format header")
     kind, dims, vocab, arrays = None, {}, [], {}
+    seen = set()  # kind, vocab, (dim, name) and (array, name)
     for line in lines:
         if not line.strip():
             continue
         parts = line.split()
         if ARITY.get(parts[0]) != len(parts):
             raise ModelFormatError(f"{path}: unrecognized line {line!r}")
+        key = tuple(parts[:2 if parts[0] in ("dim", "array") else 1])
+        if key in seen:
+            raise ModelFormatError(f"{path}: repeated line {line!r}")
+        seen.add(key)
         if parts[0] == "kind":
             kind = parts[1]
         elif parts[0] == "dim":

@@ -1,5 +1,5 @@
 """Oracle checks, shared by ``multitag oracle-check`` and the tests: each
-``check_*(rng, trials, ...) -> bool`` draws ``trials`` random small
+``check_*(rng, trials) -> bool`` draws ``trials`` random small
 instances from ``rng`` and compares a numeric path with the oracles."""
 
 import math
@@ -47,13 +47,12 @@ def check_pl_gradient(rng, trials) -> bool:
     return ok
 
 
-def check_lbp_tree(rng, trials, printed_pair_normalizer=False) -> bool:
+def check_lbp_tree(rng, trials) -> bool:
     """Belief propagation is exact on trees: one hidden unit, 2..12 labels."""
     ok = True
     for _ in range(trials):
         ex, p = random_instance(rng, C=int(rng.integers(2, 13)), n=1, D=3)
-        m = lbp_marginals(ex.x, p, K=25, beta=0.0,
-                          printed_pair_normalizer=printed_pair_normalizer)
+        m = lbp_marginals(ex.x, p, K=25, beta=0.0)
         e = exact_marginals(ex.x, p)
         ok &= bool(np.allclose(m.y_marg, e.y_marg, rtol=0, atol=1e-8)
                    and np.allclose(m.h_marg, e.h_marg, rtol=0, atol=1e-8)
@@ -62,15 +61,14 @@ def check_lbp_tree(rng, trials, printed_pair_normalizer=False) -> bool:
     return ok
 
 
-def check_independence(rng, trials, printed_pair_normalizer=False) -> bool:
+def check_independence(rng, trials) -> bool:
     """At zero coupling the pairwise marginals factorize."""
     ok = True
     for _ in range(trials):
         _, p = random_instance(rng)
         p.U[:] = 0.0
         x = rng.normal(size=p.D)
-        m = lbp_marginals(x, p, K=10, beta=0.0,
-                          printed_pair_normalizer=printed_pair_normalizer)
+        m = lbp_marginals(x, p, K=10, beta=0.0)
         ok &= bool(np.allclose(m.pair_marg, np.outer(m.h_marg, m.y_marg),
                                atol=1e-10))
     return ok

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from multitag.core import sigm
 from multitag.data import Counts
+from multitag.inference import lbp_sweeps
+from multitag.oracle import Marginals
 from multitag.verify import random_instance  # noqa: F401  (tests import it from here)
 
 
@@ -14,6 +17,34 @@ def coded(records: dict) -> Counts:
     item, tag, users = (np.array(column, dtype=np.int64) for column in
                         (zip(*pairs) if pairs else ((),) * 3))
     return Counts(items, tags, item, tag, users)
+
+
+def reference_pair(down, up, p, c_data, printed_pair_normalizer):
+    """lbp_marginals' pairwise marginal as a four-way log-sum-exp over a
+    stacked (4, n, C) copy, as it was before the closed form (frozen
+    reference); the printed normalizer leaves out the (0,0) term."""
+    num01 = p.d[None, :] + down.sum(axis=0, keepdims=True) - down
+    num10 = c_data[:, None] + up.sum(axis=1, keepdims=True) - up
+    num11 = p.U + num01 + num10
+    stacked = [num11, num01, num10]
+    if not printed_pair_normalizer:
+        stacked.append(np.zeros_like(num11))
+    stacked = np.stack(stacked)
+    m = stacked.max(axis=0)
+    lse = m + np.log(np.sum(np.exp(stacked - m), axis=0))
+    return np.exp(num11 - lse), num01, num10
+
+
+def printed_lbp_marginals(x, p, K, beta):
+    """lbp_marginals with the uncorrected three-term ("printed") pairwise
+    normalizer: the negative control that the tree and independence
+    checks must catch."""
+    c_data = p.c + p.W @ x
+    down, up = lbp_sweeps(c_data[None, :], p.d, p.U, K, beta)
+    down, up = down[0], up[0]
+    return Marginals(sigm(p.d + down.sum(axis=0)),
+                     sigm(c_data + up.sum(axis=1)),
+                     reference_pair(down, up, p, c_data, True)[0])
 
 
 def as_dict(counts: Counts) -> dict:

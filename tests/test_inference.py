@@ -11,7 +11,7 @@ from multitag.core import DrbmParams, log1pexp, sigm
 from multitag.inference import (U_BOUND, NumericError, _coupling, lbp_marginals,
                                 lbp_scores, lbp_sweeps, mf_predict)
 from multitag.oracle import exact_marginals
-from conftest import random_instance
+from conftest import printed_lbp_marginals, random_instance, reference_pair
 
 
 class TestLbpMarginals:
@@ -66,7 +66,7 @@ class TestLbpMarginals:
         _, p = random_instance(rng)
         p.U[:] = 0.0
         x = rng.normal(size=p.D)
-        m = lbp_marginals(x, p, K=7, beta=0.0, printed_pair_normalizer=True)
+        m = printed_lbp_marginals(x, p, K=7, beta=0.0)
         assert not np.allclose(m.pair_marg, np.outer(m.h_marg, m.y_marg),
                                atol=1e-10)
 
@@ -250,37 +250,18 @@ class TestOneFinitenessCheck:
             lbp_sweeps(hid_bias, vis_bias, U, K, beta)
 
 
-def _reference_pair(down, up, p, c_data, printed_pair_normalizer):
-    """lbp_marginals' pairwise marginal as a four-way log-sum-exp over a
-    stacked (4, n, C) copy, as it was before the closed form (frozen
-    reference)."""
-    num01 = p.d[None, :] + down.sum(axis=0, keepdims=True) - down
-    num10 = c_data[:, None] + up.sum(axis=1, keepdims=True) - up
-    num11 = p.U + num01 + num10
-    stacked = [num11, num01, num10]
-    if not printed_pair_normalizer:
-        stacked.append(np.zeros_like(num11))
-    stacked = np.stack(stacked)
-    m = stacked.max(axis=0)
-    lse = m + np.log(np.sum(np.exp(stacked - m), axis=0))
-    return np.exp(num11 - lse), num01, num10
-
-
 class TestClosedFormPair:
     """``lbp_marginals`` on given messages (``lbp_sweeps`` patched to
     return them), fields c and d, and couplings U; x = 0, so the hidden
     field is c."""
 
     @staticmethod
-    def _pair(monkeypatch, down, up, p, printed):
+    def _pair(monkeypatch, down, up, p):
         monkeypatch.setattr(inference, "lbp_sweeps",
                             lambda *args: (down[None], up[None]))
-        return lbp_marginals(np.zeros(p.D), p, 1, 0.0, printed).pair_marg
+        return lbp_marginals(np.zeros(p.D), p, 1, 0.0).pair_marg
 
-    @pytest.mark.parametrize("printed", [False, True],
-                             ids=["four-term", "printed-three-term"])
-    def test_within_4_ulp_of_the_log_sum_exp(self, rng, monkeypatch,
-                                             printed):
+    def test_within_4_ulp_of_the_log_sum_exp(self, rng, monkeypatch):
         for _ in range(300):
             n, C = rng.integers(1, 12, size=2)
             scale = 10.0 ** rng.uniform(-3, 2.5)
@@ -288,17 +269,15 @@ class TestClosedFormPair:
                            for _ in range(3))
             c, d = (rng.normal(scale=scale, size=m) for m in (n, C))
             p = DrbmParams(U, np.zeros((n, 2)), c, d)
-            got = self._pair(monkeypatch, down, up, p, printed)
-            want, num01, num10 = _reference_pair(down, up, p, p.c, printed)
+            got = self._pair(monkeypatch, down, up, p)
+            want, num01, num10 = reference_pair(down, up, p, p.c, False)
             # each exponent carries a rounding error of its largest part
             size = np.maximum.reduce([np.ones_like(U), np.abs(U),
                                       np.abs(num01), np.abs(num10)])
             assert np.all(np.abs(got - want) <= 4 * np.spacing(size))
 
-    @pytest.mark.parametrize("printed", [False, True],
-                             ids=["four-term", "printed-three-term"])
     def test_fields_at_800_give_exact_limits_without_warnings(
-            self, rng, monkeypatch, printed):
+            self, rng, monkeypatch):
         # e^800 overflows and e^-800 underflows: the pair is 1 where both
         # fields are +800 and 0 where either is -800
         n, C = 4, 6
@@ -309,11 +288,10 @@ class TestClosedFormPair:
         down, up = (rng.uniform(-1, 1, size=(n, C)) for _ in range(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = self._pair(monkeypatch, down, up, p, printed)
+            got = self._pair(monkeypatch, down, up, p)
         want = np.outer(c > 0, d > 0).astype(float)
         assert np.array_equal(got, want)
-        assert np.array_equal(
-            _reference_pair(down, up, p, c, printed)[0], want)
+        assert np.array_equal(reference_pair(down, up, p, c, False)[0], want)
 
 
 class TestNumericPrimitives:

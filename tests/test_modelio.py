@@ -77,6 +77,16 @@ class TestRoundTrip:
         np.testing.assert_array_equal(p.W, q.W)
         np.testing.assert_array_equal(p.b, q.b)
 
+    # every line boundary of str.splitlines but "\n" and "\r"
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"],
+                             ids=lambda sep: f"U+{ord(sep):04X}")
+    def test_tag_holding_a_line_separator(self, tmp_path, sep):
+        path = tmp_path / "m.model"
+        vocab = [f"form{sep}feed", sep]
+        save_model(path, LogRegParams(np.zeros((3, 2)), np.zeros(2)), vocab)
+        assert load_model(path)[1] == vocab
+
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(sorted(KINDS)),
            sizes=st.lists(st.integers(1, 4), min_size=7, max_size=7),
@@ -190,10 +200,20 @@ class TestErrors:
          "array b: non-numeric entry"),
         ("array b 1 2\n0.5 -0.5\n", "array b 1 2\n0.5 -0.5 1.0\n",
          "array b shape mismatch"),
+        # a second line of one kind, vocab, dim or array: the last won
+        ("kind logreg\n", "kind logreg\nkind logreg\n",
+         "repeated line 'kind logreg'"),
+        ("vocab 2\nt0\nt1\n", "vocab 2\nt0\nt1\nvocab 2\nt1\nt0\n",
+         "repeated line 'vocab 2'"),
+        ("dim C 2\n", "dim C 2\ndim C 2\n", "repeated line 'dim C 2'"),
+        ("array b 1 2\n0.5 -0.5\n",
+         "array b 1 2\n0.5 -0.5\narray b 1 2\n1.0 2.0\n",
+         "repeated line 'array b 1 2'"),
     ], ids=["short-b", "vocab-count", "dim-value", "dim-missing",
             "extra-array", "truncated", "short-line", "dim-word",
             "dim-negative", "vocab-float", "vocab-negative", "array-count",
-            "array-entry", "array-ragged"])
+            "array-entry", "array-ragged", "repeated-kind", "repeated-vocab",
+            "repeated-dim", "repeated-array"])
     def test_file_disagreeing_with_its_arrays(self, tmp_path, old, new,
                                               message):
         path = tmp_path / "bad.model"
@@ -230,4 +250,12 @@ class TestErrors:
         with pytest.raises(ValueError, match=f"^{len(vocab)} vocabulary "
                            f"entries for C={model.C} tags$"):
             save_model(path, model, vocab)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("tag", ["a\nb", "a\r", "\r\n"])
+    def test_save_refuses_a_tag_holding_a_line_end(self, tmp_path, tag):
+        path = tmp_path / "m.model"
+        with pytest.raises(ValueError, match="holds a line end$"):
+            save_model(path, LogRegParams(np.zeros((3, 2)), np.zeros(2)),
+                       ["t0", tag])
         assert not path.exists()
