@@ -18,8 +18,9 @@ stdout and stderr count as an output too (`cli.txt`, `scripts.txt`,
 `experiments.txt`).
 
 `--expect-diff` names outputs (paths relative to the output directory,
-such as `drbm-cd.model`) that are meant to change; they may differ.
-Exits 0 when nothing else differs, 1 otherwise.
+such as `drbm-cd.model`) that are meant to change; each must differ.
+Exits 0 when every named output differs and nothing else does, 1
+otherwise.
 
 No golden hashes are kept: openblas picks its kernels by CPU, so one
 product can differ in its last bit between machines, and both runs of
@@ -213,7 +214,11 @@ def main(argv=None):
           f"compared against {args.base}: "
           f"{len(unexpected)} unexpected difference(s), {len(expected)} "
           f"expected")
-    return 1 if unexpected else 0
+    same = sorted(set(args.expect_diff) - {name for name, _ in expected})
+    if same:
+        print(f"expected a difference, found none: {', '.join(same)}",
+              file=sys.stderr)
+    return 1 if unexpected or same else 0
 
 
 if __name__ == "__main__":

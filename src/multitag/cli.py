@@ -25,8 +25,8 @@ from .core import DrbmParams
 from .data import _positions
 from .estimators import (DivergenceError, GaussianRbmParams, TrainConfig,
                          sgd_train, sgd_train_generative)
-from .evaluation import (AucReport, score_matrix_auc, significance_counts,
-                         write_auc_report, write_summary)
+from .evaluation import (AucReport, significance_counts, write_auc_report,
+                         write_summary)
 from .inference import NumericError, lbp_scores
 from .modelio import load_model, save_model
 from .smoother import Events, SmootherParams, smooth_tags, train_smoother
@@ -270,14 +270,6 @@ def _model_scores(model, X):
     return score(model, X)
 
 
-def _fold_report(scores, matrix, split) -> AucReport:
-    values = np.full((matrix.C, len(split.folds)), np.nan)
-    for f, fold in enumerate(split.folds):
-        values[:, f] = score_matrix_auc(scores[fold], matrix.cells[fold],
-                                        matrix.vocab)
-    return AucReport(list(matrix.vocab), values)
-
-
 def cmd_eval(args):
     matrix, features = _load_ingested(args.data)
     split = dt.make_folds(len(matrix.items), args.seed)
@@ -290,8 +282,9 @@ def cmd_eval(args):
             model, vocab = load_model(path)
             if vocab != matrix.vocab:
                 raise ValueError(mismatch)
-            reports[name] = _fold_report(_model_scores(model, features.X),
-                                         matrix, split)
+            scores = _model_scores(model, features.X)
+            reports[name] = AucReport.from_folds(matrix.vocab, (
+                (scores[fold], matrix.cells[fold]) for fold in split.folds))
     os.makedirs(args.out, exist_ok=True)
     for name, report in reports.items():
         write_auc_report(os.path.join(args.out, f"auc_{name}.tsv"), name,

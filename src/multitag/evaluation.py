@@ -20,6 +20,14 @@ class AucReport:
     tags: list
     values: np.ndarray  # tags x folds, NaN for undefined cells
 
+    @classmethod
+    def from_folds(cls, tags, folds):
+        """The report of one column per fold, each a (scores, cells)
+        block scored by ``score_matrix_auc``."""
+        tags = list(tags)
+        return cls(tags, np.stack([score_matrix_auc(scores, cells, tags)
+                                   for scores, cells in folds], axis=1))
+
     @property
     def n_folds(self):
         return self.values.shape[1]
@@ -189,25 +197,22 @@ def cv_run(X: np.ndarray, cells: np.ndarray, tags, split: FoldSplit,
     if not grid:
         raise ValueError("empty hyper-parameter grid")
     n_folds = len(split.folds)
+
+    def fold(hyper, train_idx, test_idx):
+        score = train_fn(X[train_idx], cells[train_idx], hyper, seed)
+        return score(X[test_idx]), cells[test_idx]
+
     val_means = []
     for hyper in grid:
-        cols = []
-        for test_fold in range(n_folds):
-            for val_idx, train_idx in split.rotations(test_fold):
-                score = train_fn(X[train_idx], cells[train_idx], hyper, seed)
-                cols.append(score_matrix_auc(score(X[val_idx]), cells[val_idx], tags))
-        val_means.append(AucReport(tags, np.stack(cols, axis=1)).grand_mean())
-    best = int(np.nanargmax(val_means))
-    hyper = grid[best]
-
-    values = np.full((len(tags), n_folds), np.nan)
-    for test_fold in range(n_folds):
-        train_idx = split.train_items(test_fold)
-        score = train_fn(X[train_idx], cells[train_idx], hyper, seed)
-        test_idx = split.folds[test_fold]
-        values[:, test_fold] = score_matrix_auc(score(X[test_idx]),
-                                                cells[test_idx], tags)
-    return AucReport(list(tags), values), hyper, val_means
+        report = AucReport.from_folds(tags, (
+            fold(hyper, train_idx, val_idx) for test_fold in range(n_folds)
+            for val_idx, train_idx in split.rotations(test_fold)))
+        val_means.append(report.grand_mean())
+    hyper = grid[int(np.nanargmax(val_means))]
+    report = AucReport.from_folds(tags, (
+        fold(hyper, split.train_items(f), split.folds[f])
+        for f in range(n_folds)))
+    return report, hyper, val_means
 
 
 def write_auc_report(path, model_name: str, report: AucReport):

@@ -12,7 +12,7 @@ from .baselines import logreg_predict, logreg_train
 from .core import DrbmParams
 from .data import NEGATIVE, POSITIVE, normalize_features
 from .estimators import TrainConfig, sgd_train
-from .evaluation import AucReport, auc, score_matrix_auc
+from .evaluation import AucReport, auc
 from .inference import lbp_scores
 from .smoother import (Events, SmootherParams, _clip_sums, smooth_tags,
                        train_smoother)
@@ -23,10 +23,9 @@ from .synthetic import (make_cooccurrence_corpus, make_dependency_corpus,
 def _grand_mean_auc(scores, Y):
     """The grand mean AUC that `multitag eval` reports, of the one fold
     of (B, C) scores against the 0/1 labels Y."""
-    tags = list(range(Y.shape[1]))
     cells = np.where(Y > 0, POSITIVE, NEGATIVE)
-    values = score_matrix_auc(scores, cells, tags)[:, None]  # one fold
-    return AucReport(tags, values).grand_mean()
+    return AucReport.from_folds(range(Y.shape[1]),
+                                [(scores, cells)]).grand_mean()
 
 
 def damping_experiment(seed=0, n_items=500, betas=(0.0, 0.5, 0.9)):

@@ -8,7 +8,7 @@ it), so a tag may hold any other character, form feeds included.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -24,8 +24,6 @@ KINDS = {cls.KIND: cls for cls in (DrbmParams, GaussianRbmParams,
                                    SmootherParams, MlpParams, LogRegParams)}
 # the dim lines of a smoother's aux_sizes
 AUX_DIMS = ("users", "tracks", "clips")
-# keyword -> the number of words on its line
-ARITY = {"kind": 2, "dim": 3, "vocab": 2, "array": 4}
 
 
 class ModelFormatError(ValueError):
@@ -68,85 +66,67 @@ def save_model(path, model, vocab):
             _write_array(fh, name, a)
 
 
-def _counts(path, words, line):
-    """The non-negative integers of a dim, vocab or array line."""
-    try:
-        counts = [int(w) for w in words]
-    except ValueError:
-        counts = [-1]
-    if min(counts) < 0:
-        raise ModelFormatError(f"{path}: bad count in {line!r}")
-    return counts
-
-
-def _parse(path):
+def load_model(path):
+    """Read a model file; returns (parameter object, vocabulary).  The
+    file must hold the lines `save_model` writes, in its order: the
+    header, the kind, one dim line per dim in SHAPES order (a smoother's
+    users, tracks and clips after them), `vocab C` and its C tags, each
+    array in SHAPES order headed by the shape its dims give, and nothing
+    after the last array."""
     with open(path, encoding="utf-8") as fh:
         lines = iter(fh.read().removesuffix("\n").split("\n"))
-    if next(lines, None) != FORMAT_HEADER:
-        raise ModelFormatError(f"{path}: missing format header")
-    kind, dims, vocab, arrays = None, {}, [], {}
-    seen = set()  # kind, vocab, (dim, name) and (array, name)
-    for line in lines:
-        if not line.strip():
-            continue
-        parts = line.split()
-        if ARITY.get(parts[0]) != len(parts):
-            raise ModelFormatError(f"{path}: unrecognized line {line!r}")
-        key = tuple(parts[:2 if parts[0] in ("dim", "array") else 1])
-        if key in seen:
-            raise ModelFormatError(f"{path}: repeated line {line!r}")
-        seen.add(key)
-        if parts[0] == "kind":
-            kind = parts[1]
-        elif parts[0] == "dim":
-            dims[parts[1]] = _counts(path, parts[2:], line)[0]
-        elif parts[0] == "vocab":
-            vocab = list(islice(lines, _counts(path, parts[1:], line)[0]))
-        elif parts[0] == "array":
-            name = parts[1]
-            rows, cols = _counts(path, parts[2:], line)
-            block = list(islice(lines, rows))
-            if len(block) < rows:
-                raise ModelFormatError(f"{path}: array {name} truncated")
-            try:
-                data = [[float(v) for v in row.split()] for row in block]
-            except ValueError:
-                raise ModelFormatError(f"{path}: array {name}: non-numeric "
-                                       "entry") from None
-            if any(len(row) != cols for row in data):
-                raise ModelFormatError(f"{path}: array {name} shape mismatch")
-            a = np.asarray(data, dtype=float).reshape(rows, cols)
-            if not np.all(np.isfinite(a)):
-                raise ModelFormatError(f"{path}: array {name}: non-finite entry")
-            arrays[name] = a
-    if kind is None:
-        raise ModelFormatError(f"{path}: no model kind")
-    return kind, dims, arrays, vocab
 
+    def expect(want):
+        """The last word of the next line, whose words must be those of
+        ``want``; a last word "..." in ``want`` stands for any word."""
+        line = next(lines, None)
+        words, head = ("" if line is None else line).split(), want.split()
+        if (len(words) != len(head) or words[:-1] != head[:-1]
+                or head[-1] not in ("...", words[-1])):
+            found = "the end of the file" if line is None else repr(line)
+            raise ModelFormatError(f"{path}: expected {want!r}, found {found}")
+        return words[-1]
 
-def load_model(path):
-    """Read a model file; returns (parameter object, vocabulary).  Its
-    dim lines and vocabulary length must agree with its arrays."""
-    kind, dims, arrays, vocab = _parse(path)
+    expect(FORMAT_HEADER)
+    kind = expect("kind ...")
     cls = KINDS.get(kind)
     if cls is None:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
-    odd = sorted(cls.SHAPES.keys() ^ arrays.keys())
-    if odd:
-        what = "missing" if odd[0] in cls.SHAPES else "unexpected"
-        raise ModelFormatError(f"{path}: {what} array {odd[0]!r}")
-    fields = {name: arrays[name].ravel() if len(axes) == 1 else arrays[name]
-              for name, axes in cls.SHAPES.items()}
+    dims = {}
+    for dim in [*dict.fromkeys(chain(*cls.SHAPES.values())),
+                *(AUX_DIMS if cls is SmootherParams else ())]:
+        size = expect(f"dim {dim} ...")
+        if not (size.isascii() and size.isdigit()):
+            raise ModelFormatError(f"{path}: bad count in 'dim {dim} {size}'")
+        dims[dim] = int(size)
+    expect(f"vocab {dims['C']}")
+    vocab = list(islice(lines, dims["C"]))
+    fields = {}
+    for name, axes in cls.SHAPES.items():
+        shape = tuple(dims[d] for d in axes)
+        rows, cols = shape if len(shape) == 2 else (1, *shape)
+        expect(f"array {name} {rows} {cols}")
+        block = list(islice(lines, rows))
+        if len(block) < rows:
+            raise ModelFormatError(f"{path}: array {name} truncated")
+        try:
+            data = [[float(v) for v in row.split()] for row in block]
+        except ValueError:
+            raise ModelFormatError(f"{path}: array {name}: non-numeric "
+                                   "entry") from None
+        if any(len(row) != cols for row in data):
+            raise ModelFormatError(f"{path}: array {name} shape mismatch")
+        a = np.asarray(data, dtype=float).reshape(shape)
+        if not np.all(np.isfinite(a)):
+            raise ModelFormatError(f"{path}: array {name}: non-finite entry")
+        fields[name] = a
+    rest = next(lines, None)
+    if rest is not None:
+        raise ModelFormatError(f"{path}: expected the end of the file, found "
+                               f"{rest!r}")
     if cls is SmootherParams:
-        fields["aux_sizes"] = [dims.get(k, 0) for k in AUX_DIMS]
+        fields["aux_sizes"] = [dims[k] for k in AUX_DIMS]
     try:
-        model = cls(**fields)
+        return cls(**fields), vocab
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    if dims != _file_dims(model):
-        raise ModelFormatError(f"{path}: dim lines {dims} do not match the "
-                               f"arrays' {_file_dims(model)}")
-    if len(vocab) != model.C:
-        raise ModelFormatError(f"{path}: {len(vocab)} vocabulary entries "
-                               f"for C={model.C} tags")
-    return model, vocab

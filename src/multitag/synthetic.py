@@ -26,15 +26,15 @@ def make_tag_corpus(n_items, C, D, seed):
     return X, Y
 
 
-def make_dependency_corpus(n_items, seed, flip=0.1):
+def make_dependency_corpus(n_items, seed):
     """Two tags: tag 0 depends on 5 standard normal features through
-    normal weights of standard deviation 1.5, tag 1 is tag 0 with flip
-    noise.  Returns (X, Y)."""
+    normal weights of standard deviation 1.5, tag 1 is tag 0 with each
+    entry flipped with probability 0.1.  Returns (X, Y)."""
     rng = np.random.default_rng(seed)
     w = rng.normal(size=5) * 1.5
     X = rng.normal(size=(n_items, 5))
     y0 = (rng.random(n_items) < sigm(X @ w)).astype(float)
-    flips = rng.random(n_items) < flip
+    flips = rng.random(n_items) < 0.1
     y1 = np.where(flips, 1 - y0, y0)
     return X, np.stack([y0, y1], axis=1)
 

@@ -565,10 +565,10 @@ class TestEval:
         assert not (tmp_path / "reports" / "auc_a.tsv").exists()
 
     @pytest.mark.parametrize("defect, message", [
-        ("short-b", "b must have length C, got shape (1,) with C=3"),
-        ("short-b1", "b1 must have length H, got shape (1,) with H=3"),
-        ("vocab-count", "3 vocabulary entries for C=2 tags"),
-        ("dim", "dim lines"),
+        ("short-b", "expected 'array b 1 3', found 'array b 1 1'"),
+        ("short-b1", "expected 'array b1 1 3', found 'array b1 1 1'"),
+        ("vocab-count", "expected 'vocab 2', found 'vocab 3'"),
+        ("dim", "expected 'array W 5 3', found 'array W 4 3'"),
         ("count", "bad count in 'dim C two'"),
     ], ids=["short-b", "short-b1", "vocab-count", "dim", "count"])
     def test_model_file_disagreeing_with_its_arrays(self, ingested, tmp_path,

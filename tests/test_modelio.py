@@ -179,41 +179,45 @@ class TestErrors:
     @pytest.mark.parametrize("old, new, message", [
         # a vector one entry long was broadcast to its C or H entries
         ("array b 1 2\n0.5 -0.5\n", "array b 1 1\n0.5\n",
-         "b must have length C, got shape (1,) with C=2"),
+         "expected 'array b 1 2', found 'array b 1 1'"),
         ("vocab 2\nt0\nt1\n", "vocab 1\nt0\n",
-         "1 vocabulary entries for C=2 tags"),
-        ("dim D 3\n", "dim D 4\n", "dim lines"),
-        ("dim C 2\n", "", "dim lines"),
+         "expected 'vocab 2', found 'vocab 1'"),
+        ("dim D 3\n", "dim D 4\n",
+         "expected 'array W 4 2', found 'array W 3 2'"),
+        ("dim C 2\n", "", "expected 'dim C ...', found 'vocab 2'"),
         ("array b 1 2\n0.5 -0.5\n", "array b 1 2\n0.5 -0.5\narray V 1 1\n0.0\n",
-         "unexpected array 'V'"),
+         "expected the end of the file, found 'array V 1 1'"),
         ("array b 1 2\n0.5 -0.5\n", "array b 2 2\n0.5 -0.5\n",
-         "array b truncated"),
-        ("kind logreg\n", "kind\n", "unrecognized line 'kind'"),
+         "expected 'array b 1 2', found 'array b 2 2'"),
+        ("array b 1 2\n0.5 -0.5\n", "array b 1 2\n", "array b truncated"),
+        ("kind logreg\n", "kind\n", "expected 'kind ...', found 'kind'"),
         # a count or entry that was no number was a bare ValueError, and
         # a negative vocab count sent the parser back in a loop
         ("dim C 2\n", "dim C two\n", "bad count in 'dim C two'"),
         ("dim D 3\n", "dim D -3\n", "bad count in 'dim D -3'"),
-        ("vocab 2\n", "vocab 2.0\n", "bad count in 'vocab 2.0'"),
-        ("vocab 2\n", "vocab -1\n", "bad count in 'vocab -1'"),
-        ("array b 1 2\n", "array b one 2\n", "bad count in 'array b one 2'"),
+        ("vocab 2\n", "vocab 2.0\n", "expected 'vocab 2', found 'vocab 2.0'"),
+        ("vocab 2\n", "vocab -1\n", "expected 'vocab 2', found 'vocab -1'"),
+        ("array b 1 2\n", "array b one 2\n",
+         "expected 'array b 1 2', found 'array b one 2'"),
         ("array b 1 2\n0.5 -0.5\n", "array b 1 2\n0.5 half\n",
          "array b: non-numeric entry"),
         ("array b 1 2\n0.5 -0.5\n", "array b 1 2\n0.5 -0.5 1.0\n",
          "array b shape mismatch"),
         # a second line of one kind, vocab, dim or array: the last won
         ("kind logreg\n", "kind logreg\nkind logreg\n",
-         "repeated line 'kind logreg'"),
+         "expected 'dim D ...', found 'kind logreg'"),
         ("vocab 2\nt0\nt1\n", "vocab 2\nt0\nt1\nvocab 2\nt1\nt0\n",
-         "repeated line 'vocab 2'"),
-        ("dim C 2\n", "dim C 2\ndim C 2\n", "repeated line 'dim C 2'"),
+         "expected 'array W 3 2', found 'vocab 2'"),
+        ("dim C 2\n", "dim C 2\ndim C 2\n",
+         "expected 'vocab 2', found 'dim C 2'"),
         ("array b 1 2\n0.5 -0.5\n",
          "array b 1 2\n0.5 -0.5\narray b 1 2\n1.0 2.0\n",
-         "repeated line 'array b 1 2'"),
+         "expected the end of the file, found 'array b 1 2'"),
     ], ids=["short-b", "vocab-count", "dim-value", "dim-missing",
-            "extra-array", "truncated", "short-line", "dim-word",
-            "dim-negative", "vocab-float", "vocab-negative", "array-count",
-            "array-entry", "array-ragged", "repeated-kind", "repeated-vocab",
-            "repeated-dim", "repeated-array"])
+            "extra-array", "truncated", "truncated-end", "short-line",
+            "dim-word", "dim-negative", "vocab-float", "vocab-negative",
+            "array-count", "array-entry", "array-ragged", "repeated-kind",
+            "repeated-vocab", "repeated-dim", "repeated-array"])
     def test_file_disagreeing_with_its_arrays(self, tmp_path, old, new,
                                               message):
         path = tmp_path / "bad.model"
@@ -227,6 +231,52 @@ class TestErrors:
         assert str(exc.value).startswith(f"{path}: ")
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_structural_edits_are_rejected(self, rng, tmp_path, kind):
+        # each line has one place, the one save_model writes it in: a line
+        # deleted or doubled, or two neighbouring keyword lines swapped,
+        # is an error (a swap of "dim n" and "dim C" once loaded)
+        cls = KINDS[kind]
+        size = {"n": 2, "C": 3, "D": 4, "H": 5, "A": 6}
+        extra = {"aux_sizes": (1, 2, 3)} if cls is SmootherParams else {}
+        path = tmp_path / "m.model"
+        save_model(path, cls(**{name: rng.normal(size=[size[d] for d in axes])
+                                for name, axes in cls.SHAPES.items()},
+                             **extra), ["t0", "t1", "t2"])
+        lines = path.read_text().split("\n")[:-1]
+        edits = {}
+        for i, line in enumerate(lines):
+            edits[f"delete {line!r}"] = lines[:i] + lines[i + 1:]
+            edits[f"double {line!r}"] = lines[:i + 1] + lines[i:]
+        keyword = [i for i, line in enumerate(lines)
+                   if line.split()[0] in ("kind", "dim", "vocab", "array")]
+        for i, j in zip(keyword, keyword[1:]):
+            swapped = list(lines)
+            swapped[i], swapped[j] = lines[j], lines[i]
+            edits[f"swap {lines[i]!r} and {lines[j]!r}"] = swapped
+        accepted = []
+        for name, edit in edits.items():
+            if edit == lines:
+                continue
+            path.write_text("".join(line + "\n" for line in edit))
+            try:
+                load_model(path)
+            except ModelFormatError:
+                continue
+            accepted.append(name)
+        assert accepted == []
+
+    def test_smoother_blocks_not_summing_to_its_aux_width(self, rng,
+                                                          tmp_path):
+        path = tmp_path / "bad.model"
+        save_model(path, SmootherParams.random_init(2, 3, (1, 2, 4), rng),
+                   ["a", "b", "c"])
+        path.write_text(path.read_text().replace("dim users 1\n",
+                                                 "dim users 2\n"))
+        with pytest.raises(ModelFormatError, match="aux_sizes must be three "
+                           r"block sizes summing to A=7, got \(2, 2, 4\)$"):
+            load_model(path)
+
     def test_short_mlp_hidden_bias(self, rng, tmp_path):
         path = tmp_path / "bad.model"
         save_model(path, MlpParams.random_init(2, 3, 2, rng), ["t0", "t1"])
@@ -234,8 +284,8 @@ class TestErrors:
         assert "array b1 1 3\n0.0 0.0 0.0\n" in text
         path.write_text(text.replace("array b1 1 3\n0.0 0.0 0.0\n",
                                      "array b1 1 1\n0.0\n"))
-        with pytest.raises(ModelFormatError,
-                           match="b1 must have length H, got shape"):
+        with pytest.raises(ModelFormatError, match="expected 'array b1 1 3', "
+                           "found 'array b1 1 1'"):
             load_model(path)
 
     @pytest.mark.parametrize("model, vocab", [

@@ -26,7 +26,7 @@ class TestTagCorpus:
 
 class TestDependencyCorpus:
     def test_second_tag_is_noisy_copy(self):
-        X, Y = make_dependency_corpus(2000, seed=1, flip=0.1)
+        X, Y = make_dependency_corpus(2000, seed=1)
         assert Y.shape[1] == 2
         agree = float(np.mean(Y[:, 0] == Y[:, 1]))
         assert 0.85 < agree < 0.95
