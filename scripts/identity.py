@@ -83,6 +83,7 @@ SCRIPTS = [
     ("run_damping.py", "--items", "200"),
     ("run_label_dependency.py", "--seeds", "0", "1"),
     ("run_smoothing.py", "--seeds", "0", "1"),
+    ("run_smoothing.py", "--seeds", "0", "--drop", "0.5"),
 ]
 # the same experiments at the same sizes, their results printed exactly
 EXPERIMENTS = [

@@ -16,7 +16,11 @@ def main():
                     help="probability a co-occurring tag goes unreported")
     args = ap.parse_args()
 
-    results = smoothing_experiment(seeds=tuple(args.seeds), drop=args.drop)
+    try:
+        results = smoothing_experiment(seeds=tuple(args.seeds),
+                                       drop=args.drop)
+    except ValueError as e:  # a drop rate outside [0, 1]
+        ap.error(str(e))
     for seed, (smoothed, raw) in zip(args.seeds, results):
         print(f"seed {seed}  smoothed {smoothed:.4f}  raw {raw:.4f}")
     print(f"means  smoothed {np.mean([r[0] for r in results]):.4f}"

@@ -43,27 +43,35 @@ def make_cooccurrence_corpus(n_clips, seed, drop=0.5):
     """Tags 0 and 1 always co-occur in truth, present with logit linear
     in 3 standard normal features (normal weights of standard deviation
     2); users report tag 0 reliably but omit tag 1 with probability
-    ``drop``.  A third tag is independent noise.
+    ``drop``, which must lie in [0, 1].  A third tag is independent
+    noise, omitted with probability 0.5.
 
     Returns (X, Y_true, events) with one TagEvent per (user, clip): 3
-    users of 6 per clip, and each clip is its own track.
+    users of 6 per clip, and each clip is its own track.  Per event, in
+    (clip, user) order, one uniform draw decides tag 1 if it is present,
+    then one decides tag 2 if it is present; the events are built as one
+    block from that same stream, and each event's ``y`` is a row of it.
     """
+    if not 0 <= drop <= 1:
+        raise ValueError(f"drop must lie in [0, 1], got {drop!r}")
     rng = np.random.default_rng(seed)
     w = rng.normal(size=3) * 2.0
     X = rng.normal(size=(n_clips, 3))
     present = (rng.random(n_clips) < sigm(X @ w)).astype(float)
     extra = (rng.random(n_clips) < 0.3).astype(float)
     Y_true = np.stack([present, present, extra], axis=1)
-    events = []
-    for clip in range(n_clips):
-        for u in range(3):
-            user = (clip * 3 + u) % 6
-            y = Y_true[clip].copy()
-            if y[1] == 1 and rng.random() < drop:
-                y[1] = 0.0
-            if y[2] == 1 and rng.random() < 0.5:
-                y[2] = 0.0
-            events.append(TagEvent(user=user, track=clip, clip=clip, y=y))
+    Y = np.repeat(Y_true, 3, axis=0)
+    reported = Y[:, 1:]
+    # in row-major order the present cells take the draws in the order
+    # stated above; a cell stays reported when its draw is not below its
+    # limit, as in ``rng.random() < drop`` dropping it
+    cells = reported == 1
+    limit = np.broadcast_to([drop, 0.5], reported.shape)[cells]
+    reported[cells] = rng.random(limit.size) >= limit
+    slot = np.arange(3 * n_clips)
+    clips = (slot // 3).tolist()
+    events = list(map(TagEvent._make,
+                      zip((slot % 6).tolist(), clips, clips, Y)))
     return X, Y_true, events
 
 

@@ -1,6 +1,14 @@
-import numpy as np
+import math
+import runpy
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+from multitag.core import sigm
 from multitag.data import read_features, read_triples
+from multitag.smoother import TagEvent
 from multitag.synthetic import (make_cooccurrence_corpus,
                                 make_dependency_corpus, make_tag_corpus,
                                 write_corpus_files)
@@ -32,7 +40,63 @@ class TestDependencyCorpus:
         assert 0.85 < agree < 0.95
 
 
+def loop_cooccurrence_corpus(n_clips, seed, drop=0.5):
+    """make_cooccurrence_corpus as it was before its events were built as
+    one block: one event at a time, one scalar draw per present tag
+    (frozen reference)."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=3) * 2.0
+    X = rng.normal(size=(n_clips, 3))
+    present = (rng.random(n_clips) < sigm(X @ w)).astype(float)
+    extra = (rng.random(n_clips) < 0.3).astype(float)
+    Y_true = np.stack([present, present, extra], axis=1)
+    events = []
+    for clip in range(n_clips):
+        for u in range(3):
+            user = (clip * 3 + u) % 6
+            y = Y_true[clip].copy()
+            if y[1] == 1 and rng.random() < drop:
+                y[1] = 0.0
+            if y[2] == 1 and rng.random() < 0.5:
+                y[2] = 0.0
+            events.append(TagEvent(user=user, track=clip, clip=clip, y=y))
+    return X, Y_true, events
+
+
 class TestCooccurrenceCorpus:
+    @pytest.mark.parametrize("n_clips", [0, 1, 7, 300, 3000])
+    @pytest.mark.parametrize("drop", [0, 0.5, 0.8, 1])  # both ends accepted
+    def test_matches_per_event_loop(self, n_clips, drop):
+        for seed in range(5):
+            X, Y_true, events = make_cooccurrence_corpus(n_clips, seed, drop)
+            X0, Y0, events0 = loop_cooccurrence_corpus(n_clips, seed, drop)
+            assert X.tobytes() == X0.tobytes()
+            assert Y_true.tobytes() == Y0.tobytes()
+            assert len(events) == len(events0)
+            for e, e0 in zip(events, events0):
+                assert type(e) is TagEvent
+                assert [type(i) for i in e[:3]] == [int] * 3
+                assert e[:3] == e0[:3]
+                assert e.y.dtype == np.float64 and e.y.shape == (3,)
+                assert e.y.tobytes() == e0.y.tobytes()
+
+    @pytest.mark.parametrize("drop", [1.5, -0.1, math.nan])
+    def test_rejects_drop_outside_unit_interval(self, drop):
+        with pytest.raises(ValueError, match=f"got {drop!r}"):
+            make_cooccurrence_corpus(5, seed=0, drop=drop)
+
+    def test_smoothing_script_reports_bad_drop(self, monkeypatch, capsys):
+        script = Path(__file__).parents[1] / "scripts" / "run_smoothing.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--seeds", "0",
+                                          "--drop", "1.5"])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "run_smoothing.py: error: drop must lie in [0, 1], got 1.5")
+
     def test_underreporting_only_drops_positives(self):
         X, Y_true, events = make_cooccurrence_corpus(100, seed=4, drop=0.5)
         index = {}
