@@ -14,8 +14,11 @@ def main():
     ap.add_argument("--betas", type=float, nargs="+", default=[0.0, 0.5, 0.9])
     args = ap.parse_args()
 
-    results = damping_experiment(seed=args.seed, n_items=args.items,
-                                 betas=tuple(args.betas))
+    try:
+        results = damping_experiment(seed=args.seed, n_items=args.items,
+                                     betas=tuple(args.betas))
+    except ValueError as e:  # a bad beta, seed or item count
+        ap.error(str(e))
     for beta, value in sorted(results.items()):
         print(f"beta {beta:.2f}  grand-mean AUC {value:.4f}")
     spread = max(results.values()) - min(results.values())

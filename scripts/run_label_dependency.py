@@ -15,7 +15,10 @@ def main():
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
     args = ap.parse_args()
 
-    results = label_dependency_experiment(seeds=tuple(args.seeds))
+    try:
+        results = label_dependency_experiment(seeds=tuple(args.seeds))
+    except ValueError as e:  # a negative seed
+        ap.error(str(e))
     for seed, (drbm, logreg) in zip(args.seeds, results):
         marker = "<" if drbm <= logreg else ">"
         print(f"seed {seed}  drbm {drbm:.4f} {marker} logreg {logreg:.4f}")

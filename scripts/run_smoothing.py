@@ -19,7 +19,7 @@ def main():
     try:
         results = smoothing_experiment(seeds=tuple(args.seeds),
                                        drop=args.drop)
-    except ValueError as e:  # a drop rate outside [0, 1]
+    except ValueError as e:  # a drop rate outside [0, 1], or a negative seed
         ap.error(str(e))
     for seed, (smoothed, raw) in zip(args.seeds, results):
         print(f"seed {seed}  smoothed {smoothed:.4f}  raw {raw:.4f}")

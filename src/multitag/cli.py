@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -118,7 +118,10 @@ def _load_ingested(data_dir):
         raise ValueError(f"{path}: no tag columns")
     features = dt.read_ingested_features(data_dir)
     if features.items != matrix.items:
-        raise ValueError("matrix and features item order mismatch")
+        row = next(row for row, (a, b) in enumerate(zip_longest(
+            features.items, matrix.items)) if a != b)
+        raise ValueError(f"{os.path.join(data_dir, 'items.txt')}:{row + 1} "
+                         f"and {path}:{row + 2} name different items")
     return matrix, features
 
 

@@ -1,12 +1,11 @@
 """Tag-triple ingestion, count condensation, three-state binarization,
 vocabulary selection, feature normalization, cross-validation fold
 construction, every tab-separated file multitag reads or writes, and
-the digest-checked binary copy of an ingested directory's features.
+the binary features of an ingested directory.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 from dataclasses import dataclass
@@ -29,11 +28,6 @@ _CELL_BYTES[[ord(c) for c in CHAR_STATES]] = list(CHAR_STATES.values())
 BLOCK = 1 << 17  # characters of whole lines a tab-file reader takes at once
 ROWS = 4096      # rows of an array a tab-file writer converts at once
 N_FOLDS = 5      # the folds of make_folds
-# an ingested directory's features: the text, which is the truth, and its
-# binary copy; the manifest, written last, holds both files' SHA-256
-# digests in sha256sum's format
-FEATURE_FILES = ("features.tsv", "features.npy")
-MANIFEST = "features.sha256"
 
 
 class Triples(NamedTuple):
@@ -327,47 +321,40 @@ def write_features(path, table: FeatureTable):
                       rows_of(table.items, table.X)))
 
 
-def _manifest(directory):
-    """The manifest of FEATURE_FILES in ``directory`` as they are on
-    disk."""
-    lines = []
-    for name in FEATURE_FILES:
-        digest = hashlib.sha256()
-        with open(os.path.join(directory, name), "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                digest.update(chunk)
-        lines.append(f"{digest.hexdigest()}  {name}\n")
-    return "".join(lines)
-
-
 def write_ingested_features(directory, table: FeatureTable):
-    """features.tsv, its binary copy and, last, their manifest."""
-    text, copy = (os.path.join(directory, name) for name in FEATURE_FILES)
-    write_features(text, table)
-    np.save(copy, table.X)
-    with open(os.path.join(directory, MANIFEST), "w", encoding="utf-8") as fh:
-        fh.write(_manifest(directory))
+    """An ingested directory's features: features.tsv, the table as text
+    for people, which no command reads; features.npy, its array; and,
+    last, items.txt, its item ids one per line in row order."""
+    write_features(os.path.join(directory, "features.tsv"), table)
+    np.save(os.path.join(directory, "features.npy"), table.X)
+    write_rows(os.path.join(directory, "items.txt"),
+               ([item] for item in table.items))
 
 
 def read_ingested_features(directory) -> FeatureTable:
-    """An ingested directory's features.tsv: its item ids with the array
-    of its binary copy when the manifest matches both files on disk and
-    the copy is a finite float64 (N, D) array with one row per id, else
-    read_features of the text."""
-    text, copy = (os.path.join(directory, name) for name in FEATURE_FILES)
+    """The ids of an ingested directory's items.txt and the array of its
+    features.npy, which must be a finite float64 (N, D) array with one
+    row per id.  Any fault is a ValueError that names the file."""
+    path = os.path.join(directory, "items.txt")
     try:
-        with open(os.path.join(directory, MANIFEST), encoding="utf-8") as fh:
-            fresh = fh.read() == _manifest(directory)
-        X = np.load(copy, allow_pickle=False) if fresh else None
-    except (OSError, ValueError, EOFError):  # missing, or not an array
-        X = None
-    if (X is not None and X.dtype == np.float64 and X.ndim == 2
-            and np.isfinite(X).all()):
-        items = [line.partition("\t")[0] for first, block in _blocks(text)
-                 for _, line in _lines(first, block)]
-        if 0 < len(items) == len(X):
-            return FeatureTable(items, X)
-    return read_features(text)
+        with open(path, encoding="utf-8") as fh:
+            items = fh.read().split("\n")[:-1]  # a blank line is an empty id
+        path = os.path.join(directory, "features.npy")
+        with open(path, "rb") as fh:
+            X = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValueError(f"{path}: no such file; re-run ingest") from None
+    except ValueError as exc:  # not UTF-8; truncated, pickled or not .npy
+        raise ValueError(f"{path}: {exc}") from None
+    if X.dtype != np.float64 or X.ndim != 2 or len(X) != len(items):
+        raise ValueError(f"{path}: expected a float64 ({len(items)}, D) "
+                         f"array, one row per id of items.txt, got "
+                         f"{X.dtype} {X.shape}")
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: non-finite feature value for item "
+                         f"{items[int(np.argmax(bad))]!r}")
+    return FeatureTable(items, X)
 
 
 def read_matrix(path) -> ThreeStateTagMatrix:

@@ -32,16 +32,19 @@ def damping_experiment(seed=0, n_items=500, betas=(0.0, 0.5, 0.9)):
     """Train with belief-propagation gradients at several damping
     factors on ``make_tag_corpus(n_items, 8, 10, seed)``, the last 150
     items held out: 10 hidden units, 5 epochs, 30 sweeps, lr 0.01.
-    Returns {beta: grand-mean test AUC}."""
+    Returns {beta: grand-mean test AUC}.  A bad beta, seed or item
+    count is a ValueError before any draw."""
+    if n_items <= 150:
+        raise ValueError(f"need more than 150 items, got {n_items}")
+    cfgs = {beta: TrainConfig(estimator="lbp", k=30, lr=0.01, beta=beta,
+                              epochs=5, seed=seed) for beta in betas}
     X, Y = make_tag_corpus(n_items, 8, 10, seed)
     X = normalize_features(X)
     Xtr, Ytr = X[:-150], Y[:-150]
     Xte, Yte = X[-150:], Y[-150:]
     p0 = DrbmParams.random_init(10, 8, 10, np.random.default_rng(seed))
     results = {}
-    for beta in betas:
-        cfg = TrainConfig(estimator="lbp", k=30, lr=0.01, beta=beta,
-                          epochs=5, seed=seed)
+    for beta, cfg in cfgs.items():
         scores = lbp_scores(Xte, sgd_train(Xtr, Ytr, p0, cfg), K=50,
                             beta=beta)
         results[beta] = _grand_mean_auc(scores, Yte)
@@ -52,17 +55,18 @@ def label_dependency_experiment(seeds=(0, 1, 2, 3, 4)):
     """Tag 1 is a noisy copy of tag 0 and only tag 0 depends on x.  Per
     seed, 60 training and 300 test items; a drbm with 8 hidden units
     (CD-1, lr 0.05) and logistic regression (lr 0.5) each train for 50
-    epochs.  Returns per-seed (drbm AUC, logreg AUC) on tag 1."""
+    epochs.  Returns per-seed (drbm AUC, logreg AUC) on tag 1.  A
+    negative seed is a ValueError before any draw."""
     n_train, epochs = 60, 50
+    cfgs = [TrainConfig(estimator="cd", k=1, lr=0.05, epochs=epochs,
+                        seed=seed) for seed in seeds]
     results = []
-    for seed in seeds:
+    for seed, cfg in zip(seeds, cfgs):
         X, Y = make_dependency_corpus(n_train + 300, seed)
         X = normalize_features(X)
         Xtr, Ytr = X[:n_train], Y[:n_train]
         Xte, Yte = X[n_train:], Y[n_train:]
 
-        cfg = TrainConfig(estimator="cd", k=1, lr=0.05, epochs=epochs,
-                          seed=seed)
         p0 = DrbmParams.random_init(8, Y.shape[1], X.shape[1],
                                     np.random.default_rng(seed))
         drbm = lbp_scores(Xte, sgd_train(Xtr, Ytr, p0, cfg), K=10)
@@ -83,10 +87,12 @@ def smoothing_experiment(seeds=(0, 1, 2, 3, 4), drop=0.8):
     with 4 hidden units (CD-1, lr 0.05, l1 0.001, 20 epochs) and
     logistic regression (lr 0.5, 30 epochs).  Returns per-seed (smoothed
     AUC, raw AUC), held-out, scored against the observed (unsmoothed)
-    labels."""
+    labels.  A negative seed is a ValueError before any draw."""
     n_clips, n_train = 300, 200
+    cfgs = [TrainConfig(estimator="cd", k=1, lr=0.05, epochs=20, seed=seed,
+                        l1=0.001) for seed in seeds]
     results = []
-    for seed in seeds:
+    for seed, cfg in zip(seeds, cfgs):
         X, _, tag_events = make_cooccurrence_corpus(n_clips, seed, drop=drop)
         X = normalize_features(X)
         events = Events.from_tag_events(tag_events)
@@ -102,8 +108,6 @@ def smoothing_experiment(seeds=(0, 1, 2, 3, 4), drop=0.8):
         n_users = int(events.ids[:, 0].max()) + 1
         p0 = SmootherParams.random_init(4, C, (n_users, n_clips, n_clips),
                                         rng)
-        cfg = TrainConfig(estimator="cd", k=1, lr=0.05, epochs=20, seed=seed,
-                          l1=0.001)
         sm = train_smoother(train_events, p0, cfg)
 
         smoothed = smooth_tags(sm, train_events)  # clips 0..n_train-1

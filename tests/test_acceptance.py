@@ -211,7 +211,8 @@ def test_criterion_11_training_and_ingest_determinism(corpus, tmp_path):
     ingest(corpus, a_dir)
     ingest(corpus, b_dir)
     ok = all((a_dir / name).read_bytes() == (b_dir / name).read_bytes()
-             for name in ("vocab.txt", "matrix.tsv", "features.tsv"))
+             for name in ("vocab.txt", "matrix.tsv", "features.tsv",
+                          "features.npy", "items.txt"))
     models = []
     for name in ("m1.model", "m2.model"):
         path = tmp_path / name

@@ -1,6 +1,5 @@
 import json
 import os
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from multitag.core import sigm
 from multitag.data import Triples
 from multitag.modelio import KINDS, load_model, save_model
 from multitag.synthetic import make_tag_corpus, write_corpus_files
-from conftest import printed_lbp_marginals
+from conftest import INGESTED_DEFECTS, break_ingested, printed_lbp_marginals
 
 
 @pytest.fixture
@@ -77,8 +76,24 @@ class TestIngest:
                  "--vocab-size", 3, "--min-positive", 1, "--out", out])
             outs.append(out)
         for name in ("vocab.txt", "matrix.tsv", "features.tsv",
-                     "features.npy", "features.sha256"):
+                     "features.npy", "items.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_items_and_text_export_agree_with_the_array(self, ingested):
+        # features.tsv is written for people and read by no command: it
+        # parses to the array's exact bits, and items.txt names the rows
+        # of matrix.tsv in order
+        assert sorted(os.listdir(ingested)) == [
+            "features.npy", "features.tsv", "items.txt", "matrix.tsv",
+            "vocab.txt"]
+        table = dt.read_ingested_features(ingested)
+        text = dt.read_features(ingested / "features.tsv")
+        assert text.items == table.items
+        np.testing.assert_array_equal(text.X.view(np.int64),
+                                      table.X.view(np.int64))
+        assert (ingested / "items.txt").read_text().splitlines() == [
+            line.split("\t")[0] for line in
+            (ingested / "matrix.tsv").read_text().splitlines()[1:]]
 
     def test_warns_on_missing_features(self, corpus_dir, tmp_path, capsys):
         with open(corpus_dir / "triples.tsv", "a", encoding="utf-8") as fh:
@@ -297,32 +312,51 @@ class TestTrain:
             assert model.exists()
 
 
-class TestFeatureCopy:
-    def test_model_the_same_without_the_binary_copy(self, ingested,
-                                                    tmp_path):
-        # the same bytes whether train loads features.npy or parses
-        # features.tsv
+class TestIngestedDirectory:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("defect", INGESTED_DEFECTS)
+    def test_a_faulty_file_is_an_error_line(self, ingested, tmp_path, capsys,
+                                            defect, command):
+        # refused before the record, the model or the reports directory
+        # exists
+        work = tmp_path / "work"
+        work.mkdir()
+        model = tmp_path / "m.model"
+        assert run(["train", "--data", ingested, "--epochs", 1, "--hidden", 3,
+                    "--model", model]) == 0
+        path, message = break_ingested(ingested, defect)
+        args = {"train": ["--model", work / "m.model"],
+                "eval": ["--model", model, "--out", work / "reports"]}
+        assert run([command, "--data", ingested, *args[command]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert list(work.iterdir()) == []
+
+    def test_a_text_only_directory_needs_a_fresh_ingest(self, ingested,
+                                                        tmp_path, capsys):
+        # an edited or lone features.tsv is never read
         text_only = tmp_path / "text-only"
         text_only.mkdir()
         for name in ("vocab.txt", "matrix.tsv", "features.tsv"):
             (text_only / name).write_bytes((ingested / name).read_bytes())
-        models, parsed = [], []
-        for data in (ingested, text_only):
-            models.append(tmp_path / f"{data.name}.model")
-            with mock.patch.object(dt, "read_features",
-                                   wraps=dt.read_features) as parse:
-                assert run(["train", "--data", data, "--estimator", "cd",
-                            "--epochs", 2, "--hidden", 3,
-                            "--model", models[-1]]) == 0
-            parsed.append(parse.called)
-        assert parsed == [False, True]
-        assert models[0].read_bytes() == models[1].read_bytes()
-        records = [[{k: v for k, v in json.loads(line).items()
-                     if k != "seconds"} for line in
-                    (tmp_path / f"{model.name}.jsonl").read_text()
-                    .splitlines()]
-                   for model in models]
-        assert len(records[0]) == 2 and records[0] == records[1]
+        model = tmp_path / "m.model"
+        assert run(["train", "--data", text_only, "--model", model]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {text_only / 'items.txt'}: no such file; re-run "
+            f"ingest\n")
+        assert list(tmp_path.glob("m.model*")) == []
+
+    def test_rows_out_of_matrix_order(self, ingested, tmp_path, capsys):
+        matrix = ingested / "matrix.tsv"
+        lines = matrix.read_text().splitlines(keepends=True)
+        lines[3], lines[4] = lines[4], lines[3]
+        matrix.write_text("".join(lines))
+        assert run(["train", "--data", ingested,
+                    "--model", tmp_path / "m.model"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ingested / 'items.txt'}:3 and {matrix}:4 name "
+            f"different items\n")
 
 
 class TestNegativeSeed:
@@ -537,15 +571,16 @@ class TestEval:
         model = tmp_path / "m.model"
         run(["train", "--data", ingested, "--estimator", "pl", "--epochs", 1,
              "--hidden", 3, "--model", model])
-        features = ingested / "features.tsv"
-        lines = features.read_text().splitlines()
-        item = lines[0].split("\t")[0]
-        lines[0] = "\t".join([item] + ["nan"] * 4)
-        features.write_text("\n".join(lines) + "\n")
+        features = ingested / "features.npy"
+        X = np.load(features)
+        X[0] = np.nan
+        np.save(features, X)
+        item = (ingested / "items.txt").read_text().splitlines()[0]
         assert run(["eval", "--data", ingested, "--model", model,
                     "--out", tmp_path / "reports"]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {features}:1: non-finite feature value\n"
+        assert err == (f"error: {features}: non-finite feature value for "
+                       f"item {item!r}\n")
 
     def test_non_finite_model_entry_is_an_error_line(self, ingested,
                                                       tmp_path, capsys):

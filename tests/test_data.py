@@ -1,4 +1,3 @@
-import hashlib
 import tracemalloc
 from dataclasses import astuple
 from unittest import mock
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_dict, coded
+from conftest import INGESTED_DEFECTS, as_dict, break_ingested, coded
 from multitag import data as dt
 from multitag.data import (CHAR_STATES, NEGATIVE, POSITIVE, UNKNOWN,
                            FeatureTable,
@@ -537,8 +536,8 @@ class TestFileRoundTrips:
 
 
 class TestIngestedFeatures:
-    """The binary copy an ingest writes beside features.tsv, and the rule
-    that the text is the truth."""
+    """An ingested directory's features: features.tsv for people, and the
+    items.txt and features.npy that train and eval read."""
 
     @pytest.fixture
     def written(self, tmp_path):
@@ -551,70 +550,20 @@ class TestIngestedFeatures:
         write_ingested_features(tmp_path, FeatureTable(["b", "", "é"], X))
         return tmp_path, X
 
-    @staticmethod
-    def read(directory):
-        """read_ingested_features, and whether it parsed the text."""
-        with mock.patch.object(dt, "read_features",
-                               wraps=dt.read_features) as parse:
-            table = read_ingested_features(directory)
-        return table, parse.called
-
     def test_copy_carries_the_texts_bits(self, written):
+        # read back through items.txt and features.npy; the features.tsv
+        # export, which no command reads, parses to the same bits
         directory, X = written
-        table, parsed = self.read(directory)
-        assert not parsed
-        assert plain(table) == plain(read_features(directory /
-                                                   "features.tsv"))
+        table = read_ingested_features(directory)
         assert table.items == ["b", "", "é"]
         assert table.X.view(np.int64).tolist() == X.view(np.int64).tolist()
+        assert (directory / "items.txt").read_bytes() == "b\n\né\n".encode()
+        assert plain(read_features(directory / "features.tsv")) == plain(table)
 
-    def test_manifest_in_sha256sum_format(self, written):
+    @pytest.mark.parametrize("defect", INGESTED_DEFECTS)
+    def test_a_faulty_file_is_an_error_naming_it(self, written, defect):
         directory, _ = written
-        lines = (directory / "features.sha256").read_text().splitlines()
-        assert [line[64:] for line in lines] == ["  features.tsv",
-                                                 "  features.npy"]
-        assert [line[:64] for line in lines] == [
-            hashlib.sha256((directory / name).read_bytes()).hexdigest()
-            for name in ("features.tsv", "features.npy")]
-
-    def test_edited_text_is_read_from_the_text(self, written):
-        directory, _ = written
-        text = directory / "features.tsv"
-        lines = text.read_text().splitlines()
-        lines[0] = "b\t1.0\t2.0\t3.0\t4.0"
-        text.write_text("\n".join(lines) + "\n")
-        table, parsed = self.read(directory)
-        assert parsed
-        assert table.X[0].tolist() == [1.0, 2.0, 3.0, 4.0]
-        lines[1] = "\toops\t2.0\t3.0\t4.0"
-        text.write_text("\n".join(lines) + "\n")
+        path, message = break_ingested(directory, defect)
         with pytest.raises(ValueError) as exc:
             read_ingested_features(directory)
-        assert str(exc.value) == f"{text}:2: bad float"
-
-    @pytest.mark.parametrize("defect", [
-        "replaced", "truncated", "no-manifest", "hand-made-float32",
-        "hand-made-wrong-rows", "hand-made-non-finite", "hand-made-pickle"])
-    def test_a_copy_in_doubt_falls_back_to_the_text(self, written, defect):
-        directory, X = written
-        copy = directory / "features.npy"
-        if defect == "replaced":
-            np.save(copy, X + 1.0)
-        elif defect == "truncated":
-            copy.write_bytes(copy.read_bytes()[:100])
-        elif defect == "no-manifest":
-            (directory / "features.sha256").unlink()
-        else:
-            # a manifest made by hand, after the copy was replaced
-            np.save(copy, {"hand-made-float32": np.zeros(X.shape, np.float32),
-                           "hand-made-wrong-rows": X[:2],
-                           "hand-made-non-finite": np.where(X == 0.0, np.nan,
-                                                            X),
-                           "hand-made-pickle": np.array([X], dtype=object),
-                           }[defect], allow_pickle=True)
-            (directory / "features.sha256").write_text(
-                dt._manifest(directory))
-        table, parsed = self.read(directory)
-        assert parsed
-        assert plain(table) == plain(read_features(directory /
-                                                   "features.tsv"))
+        assert str(exc.value).startswith(f"{path}: {message}")
