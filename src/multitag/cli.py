@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain, zip_longest
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from .smoother import Events, SmootherParams, smooth_tags, train_smoother
 from .verify import (check_capacity, check_exact_gradient, check_independence,
                      check_lbp_tree, check_normalization, check_pl_gradient)
 
-# perfbench traces the matrix file's reader and writer under these names
+# perfbench traces data's matrix reader and writer under these names
 _read_matrix, _write_matrix = dt.read_matrix, dt.write_matrix
 
 
@@ -103,26 +103,9 @@ def cmd_ingest(args):
     order = sorted(range(len(features.items)), key=features.items.__getitem__)
     items = [features.items[r] for r in order]
     matrix = dt.binarize(counts, vocab, args.min_positive, items=items)
-    table = dt.FeatureTable(items, dt.normalize_features(features.X[order]))
-    os.makedirs(args.out, exist_ok=True)
-    dt.write_rows(os.path.join(args.out, "vocab.txt"), ([t] for t in vocab))
-    _write_matrix(os.path.join(args.out, "matrix.tsv"), matrix)
-    dt.write_ingested_features(args.out, table)
+    dt.write_ingested(args.out, matrix,
+                      dt.normalize_features(features.X[order]))
     return 0
-
-
-def _load_ingested(data_dir):
-    path = os.path.join(data_dir, "matrix.tsv")
-    matrix = _read_matrix(path)
-    if not matrix.vocab:
-        raise ValueError(f"{path}: no tag columns")
-    features = dt.read_ingested_features(data_dir)
-    if features.items != matrix.items:
-        row = next(row for row, (a, b) in enumerate(zip_longest(
-            features.items, matrix.items)) if a != b)
-        raise ValueError(f"{os.path.join(data_dir, 'items.txt')}:{row + 1} "
-                         f"and {path}:{row + 2} name different items")
-    return matrix, features
 
 
 def _events_from_triples(triples: dt.Triples, vocab, items_map):
@@ -239,11 +222,11 @@ def cmd_train(args):
     if args.kind == "smoother":  # the one kind that trains on --triples
         vocab, _, data = _read_events(args)
     else:
-        matrix, features = _load_ingested(args.data)
+        matrix, X = dt.read_ingested(args.data)
         Y = (matrix.cells == dt.POSITIVE).astype(float)
         known = (matrix.cells != dt.UNKNOWN).astype(float)
         vocab = matrix.vocab
-        data = (features.X, Y, known if kind.masked else None)
+        data = (X, Y, known if kind.masked else None)
     with open(args.model + ".jsonl", "w", encoding="utf-8") as records:
         model = kind.fit(*data, args.hidden, cfg,
                          np.random.default_rng(args.seed), records)
@@ -274,7 +257,7 @@ def _model_scores(model, X):
 
 
 def cmd_eval(args):
-    matrix, features = _load_ingested(args.data)
+    matrix, X = dt.read_ingested(args.data)
     split = dt.make_folds(len(matrix.items), args.seed)
     reports = {}  # every model is checked and scored before --out exists
     for name, path, mismatch in (
@@ -285,7 +268,7 @@ def cmd_eval(args):
             model, vocab = load_model(path)
             if vocab != matrix.vocab:
                 raise ValueError(mismatch)
-            scores = _model_scores(model, features.X)
+            scores = _model_scores(model, X)
             reports[name] = AucReport.from_folds(matrix.vocab, (
                 (scores[fold], matrix.cells[fold]) for fold in split.folds))
     os.makedirs(args.out, exist_ok=True)

@@ -73,9 +73,9 @@ class Params:
                 known = ", ".join(f"{d}={sizes.get(d)}" for d in axes)
                 raise ShapeError(f"{name} must {want} {' x '.join(axes)}, "
                                  f"got shape {shape} with {known}")
-        for a in self.arrays().values():
+        for name, a in self.arrays().items():
             if not np.all(np.isfinite(a)):
-                raise ValueError("non-finite parameter entry")
+                raise ValueError(f"array {name}: non-finite entry")
 
     @classmethod
     def random_init(cls, *sizes_then_rng, scale=0.01, **fields):

@@ -1,7 +1,7 @@
 """Tag-triple ingestion, count condensation, three-state binarization,
 vocabulary selection, feature normalization, cross-validation fold
 construction, every tab-separated file multitag reads or writes, and
-the binary features of an ingested directory.
+the ingested directory that `ingest` writes and `train` and `eval` read.
 """
 
 from __future__ import annotations
@@ -321,21 +321,33 @@ def write_features(path, table: FeatureTable):
                       rows_of(table.items, table.X)))
 
 
-def write_ingested_features(directory, table: FeatureTable):
-    """An ingested directory's features: features.tsv, the table as text
-    for people, which no command reads; features.npy, its array; and,
-    last, items.txt, its item ids one per line in row order."""
-    write_features(os.path.join(directory, "features.tsv"), table)
-    np.save(os.path.join(directory, "features.npy"), table.X)
+def write_ingested(directory, matrix: ThreeStateTagMatrix, X):
+    """The ingested ``directory``, made if need be: vocab.txt, the
+    matrix's tags one per line; matrix.tsv; features.tsv, the (N, D)
+    features X as text for people, which no command reads; features.npy,
+    X's array; and, last, items.txt, the matrix's item ids one per line
+    in row order."""
+    os.makedirs(directory, exist_ok=True)
+    write_rows(os.path.join(directory, "vocab.txt"),
+               ([tag] for tag in matrix.vocab))
+    write_matrix(os.path.join(directory, "matrix.tsv"), matrix)
+    write_features(os.path.join(directory, "features.tsv"),
+                   FeatureTable(matrix.items, X))
+    np.save(os.path.join(directory, "features.npy"), X)
     write_rows(os.path.join(directory, "items.txt"),
-               ([item] for item in table.items))
+               ([item] for item in matrix.items))
 
 
-def read_ingested_features(directory) -> FeatureTable:
-    """The ids of an ingested directory's items.txt and the array of its
-    features.npy, which must be a finite float64 (N, D) array with one
-    row per id.  Any fault is a ValueError that names the file."""
-    path = os.path.join(directory, "items.txt")
+def read_ingested(directory):
+    """The (matrix, X) of an ingested directory: matrix.tsv, which must
+    have a tag column, and features.npy, a finite float64 (N, D) array
+    with one row per id of items.txt, which must list matrix.tsv's items
+    in order.  Any fault is a ValueError that names the file."""
+    table = os.path.join(directory, "matrix.tsv")
+    matrix = read_matrix(table)
+    if not matrix.vocab:
+        raise ValueError(f"{table}: no tag columns")
+    listed = path = os.path.join(directory, "items.txt")
     try:
         with open(path, encoding="utf-8") as fh:
             items = fh.read().split("\n")[:-1]  # a blank line is an empty id
@@ -354,7 +366,15 @@ def read_ingested_features(directory) -> FeatureTable:
     if bad.any():
         raise ValueError(f"{path}: non-finite feature value for item "
                          f"{items[int(np.argmax(bad))]!r}")
-    return FeatureTable(items, X)
+    if items != matrix.items:
+        row = next((row for row, pair in enumerate(zip(items, matrix.items))
+                    if pair[0] != pair[1]), None)
+        if row is None:  # one file lists the other's items and more
+            raise ValueError(f"{listed} lists {len(items)} items, {table} "
+                             f"{len(matrix.items)}")
+        raise ValueError(f"{listed}:{row + 1} and {table}:{row + 2} name "
+                         f"different items")
+    return matrix, X
 
 
 def read_matrix(path) -> ThreeStateTagMatrix:

@@ -72,7 +72,7 @@ def load_model(path):
     header, the kind, one dim line per dim in SHAPES order (a smoother's
     users, tracks and clips after them), `vocab C` and its C tags, each
     array in SHAPES order headed by the shape its dims give, and nothing
-    after the last array."""
+    after the last array.  The parameter class checks the values."""
     with open(path, encoding="utf-8") as fh:
         lines = iter(fh.read().removesuffix("\n").split("\n"))
 
@@ -116,10 +116,7 @@ def load_model(path):
                                    "entry") from None
         if any(len(row) != cols for row in data):
             raise ModelFormatError(f"{path}: array {name} shape mismatch")
-        a = np.asarray(data, dtype=float).reshape(shape)
-        if not np.all(np.isfinite(a)):
-            raise ModelFormatError(f"{path}: array {name}: non-finite entry")
-        fields[name] = a
+        fields[name] = np.asarray(data, dtype=float).reshape(shape)
     rest = next(lines, None)
     if rest is not None:
         raise ModelFormatError(f"{path}: expected the end of the file, found "

@@ -14,8 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from .core import (DrbmParams, Gradient, LabeledExample, cond_free_energy,
-                   energy, log1pexp, sigm)
+from .core import (DrbmParams, Gradient, LabeledExample, Params,
+                   cond_free_energy, energy, log1pexp, sigm)
 
 ENUM_BITS = 20  # ~10^6 terms keeps a full enumeration under a second
 FD_STEP = 1e-5  # finite_diff's step
@@ -96,23 +96,20 @@ def exact_grad(example: LabeledExample, p: DrbmParams) -> Gradient:
     return marginal_gradient(example, p, exact_marginals(example.x, p))
 
 
-def finite_diff(f, p: DrbmParams) -> Gradient:
+def finite_diff(f, p: Params) -> np.ndarray:
     """Central finite differences of a scalar function of the
-    parameters, entry by entry."""
-    g = Gradient(np.zeros_like(p.U), np.zeros_like(p.W),
-                 np.zeros_like(p.c), np.zeros_like(p.d))
-    for src, dst in ((p.U, g.dU), (p.W, g.dW), (p.c, g.dc), (p.d, g.dd)):
-        it = np.nditer(src, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = src[idx]
-            src[idx] = orig + FD_STEP
+    parameters, entry by entry over ``p.arrays()``: one vector in the
+    order of ``Gradient.flat()``."""
+    fd = []
+    for a in p.arrays().values():
+        for idx in np.ndindex(a.shape):
+            orig = a[idx]
+            a[idx] = orig + FD_STEP
             hi = f(p)
-            src[idx] = orig - FD_STEP
-            lo = f(p)
-            src[idx] = orig
-            dst[idx] = (hi - lo) / (2 * FD_STEP)
-    return g
+            a[idx] = orig - FD_STEP
+            fd.append((hi - f(p)) / (2 * FD_STEP))
+            a[idx] = orig
+    return np.array(fd)
 
 
 def log_pl_reference(example: LabeledExample, p: DrbmParams) -> float:

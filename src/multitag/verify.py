@@ -31,7 +31,7 @@ def check_exact_gradient(rng, trials) -> bool:
         ex, p = random_instance(rng)
         g = exact_grad(ex, p)
         fd = finite_diff(lambda q: math.log(exact_cond_prob(ex.y, ex.x, q)), p)
-        ok &= bool(np.allclose(g.flat(), fd.flat(), rtol=0, atol=1e-8))
+        ok &= bool(np.allclose(g.flat(), fd, rtol=0, atol=1e-8))
     return ok
 
 
@@ -42,7 +42,7 @@ def check_pl_gradient(rng, trials) -> bool:
         ex, p = random_instance(rng)
         g, log_pl = pl_gradient(ex, p)
         fd = finite_diff(lambda q: log_pl_reference(ex, q), p)
-        ok &= bool(np.allclose(g.flat(), fd.flat(), rtol=0, atol=1e-8))
+        ok &= bool(np.allclose(g.flat(), fd, rtol=0, atol=1e-8))
         ok &= abs(log_pl - log_pl_reference(ex, p)) < 1e-10
     return ok
 

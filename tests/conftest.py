@@ -59,39 +59,52 @@ def rng():
     return np.random.default_rng(0)
 
 
-# the ways an ingested directory's items.txt or features.npy can be wrong
+# the ways an ingested directory can be wrong
 INGESTED_DEFECTS = ["no-items", "no-copy", "truncated", "pickled", "float32",
-                    "wrong-rows", "non-finite"]
+                    "wrong-rows", "non-finite", "short-matrix", "short-items"]
+
+
+def _drop_last_line(path):
+    path.write_bytes(b"".join(path.read_bytes().splitlines(True)[:-1]))
 
 
 def break_ingested(directory, defect):
     """Damage the ingested ``directory`` as ``defect`` (one of
-    INGESTED_DEFECTS) names.  Returns the file that the error must name
-    and the start of the message that follows it."""
+    INGESTED_DEFECTS) names.  Returns the start of the error message,
+    which names the file at fault."""
     items, copy = directory / "items.txt", directory / "features.npy"
+    matrix = directory / "matrix.tsv"
     X = np.load(copy)
     second = items.read_text(encoding="utf-8").split("\n")[1]
     if defect == "no-items":
         items.unlink()
-        return items, "no such file; re-run ingest"
+        return f"{items}: no such file; re-run ingest"
     if defect == "no-copy":
         copy.unlink()
-        return copy, "no such file; re-run ingest"
+        return f"{copy}: no such file; re-run ingest"
     if defect == "truncated":  # numpy's own message
         copy.write_bytes(copy.read_bytes()[:100])
-        return copy, "EOF: reading array header"
+        return f"{copy}: EOF: reading array header"
     if defect == "pickled":  # numpy's own message
         np.save(copy, np.array([X], dtype=object), allow_pickle=True)
-        return copy, "Object arrays cannot be loaded"
-    expected = (f"expected a float64 ({len(X)}, D) array, one row per id "
-                f"of items.txt, got ")
+        return f"{copy}: Object arrays cannot be loaded"
+    # the shorter file has no line where the two differ
+    if defect == "short-matrix":
+        _drop_last_line(matrix)
+        return f"{items} lists {len(X)} items, {matrix} {len(X) - 1}"
+    if defect == "short-items":
+        _drop_last_line(items)
+        np.save(copy, X[:-1])
+        return f"{items} lists {len(X) - 1} items, {matrix} {len(X)}"
+    expected = (f"{copy}: expected a float64 ({len(X)}, D) array, one row "
+                f"per id of items.txt, got ")
     if defect == "float32":
         np.save(copy, np.zeros(X.shape, np.float32))
-        return copy, f"{expected}float32 {X.shape}"
+        return f"{expected}float32 {X.shape}"
     if defect == "wrong-rows":
         np.save(copy, X[:-1])
-        return copy, f"{expected}float64 {X[:-1].shape}"
+        return f"{expected}float64 {X[:-1].shape}"
     assert defect == "non-finite"
     X[1, -1] = np.nan
     np.save(copy, X)
-    return copy, f"non-finite feature value for item {second!r}"
+    return f"{copy}: non-finite feature value for item {second!r}"

@@ -28,7 +28,7 @@ class TestParams:
     def test_logreg_checks_shapes_and_finiteness(self):
         with pytest.raises(ShapeError, match="b must have length C"):
             LogRegParams(np.zeros((3, 2)), np.zeros(1))
-        with pytest.raises(ValueError, match="non-finite parameter entry"):
+        with pytest.raises(ValueError, match="^array b: non-finite entry$"):
             LogRegParams(np.zeros((3, 2)), [0.0, np.inf])
 
     def test_copy_keeps_the_type_not_the_storage(self, rng):
@@ -152,24 +152,10 @@ class TestMlpTrain:
         x = rng.normal(size=3)
         t = np.array([1.0, 0.3])
         mask = np.array([1.0, 1.0])
-        dW1, db1, dW2, db2 = _mlp_grads(x, t, mask, p)
-        eps = 1e-6
-
-        def loss(q):
-            return cross_entropy(mlp_predict(x, q), t, mask)
-
-        for arr, grad in ((p.W1, dW1), (p.b1, db1), (p.W2, dW2), (p.b2, db2)):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + eps
-                up = loss(p)
-                arr[idx] = orig - eps
-                down = loss(p)
-                arr[idx] = orig
-                fd = (up - down) / (2 * eps)
-                assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+        grads = np.concatenate([g.ravel() for g in _mlp_grads(x, t, mask, p)])
+        fd = finite_diff(lambda q: cross_entropy(mlp_predict(x, q), t, mask),
+                         p)
+        assert grads == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
     def test_deterministic(self, rng):
         X, targets = separable_data(rng)

@@ -86,11 +86,10 @@ class TestIngest:
         assert sorted(os.listdir(ingested)) == [
             "features.npy", "features.tsv", "items.txt", "matrix.tsv",
             "vocab.txt"]
-        table = dt.read_ingested_features(ingested)
+        matrix, X = dt.read_ingested(ingested)
         text = dt.read_features(ingested / "features.tsv")
-        assert text.items == table.items
-        np.testing.assert_array_equal(text.X.view(np.int64),
-                                      table.X.view(np.int64))
+        assert text.items == matrix.items
+        np.testing.assert_array_equal(text.X.view(np.int64), X.view(np.int64))
         assert (ingested / "items.txt").read_text().splitlines() == [
             line.split("\t")[0] for line in
             (ingested / "matrix.tsv").read_text().splitlines()[1:]]
@@ -324,12 +323,12 @@ class TestIngestedDirectory:
         model = tmp_path / "m.model"
         assert run(["train", "--data", ingested, "--epochs", 1, "--hidden", 3,
                     "--model", model]) == 0
-        path, message = break_ingested(ingested, defect)
+        message = break_ingested(ingested, defect)
         args = {"train": ["--model", work / "m.model"],
                 "eval": ["--model", model, "--out", work / "reports"]}
         assert run([command, "--data", ingested, *args[command]]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {path}: {message}")
+        assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert list(work.iterdir()) == []
 

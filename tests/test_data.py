@@ -13,9 +13,9 @@ from multitag.data import (CHAR_STATES, NEGATIVE, POSITIVE, UNKNOWN,
                            FeatureTable,
                            ThreeStateTagMatrix, Triples, binarize, condense,
                            make_folds, normalize_features, read_features,
-                           read_ingested_features, read_items, read_matrix,
+                           read_ingested, read_items, read_matrix,
                            read_triples, select_vocab, write_features,
-                           write_ingested_features, write_matrix)
+                           write_ingested, write_matrix)
 
 NAMES = st.sampled_from(["u1", "u2", "a", "b", "rock", "jazz"])
 
@@ -547,23 +547,25 @@ class TestIngestedFeatures:
                       [1e300, -1e300, 0.1 + 0.2, 1 / 3],
                       [2.718281828459045, -1.7976931348623157e308,
                        123456789.12345679, -9.999999999999999e-301]])
-        write_ingested_features(tmp_path, FeatureTable(["b", "", "é"], X))
-        return tmp_path, X
+        matrix = ThreeStateTagMatrix(["b", "", "é"], ["t"],
+                                     np.array([[1], [0], [-1]], np.int8))
+        write_ingested(tmp_path, matrix, X)
+        return tmp_path, matrix, X
 
     def test_copy_carries_the_texts_bits(self, written):
         # read back through items.txt and features.npy; the features.tsv
         # export, which no command reads, parses to the same bits
-        directory, X = written
-        table = read_ingested_features(directory)
-        assert table.items == ["b", "", "é"]
-        assert table.X.view(np.int64).tolist() == X.view(np.int64).tolist()
+        directory, matrix, X = written
+        back, X_back = read_ingested(directory)
+        assert plain(back) == plain(matrix)
+        assert X_back.view(np.int64).tolist() == X.view(np.int64).tolist()
         assert (directory / "items.txt").read_bytes() == "b\n\né\n".encode()
-        assert plain(read_features(directory / "features.tsv")) == plain(table)
+        assert plain(read_features(directory / "features.tsv")) == plain(
+            FeatureTable(matrix.items, X_back))
 
     @pytest.mark.parametrize("defect", INGESTED_DEFECTS)
     def test_a_faulty_file_is_an_error_naming_it(self, written, defect):
-        directory, _ = written
-        path, message = break_ingested(directory, defect)
+        message = break_ingested(written[0], defect)
         with pytest.raises(ValueError) as exc:
-            read_ingested_features(directory)
-        assert str(exc.value).startswith(f"{path}: {message}")
+            read_ingested(written[0])
+        assert str(exc.value).startswith(message)

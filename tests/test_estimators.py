@@ -325,7 +325,8 @@ class TestGaussianRbmParams:
     def test_rejects_non_finite_entry_in_any_field(self, rng, name, value):
         arrays = vars(GaussianRbmParams.random_init(3, 2, 4, rng))
         arrays[name].flat[-1] = value
-        with pytest.raises(ValueError, match="non-finite parameter entry"):
+        with pytest.raises(ValueError,
+                           match=f"^array {name}: non-finite entry$"):
             GaussianRbmParams(**arrays)
 
     def test_rejects_wrong_length_bx(self, rng):

@@ -23,17 +23,32 @@ def awkward(rng, shape):
     return a
 
 
+def small_model(kind, draw):
+    """A model of ``kind`` at (n, C, D, H, A) = (2, 3, 4, 5, 6), every
+    array drawn by ``draw(shape)``."""
+    cls = KINDS[kind]
+    size = {"n": 2, "C": 3, "D": 4, "H": 5, "A": 6}
+    extra = {"aux_sizes": (1, 2, 3)} if cls is SmootherParams else {}
+    return cls(**{name: draw(tuple(size[d] for d in axes))
+                  for name, axes in cls.SHAPES.items()}, **extra)
+
+
+def assert_loads_to(path, p, vocab):
+    """Load ``path``, asserting p's type, arrays bit for bit, and vocab."""
+    q, vocab_q = load_model(path)
+    assert type(q) is type(p) and vocab_q == vocab
+    for name, a in p.arrays().items():
+        b = getattr(q, name)
+        assert (b.shape, b.tobytes()) == (a.shape, a.tobytes())
+    return q
+
+
 class TestRoundTrip:
     def test_drbm_bit_exact(self, rng, tmp_path):
         p = DrbmParams(awkward(rng, (3, 4)), awkward(rng, (3, 5)),
                        awkward(rng, 3), awkward(rng, 4))
-        path = tmp_path / "m.model"
-        save_model(path, p, ["a", "b", "c", "d"])
-        q, vocab = load_model(path)
-        assert isinstance(q, DrbmParams)
-        assert vocab == ["a", "b", "c", "d"]
-        for x, y in ((p.U, q.U), (p.W, q.W), (p.c, q.c), (p.d, q.d)):
-            np.testing.assert_array_equal(x, y)
+        save_model(tmp_path / "m.model", p, ["a", "b", "c", "d"])
+        assert_loads_to(tmp_path / "m.model", p, ["a", "b", "c", "d"])
 
     def test_grbm_bit_exact(self, rng, tmp_path):
         p = GaussianRbmParams(awkward(rng, (2, 3)), awkward(rng, (2, 4)),
@@ -42,40 +57,26 @@ class TestRoundTrip:
         save_model(path, p, ["a", "b", "c"])
         # a GaussianRbmParams is a DrbmParams too, but keeps its own kind
         assert path.read_text().splitlines()[1] == "kind grbm"
-        q, _ = load_model(path)
-        assert type(q) is GaussianRbmParams
-        for name in ("U", "W", "c", "d", "bx"):
-            np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+        assert_loads_to(path, p, ["a", "b", "c"])
 
     def test_smoother_bit_exact(self, rng, tmp_path):
         p = SmootherParams(awkward(rng, (2, 3)), awkward(rng, (2, 3)),
                            awkward(rng, (3, 6)), awkward(rng, 2),
                            awkward(rng, 3), (2, 2, 2))
-        path = tmp_path / "m.model"
-        save_model(path, p, ["a", "b", "c"])
-        q, _ = load_model(path)
-        assert isinstance(q, SmootherParams)
+        save_model(tmp_path / "m.model", p, ["a", "b", "c"])
+        q = assert_loads_to(tmp_path / "m.model", p, ["a", "b", "c"])
         assert q.aux_sizes == (2, 2, 2)
-        np.testing.assert_array_equal(p.V, q.V)
 
     def test_mlp_bit_exact(self, rng, tmp_path):
         p = MlpParams(awkward(rng, (4, 3)), awkward(rng, 3),
                       awkward(rng, (3, 2)), awkward(rng, 2))
-        path = tmp_path / "m.model"
-        save_model(path, p, ["a", "b"])
-        q, _ = load_model(path)
-        assert isinstance(q, MlpParams)
-        np.testing.assert_array_equal(p.W1, q.W1)
-        np.testing.assert_array_equal(p.b2, q.b2)
+        save_model(tmp_path / "m.model", p, ["a", "b"])
+        assert_loads_to(tmp_path / "m.model", p, ["a", "b"])
 
     def test_logreg_bit_exact(self, rng, tmp_path):
         p = LogRegParams(awkward(rng, (4, 2)), awkward(rng, 2))
-        path = tmp_path / "m.model"
-        save_model(path, p, ["a", "b"])
-        q, _ = load_model(path)
-        assert isinstance(q, LogRegParams)
-        np.testing.assert_array_equal(p.W, q.W)
-        np.testing.assert_array_equal(p.b, q.b)
+        save_model(tmp_path / "m.model", p, ["a", "b"])
+        assert_loads_to(tmp_path / "m.model", p, ["a", "b"])
 
     # every line boundary of str.splitlines but "\n" and "\r"
     @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e",
@@ -109,14 +110,18 @@ class TestRoundTrip:
         root = tmp_path_factory.mktemp("round-trip")
         first, second = root / "first.model", root / "second.model"
         save_model(first, p, vocab)
-        q, vocab_q = load_model(first)
-        save_model(second, q, vocab_q)
+        q = assert_loads_to(first, p, vocab)
+        save_model(second, q, vocab)
         assert second.read_bytes() == first.read_bytes()
-        assert type(q) is cls and vocab_q == vocab
         assert q.arrays().keys() == p.arrays().keys()
-        for name, a in p.arrays().items():
-            np.testing.assert_array_equal(getattr(q, name), a)
         assert getattr(q, "aux_sizes", None) == extra.get("aux_sizes")
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_crlf_line_ends_load_as_lf(self, rng, tmp_path, kind):
+        p, path = small_model(kind, lambda s: awkward(rng, s)), tmp_path / "m"
+        save_model(path, p, ["t0", "t 1", "t\f2"])
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert_loads_to(path, p, ["t0", "t 1", "t\f2"])
 
     def test_dim_lines_follow_the_declared_shapes(self, rng, tmp_path):
         p = SmootherParams.random_init(2, 3, (1, 2, 4), rng)
@@ -236,13 +241,9 @@ class TestErrors:
         # each line has one place, the one save_model writes it in: a line
         # deleted or doubled, or two neighbouring keyword lines swapped,
         # is an error (a swap of "dim n" and "dim C" once loaded)
-        cls = KINDS[kind]
-        size = {"n": 2, "C": 3, "D": 4, "H": 5, "A": 6}
-        extra = {"aux_sizes": (1, 2, 3)} if cls is SmootherParams else {}
         path = tmp_path / "m.model"
-        save_model(path, cls(**{name: rng.normal(size=[size[d] for d in axes])
-                                for name, axes in cls.SHAPES.items()},
-                             **extra), ["t0", "t1", "t2"])
+        model = small_model(kind, lambda shape: rng.normal(size=shape))
+        save_model(path, model, ["t0", "t1", "t2"])
         lines = path.read_text().split("\n")[:-1]
         edits = {}
         for i, line in enumerate(lines):
