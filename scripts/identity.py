@@ -64,10 +64,14 @@ COMMANDS = [
     # path and every defined one is exactly 0.5
     ("train", "--data", "ingested", "--kind", "logreg", "--epochs", "0",
      "--seed", "1", "--model", "logreg-untrained.model"),
+    # a rate this high saturates more than half of the scores at exactly
+    # 0.0 or 1.0, so most AUCs run the tie path beside untied scores
+    ("train", "--data", "ingested", "--kind", "logreg", "--lr", "30", *TRAIN,
+     "--model", "logreg-lr30.model"),
     *[("eval", "--data", "ingested", "--model", f"{name}.model",
        "--out", f"reports-{name}")
       for name in ("drbm-cd", "drbm-mfcd", "drbm-lbp", "drbm-pl", "grbm",
-                   "mlp", "logreg", "logreg-untrained")],
+                   "mlp", "logreg", "logreg-untrained", "logreg-lr30")],
     ("eval", "--data", "ingested", "--model", "drbm-pl.model",
      "--model-b", "logreg.model", "--out", "reports-pl-vs-logreg"),
     *[cmd for items, l1, name in SMOOTHERS for cmd in (

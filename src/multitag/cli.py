@@ -93,18 +93,17 @@ def _merge(args, defaults):
 def cmd_ingest(args):
     # the triples' codes go once condensed, before the features are read
     counts = dt.condense(dt.read_triples(args.triples))
-    features = dt.read_features(args.features)
+    featured, X = dt.read_features(args.features)
     vocab = dt.select_vocab(counts, args.vocab_size)
-    missing = sorted(set(counts.items) - set(features.items))
+    missing = sorted(set(counts.items) - set(featured))
     if missing:
         more = ", ..." if len(missing) > 5 else ""
         print(f"warning: {len(missing)} tagged item(s) have no features and "
               f"are excluded: {', '.join(missing[:5])}{more}", file=sys.stderr)
-    order = sorted(range(len(features.items)), key=features.items.__getitem__)
-    items = [features.items[r] for r in order]
+    order = sorted(range(len(featured)), key=featured.__getitem__)
+    items = [featured[r] for r in order]
     matrix = dt.binarize(counts, vocab, args.min_positive, items=items)
-    dt.write_ingested(args.out, matrix,
-                      dt.normalize_features(features.X[order]))
+    dt.write_ingested(args.out, matrix, dt.normalize_features(X[order]))
     return 0
 
 

@@ -84,12 +84,6 @@ class ThreeStateTagMatrix:
 
 
 @dataclass
-class FeatureTable:
-    items: list
-    X: np.ndarray          # items x D
-
-
-@dataclass
 class FoldSplit:
     """5-way item partition; per held-out fold, 4 rotations each using
     one remaining fold for validation and the other 3 for training."""
@@ -283,9 +277,10 @@ def read_triples(path) -> Triples:
     return _code(name_columns())
 
 
-def read_features(path) -> FeatureTable:
+def read_features(path):
     """Features file: item id, then D finite floats per line; item ids
-    must be unique."""
+    must be unique.  Returns the ids in file order and their (N, D)
+    array."""
     items, blocks, width = {}, [], None  # items: id -> line, file order
     for first, text in _blocks(path):
         values, start = [], len(items)
@@ -313,12 +308,11 @@ def read_features(path) -> FeatureTable:
     if bad.any():
         lineno = list(items.values())[int(np.argmax(bad))]
         raise ValueError(f"{path}:{lineno}: non-finite feature value")
-    return FeatureTable(list(items), X)
+    return list(items), X
 
 
-def write_features(path, table: FeatureTable):
-    write_rows(path, ([item, *row] for item, row in
-                      rows_of(table.items, table.X)))
+def write_features(path, items, X):
+    write_rows(path, ([item, *row] for item, row in rows_of(items, X)))
 
 
 def write_ingested(directory, matrix: ThreeStateTagMatrix, X):
@@ -331,8 +325,7 @@ def write_ingested(directory, matrix: ThreeStateTagMatrix, X):
     write_rows(os.path.join(directory, "vocab.txt"),
                ([tag] for tag in matrix.vocab))
     write_matrix(os.path.join(directory, "matrix.tsv"), matrix)
-    write_features(os.path.join(directory, "features.tsv"),
-                   FeatureTable(matrix.items, X))
+    write_features(os.path.join(directory, "features.tsv"), matrix.items, X)
     np.save(os.path.join(directory, "features.npy"), X)
     write_rows(os.path.join(directory, "items.txt"),
                ([item] for item in matrix.items))
@@ -379,10 +372,16 @@ def read_ingested(directory):
 
 def read_matrix(path) -> ThreeStateTagMatrix:
     """Matrix file: a header of ``item`` and the vocabulary, then one
-    item id and C cells of P, N or U per line."""
+    item id and C cells of P, N or U per line; item ids must be
+    unique."""
     vocab, items, blocks = None, [], []
+    seen = set()  # the ids of the lines read so far
 
     def check(lineno, parts):
+        if parts[0] in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate item id "
+                             f"{parts[0]!r}")
+        seen.add(parts[0])
         if len(parts) - 1 != len(vocab):
             raise ValueError(f"{path}:{lineno}: expected {len(vocab)} "
                              f"cells, got {len(parts) - 1}")
@@ -406,9 +405,12 @@ def read_matrix(path) -> ThreeStateTagMatrix:
         # the tabs between them
         raw = np.frombuffer("\t".join(fields).encode("utf-8"), np.uint8)
         states = _CELL_BYTES[raw[::2]]
+        fresh = set(ids)
         if ((tabs != C).any() or raw.size != max(2 * len(fields) - 1, 0)
-                or (states == _NOT_A_CELL).any()):
+                or (states == _NOT_A_CELL).any() or len(fresh) < len(ids)
+                or not seen.isdisjoint(fresh)):
             _first_fault(first, text, check, skip)
+        seen |= fresh
         items += ids
         blocks.append(states.reshape(len(ids), C))
     vocab = vocab or []

@@ -28,10 +28,6 @@ class AucReport:
         return cls(tags, np.stack([score_matrix_auc(scores, cells, tags)
                                    for scores, cells in folds], axis=1))
 
-    @property
-    def n_folds(self):
-        return self.values.shape[1]
-
     def grand_mean(self) -> float:
         valid = self.values[~np.isnan(self.values)]
         if valid.size == 0:
@@ -99,11 +95,10 @@ def significance_counts(report_a: AucReport,
     neither."""
     if report_a.tags != report_b.tags:
         raise ValueError("mismatched tag sets")
-    if report_a.n_folds != report_b.n_folds:
+    if report_a.values.shape[1] != report_b.values.shape[1]:
         raise ValueError("mismatched fold counts")
     p_values = np.full(len(report_a.tags), np.nan)
     winners = [None] * len(report_a.tags)
-    a_better = b_better = 0
     for j in range(len(report_a.tags)):
         va, vb = report_a.values[j], report_b.values[j]
         ok = ~(np.isnan(va) | np.isnan(vb))
@@ -111,15 +106,11 @@ def significance_counts(report_a: AucReport,
             continue
         p = paired_ttest(va[ok], vb[ok])
         p_values[j] = p
-        if p < ALPHA:
-            if np.mean(va[ok]) > np.mean(vb[ok]):
-                winners[j] = "a"
-                a_better += 1
-            elif np.mean(vb[ok]) > np.mean(va[ok]):
-                winners[j] = "b"
-                b_better += 1
+        mean_a, mean_b = np.mean(va[ok]), np.mean(vb[ok])
+        if p < ALPHA and mean_a != mean_b:
+            winners[j] = "a" if mean_a > mean_b else "b"
     return SignificanceReport(list(report_a.tags), p_values, winners,
-                              a_better, b_better)
+                              winners.count("a"), winners.count("b"))
 
 
 def score_matrix_auc(scores: np.ndarray, cells: np.ndarray, tags) -> np.ndarray:
@@ -158,24 +149,17 @@ def score_matrix_auc(scores: np.ndarray, cells: np.ndarray, tags) -> np.ndarray:
     n_pos, rank_sum = (positive @ np.stack([np.ones(rows), position], 1)).T
     n_neg = np.count_nonzero(state == NEGATIVE, axis=1)
 
-    # j with keys[j] == keys[j + 1] in one row, both finite: the +inf
-    # tail holds no positive, so its ties move no rank
-    tied = np.zeros((C, rows), dtype=bool)
-    np.equal(keys[:, 1:], keys[:, :-1], out=tied[:, :-1])
-    pair = np.flatnonzero(tied)
-    pair = pair[keys.ravel()[pair] < np.inf]
-    if pair.size:
-        starts = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1] + 1])
-        lasts = np.r_[starts[1:], pair.size] - 1
-        # run k holds the flat positions pair[starts[k]] .. pair[lasts[k]] + 1
-        members = np.insert(pair, lasts + 1, pair[lasts] + 1)
-        heads = starts + np.arange(starts.size)  # run k's first member
-        hit = positive.ravel()[members]
-        n_run = np.add.reduceat(hit.astype(float), heads)
-        own = np.add.reduceat(position[members % rows] * hit, heads)
-        lo, hi = pair[starts] % rows + 1.0, pair[lasts] % rows + 2.0
-        rank_sum += np.bincount(pair[starts] // rows, minlength=C,
-                                weights=n_run * (lo + hi) / 2.0 - own)
+    # number the runs of equal keys in flat order and give each key its
+    # run's mean position; the +inf tail holds no positive, so only a
+    # finite tie moves a rank
+    tied = keys[:, 1:] == keys[:, :-1]
+    if (tied & (keys[:, 1:] < np.inf)).any():
+        starts = np.ones((C, rows), dtype=bool)  # where a run starts
+        starts[:, 1:] = ~tied
+        first = np.flatnonzero(starts)  # each run's first key, 0-based flat
+        size = np.diff(first, append=C * rows)
+        mean = (first % rows + (size + 1) / 2.0)[np.cumsum(starts) - 1]
+        rank_sum += (positive * (mean.reshape(C, rows) - position)).sum(axis=1)
 
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return np.divide(u, n_pos * n_neg, out=np.full(C, np.nan),

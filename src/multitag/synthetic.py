@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from .core import sigm
-from .data import FeatureTable, write_features, write_rows
+from .data import write_features, write_rows
 from .smoother import TagEvent
 
 
@@ -85,6 +85,6 @@ def write_corpus_files(outdir, X, Y, tags):
              for name in ("triples.tsv", "features.tsv", "items.tsv")]
     write_rows(paths[0], (("user0", items[i], tags[j])
                           for i, j in zip(*np.nonzero(Y))))
-    write_features(paths[1], FeatureTable(items, np.asarray(X, dtype=float)))
+    write_features(paths[1], items, np.asarray(X, dtype=float))
     write_rows(paths[2], ((item, "track_" + item) for item in items))
     return tuple(paths)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from multitag.core import sigm
-from multitag.data import Counts
+from multitag.data import Counts, read_matrix, write_ingested
 from multitag.inference import lbp_sweeps
 from multitag.oracle import Marginals
 from multitag.verify import random_instance  # noqa: F401  (tests import it from here)
@@ -61,7 +61,8 @@ def rng():
 
 # the ways an ingested directory can be wrong
 INGESTED_DEFECTS = ["no-items", "no-copy", "truncated", "pickled", "float32",
-                    "wrong-rows", "non-finite", "short-matrix", "short-items"]
+                    "wrong-rows", "non-finite", "short-matrix", "short-items",
+                    "duplicate-id"]
 
 
 def _drop_last_line(path):
@@ -88,6 +89,11 @@ def break_ingested(directory, defect):
     if defect == "pickled":  # numpy's own message
         np.save(copy, np.array([X], dtype=object), allow_pickle=True)
         return f"{copy}: Object arrays cannot be loaded"
+    if defect == "duplicate-id":  # the first item's id on the second row
+        table = read_matrix(matrix)
+        table.items[1] = table.items[0]
+        write_ingested(directory, table, X)
+        return f"{matrix}:3: duplicate item id {table.items[0]!r}"
     # the shorter file has no line where the two differ
     if defect == "short-matrix":
         _drop_last_line(matrix)

@@ -87,9 +87,9 @@ class TestIngest:
             "features.npy", "features.tsv", "items.txt", "matrix.tsv",
             "vocab.txt"]
         matrix, X = dt.read_ingested(ingested)
-        text = dt.read_features(ingested / "features.tsv")
-        assert text.items == matrix.items
-        np.testing.assert_array_equal(text.X.view(np.int64), X.view(np.int64))
+        items, X_text = dt.read_features(ingested / "features.tsv")
+        assert items == matrix.items
+        np.testing.assert_array_equal(X_text.view(np.int64), X.view(np.int64))
         assert (ingested / "items.txt").read_text().splitlines() == [
             line.split("\t")[0] for line in
             (ingested / "matrix.tsv").read_text().splitlines()[1:]]

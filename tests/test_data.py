@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import INGESTED_DEFECTS, as_dict, break_ingested, coded
 from multitag import data as dt
 from multitag.data import (CHAR_STATES, NEGATIVE, POSITIVE, UNKNOWN,
-                           FeatureTable,
                            ThreeStateTagMatrix, Triples, binarize, condense,
                            make_folds, normalize_features, read_features,
                            read_ingested, read_items, read_matrix,
@@ -231,9 +230,9 @@ class TestReaders:
     def test_features_parse(self, tmp_path):
         path = tmp_path / "features.tsv"
         path.write_text("a\t1.0\t-2.5\nb\t0.0\t3.0\n")
-        t = read_features(path)
-        assert t.items == ["a", "b"]
-        np.testing.assert_allclose(t.X, [[1.0, -2.5], [0.0, 3.0]])
+        items, X = read_features(path)
+        assert items == ["a", "b"]
+        np.testing.assert_allclose(X, [[1.0, -2.5], [0.0, 3.0]])
 
     def test_features_bad_float_reports_line(self, tmp_path):
         path = tmp_path / "features.tsv"
@@ -290,7 +289,7 @@ class TestReaders:
         # with the mark kept, the first item would match no triple
         path = tmp_path / "features.tsv"
         path.write_text("a\t1.0\nb\t2.0\n", encoding="utf-8-sig")
-        assert read_features(path).items == ["a", "b"]
+        assert read_features(path)[0] == ["a", "b"]
 
 
 # The per-line readers that the block readers replaced, frozen as the
@@ -351,7 +350,7 @@ def reference_read_features(path):
     if bad.any():
         raise ValueError(f"{path}:{linenos[np.argmax(bad)]}: non-finite "
                          f"feature value")
-    return FeatureTable(items, X)
+    return items, X
 
 
 def reference_read_matrix(path):
@@ -359,6 +358,8 @@ def reference_read_matrix(path):
     vocab = next(rows, (0, [""]))[1][1:]
     items, cells = [], []
     for lineno, parts in rows:
+        if parts[0] in items:
+            raise ValueError(f"{path}:{lineno}: duplicate item id {parts[0]!r}")
         if len(parts) - 1 != len(vocab):
             raise ValueError(f"{path}:{lineno}: expected {len(vocab)} "
                              f"cells, got {len(parts) - 1}")
@@ -388,7 +389,7 @@ def plain(value):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, dict):
         return list(value.items())
-    if isinstance(value, (FeatureTable, ThreeStateTagMatrix)):
+    if isinstance(value, ThreeStateTagMatrix):
         value = astuple(value)
     if isinstance(value, tuple):
         return tuple(map(plain, value))
@@ -527,11 +528,11 @@ class TestFileRoundTrips:
                      min_size=D, max_size=D),
             min_size=len(items), max_size=len(items))))
         path = tmp_path_factory.mktemp("features") / "features.tsv"
-        write_features(path, FeatureTable(items, X))
-        back = read_features(path)
-        assert back.items == items
+        write_features(path, items, X)
+        items_back, X_back = read_features(path)
+        assert items_back == items
         # the same float bits, signed zeros and subnormals included
-        np.testing.assert_array_equal(back.X.view(np.int64),
+        np.testing.assert_array_equal(X_back.view(np.int64),
                                       X.view(np.int64))
 
 
@@ -561,7 +562,7 @@ class TestIngestedFeatures:
         assert X_back.view(np.int64).tolist() == X.view(np.int64).tolist()
         assert (directory / "items.txt").read_bytes() == "b\n\né\n".encode()
         assert plain(read_features(directory / "features.tsv")) == plain(
-            FeatureTable(matrix.items, X_back))
+            (matrix.items, X_back))
 
     @pytest.mark.parametrize("defect", INGESTED_DEFECTS)
     def test_a_faulty_file_is_an_error_naming_it(self, written, defect):

@@ -120,12 +120,12 @@ def test_write_corpus_files_round_trip(tmp_path):
     tags = ["rock", "jazz", "pop"]
     write_corpus_files(tmp_path, X, Y, tags)
     triples = read_triples(tmp_path / "triples.tsv")
-    features = read_features(tmp_path / "features.tsv")
-    assert len(features.items) == 20
-    np.testing.assert_allclose(features.X, X)
+    items, X_read = read_features(tmp_path / "features.tsv")
+    assert len(items) == 20
+    np.testing.assert_allclose(X_read, X)
     assert set(triples.tags) <= set(tags)
     # every positive cell shows up as at least one triple
-    positives = {(features.items[i], tags[j])
+    positives = {(items[i], tags[j])
                  for i, j in zip(*np.nonzero(Y))}
     assert {(triples.items[i], triples.tags[t])
             for _, i, t in triples.codes.tolist()} == positives
