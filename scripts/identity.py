@@ -6,7 +6,10 @@ revision's.
 
 The base revision's `src` is exported with `git archive` into a
 temporary directory. The README's 200-item corpus is generated once,
-with a second items file that puts three clips on each track, and one
+with a second items file that puts three clips on each track and a
+second triples file that repeats every other triple under a second
+user: ingested at `--min-positive 2`, its matrix mixes P, N and U cells,
+where the first corpus at `--min-positive 1` has no U cell. One
 fixed list of CLI commands (COMMANDS) and of this tree's experiment
 scripts (SCRIPTS) runs on it twice: with the base's `src` and with this
 tree's, as separate processes on this machine. So do the experiment
@@ -80,6 +83,20 @@ COMMANDS = [
         ("smooth", "--model", f"smoother-{name}.model",
          "--triples", f"{CORPUS}/triples.tsv", "--items",
          f"{CORPUS}/{items}", "--out", f"smoothed-{name}.tsv"))],
+    # UNKNOWN cells: the masked rows of mlp and logreg training, and the
+    # drbm's UNKNOWN policy
+    ("ingest", "--triples", f"{CORPUS}/triples-mixed.tsv",
+     "--features", f"{CORPUS}/features.tsv", "--vocab-size", "5",
+     "--min-positive", "2", "--out", "ingested-mixed"),
+    *[cmd for name, kind in (("mixed-mlp", ("mlp", "--hidden", "10")),
+                             ("mixed-logreg", ("logreg",)),
+                             ("mixed-drbm-cd", ("drbm", "--estimator", "cd",
+                                                "--hidden", "10")))
+      for cmd in (
+          ("train", "--data", "ingested-mixed", "--kind", *kind, *TRAIN,
+           "--model", f"{name}.model"),
+          ("eval", "--data", "ingested-mixed", "--model", f"{name}.model",
+           "--out", f"reports-{name}"))],
     ("oracle-check", "--trials", "2"),
 ]
 # this tree's experiment scripts, at small sizes
@@ -198,6 +215,10 @@ def main(argv=None):
         (corpus / "items-shared.tsv").write_text("".join(
             f"{item}\ttrack{i // 3:03d}\n" for i, item in enumerate(items)),
             encoding="utf-8")
+        triples = (corpus / "triples.tsv").read_text("utf-8").splitlines()
+        (corpus / "triples-mixed.tsv").write_text("".join(
+            f"{line}\n" + (f"second-{line}\n" if i % 2 == 0 else "")
+            for i, line in enumerate(triples)), encoding="utf-8")
         sides = {"base": export(args.base, tmp / "base"),
                  "this tree": REPO / "src"}
         for (label, src), out in zip(sides.items(), ("out-base", "out-head")):

@@ -1,17 +1,15 @@
 """Comparison classifiers: a one-hidden-layer perceptron and per-tag
-logistic regression, both trained by per-example gradient descent on
-cross-entropy.  Targets may be soft (smoothed) values in [0, 1];
-unknown-state cells are masked out of the loss.
+logistic regression.  Their gradients ascend minus the cross-entropy, by
+``estimators.row_step`` per example.  Targets may be soft (smoothed)
+values in [0, 1]; unknown-state cells are masked out of the loss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Params, sigm
-from .estimators import PROBE_ROWS, TrainConfig, check_rows, sgd
+from .estimators import PROBE_ROWS, TrainConfig, check_rows, row_step, sgd
 
 # validation-selected defaults: 250 hidden units / lr 0.001 for the MLP,
 # lr 2.0 for logistic regression
@@ -20,22 +18,14 @@ MLP_DEFAULT_LR = 0.001
 LOGREG_DEFAULT_LR = 2.0
 
 
-@dataclass
 class MlpParams(Params):
     KIND = "mlp"
     SHAPES = {"W1": ("D", "H"), "b1": ("H",), "W2": ("H", "C"), "b2": ("C",)}
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
 
 
-@dataclass
 class LogRegParams(Params):
     KIND = "logreg"
     SHAPES = {"W": ("D", "C"), "b": ("C",)}
-    W: np.ndarray
-    b: np.ndarray
 
 
 def _rows(x, D) -> np.ndarray:
@@ -73,8 +63,7 @@ def _sgd_cross_entropy(X, targets, mask, p0, cfg, record_file, grads,
                        predict):
     """Per-example SGD on masked cross-entropy over a block checked once:
     `check_rows`, targets in [0, 1], and a mask (all ones when None) of
-    the targets' shape.  A step subtracts cfg.lr times each array of
-    grads(x, t, mask, p), one per field of p in SHAPES order.  The
+    the targets' shape, by the `row_step` of grads(x, t, mask, p).  The
     per-epoch objective is the mean masked cross-entropy of predict(X, p)
     per row over the first PROBE_ROWS rows."""
     X, targets = check_rows(X, targets, p0)
@@ -85,11 +74,8 @@ def _sgd_cross_entropy(X, targets, mask, p0, cfg, record_file, grads,
         raise ValueError(f"mask must have the targets' shape "
                          f"{targets.shape}, got {mask.shape}")
 
-    def step(p, i, rng):
-        for name, grad in zip(p.SHAPES, grads(X[i], targets[i], mask[i], p)):
-            a = getattr(p, name)
-            a -= cfg.lr * grad
-
+    step = row_step(lambda p, i, rng: grads(X[i], targets[i], mask[i], p),
+                    cfg.lr)
     Xp, tp, mp = X[:PROBE_ROWS], targets[:PROBE_ROWS], mask[:PROBE_ROWS]
     return sgd(p0, len(X), step, cfg, record_file, lambda p: (
         "cross_entropy", cross_entropy(predict(Xp, p), tp, mp) / len(Xp)))
@@ -98,14 +84,14 @@ def _sgd_cross_entropy(X, targets, mask, p0, cfg, record_file, grads,
 def _mlp_grads(x, t, mask, p: MlpParams):
     h = sigm(p.b1 + x @ p.W1)
     o = sigm(p.b2 + h @ p.W2)
-    dpre_o = (o - t) * mask
+    dpre_o = (t - o) * mask
     dh = p.W2 @ dpre_o
     dpre_h = dh * h * (1 - h)
     return (x[:, None] * dpre_h, dpre_h, h[:, None] * dpre_o, dpre_o)
 
 
 def _logreg_grads(x, t, mask, p: LogRegParams):
-    dpre = (sigm(p.b + x @ p.W) - t) * mask
+    dpre = (t - sigm(p.b + x @ p.W)) * mask
     return x[:, None] * dpre, dpre
 
 

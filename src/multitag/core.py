@@ -10,6 +10,7 @@ biases (C,).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,15 +44,17 @@ def log1pexp(z):
 
 
 class Params:
-    """Base of every parameter class, a dataclass that declares its model
-    KIND and, in SHAPES, each array field with the names of its
-    dimensions, in field order.  From these: the constructor checks every
-    shape against ``dims`` and every entry for finiteness, a property per
-    dimension (p.n, p.C, ...) reads its size, and ``arrays`` and ``copy``
-    serve every kind, as do ``random_init`` and ``zeros``.
-    """
+    """Base of every parameter class, which declares its model KIND, in
+    SHAPES each array with the names of its dimensions, and in FIELDS its
+    other values (the smoother's aux_sizes).  From these alone: the
+    constructor takes the arrays, then the FIELDS, by position or by name,
+    checks every shape against ``dims`` and every entry for finiteness,
+    and runs ``_check``; a property per dimension (p.n, p.C, ...) reads
+    its size; and ``arrays``, ``copy``, ``random_init`` and ``zeros`` serve
+    every kind."""
     KIND = None
     SHAPES = {}
+    FIELDS = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -61,21 +64,31 @@ class Params:
                     setattr(cls, dim, property(
                         lambda self, name=name, axis=axis:
                         getattr(self, name).shape[axis]))
+        cls.__signature__ = inspect.Signature(
+            [inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+             for name in (*cls.SHAPES, *cls.FIELDS)])
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        # bind raises the TypeError of a missing, repeated or unknown field
+        values = self.__signature__.bind(*args, **kwargs).arguments
         for name in self.SHAPES:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            values[name] = np.asarray(values[name], dtype=float)
+        vars(self).update(values)
         sizes = self.dims
         for name, axes in self.SHAPES.items():
-            shape = getattr(self, name).shape
+            shape = values[name].shape
             if shape != tuple(sizes.get(d) for d in axes):
                 want = "have length" if len(axes) == 1 else "be"
                 known = ", ".join(f"{d}={sizes.get(d)}" for d in axes)
                 raise ShapeError(f"{name} must {want} {' x '.join(axes)}, "
                                  f"got shape {shape} with {known}")
-        for name, a in self.arrays().items():
-            if not np.all(np.isfinite(a)):
+        for name in self.SHAPES:
+            if not np.all(np.isfinite(values[name])):
                 raise ValueError(f"array {name}: non-finite entry")
+        self._check()
+
+    def _check(self):
+        """The checks a kind adds to the constructor's, if any."""
 
     @classmethod
     def random_init(cls, *sizes_then_rng, scale=0.01, **fields):
@@ -122,16 +135,12 @@ class Params:
         return new
 
 
-@dataclass
 class DrbmParams(Params):
     """The bipartite label/hidden model; a model kind with more arrays
-    (the Gaussian RBM's feature bias) subclasses it with their fields."""
+    (the Gaussian RBM's feature bias) subclasses it and adds them to
+    SHAPES."""
     KIND = "drbm"
     SHAPES = {"U": ("n", "C"), "W": ("n", "D"), "c": ("n",), "d": ("C",)}
-    U: np.ndarray
-    W: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
 
 
 class LabeledExample(NamedTuple):
@@ -143,15 +152,19 @@ class LabeledExample(NamedTuple):
 @dataclass
 class Gradient:
     """The ascent direction of the four DrbmParams arrays; a model kind
-    with more arrays subclasses it with their fields."""
+    with more arrays subclasses it with their fields.  It iterates over
+    its arrays in field order, the SHAPES order of its parameters."""
     dU: np.ndarray
     dW: np.ndarray
     dc: np.ndarray
     dd: np.ndarray
 
-    def flat(self) -> np.ndarray:
+    def __iter__(self):
         # vars() costs less per call than dataclasses.fields()
-        return np.concatenate([a.ravel() for a in vars(self).values()])
+        return iter(vars(self).values())
+
+    def flat(self) -> np.ndarray:
+        return np.concatenate([a.ravel() for a in self])
 
 
 def _check_vec(v, length, name):

@@ -343,7 +343,9 @@ def read_ingested(directory):
     listed = path = os.path.join(directory, "items.txt")
     try:
         with open(path, encoding="utf-8") as fh:
-            items = fh.read().split("\n")[:-1]  # a blank line is an empty id
+            text = fh.read()
+        # the last id needs no newline; a blank line is an empty id
+        items = text.removesuffix("\n").split("\n") if text else []
         path = os.path.join(directory, "features.npy")
         with open(path, "rb") as fh:
             X = np.lib.format.read_array(fh, allow_pickle=False)

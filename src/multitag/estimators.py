@@ -6,7 +6,9 @@ gradient training driver.
 All estimators return the ascent direction of the conditional
 log-likelihood (or its surrogate), so a training step is
 theta <- theta + lr * gradient.  The pseudocode convention
-theta <- theta - lr * (dE_pos - dE_neg) is the same thing.
+theta <- theta - lr * (dE_pos - dE_neg) is the same thing.  Every row
+trainer, the mlp and logreg baselines included, takes that step through
+``row_step``; only the smoother has a step of its own.
 """
 
 from __future__ import annotations
@@ -170,14 +172,12 @@ def cond_objective(X, Y):
     return objective
 
 
-@dataclass
 class GaussianRbmParams(DrbmParams):
     """Joint model over (y, x, h) with unit-variance Gaussian features;
     its label conditional p(y, h | x) is the DrbmParams it extends, and
     bx are its feature biases."""
     KIND = "grbm"
     SHAPES = {**DrbmParams.SHAPES, "bx": ("D",)}
-    bx: np.ndarray
 
 
 @dataclass
@@ -284,21 +284,26 @@ def check_rows(X, Y, p0):
     return X, Y
 
 
+def row_step(gradient, lr):
+    """The `sgd` step of every row trainer: it adds lr times each array
+    of gradient(p, i, rng), an ascent direction whose arrays come in
+    p's SHAPES order (a Gradient, or a tuple), to that array of p."""
+    def step(p, i, rng):
+        for name, g in zip(p.SHAPES, gradient(p, i, rng)):
+            a = getattr(p, name)
+            a += lr * g
+    return step
+
+
 def _sgd_rows(X, Y, p0, cfg: TrainConfig, gradient, estimator, record_file):
-    """`sgd` over the rows of the (N, D) features X and (N, C) labels Y,
-    checked once as a block (`check_rows`, and 0/1 labels).  A step adds
-    cfg.lr times the field dA of gradient(LabeledExample(X[i], Y[i]), p,
-    cfg, rng) to each array A of p.  The objective is ``cond_objective``'s."""
+    """`sgd` by the `row_step` of gradient(LabeledExample(X[i], Y[i]), p,
+    cfg, rng) over the (N, D) features X and (N, C) 0/1 labels Y, checked
+    once as a block, with ``cond_objective``'s objective."""
     X, Y = check_rows(X, Y, p0)
     if not np.all((Y == 0) | (Y == 1)):
         raise ValueError("labels must be 0/1")
-
-    def step(p, i, rng):
-        grad = gradient(LabeledExample(X[i], Y[i]), p, cfg, rng)
-        for name in p.SHAPES:  # cheaper per step than p.arrays()
-            a = getattr(p, name)
-            a += cfg.lr * getattr(grad, "d" + name)
-
+    step = row_step(lambda p, i, rng:
+                    gradient(LabeledExample(X[i], Y[i]), p, cfg, rng), cfg.lr)
     return sgd(p0, len(X), step, cfg, record_file, cond_objective(X, Y),
                estimator)
 

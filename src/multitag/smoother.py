@@ -7,7 +7,6 @@ for downstream classifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +19,6 @@ from .estimators import TrainConfig, _phase_difference, sgd
 SMOOTH_MAX_ITER = 500
 
 
-@dataclass
 class SmootherParams(Params):
     """U couples hidden units to tags, W conditions them on other users'
     average tags, V conditions the tags on the one-hot identity block,
@@ -28,15 +26,9 @@ class SmootherParams(Params):
     KIND = "smoother"
     SHAPES = {"U": ("n", "C"), "W": ("n", "C"), "V": ("C", "A"), "c": ("n",),
               "d": ("C",)}
-    U: np.ndarray
-    W: np.ndarray
-    V: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    aux_sizes: tuple
+    FIELDS = ("aux_sizes",)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         self.aux_sizes = tuple(int(s) for s in self.aux_sizes)
         if len(self.aux_sizes) != 3 or sum(self.aux_sizes) != self.A:
             raise ShapeError("aux_sizes must be three block sizes summing "

@@ -152,8 +152,9 @@ class TestMlpTrain:
         x = rng.normal(size=3)
         t = np.array([1.0, 0.3])
         mask = np.array([1.0, 1.0])
+        # the ascent direction: the gradient of minus the cross-entropy
         grads = np.concatenate([g.ravel() for g in _mlp_grads(x, t, mask, p)])
-        fd = finite_diff(lambda q: cross_entropy(mlp_predict(x, q), t, mask),
+        fd = finite_diff(lambda q: -cross_entropy(mlp_predict(x, q), t, mask),
                          p)
         assert grads == pytest.approx(fd, rel=1e-4, abs=1e-7)
 

@@ -281,6 +281,55 @@ def test_params_dims_follow_the_declared_shapes():
         DrbmParams(p.U, p.W, np.zeros(2), p.d)
 
 
+def declared_values(kind, rng):
+    """An array of normal draws for each of the kind's SHAPES at (n, C,
+    D, H, A) = (2, 3, 4, 5, 6), then its other fields, by name."""
+    size = {"n": 2, "C": 3, "D": 4, "H": 5, "A": 6}
+    cls = KINDS[kind]
+    arrays = {name: rng.normal(size=tuple(size[d] for d in axes))
+              for name, axes in cls.SHAPES.items()}
+    return {**arrays, **({"aux_sizes": (1, 2, 3)} if cls.FIELDS else {})}
+
+
+class TestOneDeclaration:
+    """Every parameter class is built from its SHAPES and FIELDS alone."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_positional_construction_follows_shapes(self, kind, rng):
+        cls = KINDS[kind]
+        values = declared_values(kind, rng)
+        by_name, by_position = cls(**values), cls(*values.values())
+        assert list(by_position.arrays()) == list(cls.SHAPES)
+        assert as_bytes(by_position.arrays().values()) == as_bytes(
+            by_name.arrays().values())
+        assert as_bytes(by_name.arrays().values()) == as_bytes(
+            values[name] for name in cls.SHAPES)
+        for name in cls.FIELDS:
+            assert getattr(by_position, name) == getattr(by_name, name)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("case", ["missing", "repeated", "unknown",
+                                      "too-many"])
+    def test_a_bad_field_is_a_type_error(self, kind, case, rng):
+        cls = KINDS[kind]
+        values = declared_values(kind, rng)
+        *rest, last = values
+        first = rest[0]
+        args, kwargs, message = {
+            "missing": ([values[n] for n in rest], {},
+                        f"missing a required argument: '{last}'"),
+            # the first field by position and by name
+            "repeated": ([values[first]], values,
+                         f"multiple values for argument '{first}'"),
+            "unknown": ([], {**values, "bogus": 0},
+                        "unexpected keyword argument 'bogus'"),
+            "too-many": ([*values.values(), 0], {},
+                         "too many positional arguments"),
+        }[case]
+        with pytest.raises(TypeError, match=message):
+            cls(*args, **kwargs)
+
+
 def test_params_copy_is_not_checked_again():
     # a trainer copies its start point; an entry planted non-finite in it
     # must reach the divergence check, not fail the copy

@@ -404,14 +404,17 @@ def outcome(read, path):
 
 
 @st.composite
-def tab_texts(draw, first, rest, width):
-    """A tab file's text: mostly rows of ``width`` fields (a ``first``
-    then ``rest``), some blank or ragged, with LF, CRLF or CR line ends
-    and perhaps no final one."""
+def tab_texts(draw, first, rest, width, min_rows=0, ragged=True):
+    """A tab file's text: at least ``min_rows`` rows, mostly of ``width``
+    fields (a ``first`` then ``rest``), some blank or, if ``ragged``, of
+    another width, with LF, CRLF or CR line ends and perhaps no final
+    one."""
     row = st.builds(lambda a, b: [a, *b], first,
                     st.lists(rest, min_size=width - 1, max_size=width - 1))
-    ragged = st.lists(st.one_of(first, rest), max_size=width + 2)
-    rows = draw(st.lists(st.one_of(row, row, row, st.just([]), ragged),
+    shapes = [row, row, row, st.just([])]
+    if ragged:
+        shapes.append(st.lists(st.one_of(first, rest), max_size=width + 2))
+    rows = draw(st.lists(st.one_of(*shapes), min_size=min_rows,
                          max_size=12))
     ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in rows]
     text = "".join("\t".join(r) + end for r, end in zip(rows, ends))
@@ -425,13 +428,20 @@ FLOATS = st.sampled_from(["0", "1.5", "-2.25", "-0.0", "1e-310", "3", " 4 ",
                           "1_0", "0.1", "-7", "nan", "-inf", "1e999", "oops",
                           ""])
 CELLS = st.sampled_from(["P", "N", "U", "P", "N", "U", "X", "", "PN", "é"])
+# ids that rarely repeat, and only good cells
+DISTINCT_IDS = st.uuids().map(lambda u: u.hex[:8])
+GOOD_CELLS = st.sampled_from(["P", "N", "U"])
 
-# reader, its frozen reference, the first field and the rest of a row
+# reader, its frozen reference, the first field and the rest of a row,
+# and tab_texts' options
 PARITY = {
-    "triples": (read_triples, reference_read_triples, IDS, IDS),
-    "features": (read_features, reference_read_features, IDS, FLOATS),
-    "matrix": (read_matrix, reference_read_matrix, IDS, CELLS),
-    "items": (read_items, reference_read_items, IDS, IDS),
+    "triples": (read_triples, reference_read_triples, IDS, IDS, {}),
+    "features": (read_features, reference_read_features, IDS, FLOATS, {}),
+    "matrix": (read_matrix, reference_read_matrix, IDS, CELLS, {}),
+    "items": (read_items, reference_read_items, IDS, IDS, {}),
+    # most of these texts read back, with several rows across blocks
+    "matrix-rows": (read_matrix, reference_read_matrix, DISTINCT_IDS,
+                    GOOD_CELLS, {"min_rows": 6, "ragged": False}),
 }
 
 
@@ -442,11 +452,11 @@ class TestBlockReadersMatchPerLineReaders:
     @settings(max_examples=200, deadline=None)
     def test_same_values_or_same_fault(self, tmp_path_factory, name, data,
                                        block):
-        read, reference, first, rest = PARITY[name]
+        read, reference, first, rest, options = PARITY[name]
         width = 3 if name == "triples" else 2 if name == "items" else \
             data.draw(st.integers(1, 4))
         path = tmp_path_factory.mktemp(name) / f"{name}.tsv"
-        path.write_bytes(data.draw(tab_texts(first, rest, width))
+        path.write_bytes(data.draw(tab_texts(first, rest, width, **options))
                          .encode("utf-8"))
         # a small block puts faults and lines across block boundaries
         with mock.patch.object(dt, "BLOCK", block):
@@ -563,6 +573,23 @@ class TestIngestedFeatures:
         assert (directory / "items.txt").read_bytes() == "b\n\né\n".encode()
         assert plain(read_features(directory / "features.tsv")) == plain(
             (matrix.items, X_back))
+
+    def test_the_last_id_needs_no_line_end(self, written):
+        # as in a model file; a missing one used to drop the last id
+        directory, matrix, X = written
+        items = directory / "items.txt"
+        items.write_bytes(items.read_bytes().removesuffix(b"\n"))
+        back, X_back = read_ingested(directory)
+        assert plain(back) == plain(matrix)
+        assert plain(X_back) == plain(X)
+
+    def test_an_empty_items_file_lists_no_ids(self, tmp_path):
+        matrix = ThreeStateTagMatrix([], ["t"], np.empty((0, 1), np.int8))
+        write_ingested(tmp_path, matrix, np.empty((0, 2)))
+        assert (tmp_path / "items.txt").read_bytes() == b""
+        back, X = read_ingested(tmp_path)
+        assert plain(back) == plain(matrix)
+        assert X.shape == (0, 2)
 
     @pytest.mark.parametrize("defect", INGESTED_DEFECTS)
     def test_a_faulty_file_is_an_error_naming_it(self, written, defect):

@@ -275,6 +275,17 @@ class TestGenerativeCd:
                 assert getattr(got, name).tobytes() == value.tobytes(), name
             assert a.bit_generator.state == b.bit_generator.state
 
+    def test_flat_lists_the_arrays_in_shapes_order(self, rng):
+        # the row step adds a gradient's arrays in this order; every shape
+        # differs at (n, C, D) = (3, 2, 4)
+        p = GaussianRbmParams.random_init(3, 2, 4, rng, scale=0.5)
+        ex = LabeledExample(rng.normal(size=4), np.array([1.0, 0.0]))
+        g = generative_cd_gradient(ex, p, K=1, rng=rng)
+        assert [a.shape for a in g] == [a.shape for a in p.arrays().values()]
+        want = [getattr(g, "d" + name) for name in GaussianRbmParams.SHAPES]
+        assert g.flat().tobytes() == np.concatenate(
+            [a.ravel() for a in want]).tobytes()
+
     def test_training_matches_the_sample_bernoulli_form(self, monkeypatch):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(8, 5))
