@@ -57,6 +57,14 @@ COMMANDS = [
     *[("train", "--data", "ingested", "--kind", "drbm", "--estimator", est,
        "--hidden", "10", *TRAIN, "--model", f"drbm-{est}.model")
       for est in ("cd", "mfcd", "lbp", "pl")],
+    # 2^5 * 200 * 200 cells, above EXACT_OBJECTIVE_CELLS: the record's
+    # objective is the log pseudo-likelihood
+    ("train", "--data", "ingested", "--kind", "drbm", "--estimator", "cd",
+     "--hidden", "200", *TRAIN, "--model", "drbm-cd-h200.model"),
+    # damped belief propagation
+    ("train", "--data", "ingested", "--kind", "drbm", "--estimator", "lbp",
+     "--beta", "0.5", "--hidden", "10", *TRAIN,
+     "--model", "drbm-lbp-beta0.5.model"),
     ("train", "--data", "ingested", "--kind", "grbm", "--hidden", "10",
      *TRAIN, "--model", "grbm.model"),
     ("train", "--data", "ingested", "--kind", "mlp", "--hidden", "10",
@@ -73,8 +81,9 @@ COMMANDS = [
      "--model", "logreg-lr30.model"),
     *[("eval", "--data", "ingested", "--model", f"{name}.model",
        "--out", f"reports-{name}")
-      for name in ("drbm-cd", "drbm-mfcd", "drbm-lbp", "drbm-pl", "grbm",
-                   "mlp", "logreg", "logreg-untrained", "logreg-lr30")],
+      for name in ("drbm-cd", "drbm-mfcd", "drbm-lbp", "drbm-pl",
+                   "drbm-cd-h200", "drbm-lbp-beta0.5", "grbm", "mlp",
+                   "logreg", "logreg-untrained", "logreg-lr30")],
     ("eval", "--data", "ingested", "--model", "drbm-pl.model",
      "--model-b", "logreg.model", "--out", "reports-pl-vs-logreg"),
     *[cmd for items, l1, name in SMOOTHERS for cmd in (

@@ -42,20 +42,19 @@ def _read_config(path, known):
     a key not in ``known`` (an option of some command), or twice, is an
     error."""
     values = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = (val.strip(), f"{path}:{lineno}")
+    for lineno, line in enumerate(dt.read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, val = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = (val.strip(), f"{path}:{lineno}")
     return values
 
 

@@ -45,16 +45,18 @@ def log1pexp(z):
 
 class Params:
     """Base of every parameter class, which declares its model KIND, in
-    SHAPES each array with the names of its dimensions, and in FIELDS its
-    other values (the smoother's aux_sizes).  From these alone: the
-    constructor takes the arrays, then the FIELDS, by position or by name,
-    checks every shape against ``dims`` and every entry for finiteness,
-    and runs ``_check``; a property per dimension (p.n, p.C, ...) reads
-    its size; and ``arrays``, ``copy``, ``random_init`` and ``zeros`` serve
-    every kind."""
+    SHAPES each array with the names of its dimensions, and in FIELDS
+    each other value with the names of the sizes it holds, in order (the
+    smoother's aux_sizes are its users, tracks and clips).  From these
+    alone: the constructor takes the arrays, then the FIELDS, by position
+    or by name, checks every shape against ``dims`` and every entry for
+    finiteness, and runs ``_check``; a property per dimension (p.n, p.C,
+    ...) reads its size; ``arrays``, ``copy`` and ``random_init`` serve
+    every kind, and ``zeros``, which takes no fields, every kind without
+    FIELDS."""
     KIND = None
     SHAPES = {}
-    FIELDS = ()
+    FIELDS = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

@@ -209,6 +209,16 @@ def _blocks(path):
             yield first, carry + "\n"
 
 
+def read_lines(path) -> list:
+    """The lines of items.txt, a model or a config file at ``path``:
+    UTF-8 with or without a byte-order mark, universal newlines, a line
+    ending at "\n" only and the last needing none; an empty file has no
+    lines, and a blank line is an empty entry."""
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    return text.removesuffix("\n").split("\n") if text else []
+
+
 # read_triples and read_matrix check each block whole, walking its lines
 # only to name the first fault: checked line by line (tests/test_data.py's
 # references), corpus-20k's 404k triples, read by every ingest, took 0.56 s
@@ -342,10 +352,7 @@ def read_ingested(directory):
         raise ValueError(f"{table}: no tag columns")
     listed = path = os.path.join(directory, "items.txt")
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        # the last id needs no newline; a blank line is an empty id
-        items = text.removesuffix("\n").split("\n") if text else []
+        items = read_lines(path)
         path = os.path.join(directory, "features.npy")
         with open(path, "rb") as fh:
             X = np.lib.format.read_array(fh, allow_pickle=False)

@@ -2,8 +2,9 @@
 model kind, dimensions, the tag vocabulary, and every parameter array as
 named rows of decimal floats.  Floats are written with shortest
 round-trip precision, so save -> load reproduces every value bit-exactly.
-A line ends at "\n" only (universal newlines fold "\r\n" and "\r" into
-it), so a tag may hold any other character, form feeds included.
+Lines are read by `data.read_lines`: a line ends at "\n" only (universal
+newlines fold "\r\n" and "\r" into it), so a tag may hold any other
+character, form feeds included.
 """
 
 from __future__ import annotations
@@ -14,38 +15,24 @@ import numpy as np
 
 from .baselines import LogRegParams, MlpParams
 from .core import DrbmParams
+from .data import read_lines
 from .estimators import GaussianRbmParams
 from .smoother import SmootherParams
 
 FORMAT_HEADER = "multitag-model 1"
 # kind name -> parameter class; a class writes its dims and arrays as
-# its SHAPES declare them
+# its SHAPES declare them, and its other fields as its FIELDS do
 KINDS = {cls.KIND: cls for cls in (DrbmParams, GaussianRbmParams,
                                    SmootherParams, MlpParams, LogRegParams)}
-# the dim lines of a smoother's aux_sizes
-AUX_DIMS = ("users", "tracks", "clips")
 
 
 class ModelFormatError(ValueError):
     pass
 
 
-def _write_array(fh, name, a):
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    fh.write(f"array {name} {a.shape[0]} {a.shape[1]}\n")
-    for row in a:
-        fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def _file_dims(model) -> dict:
-    """The dim lines of a model: its dims, and a smoother's aux_sizes."""
-    aux = dict(zip(AUX_DIMS, getattr(model, "aux_sizes", ())))
-    return {**model.dims, **aux}
-
-
 def save_model(path, model, vocab):
     """Write any KINDS parameter object with its tag vocabulary: its
-    dims, then its arrays in declared order."""
+    dims, the sizes its FIELDS hold, and its arrays in declared order."""
     if KINDS.get(getattr(model, "KIND", None)) is not type(model):
         raise TypeError(f"unsupported model type {type(model).__name__}")
     if len(vocab) != model.C:
@@ -54,27 +41,32 @@ def save_model(path, model, vocab):
     for tag in vocab:
         if "\n" in tag or "\r" in tag:
             raise ValueError(f"vocabulary entry {tag!r} holds a line end")
+    dims = model.dims
+    for field, names in model.FIELDS.items():
+        dims.update(zip(names, getattr(model, field), strict=True))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(FORMAT_HEADER + "\n")
         fh.write(f"kind {model.KIND}\n")
-        for k, v in _file_dims(model).items():
+        for k, v in dims.items():
             fh.write(f"dim {k} {v}\n")
         fh.write(f"vocab {len(vocab)}\n")
         for tag in vocab:
             fh.write(tag + "\n")
         for name, a in model.arrays().items():
-            _write_array(fh, name, a)
+            a = np.atleast_2d(a)
+            fh.write(f"array {name} {a.shape[0]} {a.shape[1]}\n")
+            fh.writelines(" ".join(map(repr, row)) + "\n"
+                          for row in a.tolist())
 
 
 def load_model(path):
     """Read a model file; returns (parameter object, vocabulary).  The
     file must hold the lines `save_model` writes, in its order: the
-    header, the kind, one dim line per dim in SHAPES order (a smoother's
-    users, tracks and clips after them), `vocab C` and its C tags, each
-    array in SHAPES order headed by the shape its dims give, and nothing
-    after the last array.  The parameter class checks the values."""
-    with open(path, encoding="utf-8") as fh:
-        lines = iter(fh.read().removesuffix("\n").split("\n"))
+    header, the kind, one dim line per dim in SHAPES order and then per
+    size that FIELDS names, `vocab C` and its C tags, each array in
+    SHAPES order headed by the shape its dims give, and nothing after
+    the last array.  The parameter class checks the values."""
+    lines = iter(read_lines(path))
 
     def expect(want):
         """The last word of the next line, whose words must be those of
@@ -93,15 +85,16 @@ def load_model(path):
     if cls is None:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
     dims = {}
-    for dim in [*dict.fromkeys(chain(*cls.SHAPES.values())),
-                *(AUX_DIMS if cls is SmootherParams else ())]:
+    for dim in dict.fromkeys(chain(*cls.SHAPES.values(),
+                                   *cls.FIELDS.values())):
         size = expect(f"dim {dim} ...")
         if not (size.isascii() and size.isdigit()):
             raise ModelFormatError(f"{path}: bad count in 'dim {dim} {size}'")
         dims[dim] = int(size)
     expect(f"vocab {dims['C']}")
     vocab = list(islice(lines, dims["C"]))
-    fields = {}
+    fields = {field: tuple(dims[d] for d in names)
+              for field, names in cls.FIELDS.items()}
     for name, axes in cls.SHAPES.items():
         shape = tuple(dims[d] for d in axes)
         rows, cols = shape if len(shape) == 2 else (1, *shape)
@@ -121,8 +114,6 @@ def load_model(path):
     if rest is not None:
         raise ModelFormatError(f"{path}: expected the end of the file, found "
                                f"{rest!r}")
-    if cls is SmootherParams:
-        fields["aux_sizes"] = [dims[k] for k in AUX_DIMS]
     try:
         return cls(**fields), vocab
     except ValueError as exc:

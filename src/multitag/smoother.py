@@ -26,7 +26,7 @@ class SmootherParams(Params):
     KIND = "smoother"
     SHAPES = {"U": ("n", "C"), "W": ("n", "C"), "V": ("C", "A"), "c": ("n",),
               "d": ("C",)}
-    FIELDS = ("aux_sizes",)
+    FIELDS = {"aux_sizes": ("users", "tracks", "clips")}
 
     def _check(self):
         self.aux_sizes = tuple(int(s) for s in self.aux_sizes)

@@ -283,12 +283,15 @@ def test_params_dims_follow_the_declared_shapes():
 
 def declared_values(kind, rng):
     """An array of normal draws for each of the kind's SHAPES at (n, C,
-    D, H, A) = (2, 3, 4, 5, 6), then its other fields, by name."""
-    size = {"n": 2, "C": 3, "D": 4, "H": 5, "A": 6}
+    D, H, A) = (2, 3, 4, 5, 6), then each of its FIELDS as the sizes of
+    its names, A being (users, tracks, clips) = (1, 2, 3), by name."""
+    size = {"n": 2, "C": 3, "D": 4, "H": 5, "A": 6, "users": 1, "tracks": 2,
+            "clips": 3}
     cls = KINDS[kind]
     arrays = {name: rng.normal(size=tuple(size[d] for d in axes))
               for name, axes in cls.SHAPES.items()}
-    return {**arrays, **({"aux_sizes": (1, 2, 3)} if cls.FIELDS else {})}
+    return {**arrays, **{field: tuple(size[d] for d in names)
+                         for field, names in cls.FIELDS.items()}}
 
 
 class TestOneDeclaration:

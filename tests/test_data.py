@@ -546,6 +546,24 @@ class TestFileRoundTrips:
                                       X.view(np.int64))
 
 
+@pytest.mark.parametrize("raw, lines", [
+    (b"", []),
+    (b"\n", [""]),
+    (b"a", ["a"]),
+    (b"a\n", ["a"]),
+    (b"a\n\nb\n", ["a", "", "b"]),
+    (b"a\r\nb\rc", ["a", "b", "c"]),
+    (b"\xef\xbb\xbfa\n", ["a"]),
+    (b"\xef\xbb\xbf", []),
+    ("a\fb\x85c\u2028d\n".encode(), ["a\fb\x85c\u2028d"]),
+], ids=["empty", "one-blank", "no-line-end", "line-end", "blank-line",
+        "crlf-and-cr", "bom", "bom-only", "other-separators"])
+def test_read_lines(tmp_path, raw, lines):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(raw)
+    assert dt.read_lines(path) == lines
+
+
 class TestIngestedFeatures:
     """An ingested directory's features: features.tsv for people, and the
     items.txt and features.npy that train and eval read."""
@@ -579,6 +597,15 @@ class TestIngestedFeatures:
         directory, matrix, X = written
         items = directory / "items.txt"
         items.write_bytes(items.read_bytes().removesuffix(b"\n"))
+        back, X_back = read_ingested(directory)
+        assert plain(back) == plain(matrix)
+        assert plain(X_back) == plain(X)
+
+    def test_a_byte_order_mark_is_dropped(self, written):
+        # as in every other input file; the mark joined the first id
+        directory, matrix, X = written
+        items = directory / "items.txt"
+        items.write_bytes(b"\xef\xbb\xbf" + items.read_bytes())
         back, X_back = read_ingested(directory)
         assert plain(back) == plain(matrix)
         assert plain(X_back) == plain(X)

@@ -1,10 +1,12 @@
+import codecs
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multitag.baselines import LogRegParams, MlpParams
-from multitag.core import DrbmParams
+from multitag.core import DrbmParams, Params
 from multitag.estimators import GaussianRbmParams
 from multitag.modelio import (FORMAT_HEADER, KINDS, ModelFormatError,
                               load_model, save_model)
@@ -23,20 +25,32 @@ def awkward(rng, shape):
     return a
 
 
+def declared_fields(cls, size):
+    """Each of the class's FIELDS as the sizes its names have in
+    ``size``."""
+    return {field: tuple(size[d] for d in names)
+            for field, names in cls.FIELDS.items()}
+
+
 def small_model(kind, draw):
-    """A model of ``kind`` at (n, C, D, H, A) = (2, 3, 4, 5, 6), every
-    array drawn by ``draw(shape)``."""
+    """A model of ``kind`` at (n, C, D, H, A) = (2, 3, 4, 5, 6), A being
+    (users, tracks, clips) = (1, 2, 3), every array drawn by
+    ``draw(shape)``."""
     cls = KINDS[kind]
-    size = {"n": 2, "C": 3, "D": 4, "H": 5, "A": 6}
-    extra = {"aux_sizes": (1, 2, 3)} if cls is SmootherParams else {}
+    size = {"n": 2, "C": 3, "D": 4, "H": 5, "A": 6, "users": 1, "tracks": 2,
+            "clips": 3}
     return cls(**{name: draw(tuple(size[d] for d in axes))
-                  for name, axes in cls.SHAPES.items()}, **extra)
+                  for name, axes in cls.SHAPES.items()},
+               **declared_fields(cls, size))
 
 
 def assert_loads_to(path, p, vocab):
-    """Load ``path``, asserting p's type, arrays bit for bit, and vocab."""
+    """Load ``path``, asserting p's type, arrays bit for bit, FIELDS and
+    vocab."""
     q, vocab_q = load_model(path)
     assert type(q) is type(p) and vocab_q == vocab
+    assert {f: getattr(q, f) for f in p.FIELDS} == {
+        f: getattr(p, f) for f in p.FIELDS}
     for name, a in p.arrays().items():
         b = getattr(q, name)
         assert (b.shape, b.tobytes()) == (a.shape, a.tobytes())
@@ -99,13 +113,12 @@ class TestRoundTrip:
         cls = KINDS[kind]
         size = dict(zip(("n", "C", "D", "H", "users", "tracks", "clips"),
                         sizes))
-        extra = {}
-        if cls is SmootherParams:
-            extra["aux_sizes"] = (size["users"], size["tracks"], size["clips"])
-            size["A"] = sum(extra["aux_sizes"])
+        # the identity block spans the users, tracks and clips blocks
+        size["A"] = size["users"] + size["tracks"] + size["clips"]
         rng = np.random.default_rng(seed)
         p = cls(**{name: awkward(rng, tuple(size[d] for d in axes))
-                   for name, axes in cls.SHAPES.items()}, **extra)
+                   for name, axes in cls.SHAPES.items()},
+                **declared_fields(cls, size))
         vocab = [f"tag{j}" for j in range(size["C"])]
         root = tmp_path_factory.mktemp("round-trip")
         first, second = root / "first.model", root / "second.model"
@@ -114,13 +127,21 @@ class TestRoundTrip:
         save_model(second, q, vocab)
         assert second.read_bytes() == first.read_bytes()
         assert q.arrays().keys() == p.arrays().keys()
-        assert getattr(q, "aux_sizes", None) == extra.get("aux_sizes")
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_crlf_line_ends_load_as_lf(self, rng, tmp_path, kind):
         p, path = small_model(kind, lambda s: awkward(rng, s)), tmp_path / "m"
         save_model(path, p, ["t0", "t 1", "t\f2"])
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert_loads_to(path, p, ["t0", "t 1", "t\f2"])
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_a_byte_order_mark_is_dropped(self, rng, tmp_path, kind):
+        # as in every other input file; the mark was read as part of the
+        # header, which failed
+        p, path = small_model(kind, lambda s: awkward(rng, s)), tmp_path / "m"
+        save_model(path, p, ["t0", "t 1", "t\f2"])
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
         assert_loads_to(path, p, ["t0", "t 1", "t\f2"])
 
     def test_dim_lines_follow_the_declared_shapes(self, rng, tmp_path):
@@ -141,11 +162,42 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+class SpanParams(Params):
+    """A kind declared only here, with a field that is not an array."""
+    KIND = "span"
+    SHAPES = {"W": ("D", "C"), "b": ("C",)}
+    FIELDS = {"span": ("first", "last")}
+
+
+class TestAKindFromItsDeclaration:
+    def test_a_new_field_round_trips(self, rng, tmp_path, monkeypatch):
+        # save_model and load_model read the kind's SHAPES and FIELDS,
+        # so a new kind needs no change to the model file's code
+        monkeypatch.setitem(KINDS, SpanParams.KIND, SpanParams)
+        p = SpanParams(awkward(rng, (4, 2)), awkward(rng, 2), (7, 11))
+        first, second = tmp_path / "first.model", tmp_path / "second.model"
+        save_model(first, p, ["a", "b"])
+        assert first.read_text().split("\n")[:7] == [
+            FORMAT_HEADER, "kind span", "dim D 4", "dim C 2", "dim first 7",
+            "dim last 11", "vocab 2"]
+        q = assert_loads_to(first, p, ["a", "b"])
+        assert q.span == (7, 11)
+        save_model(second, q, ["a", "b"])
+        assert second.read_bytes() == first.read_bytes()
+
+
 class TestErrors:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("something else\n")
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.model"
+        path.write_bytes(b"")
+        with pytest.raises(ModelFormatError, match=f"expected "
+                           f"'{FORMAT_HEADER}', found the end of the file$"):
             load_model(path)
 
     def test_unknown_kind(self, tmp_path):
