@@ -45,10 +45,12 @@ CORPUS = "../corpus"  # from each output directory
 TRAIN = ("--epochs", "2", "--seed", "1")
 SMOOTHER = ("--kind", "smoother", "--triples", f"{CORPUS}/triples.tsv",
             "--vocab-size", "5", "--hidden", "4", *TRAIN)
-# (items file, l1, name): items.tsv gives every clip its own track,
-# items-shared.tsv puts three clips on each track
-SMOOTHERS = (("items.tsv", "0", "l1-0"), ("items.tsv", "0.01", "l1-0.01"),
-             ("items-shared.tsv", "0.01", "shared-tracks"))
+# (items file, l1, name, more options): items.tsv gives every clip its
+# own track, items-shared.tsv puts three clips on each track
+SMOOTHERS = (("items.tsv", "0", "l1-0", ()),
+             ("items.tsv", "0.01", "l1-0.01", ()),
+             ("items-shared.tsv", "0.01", "shared-tracks", ()),
+             ("items.tsv", "0.01", "k3", ("--k", "3")))
 
 COMMANDS = [
     ("ingest", "--triples", f"{CORPUS}/triples.tsv",
@@ -67,6 +69,11 @@ COMMANDS = [
      "--model", "drbm-lbp-beta0.5.model"),
     ("train", "--data", "ingested", "--kind", "grbm", "--hidden", "10",
      *TRAIN, "--model", "grbm.model"),
+    # the Gibbs chains where they iterate: CD-10 and CD-3
+    ("train", "--data", "ingested", "--kind", "drbm", "--estimator", "cd",
+     "--k", "10", "--hidden", "10", *TRAIN, "--model", "drbm-cd-k10.model"),
+    ("train", "--data", "ingested", "--kind", "grbm", "--k", "3",
+     "--hidden", "10", *TRAIN, "--model", "grbm-k3.model"),
     ("train", "--data", "ingested", "--kind", "mlp", "--hidden", "10",
      *TRAIN, "--model", "mlp.model"),
     ("train", "--data", "ingested", "--kind", "logreg", *TRAIN,
@@ -82,13 +89,13 @@ COMMANDS = [
     *[("eval", "--data", "ingested", "--model", f"{name}.model",
        "--out", f"reports-{name}")
       for name in ("drbm-cd", "drbm-mfcd", "drbm-lbp", "drbm-pl",
-                   "drbm-cd-h200", "drbm-lbp-beta0.5", "grbm", "mlp",
-                   "logreg", "logreg-untrained", "logreg-lr30")],
+                   "drbm-cd-h200", "drbm-lbp-beta0.5", "drbm-cd-k10", "grbm",
+                   "mlp", "logreg", "logreg-untrained", "logreg-lr30")],
     ("eval", "--data", "ingested", "--model", "drbm-pl.model",
      "--model-b", "logreg.model", "--out", "reports-pl-vs-logreg"),
-    *[cmd for items, l1, name in SMOOTHERS for cmd in (
+    *[cmd for items, l1, name, more in SMOOTHERS for cmd in (
         ("train", *SMOOTHER, "--items", f"{CORPUS}/{items}", "--l1", l1,
-         "--model", f"smoother-{name}.model"),
+         *more, "--model", f"smoother-{name}.model"),
         ("smooth", "--model", f"smoother-{name}.model",
          "--triples", f"{CORPUS}/triples.tsv", "--items",
          f"{CORPUS}/{items}", "--out", f"smoothed-{name}.tsv"))],

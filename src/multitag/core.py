@@ -197,40 +197,38 @@ def cd_chain(hid_bias, vis_bias, U, y0, K: int, rng):
     vis_bias + U'h.  hid_bias is a (b, n) block, y0 the (b, C) starting
     labels, vis_bias a (C,) or (b, C) block.
 
-    The uniforms are drawn in one call, rng.random((b, K*(n+C))); row
-    i's slice is split into its (K, n) then its (K, C) block, and the
-    products are stacked matrix-vector products, one per row.  So one
-    call equals b serial calls with b=1 bit for bit and leaves rng in
-    the same state.  Returns (h0, hK, yK) as (b, n), (b, n), (b, C)
+    The noise is drawn in one call, rng.logistic(size=(b, K*(n+C), 1));
+    row i's slice is split into its (K, n) then its (K, C) block, and
+    the products are stacked matrix-vector products, one per row.  So
+    one call equals b serial calls with b=1 bit for bit and leaves rng
+    in the same state.  Returns (h0, hK, yK) as (b, n), (b, n), (b, C)
     blocks, hK the hidden activation at the sample yK.
 
-    A unit is on when u < sigm(z) = (1 + tanh(z/2)) / 2, tested as
-    2u < 1 + tanh(z/2) on halved inputs.  Halving and doubling are exact
-    in binary floating point (short of subnormal numbers), so this gives
-    the bits of the plain formula with fewer operations per step.
+    A unit with input z is on when its logistic noise log(u/(1-u)) lies
+    below z: the event u < sigm(z), with no sigmoid inside the loop.
+    The one caveat: the two forms round differently, so a sample can
+    differ from the u < sigm(z) draw where u lies within rounding of
+    sigm(z), about 2^-52 per draw; and Generator.logistic redraws a u of
+    exactly 0, at 2^-53 per draw, where rng.random would not.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     n, C = U.shape
     b = y0.shape[0]
-    # the doubled (b, K*(n+C)) uniforms with a unit axis: like every
-    # block below, a stack of column vectors, so that U @ y is one gemv
-    # per row
-    rh = 2.0 * rng.random((b, K * (n + C), 1))
-    ry = rh[:, K * n:]
-    U2 = 0.5 * U
-    U2t = np.ascontiguousarray(U2.T)
-    hid2 = 0.5 * hid_bias[:, :, None]
-    vis2 = 0.5 * vis_bias[..., None]
-    y = y0[:, :, None]
-    s = 1.0 + np.tanh(hid2 + U2 @ y)  # 2 p(h=1|y)
-    h0 = 0.5 * s
+    # the (b, K*(n+C)) noise with a unit axis: like every block below, a
+    # stack of column vectors, so that U @ y is one gemv per row
+    eh = rng.logistic(size=(b, K * (n + C), 1))
+    ey = eh[:, K * n:]
+    Ut = np.ascontiguousarray(U.T)
+    hid = hid_bias[:, :, None]
+    vis = vis_bias[..., None]
+    z = hid + U @ y0[:, :, None]  # the hidden input
+    h0 = sigm(z)
     for k in range(K):
-        h = (rh[:, k * n:(k + 1) * n] < s).astype(float)
-        v = 1.0 + np.tanh(vis2 + U2t @ h)  # 2 p(y=1|h)
-        y = (ry[:, k * C:(k + 1) * C] < v).astype(float)
-        s = 1.0 + np.tanh(hid2 + U2 @ y)
-    return h0[:, :, 0], (0.5 * s)[:, :, 0], y[:, :, 0]
+        h = (eh[:, k * n:(k + 1) * n] < z).astype(float)
+        y = (ey[:, k * C:(k + 1) * C] < vis + Ut @ h).astype(float)
+        z = hid + U @ y
+    return h0[:, :, 0], sigm(z)[:, :, 0], y[:, :, 0]
 
 
 # mf_predict and smooth_tags stop once no label probability moves by MF_TOL
@@ -245,9 +243,9 @@ def mean_field(hid_bias, vis_bias, U, y, K: int, tol: float) -> np.ndarray:
     new value and leaves the active set, so every row ends where a b=1
     call ends (tol=0 always runs K steps).  Returns the (b, C) block.
 
-    As in ``cd_chain``, the loop works on exactly scaled quantities with
-    the bits of the plain formula: it carries 2h = 1 + tanh(z/2) and 2y,
-    and U/4 in place of U.
+    The loop works on exactly scaled quantities with the bits of the
+    plain formula: it carries 2h = 1 + tanh(z/2) and 2y, and U/4 in
+    place of U (halving is exact, short of subnormal numbers).
     """
     if K < 1:
         raise ValueError("K must be >= 1")

@@ -191,22 +191,41 @@ def make_folds(n_items: int, seed: int) -> FoldSplit:
     return FoldSplit(folds)
 
 
+def _not_utf8(path):
+    """The ValueError for the file at ``path``, which is not UTF-8: it
+    names the line, counted as the readers count it, of the first byte
+    that does not decode.  No UTF-8 sequence holds a line-end byte, so
+    each line is decoded alone."""
+    with open(path, encoding="latin-1") as fh:  # one character per byte
+        for lineno, line in enumerate(fh, 1):
+            raw = line.encode("latin-1")
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ValueError(f"{path}:{lineno}: not UTF-8: byte "
+                                  f"0x{raw[exc.start]:02x}")
+    return ValueError(f"{path}: not UTF-8")
+
+
 def _blocks(path):
     """(number of its first line, text) for each run of whole lines of
     about BLOCK characters in the tab file at ``path``, every line ending
     in a newline.  The file is read as UTF-8 with universal newlines; a
     leading byte-order mark is dropped."""
-    with open(path, encoding="utf-8-sig") as fh:
-        first, carry = 1, ""
-        while chunk := fh.read(BLOCK):
-            text = carry + chunk
-            cut = text.rfind("\n") + 1
-            carry = text[cut:]
-            if cut:
-                yield first, text[:cut]
-                first += text.count("\n", 0, cut)
-        if carry:
-            yield first, carry + "\n"
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            first, carry = 1, ""
+            while chunk := fh.read(BLOCK):
+                text = carry + chunk
+                cut = text.rfind("\n") + 1
+                carry = text[cut:]
+                if cut:
+                    yield first, text[:cut]
+                    first += text.count("\n", 0, cut)
+            if carry:
+                yield first, carry + "\n"
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 def read_lines(path) -> list:
@@ -214,8 +233,11 @@ def read_lines(path) -> list:
     UTF-8 with or without a byte-order mark, universal newlines, a line
     ending at "\n" only and the last needing none; an empty file has no
     lines, and a blank line is an empty entry."""
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     return text.removesuffix("\n").split("\n") if text else []
 
 
@@ -350,16 +372,19 @@ def read_ingested(directory):
     matrix = read_matrix(table)
     if not matrix.vocab:
         raise ValueError(f"{table}: no tag columns")
-    listed = path = os.path.join(directory, "items.txt")
+    listed = os.path.join(directory, "items.txt")
+    path = os.path.join(directory, "features.npy")
     try:
-        items = read_lines(path)
-        path = os.path.join(directory, "features.npy")
-        with open(path, "rb") as fh:
+        items = read_lines(listed)  # not UTF-8: an error naming the file
+        fh = open(path, "rb")
+    except FileNotFoundError as exc:
+        raise ValueError(f"{exc.filename}: no such file; re-run ingest") \
+            from None
+    with fh:
+        try:
             X = np.lib.format.read_array(fh, allow_pickle=False)
-    except FileNotFoundError:
-        raise ValueError(f"{path}: no such file; re-run ingest") from None
-    except ValueError as exc:  # not UTF-8; truncated, pickled or not .npy
-        raise ValueError(f"{path}: {exc}") from None
+        except ValueError as exc:  # truncated, pickled or not .npy
+            raise ValueError(f"{path}: {exc}") from None
     if X.dtype != np.float64 or X.ndim != 2 or len(X) != len(items):
         raise ValueError(f"{path}: expected a float64 ({len(items)}, D) "
                          f"array, one row per id of items.txt, got "

@@ -188,17 +188,20 @@ class GaussianGradient(Gradient):
 def generative_cd_gradient(example: LabeledExample, p: GaussianRbmParams,
                            K: int, rng) -> GaussianGradient:
     """CD-K for the joint objective: block Gibbs over (h, y, x) with the
-    feature vector reconstructed at its conditional Gaussian mean."""
+    feature vector reconstructed at its conditional Gaussian mean.  Its
+    logistic noise is drawn once, as core.cd_chain draws it: row k's
+    first n entries sample h and its last C sample y."""
     if K < 1:
         raise ValueError("K must be >= 1")
     x0, y0 = example.x, example.y
-    h0 = sigm(p.c + p.W @ x0 + p.U @ y0)
-    x, y = x0, y0
-    for _ in range(K):
-        h = (rng.random(p.n) < sigm(p.c + p.W @ x + p.U @ y)).astype(float)
-        y = (rng.random(p.C) < sigm(p.d + p.U.T @ h)).astype(float)
+    z = p.c + p.W @ x0 + p.U @ y0  # the hidden input
+    h0 = sigm(z)
+    for noise in rng.logistic(size=(K, p.n + p.C)):
+        h = (noise[:p.n] < z).astype(float)
+        y = (noise[p.n:] < p.d + p.U.T @ h).astype(float)
         x = p.bx + p.W.T @ h
-    hK = sigm(p.c + p.W @ x + p.U @ y)
+        z = p.c + p.W @ x + p.U @ y
+    hK = sigm(z)
     return GaussianGradient(
         dU=h0[:, None] * y0 - hK[:, None] * y,
         dW=h0[:, None] * x0 - hK[:, None] * x,

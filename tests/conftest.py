@@ -62,7 +62,7 @@ def rng():
 # the ways an ingested directory can be wrong
 INGESTED_DEFECTS = ["no-items", "no-copy", "truncated", "pickled", "float32",
                     "wrong-rows", "non-finite", "short-matrix", "short-items",
-                    "duplicate-id"]
+                    "duplicate-id", "items-not-utf8"]
 
 
 def _drop_last_line(path):
@@ -89,6 +89,9 @@ def break_ingested(directory, defect):
     if defect == "pickled":  # numpy's own message
         np.save(copy, np.array([X], dtype=object), allow_pickle=True)
         return f"{copy}: Object arrays cannot be loaded"
+    if defect == "items-not-utf8":  # a UTF-16 byte-order mark
+        items.write_bytes(b"\xff\xfe" + items.read_bytes())
+        return f"{items}:1: not UTF-8: byte 0xff"
     if defect == "duplicate-id":  # the first item's id on the second row
         table = read_matrix(matrix)
         table.items[1] = table.items[0]

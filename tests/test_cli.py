@@ -470,6 +470,14 @@ class TestPrecedence:
             assert err == f"error: {config}:2: unknown key {key!r}\n"
             assert not model.exists()
 
+    def test_config_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"# trials\ntrials=2\nseed=\xff\n")
+        assert run(["oracle-check", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}:3: not UTF-8: byte 0xff\n"
+
     def test_config_with_byte_order_mark(self, ingested, tmp_path):
         # a config file saved with a leading byte-order mark reads the
         # same as one without

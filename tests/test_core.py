@@ -195,12 +195,17 @@ def row_mean_field(hid_bias, vis_bias, U, y, K, tol):
 
 
 class TestCdChain:
-    @pytest.mark.parametrize("n, C, K, per_row_vis", [(4, 3, 50, False),
-                                                      (10, 3, 1, True)])
-    def test_batch_equals_serial_row_chains(self, n, C, K, per_row_vis):
+    # U scale 30 saturates the sigmoid: many inputs lie beyond +-36.7,
+    # the range of the logistic noise
+    @pytest.mark.parametrize("n, C, K, per_row_vis, scale", [
+        (4, 3, 50, False, 0.8), (10, 3, 1, True, 0.8), (3, 4, 50, False, 30.0),
+        (10, 5, 3, True, 0.8)], ids=["4-3-50-False", "10-3-1-True",
+                                     "3-4-50-False-scale30", "10-5-3-True"])
+    def test_batch_equals_serial_row_chains(self, n, C, K, per_row_vis,
+                                            scale):
         rng = np.random.default_rng(31)
         b = 40
-        U = rng.normal(scale=0.8, size=(n, C))
+        U = rng.normal(scale=scale, size=(n, C))
         hid = rng.normal(size=(b, n))
         vis = rng.normal(size=(b, C) if per_row_vis else C)
         y0 = (rng.random((b, C)) < 0.5).astype(float)
@@ -212,6 +217,20 @@ class TestCdChain:
             for g, w in zip(got, want):
                 assert g[i].tobytes() == w.tobytes()
         assert batched.random() == serial.random()
+
+    def test_on_rate_is_the_sigmoid(self):
+        # with U = 0 label j is on with probability sigm(z_j) at any h
+        z = np.array([-40.0, -5.0, 0.0, 5.0, 40.0])
+        draws = 10 ** 5
+        _, _, yK = cd_chain(np.zeros((draws, 1)), z, np.zeros((1, len(z))),
+                            np.zeros((draws, len(z))), 1,
+                            np.random.default_rng(3))
+        rate, p = yK.mean(axis=0), sigm(z)
+        # within 6 binomial standard deviations: a false alarm has odds
+        # of about 2e-9 per rate
+        assert np.all(np.abs(rate - p) <= 6 * np.sqrt(p * (1 - p) / draws))
+        # the noise lies within +-36.8, so +-40 is never and always on
+        assert (rate[0], rate[-1]) == (0.0, 1.0)
 
     def test_returns_blocks(self):
         h0, hK, yK = cd_chain(np.zeros((5, 2)), np.zeros(3), np.zeros((2, 3)),

@@ -227,6 +227,14 @@ class TestReaders:
                                              r"must be nonempty"):
             read_triples(path)
 
+    def test_triples_not_utf8_names_file_and_line(self, tmp_path):
+        # "\r\n" and a lone "\r" end a line, as the reader counts them
+        path = tmp_path / "triples.tsv"
+        path.write_bytes(b"u1\ta\trock\r\nu2\tb\tjazz\ru3\t\xe9\tpop\n")
+        with pytest.raises(ValueError) as exc:
+            read_triples(path)
+        assert str(exc.value) == f"{path}:3: not UTF-8: byte 0xe9"
+
     def test_features_parse(self, tmp_path):
         path = tmp_path / "features.tsv"
         path.write_text("a\t1.0\t-2.5\nb\t0.0\t3.0\n")
@@ -246,6 +254,14 @@ class TestReaders:
         with pytest.raises(ValueError,
                            match=r"features.tsv:3: expected 2 features, got 1"):
             read_features(path)
+
+    def test_features_not_utf8_names_file_and_line(self, tmp_path):
+        # a multi-byte sequence cut short at its line end
+        path = tmp_path / "features.tsv"
+        path.write_bytes("a\t1.0\n\u00e9\t2.0\n".encode() + b"b\xc3\t3.0\n")
+        with pytest.raises(ValueError) as exc:
+            read_features(path)
+        assert str(exc.value) == f"{path}:3: not UTF-8: byte 0xc3"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_features_non_finite_reports_line(self, tmp_path, value):

@@ -261,7 +261,7 @@ class TestGenerativeCd:
         for a in (g.dU, g.dW, g.dc, g.dd, g.dbx):
             assert np.max(np.abs(a)) < 1e-12
 
-    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("K", [1, 3, 10])
     def test_matches_the_sample_bernoulli_form(self, K):
         for seed in range(6):
             rng = np.random.default_rng(seed)

@@ -223,6 +223,16 @@ class TestErrors:
                            match=f"^{path}: array W: non-finite entry$"):
             load_model(path)
 
+    def test_not_utf8_names_file_and_line(self, rng, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(path, DrbmParams.random_init(2, 3, 4, rng), ["a", "b", "c"])
+        lines = path.read_bytes().split(b"\n")
+        lines[5] = b"\xff\xfe" + lines[5]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}:6: not UTF-8: byte 0xff"
+
     def test_garbage_line(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text(f"{FORMAT_HEADER}\nkind logreg\nwhatnow 3\n")
