@@ -13,28 +13,23 @@ import argparse
 import os
 import sys
 from itertools import chain
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import data as dt
-from .baselines import (LOGREG_DEFAULT_LR, MLP_DEFAULT_HIDDEN, MLP_DEFAULT_LR,
-                        MlpParams, logreg_predict, logreg_train, mlp_predict,
-                        mlp_train)
-from .core import DrbmParams
+from . import data as dt, kinds
 from .data import _positions
-from .estimators import (DivergenceError, GaussianRbmParams, TrainConfig,
-                         sgd_train, sgd_train_generative)
+from .estimators import DivergenceError, TrainConfig
 from .evaluation import (AucReport, significance_counts, write_auc_report,
                          write_summary)
-from .inference import NumericError, lbp_scores
+from .inference import NumericError
 from .modelio import load_model, save_model
-from .smoother import Events, SmootherParams, smooth_tags, train_smoother
+from .smoother import Events, SmootherParams, smooth_tags
 from .verify import (check_capacity, check_exact_gradient, check_independence,
                      check_lbp_tree, check_normalization, check_pl_gradient)
 
-# perfbench traces data's matrix reader and writer under these names
+# perfbench traces these names: the matrix reader and writer, the scorer
 _read_matrix, _write_matrix = dt.read_matrix, dt.write_matrix
+_model_scores = kinds.score
 
 
 def _read_config(path, known):
@@ -70,7 +65,7 @@ def _convert(key, default, text, where):
 def _merge(args, defaults):
     """Fill unset options from config file, MULTITAG_SEED, then defaults;
     args.unset names the options that took the built-in default.  A
-    negative seed, from any of them, is an error."""
+    negative seed or empty --model, from any of them, is an error."""
     config = (_read_config(args.config, args.config_keys)
               if getattr(args, "config", None) else {})
     if "seed" not in config and os.environ.get("MULTITAG_SEED"):
@@ -86,6 +81,8 @@ def _merge(args, defaults):
             args.unset.add(key)
     if getattr(args, "seed", 0) < 0:
         raise ValueError("seed must be >= 0")
+    if getattr(args, "model", None) == "":
+        raise ValueError("--model must name a file")
     return args
 
 
@@ -126,59 +123,6 @@ def _events_from_triples(triples: dt.Triples, vocab, items_map):
             (n_users, len(track_names), n_clips))
 
 
-class Kind(NamedTuple):
-    """What `train` and `eval` do for one model kind."""
-    options: tuple  # the kind-specific train options that it reads
-    fit: Callable   # (*data, hidden, cfg, rng, record_file) -> Params
-    masked: bool = False    # UNKNOWN cells: out of the loss, or negatives
-    score: Callable = None  # (p, X) -> (B, C) scores; None: not scorable
-    defaults: dict = {}     # built-in train defaults that it replaces
-
-
-def _fit_drbm(X, Y, mask, hidden, cfg, rng, record_file):
-    p0 = DrbmParams.random_init(hidden, Y.shape[1], X.shape[1], rng)
-    return sgd_train(X, Y, p0, cfg, record_file)
-
-
-def _fit_grbm(X, Y, mask, hidden, cfg, rng, record_file):
-    p0 = GaussianRbmParams.random_init(hidden, Y.shape[1], X.shape[1], rng)
-    return sgd_train_generative(X, Y, p0, cfg, record_file)
-
-
-def _fit_mlp(X, Y, mask, hidden, cfg, rng, record_file):
-    p0 = MlpParams.random_init(X.shape[1], hidden, Y.shape[1], rng)
-    return mlp_train(X, Y, mask, cfg, p0, record_file)
-
-
-def _fit_logreg(X, Y, mask, hidden, cfg, rng, record_file):
-    return logreg_train(X, Y, mask, cfg, record_file)
-
-
-def _fit_smoother(events, sizes, hidden, cfg, rng, record_file):
-    p0 = SmootherParams.random_init(hidden, events.Y.shape[1], sizes, rng)
-    return train_smoother(events, p0, cfg, record_file)
-
-
-# model kind (the names of modelio.KINDS) -> Kind.  Its functions call
-# trainers and scorers by this module's names, which perfbench's tracing
-# patches.  The UNKNOWN policy is `masked`: mlp and logreg leave UNKNOWN
-# cells out of their loss, drbm and grbm train on them as negatives.
-KIND_TABLE = {
-    "drbm": Kind(("estimator", "k", "hidden", "data"), _fit_drbm,
-                 score=lambda p, X: lbp_scores(X, p, K=10)),
-    "grbm": Kind(("k", "hidden", "data"), _fit_grbm,
-                 score=lambda p, X: lbp_scores(X, p, K=10)),
-    "mlp": Kind(("hidden", "data"), _fit_mlp, masked=True,
-                score=lambda p, X: mlp_predict(X, p),
-                defaults={"hidden": MLP_DEFAULT_HIDDEN, "lr": MLP_DEFAULT_LR}),
-    "logreg": Kind(("data",), _fit_logreg, masked=True,
-                   score=lambda p, X: logreg_predict(X, p),
-                   defaults={"lr": LOGREG_DEFAULT_LR}),
-    "smoother": Kind(("k", "hidden", "l1", "triples", "items", "vocab_size"),
-                     _fit_smoother),
-}
-
-
 def _read_events(args, vocab=None):
     """The smoother's (vocab, clip names, (events, sizes)) from --triples
     and --items, for the given vocab (a model's) or the triples' top
@@ -195,7 +139,7 @@ def _read_events(args, vocab=None):
 
 
 def cmd_train(args):
-    kind = KIND_TABLE.get(args.kind)
+    kind = kinds.KIND_TABLE.get(args.kind)
     if kind is None:
         raise ValueError(f"unknown model kind {args.kind!r}")
     for key, value in kind.defaults.items():
@@ -212,7 +156,7 @@ def cmd_train(args):
     # options that only some kinds read: each, set away from its built-in
     # default, is an error for a kind that does not read it
     for option in dict.fromkeys(chain.from_iterable(
-            other.options for other in KIND_TABLE.values())):
+            other.options for other in kinds.KIND_TABLE.values())):
         if (getattr(args, option) != args.defaults[option]
                 and option not in kind.options):
             raise ValueError(f"--{option.replace('_', '-')} is not read by "
@@ -221,13 +165,10 @@ def cmd_train(args):
         vocab, _, data = _read_events(args)
     else:
         matrix, X = dt.read_ingested(args.data)
-        Y = (matrix.cells == dt.POSITIVE).astype(float)
-        known = (matrix.cells != dt.UNKNOWN).astype(float)
         vocab = matrix.vocab
-        data = (X, Y, known if kind.masked else None)
+        data = (X, *kinds.targets(args.kind, matrix.cells))
     with open(args.model + ".jsonl", "w", encoding="utf-8") as records:
-        model = kind.fit(*data, args.hidden, cfg,
-                         np.random.default_rng(args.seed), records)
+        model = kind.fit(*data, args.hidden, cfg, records)
     save_model(args.model, model, vocab)
     return 0
 
@@ -245,13 +186,6 @@ def cmd_smooth(args):
     dt.write_rows(args.out, chain([["item", *vocab]], (
         [clip, *row] for clip, row in dt.rows_of(clips, probs))))
     return 0
-
-
-def _model_scores(model, X):
-    score = KIND_TABLE[model.KIND].score
-    if score is None:
-        raise ValueError(f"cannot score model type {type(model).__name__}")
-    return score(model, X)
 
 
 def cmd_eval(args):

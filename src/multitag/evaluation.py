@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kinds
 from .data import NEGATIVE, POSITIVE, UNKNOWN, FoldSplit, write_rows
 
 ALPHA = 0.05  # the significance level of significance_counts
@@ -167,36 +168,38 @@ def score_matrix_auc(scores: np.ndarray, cells: np.ndarray, tags) -> np.ndarray:
 
 
 def cv_run(X: np.ndarray, cells: np.ndarray, tags, split: FoldSplit,
-           train_fn, grid, seed: int = 0):
-    """Hyper-parameter selection and test scoring.
+           kind: str, grid):
+    """Hyper-parameter selection and test scoring of a model ``kind``
+    (a name in ``kinds.KIND_TABLE``), fitted and scored through that
+    table, over a grid of (hidden, TrainConfig) points.  Selection sees
+    only validation-rotation reports; the winning grid point is refitted
+    on all non-test folds and scored on each held-out fold.
 
-    train_fn(X_train, cells_train, hyper, seed) must return a scoring
-    function mapping an items x D matrix to items x C scores.  Selection
-    sees only validation-rotation reports; the winning grid point is
-    retrained on all non-test folds and scored on each held-out fold.
-
-    Returns (test AucReport, selected hyper, validation grand means).
+    Returns (test AucReport, selected grid point, validation grand means).
     """
     grid = list(grid)
     if not grid:
         raise ValueError("empty hyper-parameter grid")
     n_folds = len(split.folds)
 
-    def fold(hyper, train_idx, test_idx):
-        score = train_fn(X[train_idx], cells[train_idx], hyper, seed)
-        return score(X[test_idx]), cells[test_idx]
+    def fold(point, train_idx, test_idx):
+        model = kinds.KIND_TABLE[kind].fit(
+            X[train_idx], *kinds.targets(kind, cells[train_idx]), *point)
+        return kinds.score(model, X[test_idx]), cells[test_idx]
 
     val_means = []
-    for hyper in grid:
+    for point in grid:
         report = AucReport.from_folds(tags, (
-            fold(hyper, train_idx, val_idx) for test_fold in range(n_folds)
+            fold(point, train_idx, val_idx) for test_fold in range(n_folds)
             for val_idx, train_idx in split.rotations(test_fold)))
         val_means.append(report.grand_mean())
-    hyper = grid[int(np.nanargmax(val_means))]
+    if np.all(np.isnan(val_means)):
+        raise ValueError("no grid point has a defined validation AUC")
+    point = grid[int(np.nanargmax(val_means))]
     report = AucReport.from_folds(tags, (
-        fold(hyper, split.train_items(f), split.folds[f])
+        fold(point, split.train_items(f), split.folds[f])
         for f in range(n_folds)))
-    return report, hyper, val_means
+    return report, point, val_means
 
 
 def write_auc_report(path, model_name: str, report: AucReport):

@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import logreg_predict, logreg_train
-from .core import DrbmParams
 from .data import NEGATIVE, POSITIVE, normalize_features
-from .estimators import TrainConfig, sgd_train
+from .estimators import TrainConfig
 from .evaluation import AucReport, auc
-from .inference import lbp_scores
-from .smoother import (Events, SmootherParams, _clip_sums, smooth_tags,
-                       train_smoother)
+from .kinds import KIND_TABLE, score
+from .smoother import Events, _clip_sums, smooth_tags
 from .synthetic import (make_cooccurrence_corpus, make_dependency_corpus,
                         make_tag_corpus)
 
@@ -42,13 +39,10 @@ def damping_experiment(seed=0, n_items=500, betas=(0.0, 0.5, 0.9)):
     X = normalize_features(X)
     Xtr, Ytr = X[:-150], Y[:-150]
     Xte, Yte = X[-150:], Y[-150:]
-    p0 = DrbmParams.random_init(10, 8, 10, np.random.default_rng(seed))
-    results = {}
-    for beta, cfg in cfgs.items():
-        scores = lbp_scores(Xte, sgd_train(Xtr, Ytr, p0, cfg), K=50,
-                            beta=beta)
-        results[beta] = _grand_mean_auc(scores, Yte)
-    return results
+    fit = KIND_TABLE["drbm"].fit
+    return {beta: _grand_mean_auc(score(fit(Xtr, Ytr, None, 10, cfg), Xte,
+                                        K=50, beta=beta), Yte)
+            for beta, cfg in cfgs.items()}
 
 
 def label_dependency_experiment(seeds=(0, 1, 2, 3, 4)):
@@ -66,17 +60,12 @@ def label_dependency_experiment(seeds=(0, 1, 2, 3, 4)):
         X = normalize_features(X)
         Xtr, Ytr = X[:n_train], Y[:n_train]
         Xte, Yte = X[n_train:], Y[n_train:]
-
-        p0 = DrbmParams.random_init(8, Y.shape[1], X.shape[1],
-                                    np.random.default_rng(seed))
-        drbm = lbp_scores(Xte, sgd_train(Xtr, Ytr, p0, cfg), K=10)
-
-        lr_model = logreg_train(Xtr, Ytr, None,
-                                TrainConfig(lr=0.5, epochs=epochs, seed=seed))
-        lr_scores = logreg_predict(Xte, lr_model)
-
+        drbm = KIND_TABLE["drbm"].fit(Xtr, Ytr, None, 8, cfg)
+        logreg = KIND_TABLE["logreg"].fit(Xtr, Ytr, None, None, TrainConfig(
+            lr=0.5, epochs=epochs, seed=seed))
         labels = np.where(Yte[:, 1] > 0, POSITIVE, NEGATIVE)
-        results.append((auc(drbm[:, 1], labels), auc(lr_scores[:, 1], labels)))
+        results.append(tuple(auc(score(model, Xte)[:, 1], labels)
+                             for model in (drbm, logreg)))
     return results
 
 
@@ -96,27 +85,24 @@ def smoothing_experiment(seeds=(0, 1, 2, 3, 4), drop=0.8):
         X, _, tag_events = make_cooccurrence_corpus(n_clips, seed, drop=drop)
         X = normalize_features(X)
         events = Events.from_tag_events(tag_events)
-        C = events.Y.shape[1]
         # any-user-reported tags of each clip
         observed = _clip_sums(events.ids[:, 2], events.Y, n_clips)[0] > 0
         train = events.ids[:, 2] < n_train
         train_events = Events(events.ids[train], events.Y[train])
 
-        rng = np.random.default_rng(seed)
         # every clip is its own track here, so the identity blocks are
         # (users, tracks=clips, clips)
         n_users = int(events.ids[:, 0].max()) + 1
-        p0 = SmootherParams.random_init(4, C, (n_users, n_clips, n_clips),
-                                        rng)
-        sm = train_smoother(train_events, p0, cfg)
+        sm = KIND_TABLE["smoother"].fit(
+            train_events, (n_users, n_clips, n_clips), 4, cfg)
 
         smoothed = smooth_tags(sm, train_events)  # clips 0..n_train-1
 
         Xtr, Xte = X[:n_train], X[n_train:]
         sc = TrainConfig(lr=0.5, epochs=30, seed=seed)
-        s_smooth = logreg_predict(Xte, logreg_train(Xtr, smoothed, None, sc))
-        s_raw = logreg_predict(Xte, logreg_train(Xtr, observed[:n_train],
-                                                 None, sc))
-        results.append((_grand_mean_auc(s_smooth, observed[n_train:]),
-                        _grand_mean_auc(s_raw, observed[n_train:])))
+        fit = KIND_TABLE["logreg"].fit
+        results.append(tuple(
+            _grand_mean_auc(score(fit(Xtr, Y, None, None, sc), Xte),
+                            observed[n_train:])
+            for Y in (smoothed, observed[:n_train])))
     return results

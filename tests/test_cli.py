@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multitag import data as dt
-from multitag.cli import KIND_TABLE, _events_from_triples, main
+from multitag.cli import _events_from_triples, main
 from multitag.core import sigm
 from multitag.data import Triples
 from multitag.modelio import KINDS, load_model, save_model
@@ -291,9 +291,6 @@ class TestTrain:
             "error: --kind smoother needs --triples\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_kind_table_covers_every_model_kind(self):
-        assert KIND_TABLE.keys() == KINDS.keys()
-
     def test_unknown_kind_is_rejected_before_any_file(self, ingested,
                                                       tmp_path, capsys):
         assert run(["train", "--data", ingested, "--kind", "foo",
@@ -384,6 +381,27 @@ class TestNegativeSeed:
         assert capsys.readouterr() == ("", "error: seed must be >= 0\n")
         assert not out.exists()
         assert list(work.iterdir()) == []
+
+
+class TestEmptyModel:
+    @pytest.mark.parametrize("args", [
+        ["train", "--data", "ingested", "--model", ""],
+        ["eval", "--data", "ingested", "--model", "", "--out", "reports"],
+        ["eval", "--data", "ingested", "--model", "", "--model-b", "b.model",
+         "--out", "reports"],
+    ], ids=["train", "eval", "eval-model-b"])
+    def test_rejected_before_any_file(self, ingested, tmp_path, capsys,
+                                      monkeypatch, args):
+        # paths relative to the directory that holds the data and a
+        # trained model, where an empty path's ".jsonl" would land
+        model_b = tmp_path / "b.model"
+        assert run(["train", "--data", ingested, "--kind", "logreg",
+                    "--epochs", 1, "--model", model_b]) == 0
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        assert run(args) == 1
+        assert capsys.readouterr() == ("", "error: --model must name a file\n")
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestMatrixFile:

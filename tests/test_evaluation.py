@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from multitag.data import NEGATIVE, POSITIVE, UNKNOWN, make_folds
+from multitag.estimators import TrainConfig
 from multitag.evaluation import (AucReport, auc, cv_run,
                                  paired_ttest, score_matrix_auc,
                                  significance_counts, t_sf_two_sided,
@@ -273,28 +274,35 @@ class TestAucReport:
 
 class TestCvRun:
     def test_selects_the_better_hyperparameter(self, rng):
-        # score = x . w with a grid over w: only one grid point ranks the
-        # labels correctly
+        # logistic regression on one feature that orders the labels: at
+        # lr 0 every score is 0.5, at lr 2 every fold ranks them right
         n = 60
         X = rng.normal(size=(n, 1))
-        cells = (X[:, 0] > 0).astype(np.int8)[:, None]
+        cells = np.where(X > 0, POSITIVE, NEGATIVE).astype(np.int8)
         split = make_folds(n, seed=1)
-
-        def train_fn(Xtr, ctr, hyper, seed):
-            return lambda Xe: Xe * hyper
-
-        report, hyper, val_means = cv_run(X, cells, ["t0"], split, train_fn,
-                                          grid=[-1.0, 1.0], seed=0)
-        assert hyper == 1.0
+        grid = [(None, TrainConfig(lr=lr, epochs=2)) for lr in (0.0, 2.0)]
+        report, point, val_means = cv_run(X, cells, ["t0"], split, "logreg",
+                                          grid)
+        assert point is grid[1]
+        assert val_means[0] == 0.5
         assert val_means[1] > val_means[0]
         assert report.grand_mean() == pytest.approx(1.0)
         assert report.values.shape == (1, 5)
 
     def test_empty_grid_rejected(self, rng):
         split = make_folds(10, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty hyper-parameter grid"):
             cv_run(np.zeros((10, 1)), np.zeros((10, 1), dtype=np.int8),
-                   ["t0"], split, lambda *a: None, grid=[])
+                   ["t0"], split, "logreg", grid=[])
+
+    def test_no_defined_validation_auc_rejected(self, rng):
+        # every cell NEGATIVE: every fold's AUC is undefined
+        split = make_folds(10, seed=0)
+        with pytest.raises(ValueError, match="no grid point has a defined "
+                                             "validation AUC"):
+            cv_run(rng.normal(size=(10, 1)),
+                   np.full((10, 1), NEGATIVE, dtype=np.int8), ["t0"], split,
+                   "logreg", grid=[(None, TrainConfig(epochs=1))])
 
 
 class TestReportWriters:
