@@ -65,7 +65,8 @@ def _convert(key, default, text, where):
 def _merge(args, defaults):
     """Fill unset options from config file, MULTITAG_SEED, then defaults;
     args.unset names the options that took the built-in default.  A
-    negative seed or empty --model, from any of them, is an error."""
+    negative seed or an empty --model or --model-b, from any of them, is
+    an error."""
     config = (_read_config(args.config, args.config_keys)
               if getattr(args, "config", None) else {})
     if "seed" not in config and os.environ.get("MULTITAG_SEED"):
@@ -81,8 +82,9 @@ def _merge(args, defaults):
             args.unset.add(key)
     if getattr(args, "seed", 0) < 0:
         raise ValueError("seed must be >= 0")
-    if getattr(args, "model", None) == "":
-        raise ValueError("--model must name a file")
+    for key in ("model", "model_b"):
+        if getattr(args, key, None) == "":
+            raise ValueError(f"--{key.replace('_', '-')} must name a file")
     return args
 
 
@@ -196,7 +198,7 @@ def cmd_eval(args):
             ("a", args.model, "model vocabulary does not match the data"),
             ("b", args.model_b, "comparison models use different folds or "
                                 "vocabularies")):
-        if path:
+        if path is not None:
             model, vocab = load_model(path)
             if vocab != matrix.vocab:
                 raise ValueError(mismatch)

@@ -191,18 +191,25 @@ def cond_free_energy(y, x, p: DrbmParams) -> float:
     return float(-p.d @ y - np.sum(log1pexp(p.c + p.W @ x + p.U @ y)))
 
 
-def cd_chain(hid_bias, vis_bias, U, y0, K: int, rng):
-    """b chains of K block-Gibbs steps h ~ p(h|y), y ~ p(y|h) in the
-    bipartite model with hidden input hid_bias + Uy and visible input
-    vis_bias + U'h.  hid_bias is a (b, n) block, y0 the (b, C) starting
-    labels, vis_bias a (C,) or (b, C) block.
+def _dot_for(v):
+    """The product M v for a row v (m,): np.dot, one gemv; for a block
+    (b, m), the stacked M @ v[..., None], one gemv per row, same bits."""
+    return np.dot if v.ndim == 1 else lambda M, x: (M @ x[..., None])[..., 0]
 
-    The noise is drawn in one call, rng.logistic(size=(b, K*(n+C), 1));
-    row i's slice is split into its (K, n) then its (K, C) block, and
-    the products are stacked matrix-vector products, one per row.  So
-    one call equals b serial calls with b=1 bit for bit and leaves rng
-    in the same state.  Returns (h0, hK, yK) as (b, n), (b, n), (b, C)
-    blocks, hK the hidden activation at the sample yK.
+
+def cd_chain(hid_bias, vis_bias, U, y0, K: int, rng):
+    """Chains of K block-Gibbs steps h ~ p(h|y), y ~ p(y|h) in the
+    bipartite model with hidden input hid_bias + Uy and visible input
+    vis_bias + U'h, for one row or a block of b rows: hid_bias is (n,) or
+    (b, n), y0 the starting labels, (C,) or (b, C), and vis_bias (C,) or
+    a (b, C) block.
+
+    The noise is drawn in one call, rng.logistic(size=(..., K*(n+C)));
+    each row's slice is split into its (K, n) then its (K, C) block, and
+    the products are ``_dot_for``'s.  So a block call equals b serial
+    one-row calls bit for bit and leaves rng in the same state.  Returns
+    (h0, hK, yK), each with y0's leading shape, hK the hidden activation
+    at the sample yK.
 
     A unit with input z is on when its logistic noise log(u/(1-u)) lies
     below z: the event u < sigm(z), with no sigmoid inside the loop.
@@ -214,21 +221,19 @@ def cd_chain(hid_bias, vis_bias, U, y0, K: int, rng):
     if K < 1:
         raise ValueError("K must be >= 1")
     n, C = U.shape
-    b = y0.shape[0]
-    # the (b, K*(n+C)) noise with a unit axis: like every block below, a
-    # stack of column vectors, so that U @ y is one gemv per row
-    eh = rng.logistic(size=(b, K * (n + C), 1))
-    ey = eh[:, K * n:]
+    lead = y0.shape[:-1]
+    e = rng.logistic(size=lead + (K * (n + C),))
+    eh = e[..., :K * n].reshape(lead + (K, n))
+    ey = e[..., K * n:].reshape(lead + (K, C))
+    dot = _dot_for(y0)
     Ut = np.ascontiguousarray(U.T)
-    hid = hid_bias[:, :, None]
-    vis = vis_bias[..., None]
-    z = hid + U @ y0[:, :, None]  # the hidden input
+    z = hid_bias + dot(U, y0)  # the hidden input
     h0 = sigm(z)
     for k in range(K):
-        h = (eh[:, k * n:(k + 1) * n] < z).astype(float)
-        y = (ey[:, k * C:(k + 1) * C] < vis + Ut @ h).astype(float)
-        z = hid + U @ y
-    return h0[:, :, 0], sigm(z)[:, :, 0], y[:, :, 0]
+        h = (eh[..., k, :] < z).astype(float)
+        y = (ey[..., k, :] < vis_bias + dot(Ut, h)).astype(float)
+        z = hid_bias + dot(U, y)
+    return h0, sigm(z), y
 
 
 # mf_predict and smooth_tags stop once no label probability moves by MF_TOL
@@ -236,12 +241,14 @@ MF_TOL = 1e-8
 
 
 def mean_field(hid_bias, vis_bias, U, y, K: int, tol: float) -> np.ndarray:
-    """Mean-field label probabilities of the same bipartite model for b
-    rows: iterates h = sigm(hid_bias + Uy), y = sigm(vis_bias + U'h) from
-    the (b, C) block y for K steps; hid_bias is (b, n), vis_bias (C,) or
-    (b, C).  A row whose largest change drops below ``tol`` keeps its
-    new value and leaves the active set, so every row ends where a b=1
-    call ends (tol=0 always runs K steps).  Returns the (b, C) block.
+    """Mean-field label probabilities of the same bipartite model for one
+    row or a block of b rows: iterates h = sigm(hid_bias + Uy),
+    y = sigm(vis_bias + U'h) from y, (C,) or (b, C), for K steps, with
+    ``_dot_for``'s products; hid_bias is (n,) or (b, n), vis_bias (C,)
+    or (b, C).  A row whose largest change drops below ``tol`` keeps its
+    new value: a one-row call stops there, and in a block the row leaves
+    the active set, so every row ends where its one-row call ends (tol=0
+    always runs K steps).  Returns y's shape.
 
     The loop works on exactly scaled quantities with the bits of the
     plain formula: it carries 2h = 1 + tanh(z/2) and 2y, and U/4 in
@@ -249,29 +256,30 @@ def mean_field(hid_bias, vis_bias, U, y, K: int, tol: float) -> np.ndarray:
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    U4 = 0.25 * U
-    hid2 = 0.5 * hid_bias[:, :, None]
-    vis2 = 0.5 * vis_bias[..., None]
-    s = 2.0 * y[:, :, None]  # 2y
-    rows = np.arange(len(s))  # the rows still iterating
-    frozen = []  # (rows, 2y) of the rows that converged
+    dot = _dot_for(y)
+    U4, hid2, vis2 = 0.25 * U, 0.5 * hid_bias, 0.5 * vis_bias
+    s = 2.0 * y  # 2y
+    rows = np.arange(len(s))  # a block's rows still iterating
+    frozen = []  # (rows, 2y) of the block rows that converged
     for _ in range(K):
-        s_new = 1.0 + np.tanh(vis2 + U4.T @ (1.0 + np.tanh(hid2 + U4 @ s)))
-        if tol > 0:
-            done = (np.abs(s_new - s) < 2 * tol).all(axis=1)[:, 0]
-            if done.any():
-                frozen.append((rows[done], s_new[done]))
-                keep = ~done
-                rows, hid2, s_new = rows[keep], hid2[keep], s_new[keep]
-                if vis2.ndim == 3:
-                    vis2 = vis2[keep]
-        s = s_new
-        if not rows.size:
+        s_old, s = s, 1.0 + np.tanh(
+            vis2 + dot(U4.T, 1.0 + np.tanh(hid2 + dot(U4, s))))
+        if tol <= 0:
+            continue
+        done = (np.abs(s - s_old) < 2 * tol).all(axis=-1)
+        if not done.any():
+            continue
+        if done.all():  # a one-row call stops where a block freezes its row
             break
+        frozen.append((rows[done], s[done]))
+        keep = ~done
+        rows, hid2, s = rows[keep], hid2[keep], s[keep]
+        if vis2.ndim == 2:
+            vis2 = vis2[keep]
     if frozen:
         out = np.empty((len(hid_bias),) + s.shape[1:])
         out[rows] = s
         for r, v in frozen:
             out[r] = v
         s = out
-    return 0.5 * s[:, :, 0]
+    return 0.5 * s

@@ -80,8 +80,8 @@ def cd_gradient(example: LabeledExample, p: DrbmParams, K: int, rng) -> Gradient
     label, features held fixed; final statistics use the deterministic
     hidden activation."""
     x, y0 = example.x, example.y
-    h0, hK, yK = cd_chain((p.c + p.W @ x)[None], p.d, p.U, y0[None], K, rng)
-    return _phase_difference(h0[0], y0, hK[0], yK[0], x)
+    h0, hK, yK = cd_chain(p.c + p.W @ x, p.d, p.U, y0, K, rng)
+    return _phase_difference(h0, y0, hK, yK, x)
 
 
 def mfcd_gradient(example: LabeledExample, p: DrbmParams, K: int) -> Gradient:
@@ -89,7 +89,7 @@ def mfcd_gradient(example: LabeledExample, p: DrbmParams, K: int) -> Gradient:
     expectations, initialized at the training label."""
     x, y0 = example.x, example.y
     act = p.c + p.W @ x
-    yK = mean_field(act[None], p.d, p.U, y0[None], K, tol=0.0)[0]
+    yK = mean_field(act, p.d, p.U, y0, K, tol=0.0)
     return _phase_difference(sigm(act + p.U @ y0), y0, sigm(act + p.U @ yK),
                              yK, x)
 
@@ -198,9 +198,9 @@ def generative_cd_gradient(example: LabeledExample, p: GaussianRbmParams,
     h0 = sigm(z)
     for noise in rng.logistic(size=(K, p.n + p.C)):
         h = (noise[:p.n] < z).astype(float)
-        y = (noise[p.n:] < p.d + p.U.T @ h).astype(float)
-        x = p.bx + p.W.T @ h
-        z = p.c + p.W @ x + p.U @ y
+        y = (noise[p.n:] < p.d + np.dot(p.U.T, h)).astype(float)
+        x = p.bx + np.dot(p.W.T, h)
+        z = p.c + np.dot(p.W, x) + np.dot(p.U, y)
     hK = sigm(z)
     return GaussianGradient(
         dU=h0[:, None] * y0 - hK[:, None] * y,

@@ -176,7 +176,15 @@ def cv_run(X: np.ndarray, cells: np.ndarray, tags, split: FoldSplit,
     on all non-test folds and scored on each held-out fold.
 
     Returns (test AucReport, selected grid point, validation grand means).
+    A kind not in the table, or one that cannot be fitted on (X, Y, mask)
+    and scored, is a ValueError before any fit.
     """
+    if kind not in kinds.KIND_TABLE:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of "
+                         f"{', '.join(kinds.KIND_TABLE)}")
+    if kinds.KIND_TABLE[kind].score is None:
+        raise ValueError(f"model kind {kind!r} cannot be fitted on features "
+                         f"and labels and scored")
     grid = list(grid)
     if not grid:
         raise ValueError("empty hyper-parameter grid")

@@ -171,5 +171,4 @@ def mf_predict(x, p: DrbmParams, K: int) -> np.ndarray:
     until the largest change drops below MF_TOL.
     """
     x = _check_vec(x, p.D, "x")
-    return mean_field((p.c + p.W @ x)[None], p.d, p.U, np.zeros((1, p.C)), K,
-                      MF_TOL)[0]
+    return mean_field(p.c + p.W @ x, p.d, p.U, np.zeros(p.C), K, MF_TOL)

@@ -105,9 +105,9 @@ def smoother_cd_gradient(y, u, V, p: SmootherParams, K: int,
     the C x k block of their current values, so Va = V.sum(axis=1); each
     of those columns' gradient is dd, and every other column's is zero.
     y and u are not checked: ``train_smoother`` checks its events once."""
-    h0, hK, yK = cd_chain((p.c + p.W @ u)[None], p.d + V.sum(axis=1), p.U,
-                          y[None], K, rng)
-    return _phase_difference(h0[0], y, hK[0], yK[0], u)
+    h0, hK, yK = cd_chain(p.c + p.W @ u, p.d + V.sum(axis=1), p.U, y, K,
+                          rng)
+    return _phase_difference(h0, y, hK, yK, u)
 
 
 def _clip_step(sign_old: np.ndarray, new: np.ndarray) -> np.ndarray:

@@ -403,6 +403,28 @@ class TestEmptyModel:
         assert capsys.readouterr() == ("", "error: --model must name a file\n")
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_model_b_rejected_before_any_file(self, ingested, tmp_path,
+                                                    capsys, monkeypatch,
+                                                    source):
+        # an empty comparison model used to be skipped: eval exited 0 with
+        # auc_a.tsv and summary.tsv alone
+        assert run(["train", "--data", ingested, "--kind", "logreg",
+                    "--epochs", 1, "--model", tmp_path / "a.model"]) == 0
+        args = ["eval", "--data", "ingested", "--model", "a.model",
+                "--out", "reports"]
+        if source == "flag":
+            args += ["--model-b", ""]
+        else:
+            (tmp_path / "eval.cfg").write_text("model_b=\n")
+            args += ["--config", "eval.cfg"]
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        assert run(args) == 1
+        assert capsys.readouterr() == ("",
+                                       "error: --model-b must name a file\n")
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestMatrixFile:
     @pytest.mark.parametrize("row, message", [

@@ -209,13 +209,16 @@ class TestCdChain:
         hid = rng.normal(size=(b, n))
         vis = rng.normal(size=(b, C) if per_row_vis else C)
         y0 = (rng.random((b, C)) < 0.5).astype(float)
-        batched, serial = np.random.default_rng(8), np.random.default_rng(8)
+        batched, serial, rows = (np.random.default_rng(8) for _ in range(3))
         got = cd_chain(hid, vis, U, y0, K, batched)
         for i in range(b):
-            want = row_cd_chain(hid[i], vis[i] if per_row_vis else vis, U,
-                                y0[i], K, serial)
-            for g, w in zip(got, want):
-                assert g[i].tobytes() == w.tobytes()
+            row_vis = vis[i] if per_row_vis else vis
+            want = row_cd_chain(hid[i], row_vis, U, y0[i], K, serial)
+            # and one row passed as 1-D arrays
+            one = cd_chain(hid[i], row_vis, U, y0[i], K, rows)
+            for g, w, o in zip(got, want, one):
+                assert g[i].tobytes() == w.tobytes() == o.tobytes()
+        assert batched.bit_generator.state == rows.bit_generator.state
         assert batched.random() == serial.random()
 
     def test_on_rate_is_the_sigmoid(self):
@@ -238,6 +241,11 @@ class TestCdChain:
         assert (h0.shape, hK.shape, yK.shape) == ((5, 2), (5, 2), (5, 3))
         assert set(np.unique(yK)) <= {0.0, 1.0}
 
+    def test_one_row_returns_rows(self):
+        h0, hK, yK = cd_chain(np.zeros(2), np.zeros(3), np.zeros((2, 3)),
+                              np.ones(3), 2, np.random.default_rng(0))
+        assert (h0.shape, hK.shape, yK.shape) == ((2,), (2,), (3,))
+
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             cd_chain(np.zeros((1, 2)), np.zeros(3), np.zeros((2, 3)),
@@ -259,9 +267,13 @@ class TestMeanField:
         got = mean_field(hid, vis, U, y0, 200, tol)
         steps = set()
         for i in range(b):
-            want, k = row_mean_field(hid[i], vis[i] if per_row_vis else vis,
-                                     U, y0[i], 200, tol)
-            assert got[i].tobytes() == want.tobytes()
+            row_vis = vis[i] if per_row_vis else vis
+            want, k = row_mean_field(hid[i], row_vis, U, y0[i], 200, tol)
+            # and one row passed as 1-D arrays, which stops where the
+            # block freezes its row while other rows keep iterating
+            one = mean_field(hid[i], row_vis, U, y0[i], 200, tol)
+            assert one.shape == (C,)
+            assert got[i].tobytes() == want.tobytes() == one.tobytes()
             steps.add(k)
         # rows stop at different steps, or all run the K steps
         assert len(steps) > 5 if tol else steps == {200}

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from multitag import kinds
 from multitag.data import NEGATIVE, POSITIVE, UNKNOWN, make_folds
 from multitag.estimators import TrainConfig
 from multitag.evaluation import (AucReport, auc, cv_run,
@@ -303,6 +304,28 @@ class TestCvRun:
             cv_run(rng.normal(size=(10, 1)),
                    np.full((10, 1), NEGATIVE, dtype=np.int8), ["t0"], split,
                    "logreg", grid=[(None, TrainConfig(epochs=1))])
+
+
+    @pytest.mark.parametrize("kind, message", [
+        ("svm", "unknown model kind 'svm'; expected one of drbm, grbm, mlp, "
+                "logreg, smoother"),
+        ("smoother", "model kind 'smoother' cannot be fitted on features "
+                     "and labels and scored"),
+    ], ids=["unknown", "smoother"])
+    def test_kind_checked_before_any_fit(self, rng, monkeypatch, kind,
+                                         message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted")
+
+        monkeypatch.setattr(kinds, "KIND_TABLE", {
+            name: k._replace(fit=no_fit)
+            for name, k in kinds.KIND_TABLE.items()})
+        split = make_folds(10, seed=0)
+        with pytest.raises(ValueError) as info:
+            cv_run(rng.normal(size=(10, 1)),
+                   np.full((10, 1), POSITIVE, dtype=np.int8), ["t0"], split,
+                   kind, grid=[(None, TrainConfig(epochs=1))])
+        assert str(info.value) == message
 
 
 class TestReportWriters:
