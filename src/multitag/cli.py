@@ -141,9 +141,7 @@ def _read_events(args, vocab=None):
 
 
 def cmd_train(args):
-    kind = kinds.KIND_TABLE.get(args.kind)
-    if kind is None:
-        raise ValueError(f"unknown model kind {args.kind!r}")
+    kind = kinds.lookup(args.kind)
     for key, value in kind.defaults.items():
         if key in args.unset:
             setattr(args, key, value)

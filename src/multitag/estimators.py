@@ -24,7 +24,6 @@ from .core import (DrbmParams, Gradient, LabeledExample, cd_chain, log1pexp,
 from .inference import lbp_marginals
 from .oracle import exact_log_cond_probs, marginal_gradient
 
-ESTIMATORS = ("cd", "mfcd", "lbp", "pl")
 DIVERGENCE_LIMIT = 1e6
 # the per-epoch objective is computed on the first PROBE_ROWS examples;
 # exactly while the enumeration has at most EXACT_OBJECTIVE_CELLS hidden
@@ -48,8 +47,11 @@ class TrainConfig:
     l1: float = 0.0       # smoother conditioning-weight penalty
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
+        if self.estimator not in GRADIENTS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        for field in ("k", "epochs", "seed"):
+            if not isinstance(getattr(self, field), (int, np.integer)):
+                raise ValueError(f"{field} must be an integer")
         if not np.isfinite(self.lr):
             raise ValueError("learning rate must be finite")
         if self.lr < 0:
@@ -188,9 +190,11 @@ class GaussianGradient(Gradient):
 def generative_cd_gradient(example: LabeledExample, p: GaussianRbmParams,
                            K: int, rng) -> GaussianGradient:
     """CD-K for the joint objective: block Gibbs over (h, y, x) with the
-    feature vector reconstructed at its conditional Gaussian mean.  Its
-    logistic noise is drawn once, as core.cd_chain draws it: row k's
-    first n entries sample h and its last C sample y."""
+    feature vector reconstructed at its conditional Gaussian mean.  It
+    samples by core.cd_chain's rule, from one rng.logistic(size=(K, n+C))
+    draw whose row k is step k's [h noise | y noise].  That layout is
+    its own: cd_chain lays out all K hidden blocks, then all K label
+    blocks, so the two draw the same stream only at K=1."""
     if K < 1:
         raise ValueError("K must be >= 1")
     x0, y0 = example.x, example.y
@@ -211,15 +215,16 @@ def generative_cd_gradient(example: LabeledExample, p: GaussianRbmParams,
     )
 
 
-def _estimate(example, p, cfg: TrainConfig, rng) -> Gradient:
-    """Dispatch one gradient estimate."""
-    if cfg.estimator == "cd":
-        return cd_gradient(example, p, cfg.k, rng)
-    if cfg.estimator == "mfcd":
-        return mfcd_gradient(example, p, cfg.k)
-    if cfg.estimator == "lbp":
-        return lbp_gradient(example, p, cfg.k, cfg.beta)
-    return _pl_ascent(example, p)[0]
+# estimator name -> its row gradient (example, p, cfg, rng); each entry
+# calls its estimator by this module's name, which perfbench's tracing
+# patches
+GRADIENTS = {
+    "cd": lambda ex, p, cfg, rng: cd_gradient(ex, p, cfg.k, rng),
+    "mfcd": lambda ex, p, cfg, rng: mfcd_gradient(ex, p, cfg.k),
+    "lbp": lambda ex, p, cfg, rng: lbp_gradient(ex, p, cfg.k, cfg.beta),
+    "pl": lambda ex, p, cfg, rng: _pl_ascent(ex, p)[0],
+}
+ESTIMATORS = tuple(GRADIENTS)
 
 
 def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,
@@ -227,9 +232,10 @@ def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,
     """Per-example stochastic training of a copy of p0, for every model kind.
 
     Each of cfg.epochs epochs calls step(p, i, rng) for the examples in a
-    permutation drawn from default_rng(cfg.seed); step updates p in place.
-    Each epoch ends with a divergence check: unless every parameter entry
-    is finite and at most DIVERGENCE_LIMIT in magnitude, it writes a last
+    permutation drawn from default_rng(cfg.seed); step updates p in place,
+    with numpy's overflow and invalid-value warnings off.  Each epoch
+    ends with a divergence check: unless every parameter entry is finite
+    and at most DIVERGENCE_LIMIT in magnitude, it writes a last
     record (kind, estimator, epoch, "diverged": true), given a record
     file, and raises DivergenceError.  Given a record file, it then
     evaluates objective(p) -> (name, value), if there is an objective, and
@@ -251,8 +257,10 @@ def sgd(p0, n_examples: int, step, cfg: TrainConfig, record_file=None,
         if record_file is not None:
             before = [a.copy() for a in p.arrays().values()]
         t0 = time.perf_counter()
-        for i in rng.permutation(n_examples):
-            step(p, i, rng)
+        # an overflow or NaN is reported once, by the divergence check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in rng.permutation(n_examples):
+                step(p, i, rng)
         seconds = time.perf_counter() - t0
         if not all(np.all(np.abs(a) <= DIVERGENCE_LIMIT)  # NaN fails too
                    for a in p.arrays().values()):
@@ -314,9 +322,10 @@ def _sgd_rows(X, Y, p0, cfg: TrainConfig, gradient, estimator, record_file):
 def sgd_train(X, Y, p0: DrbmParams, cfg: TrainConfig,
               record_file=None) -> DrbmParams:
     """Per-example stochastic ascent on cfg.estimator's surrogate
-    objective (`_sgd_rows`): deterministic given cfg.seed (exactly for
-    pl/mfcd, given the rng stream for cd)."""
-    return _sgd_rows(X, Y, p0, cfg, _estimate, cfg.estimator, record_file)
+    objective (`_sgd_rows` of its GRADIENTS entry): deterministic given
+    cfg.seed (exactly for pl/mfcd, given the rng stream for cd)."""
+    return _sgd_rows(X, Y, p0, cfg, GRADIENTS[cfg.estimator], cfg.estimator,
+                     record_file)
 
 
 def sgd_train_generative(X, Y, p0: GaussianRbmParams, cfg: TrainConfig,

@@ -176,23 +176,27 @@ def cv_run(X: np.ndarray, cells: np.ndarray, tags, split: FoldSplit,
     on all non-test folds and scored on each held-out fold.
 
     Returns (test AucReport, selected grid point, validation grand means).
-    A kind not in the table, or one that cannot be fitted on (X, Y, mask)
-    and scored, is a ValueError before any fit.
+    A kind not in the table, one that cannot be fitted on (X, Y, mask)
+    and scored, or a grid point whose hidden is not an integer >= 1 for
+    a kind that reads --hidden, is a ValueError before any fit.
     """
-    if kind not in kinds.KIND_TABLE:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of "
-                         f"{', '.join(kinds.KIND_TABLE)}")
-    if kinds.KIND_TABLE[kind].score is None:
+    entry = kinds.lookup(kind)
+    if entry.score is None:
         raise ValueError(f"model kind {kind!r} cannot be fitted on features "
                          f"and labels and scored")
     grid = list(grid)
     if not grid:
         raise ValueError("empty hyper-parameter grid")
+    if "hidden" in entry.options:
+        for hidden, _ in grid:
+            if not (isinstance(hidden, (int, np.integer)) and hidden >= 1):
+                raise ValueError(f"hidden must be an integer >= 1, got "
+                                 f"{hidden!r}")
     n_folds = len(split.folds)
 
     def fold(point, train_idx, test_idx):
-        model = kinds.KIND_TABLE[kind].fit(
-            X[train_idx], *kinds.targets(kind, cells[train_idx]), *point)
+        model = entry.fit(X[train_idx], *kinds.targets(kind, cells[train_idx]),
+                          *point)
         return kinds.score(model, X[test_idx]), cells[test_idx]
 
     val_means = []

@@ -1,6 +1,7 @@
-"""Every model kind in one table: the `train` options it reads, its fit,
-its scorer and its UNKNOWN policy.  Fits and scorers call trainers and
-predictors by this module's names, which perfbench's tracing patches.
+"""Every model kind in one table: its parameter class, the `train`
+options it reads, its fit, its scorer and its UNKNOWN policy.  Fits and
+scorers call trainers and predictors by this module's names, which
+perfbench's tracing patches.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .baselines import (LOGREG_DEFAULT_LR, MLP_DEFAULT_HIDDEN, MLP_DEFAULT_LR,
-                        MlpParams, logreg_predict, logreg_train, mlp_predict,
-                        mlp_train)
+                        LogRegParams, MlpParams, logreg_predict, logreg_train,
+                        mlp_predict, mlp_train)
 from .core import DrbmParams
 from .data import POSITIVE, UNKNOWN
 from .estimators import GaussianRbmParams, sgd_train, sgd_train_generative
@@ -20,7 +21,8 @@ from .smoother import SmootherParams, train_smoother
 
 
 class Kind(NamedTuple):
-    """How one model kind is read, fitted and scored."""
+    """How one model kind is stored, read, fitted and scored."""
+    params: type    # its parameter class, whose KIND names the kind
     options: tuple  # the kind-specific train options that it reads
     fit: Callable   # (*data, hidden, cfg, record_file=None) -> Params
     masked: bool = False    # UNKNOWN cells: out of the loss, or negatives
@@ -62,19 +64,29 @@ def _lbp(p, X, K=10, beta=0.0):
     return lbp_scores(X, p, K=K, beta=beta)
 
 
-# model kind (the names of modelio.KINDS) -> Kind
-KIND_TABLE = {
-    "drbm": Kind(("estimator", "k", "hidden", "data"), _fit_drbm, score=_lbp),
-    "grbm": Kind(("k", "hidden", "data"), _fit_grbm, score=_lbp),
-    "mlp": Kind(("hidden", "data"), _fit_mlp, masked=True,
-                score=lambda p, X: mlp_predict(X, p),
-                defaults={"hidden": MLP_DEFAULT_HIDDEN, "lr": MLP_DEFAULT_LR}),
-    "logreg": Kind(("data",), _fit_logreg, masked=True,
-                   score=lambda p, X: logreg_predict(X, p),
-                   defaults={"lr": LOGREG_DEFAULT_LR}),
-    "smoother": Kind(("k", "hidden", "l1", "triples", "items", "vocab_size"),
-                     _fit_smoother),
-}
+# model kind (its parameter class's KIND) -> Kind
+KIND_TABLE = {kind.params.KIND: kind for kind in (
+    Kind(DrbmParams, ("estimator", "k", "hidden", "data"), _fit_drbm,
+         score=_lbp),
+    Kind(GaussianRbmParams, ("k", "hidden", "data"), _fit_grbm, score=_lbp),
+    Kind(MlpParams, ("hidden", "data"), _fit_mlp, masked=True,
+         score=lambda p, X: mlp_predict(X, p),
+         defaults={"hidden": MLP_DEFAULT_HIDDEN, "lr": MLP_DEFAULT_LR}),
+    Kind(LogRegParams, ("data",), _fit_logreg, masked=True,
+         score=lambda p, X: logreg_predict(X, p),
+         defaults={"lr": LOGREG_DEFAULT_LR}),
+    Kind(SmootherParams, ("k", "hidden", "l1", "triples", "items",
+                          "vocab_size"), _fit_smoother),
+)}
+
+
+def lookup(name):
+    """The Kind of the model kind ``name``; any other name is the one
+    unknown-kind ValueError."""
+    if name not in KIND_TABLE:
+        raise ValueError(f"unknown model kind {name!r}; expected one of "
+                         f"{', '.join(KIND_TABLE)}")
+    return KIND_TABLE[name]
 
 
 def targets(kind, cells):

@@ -2,9 +2,11 @@
 model kind, dimensions, the tag vocabulary, and every parameter array as
 named rows of decimal floats.  Floats are written with shortest
 round-trip precision, so save -> load reproduces every value bit-exactly.
-Lines are read by `data.read_lines`: a line ends at "\n" only (universal
-newlines fold "\r\n" and "\r" into it), so a tag may hold any other
-character, form feeds included.
+The parameter class of a kind, found in `kinds.KIND_TABLE`, writes its
+dims and arrays as its SHAPES declare them, and its other fields as its
+FIELDS do.  Lines are read by `data.read_lines`: a line ends at "\n"
+only (universal newlines fold "\r\n" and "\r" into it), so a tag may
+hold any other character, form feeds included.
 """
 
 from __future__ import annotations
@@ -13,17 +15,10 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .baselines import LogRegParams, MlpParams
-from .core import DrbmParams
+from . import kinds
 from .data import read_lines
-from .estimators import GaussianRbmParams
-from .smoother import SmootherParams
 
 FORMAT_HEADER = "multitag-model 1"
-# kind name -> parameter class; a class writes its dims and arrays as
-# its SHAPES declare them, and its other fields as its FIELDS do
-KINDS = {cls.KIND: cls for cls in (DrbmParams, GaussianRbmParams,
-                                   SmootherParams, MlpParams, LogRegParams)}
 
 
 class ModelFormatError(ValueError):
@@ -31,9 +26,11 @@ class ModelFormatError(ValueError):
 
 
 def save_model(path, model, vocab):
-    """Write any KINDS parameter object with its tag vocabulary: its
-    dims, the sizes its FIELDS hold, and its arrays in declared order."""
-    if KINDS.get(getattr(model, "KIND", None)) is not type(model):
+    """Write the parameter object of any kind in kinds.KIND_TABLE with its
+    tag vocabulary: its dims, the sizes its FIELDS hold, and its arrays in
+    declared order."""
+    kind = kinds.KIND_TABLE.get(getattr(model, "KIND", None))
+    if getattr(kind, "params", None) is not type(model):
         raise TypeError(f"unsupported model type {type(model).__name__}")
     if len(vocab) != model.C:
         raise ValueError(f"{len(vocab)} vocabulary entries for C={model.C} "
@@ -81,9 +78,10 @@ def load_model(path):
 
     expect(FORMAT_HEADER)
     kind = expect("kind ...")
-    cls = KINDS.get(kind)
-    if cls is None:
-        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+    try:
+        cls = kinds.lookup(kind).params
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
     dims = {}
     for dim in dict.fromkeys(chain(*cls.SHAPES.values(),
                                    *cls.FIELDS.values())):

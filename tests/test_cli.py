@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from multitag import data as dt
 from multitag.cli import _events_from_triples, main
 from multitag.core import sigm
 from multitag.data import Triples
-from multitag.modelio import KINDS, load_model, save_model
+from multitag.kinds import KIND_TABLE
+from multitag.modelio import load_model, save_model
 from multitag.synthetic import make_tag_corpus, write_corpus_files
 from conftest import INGESTED_DEFECTS, break_ingested, printed_lbp_marginals
 
@@ -283,6 +285,22 @@ class TestTrain:
                                     "epoch": 0, "diverged": True}
         assert not (tmp_path / "m.model").exists()
 
+    @pytest.mark.parametrize("kind", sorted(KIND_TABLE))
+    def test_divergence_of_any_kind_is_one_line(self, corpus_dir, ingested,
+                                                tmp_path, capsys, kind):
+        # the overflows on the way to the divergence check warn nothing:
+        # a warning would be raised here, not printed
+        source = (["--triples", corpus_dir / "triples.tsv", "--vocab-size", 3]
+                  if kind == "smoother" else ["--data", ingested])
+        model = tmp_path / f"{kind}.model"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["train", "--kind", kind, *source, "--lr", 1e9,
+                        "--epochs", 2, "--model", model]) == 1
+        assert capsys.readouterr().err == (
+            "error: parameters diverged at epoch 0\n")
+        assert not model.exists()
+
     def test_smoother_without_triples_is_an_error_line(self, tmp_path,
                                                        capsys):
         assert run(["train", "--kind", "smoother", "--vocab-size", 3,
@@ -295,7 +313,9 @@ class TestTrain:
                                                       tmp_path, capsys):
         assert run(["train", "--data", ingested, "--kind", "foo",
                     "--model", tmp_path / "foo.model"]) == 1
-        assert capsys.readouterr().err == "error: unknown model kind 'foo'\n"
+        assert capsys.readouterr().err == (
+            "error: unknown model kind 'foo'; expected one of drbm, grbm, "
+            "mlp, logreg, smoother\n")
         assert list(tmp_path.glob("foo.model*")) == []
 
     def test_baseline_kinds(self, ingested, tmp_path):
@@ -800,7 +820,7 @@ class TestSmoothPipeline:
     def test_non_smoother_model_is_an_error_line(self, corpus_dir, tmp_path,
                                                   capsys, rng):
         model = tmp_path / "m.model"
-        save_model(model, KINDS["drbm"].random_init(2, 3, 4, rng),
+        save_model(model, KIND_TABLE["drbm"].params.random_init(2, 3, 4, rng),
                    ["tag0", "tag1", "tag2"])
         out = tmp_path / "smoothed.tsv"
         assert run(["smooth", "--model", model, "--triples",

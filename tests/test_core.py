@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from multitag.core import (DrbmParams, ShapeError, cd_chain, cond_free_energy,
                            energy, log1pexp, mean_field, sigm)
-from multitag.modelio import KINDS
+from multitag.kinds import KIND_TABLE
 from conftest import random_instance
 
 
@@ -318,7 +318,7 @@ def declared_values(kind, rng):
     its names, A being (users, tracks, clips) = (1, 2, 3), by name."""
     size = {"n": 2, "C": 3, "D": 4, "H": 5, "A": 6, "users": 1, "tracks": 2,
             "clips": 3}
-    cls = KINDS[kind]
+    cls = KIND_TABLE[kind].params
     arrays = {name: rng.normal(size=tuple(size[d] for d in axes))
               for name, axes in cls.SHAPES.items()}
     return {**arrays, **{field: tuple(size[d] for d in names)
@@ -328,9 +328,9 @@ def declared_values(kind, rng):
 class TestOneDeclaration:
     """Every parameter class is built from its SHAPES and FIELDS alone."""
 
-    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("kind", sorted(KIND_TABLE))
     def test_positional_construction_follows_shapes(self, kind, rng):
-        cls = KINDS[kind]
+        cls = KIND_TABLE[kind].params
         values = declared_values(kind, rng)
         by_name, by_position = cls(**values), cls(*values.values())
         assert list(by_position.arrays()) == list(cls.SHAPES)
@@ -341,11 +341,11 @@ class TestOneDeclaration:
         for name in cls.FIELDS:
             assert getattr(by_position, name) == getattr(by_name, name)
 
-    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("kind", sorted(KIND_TABLE))
     @pytest.mark.parametrize("case", ["missing", "repeated", "unknown",
                                       "too-many"])
     def test_a_bad_field_is_a_type_error(self, kind, case, rng):
-        cls = KINDS[kind]
+        cls = KIND_TABLE[kind].params
         values = declared_values(kind, rng)
         *rest, last = values
         first = rest[0]
@@ -417,7 +417,7 @@ class TestInit:
                      "mlp": reference_mlp_init}[kind]
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
         options = {} if scale is None else {"scale": scale}
-        p = KINDS[kind].random_init(*sizes, rng, **options)
+        p = KIND_TABLE[kind].params.random_init(*sizes, rng, **options)
         want = reference(*sizes, ref_rng, 0.01 if scale is None else scale)
         assert as_bytes(p.arrays().values()) == as_bytes(want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -428,7 +428,7 @@ class TestInit:
         ("drbm", (4, 3, 2), [(4, 3), (4, 2), (4,), (3,)]),
         ("logreg", (3, 2), [(3, 2), (2,)])])
     def test_zeros_matches_the_per_class_zeros(self, kind, sizes, want):
-        p = KINDS[kind].zeros(*sizes)
+        p = KIND_TABLE[kind].params.zeros(*sizes)
         assert as_bytes(p.arrays().values()) == as_bytes(map(np.zeros, want))
 
     def test_sizes_follow_dims(self):

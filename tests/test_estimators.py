@@ -11,7 +11,7 @@ from multitag import estimators
 from multitag.core import (DrbmParams, Gradient, LabeledExample, cd_chain,
                            log1pexp, sigm)
 from multitag.estimators import (ESTIMATORS, EXACT_OBJECTIVE_CELLS,
-                                 PROBE_ROWS, DivergenceError,
+                                 GRADIENTS, PROBE_ROWS, DivergenceError,
                                  GaussianGradient, GaussianRbmParams,
                                  TrainConfig, cd_gradient,
                                  _pl_ascent, cond_objective,
@@ -564,6 +564,39 @@ class TestEpochObjective:
         assert name == "log_pseudo_likelihood"
         assert value == pytest.approx(
             np.mean([log_pl_reference(ex, p) for ex in data]), abs=1e-12)
+
+
+def test_estimators_are_the_gradient_table_in_order():
+    assert ESTIMATORS == ("cd", "mfcd", "lbp", "pl") == tuple(GRADIENTS)
+
+
+def test_an_estimator_is_one_gradient_entry(rng, monkeypatch):
+    # the exact gradient, added as one GRADIENTS entry and nothing else
+    with pytest.raises(ValueError, match="unknown estimator 'exact'"):
+        TrainConfig(estimator="exact")
+    monkeypatch.setitem(GRADIENTS, "exact",
+                        lambda ex, p, cfg, rng: exact_grad(ex, p))
+    data = [random_instance(rng)[0] for _ in range(5)]
+    _, p0 = random_instance(rng)
+    cfg = TrainConfig(estimator="exact", lr=0.1, epochs=2, seed=3)
+    records = io.StringIO()
+    p = sgd_train(*arrays(data), p0, cfg, records)
+    assert [json.loads(line)["estimator"]
+            for line in records.getvalue().splitlines()] == ["exact"] * 2
+    q, order = p0.copy(), np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        for i in order.permutation(len(data)):
+            for a, g in zip(q.arrays().values(), exact_grad(data[i], q)):
+                a += cfg.lr * g
+    for name, a in p.arrays().items():
+        np.testing.assert_array_equal(a, getattr(q, name))
+
+
+@pytest.mark.parametrize("field", ["k", "epochs", "seed"])
+def test_train_config_counts_are_integers(field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        TrainConfig(**{field: 1.5})
+    assert getattr(TrainConfig(**{field: np.int64(2)}), field) == 2
 
 
 def test_train_config_validation():

@@ -306,14 +306,19 @@ class TestCvRun:
                    "logreg", grid=[(None, TrainConfig(epochs=1))])
 
 
-    @pytest.mark.parametrize("kind, message", [
-        ("svm", "unknown model kind 'svm'; expected one of drbm, grbm, mlp, "
-                "logreg, smoother"),
-        ("smoother", "model kind 'smoother' cannot be fitted on features "
-                     "and labels and scored"),
-    ], ids=["unknown", "smoother"])
+    @pytest.mark.parametrize("kind, hidden, message", [
+        ("svm", None, "unknown model kind 'svm'; expected one of drbm, grbm, "
+                      "mlp, logreg, smoother"),
+        ("smoother", None, "model kind 'smoother' cannot be fitted on "
+                           "features and labels and scored"),
+        ("drbm", 0, "hidden must be an integer >= 1, got 0"),
+        ("grbm", -3, "hidden must be an integer >= 1, got -3"),
+        ("mlp", 2.5, "hidden must be an integer >= 1, got 2.5"),
+        ("drbm", None, "hidden must be an integer >= 1, got None"),
+    ], ids=["unknown", "smoother", "hidden-0", "hidden-negative",
+            "hidden-float", "hidden-none"])
     def test_kind_checked_before_any_fit(self, rng, monkeypatch, kind,
-                                         message):
+                                         hidden, message):
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted")
 
@@ -321,10 +326,12 @@ class TestCvRun:
             name: k._replace(fit=no_fit)
             for name, k in kinds.KIND_TABLE.items()})
         split = make_folds(10, seed=0)
+        # every grid point is checked before the first one is fitted
         with pytest.raises(ValueError) as info:
             cv_run(rng.normal(size=(10, 1)),
                    np.full((10, 1), POSITIVE, dtype=np.int8), ["t0"], split,
-                   kind, grid=[(None, TrainConfig(epochs=1))])
+                   kind, grid=[(np.int64(2), TrainConfig(epochs=1)),
+                               (hidden, TrainConfig(epochs=1))])
         assert str(info.value) == message
 
 

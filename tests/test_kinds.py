@@ -3,17 +3,14 @@ import pytest
 
 from multitag import data as dt
 from multitag.cli import _events_from_triples, main
-from multitag.core import DrbmParams
-from multitag.data import NEGATIVE, POSITIVE, UNKNOWN
+from multitag.core import DrbmParams, Params
+from multitag.data import NEGATIVE, POSITIVE, UNKNOWN, make_folds
 from multitag.estimators import TrainConfig
+from multitag.evaluation import cv_run
 from multitag.inference import lbp_scores
-from multitag.kinds import KIND_TABLE, score, targets
-from multitag.modelio import KINDS, save_model
+from multitag.kinds import KIND_TABLE, Kind, lookup, score, targets
+from multitag.modelio import ModelFormatError, load_model, save_model
 from multitag.synthetic import make_tag_corpus, write_corpus_files
-
-
-def test_kind_table_covers_every_model_kind():
-    assert KIND_TABLE.keys() == KINDS.keys()
 
 
 @pytest.mark.parametrize("kind, flags, cfg", [
@@ -65,7 +62,7 @@ def test_drbm_scores_by_lbp_at_eval_settings(drbm, rng):
 
 
 def test_smoother_cannot_be_scored(rng):
-    smoother = KINDS["smoother"].random_init(2, 3, (1, 2, 2), rng)
+    smoother = KIND_TABLE["smoother"].params.random_init(2, 3, (1, 2, 2), rng)
     with pytest.raises(ValueError,
                        match="cannot score model type SmootherParams"):
         score(smoother, np.zeros((1, 5)))
@@ -82,3 +79,58 @@ def test_targets_mask_out_unknown_cells_for_masked_kinds(kind, masked):
         assert np.array_equal(mask, cells != UNKNOWN)
     else:
         assert mask is None
+
+
+class CentroidParams(Params):
+    """A kind declared only here: tag j scores an item by the dot product
+    of its features with W[j], the mean features of j's positives."""
+    KIND = "centroid"
+    SHAPES = {"W": ("C", "D")}
+
+
+def _fit_centroid(X, Y, mask, hidden, cfg, record_file=None):
+    return CentroidParams(Y.T @ X / np.maximum(Y.sum(axis=0), 1)[:, None])
+
+
+def test_a_kind_is_one_table_entry(monkeypatch, tmp_path):
+    # a Params subclass and one Kind entry: cv_run fits and scores it,
+    # and the model file saves and loads it, with no other edit
+    monkeypatch.setitem(KIND_TABLE, "centroid", Kind(
+        CentroidParams, ("data",), _fit_centroid,
+        score=lambda p, X: X @ p.W.T))
+    X, Y = make_tag_corpus(n_items=60, C=3, D=4, seed=5)
+    cells = np.where(Y == 1, POSITIVE, NEGATIVE).astype(np.int8)
+    tags = ["tag0", "tag1", "tag2"]
+    report, _, _ = cv_run(X, cells, tags, make_folds(60, seed=0), "centroid",
+                          [(None, TrainConfig())])
+    assert report.values.shape == (3, 5)
+    assert report.grand_mean() > 0.7
+    model = KIND_TABLE["centroid"].fit(X, *targets("centroid", cells), None,
+                                       TrainConfig())
+    path = tmp_path / "centroid.model"
+    save_model(path, model, tags)
+    loaded, vocab = load_model(path)
+    assert type(loaded) is CentroidParams and vocab == tags
+    assert np.array_equal(score(loaded, X), X @ model.W.T)
+
+
+def test_one_unknown_kind_message(tmp_path, capsys):
+    message = ("unknown model kind 'svm'; expected one of drbm, grbm, mlp, "
+               "logreg, smoother")
+    with pytest.raises(ValueError) as info:
+        lookup("svm")
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        cv_run(np.zeros((10, 1)), np.zeros((10, 1), dtype=np.int8), ["t0"],
+               make_folds(10, seed=0), "svm", [(None, TrainConfig())])
+    assert str(info.value) == message
+    # train refuses the kind before it reads --data
+    assert main(["train", "--data", str(tmp_path / "absent"), "--kind",
+                 "svm", "--model", str(tmp_path / "svm.model")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    path = tmp_path / "svm.model"
+    assert not path.exists()
+    path.write_text("multitag-model 1\nkind svm\n")
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: {message}"

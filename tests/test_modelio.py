@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from multitag.baselines import LogRegParams, MlpParams
 from multitag.core import DrbmParams, Params
 from multitag.estimators import GaussianRbmParams
-from multitag.modelio import (FORMAT_HEADER, KINDS, ModelFormatError,
-                              load_model, save_model)
+from multitag.kinds import KIND_TABLE, Kind
+from multitag.modelio import (FORMAT_HEADER, ModelFormatError, load_model,
+                              save_model)
 from multitag.smoother import SmootherParams
 
 
@@ -36,7 +37,7 @@ def small_model(kind, draw):
     """A model of ``kind`` at (n, C, D, H, A) = (2, 3, 4, 5, 6), A being
     (users, tracks, clips) = (1, 2, 3), every array drawn by
     ``draw(shape)``."""
-    cls = KINDS[kind]
+    cls = KIND_TABLE[kind].params
     size = {"n": 2, "C": 3, "D": 4, "H": 5, "A": 6, "users": 1, "tracks": 2,
             "clips": 3}
     return cls(**{name: draw(tuple(size[d] for d in axes))
@@ -103,14 +104,14 @@ class TestRoundTrip:
         assert load_model(path)[1] == vocab
 
     @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(sorted(KINDS)),
+    @given(kind=st.sampled_from(sorted(KIND_TABLE)),
            sizes=st.lists(st.integers(1, 4), min_size=7, max_size=7),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_save_load_save_is_identity(self, tmp_path_factory, kind, sizes,
                                         seed):
         # every kind at random shapes: the second save writes the bytes
         # of the first, and load gives back the type and every array
-        cls = KINDS[kind]
+        cls = KIND_TABLE[kind].params
         size = dict(zip(("n", "C", "D", "H", "users", "tracks", "clips"),
                         sizes))
         # the identity block spans the users, tracks and clips blocks
@@ -128,14 +129,14 @@ class TestRoundTrip:
         assert second.read_bytes() == first.read_bytes()
         assert q.arrays().keys() == p.arrays().keys()
 
-    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("kind", sorted(KIND_TABLE))
     def test_crlf_line_ends_load_as_lf(self, rng, tmp_path, kind):
         p, path = small_model(kind, lambda s: awkward(rng, s)), tmp_path / "m"
         save_model(path, p, ["t0", "t 1", "t\f2"])
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert_loads_to(path, p, ["t0", "t 1", "t\f2"])
 
-    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("kind", sorted(KIND_TABLE))
     def test_a_byte_order_mark_is_dropped(self, rng, tmp_path, kind):
         # as in every other input file; the mark was read as part of the
         # header, which failed
@@ -173,7 +174,8 @@ class TestAKindFromItsDeclaration:
     def test_a_new_field_round_trips(self, rng, tmp_path, monkeypatch):
         # save_model and load_model read the kind's SHAPES and FIELDS,
         # so a new kind needs no change to the model file's code
-        monkeypatch.setitem(KINDS, SpanParams.KIND, SpanParams)
+        monkeypatch.setitem(KIND_TABLE, SpanParams.KIND,
+                            Kind(SpanParams, (), fit=None))
         p = SpanParams(awkward(rng, (4, 2)), awkward(rng, 2), (7, 11))
         first, second = tmp_path / "first.model", tmp_path / "second.model"
         save_model(first, p, ["a", "b"])
@@ -298,7 +300,7 @@ class TestErrors:
         assert str(exc.value).startswith(f"{path}: ")
         assert message in str(exc.value)
 
-    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("kind", sorted(KIND_TABLE))
     def test_structural_edits_are_rejected(self, rng, tmp_path, kind):
         # each line has one place, the one save_model writes it in: a line
         # deleted or doubled, or two neighbouring keyword lines swapped,
